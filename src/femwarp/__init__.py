@@ -15,12 +15,12 @@ from .mesh import (
     validate,
 )
 from .assembly import (
+    Topology,
     WeightSystem,
     assemble_stiffness,
     build_weights,
     local_stiffness,
     log_barrier_weights,
-    partition_system,
     uniform_weights,
 )
 from .solve import Factorization, factor, gauss_seidel, solve_multi

@@ -16,21 +16,27 @@ only the constant vector in general; it annihilates the coordinate axes
 exactly when every interior node is the centroid of its neighbors (true
 for uniform grids and structured box tet meshes, false for curved meshes
 such as the polar annulus).
+
+All three schemes fill the same fixed sparsity pattern, held by a
+:class:`Topology` built once per mesh connectivity; rebuilding the weights
+of a moved mesh with the same topology writes values only.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
 
 from .errors import (
+    BadIndexError,
     DegenerateElementError,
     NoInteriorError,
     NodeNotInteriorError,
     NoNeighborsError,
     SingularSystemError,
 )
-from .mesh import signed_measure, signed_measures
+from .mesh import _readonly, simplex_measures
 
 SCHEMES = ("FEM", "UNIFORM", "LOG_BARRIER")
 
@@ -69,123 +75,221 @@ class WeightSystem:
         return np.abs(self.a_ii @ x_i + self.a_ib @ x_b).max(axis=0)
 
 
+class Topology:
+    """Connectivity of a mesh, which a warp never changes.
+
+    Built once from ``mesh.elements`` and ``mesh.boundary``: the interior
+    and boundary ids, the node adjacency in CSR form (``adj_indptr``,
+    ``adj_indices``; columns ascend within a row, no self loops) and the
+    CSR patterns of ``A_I`` (interior x interior, ``ii_*``) and ``A_IB``
+    (interior x boundary, ``ib_*``) that every scheme fills.  Values are
+    written into one data array of length ``nnz`` holding the ``A_I``
+    entries followed by the ``A_IB`` entries:
+
+    * ``scatter`` (computed on first use) maps every entry of the
+      (ne, d+1, d+1) element-matrix stack, flattened, to its data slot, or
+      to the discard slot ``nnz`` when its row is a boundary node;
+    * ``diag_slots`` / ``nbr_slots`` are the slots of each interior row's
+      diagonal and of its neighbors in adjacency order.
+    """
+
+    def __init__(self, mesh):
+        n = mesh.n_nodes
+        elements = mesh.elements
+        if elements.size and (elements.min() < 0 or elements.max() >= n):
+            raise BadIndexError(f"element cites a node id outside [0, {n})")
+        self.elements = elements
+        self.boundary = mesh.boundary
+        self.interior_ids = _readonly(mesh.interior_ids)
+        self.boundary_ids = _readonly(mesh.boundary_ids)
+        m = len(self.interior_ids)
+        # position of each node within its block (interior or boundary)
+        pos = np.empty(n, dtype=np.int64)
+        pos[self.interior_ids] = np.arange(m)
+        pos[self.boundary_ids] = np.arange(len(self.boundary_ids))
+
+        # the full pattern: one sorted key row * n + col per node pair that
+        # shares an element, the diagonal included
+        self._keys = _sorted_unique(_pair_keys(elements, n))
+        urow, ucol = np.divmod(self._keys, n)
+        off = urow != ucol
+        self.adj_indptr = _indptr(urow[off], n)
+        self.adj_indices = ucol[off]
+
+        inner = ~self.boundary[urow]
+        to_ii = inner & ~self.boundary[ucol]
+        to_ib = inner & self.boundary[ucol]
+        self.ii_indptr = _indptr(pos[urow[to_ii]], m)
+        self.ii_indices = pos[ucol[to_ii]]
+        self.ib_indptr = _indptr(pos[urow[to_ib]], m)
+        self.ib_indices = pos[ucol[to_ib]]
+        nnz_ii = len(self.ii_indices)
+        self.nnz = nnz_ii + len(self.ib_indices)
+        # data slot of each pattern entry
+        self._slot = np.full(len(self._keys), self.nnz, dtype=np.int64)
+        self._slot[to_ii] = np.arange(nnz_ii)
+        self._slot[to_ib] = np.arange(nnz_ii, self.nnz)
+        self.diag_slots = self._slot[inner & ~off]
+        self.nbr_slots = self._slot[inner & off]
+
+    @cached_property
+    def scatter(self):
+        """Data slot of every entry of the flattened element-matrix stack."""
+        keys = _pair_keys(self.elements, len(self.boundary))
+        return self._slot[np.searchsorted(self._keys, keys)]
+
+    def neighbors(self, node):
+        """Ascending ids of the nodes sharing an element with ``node``."""
+        return self.adj_indices[self.adj_indptr[node] : self.adj_indptr[node + 1]]
+
+    def check(self, mesh):
+        """Raise unless ``mesh`` has this topology's connectivity and
+        boundary marking."""
+        if not (
+            np.array_equal(mesh.elements, self.elements)
+            and np.array_equal(mesh.boundary, self.boundary)
+        ):
+            raise ValueError("topology was built for a different mesh")
+
+    def system(self, data, scheme):
+        """WeightSystem holding ``data`` (length ``nnz``) in this pattern."""
+        nnz_ii = len(self.ii_indices)
+        m, b = len(self.interior_ids), len(self.boundary_ids)
+        a_ii = sparse.csr_matrix(
+            (data[:nnz_ii], self.ii_indices, self.ii_indptr), shape=(m, m)
+        )
+        a_ib = sparse.csr_matrix(
+            (data[nnz_ii:], self.ib_indices, self.ib_indptr), shape=(m, b)
+        )
+        return WeightSystem(a_ii, a_ib, self.interior_ids, self.boundary_ids, scheme)
+
+    def row_system(self, weights, scheme):
+        """Unit-diagonal A_I with -w_ij off the diagonal; ``weights`` lists
+        every interior row's neighbor weights in adjacency order."""
+        data = np.zeros(self.nnz)
+        data[self.diag_slots] = 1.0
+        data[self.nbr_slots] = -weights
+        return self.system(data, scheme)
+
+
+def _pair_keys(elements, n):
+    """Key row * n + col of every entry of the flattened element-matrix stack."""
+    return (elements[:, :, None] * n + elements[:, None, :]).ravel()
+
+
+def _sorted_unique(a):
+    a = np.sort(a)
+    return a[np.concatenate(([True], a[1:] != a[:-1]))]
+
+
+def _indptr(rows, n):
+    """CSR row pointer of row indices sorted ascending."""
+    return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+
+
+def _topology(mesh, topology):
+    """The topology to fill for ``mesh``: ``topology`` checked against the
+    mesh, or a new one.  Raises NO_INTERIOR for a mesh without interior."""
+    if topology is None:
+        topology = Topology(mesh)
+    else:
+        topology.check(mesh)
+    if len(topology.interior_ids) == 0:
+        raise NoInteriorError("mesh has no interior nodes")
+    return topology
+
+
+def stiffness_stack(pts):
+    """P1 Laplace element matrices of stacked simplices, (k, d+1, d) ->
+    (k, d+1, d+1); symmetric with zero row sums.
+
+    Closed form: in 2D ``K_ij = e_i.e_j / (4A)`` with ``e_i`` the edge
+    opposite vertex i in cyclic order; in 3D ``K_ij = n_i.n_j / (36V)`` with
+    ``n_i`` the cross product of the edges of the face opposite vertex i,
+    oriented so that it is ``6V`` times the gradient of hat function i.
+    Raises DEGENERATE_ELEMENT unless every simplex has positive measure.
+    """
+    pts = np.asarray(pts, dtype=float)
+    meas = simplex_measures(pts)
+    bad = np.flatnonzero(meas <= 0.0)
+    if len(bad):
+        raise DegenerateElementError(
+            f"element {bad[0]} has nonpositive measure",
+            element=int(bad[0]),
+            measure=float(meas[bad[0]]),
+        )
+    d = pts.shape[2]
+    if d == 2:
+        g = pts[:, [2, 0, 1]] - pts[:, [1, 2, 0]]
+        denom = 4.0 * meas
+    else:
+        a, b, c = _FACES.T
+        g = np.cross(pts[:, b] - pts[:, a], pts[:, c] - pts[:, a])
+        denom = 36.0 * meas
+    # Gram matrix of the rows of g, accumulated axis by axis
+    k = g[:, :, None, 0] * g[:, None, :, 0]
+    for ax in range(1, d):
+        k += g[:, :, None, ax] * g[:, None, :, ax]
+    return k / denom[:, None, None]
+
+
+# vertices (a, b, c) of the face opposite vertex i, ordered so that
+# (b - a) x (c - a) points toward vertex i on a positive tetrahedron
+_FACES = np.array([[1, 3, 2], [0, 2, 3], [0, 3, 1], [0, 1, 2]])
+
+
 def local_stiffness(points):
     """Element stiffness matrix of the Laplace operator with P1 hat functions.
 
     Symmetric (d+1)x(d+1) with zero row sums.  Requires a nondegenerate,
     positively oriented simplex.
     """
-    points = np.asarray(points, dtype=float)
-    d = points.shape[1]
-    vol = signed_measure(points)
-    if vol <= 0.0:
-        raise DegenerateElementError(
-            "local stiffness needs positive signed measure", measure=vol
-        )
-    # phi_i(x) = inv(M)[i] @ [1, x] with M = [[1...1], [V^T]], so the
-    # gradient of phi_i is inv(M)[i, 1:].
-    m = np.vstack([np.ones(d + 1), points.T])
-    grads = np.linalg.inv(m)[:, 1:]  # (d+1, d)
-    return vol * (grads @ grads.T)
+    return stiffness_stack(np.asarray(points, dtype=float)[None])[0]
 
 
 def assemble_stiffness(mesh):
     """Global Laplace stiffness matrix in CSR form.
 
-    Element contributions are accumulated in ascending element-id order;
-    rows sum to zero and the nonzero pattern is node adjacency.
+    Rows sum to zero and the nonzero pattern is node adjacency.
     """
     d1 = mesh.dim + 1
-    meas = signed_measures(mesh)
-    bad = np.flatnonzero(meas <= 0.0)
-    if len(bad):
-        raise DegenerateElementError(
-            f"element {bad[0]} has nonpositive measure", element=int(bad[0])
-        )
-    ne = mesh.n_elements
-    pts = mesh.coords[mesh.elements]  # (ne, d+1, d)
-    m = np.concatenate([np.ones((ne, 1, d1)), np.transpose(pts, (0, 2, 1))], axis=1)
-    grads = np.linalg.inv(m)[:, :, 1:]  # (ne, d+1, d)
-    local = meas[:, None, None] * (grads @ np.transpose(grads, (0, 2, 1)))
+    local = stiffness_stack(mesh.coords[mesh.elements])
     rows = np.repeat(mesh.elements, d1, axis=1).ravel()
     cols = np.tile(mesh.elements, (1, d1)).ravel()
-    vals = local.ravel()
     n = mesh.n_nodes
-    a = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    a = sparse.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
     a.sum_duplicates()
     return a
 
 
-def _split(a, interior, boundary):
-    a = a.tocsr()
-    return a[interior][:, interior].tocsr(), a[interior][:, boundary].tocsr()
-
-
-def partition_system(a, mesh):
-    """Interior/boundary partition of the FEM stiffness matrix."""
-    interior = mesh.interior_ids
-    boundary = mesh.boundary_ids
-    if len(interior) == 0:
-        raise NoInteriorError("mesh has no interior nodes")
-    if len(boundary) == 0:
+def fem_weights(mesh, topology=None):
+    """FEM weights: element stiffness summed into the topology's pattern."""
+    topology = _topology(mesh, topology)
+    if len(topology.boundary_ids) == 0:
         raise SingularSystemError("mesh has no boundary nodes; A_I is singular")
-    a_ii, a_ib = _split(a, interior, boundary)
-    return WeightSystem(a_ii, a_ib, interior, boundary, "FEM")
+    local = stiffness_stack(mesh.coords[mesh.elements])
+    data = np.bincount(
+        topology.scatter, weights=local.ravel(), minlength=topology.nnz + 1
+    )
+    return topology.system(data[: topology.nnz], "FEM")
 
 
-def node_neighbors(mesh):
-    """Adjacency sets N(i): nodes sharing an element with node i."""
-    neighbors = [set() for _ in range(mesh.n_nodes)]
-    for elem in mesh.elements:
-        for i in elem:
-            neighbors[i].update(elem.tolist())
-    for i, s in enumerate(neighbors):
-        s.discard(i)
-    return [np.array(sorted(s), dtype=np.int64) for s in neighbors]
+def _degrees(topology):
+    """Neighbor counts of the interior nodes; raises NO_NEIGHBORS for the
+    first interior node without any."""
+    deg = np.diff(topology.adj_indptr)[topology.interior_ids]
+    lonely = topology.interior_ids[deg == 0]
+    if len(lonely):
+        nid = int(lonely[0])
+        raise NoNeighborsError(f"interior node {nid} has no neighbors", node=nid)
+    return deg
 
 
-def _weights_to_system(mesh, per_node_weights, scheme):
-    """Assemble unit-diagonal A_I with -w_ij off-diagonals from per-node rows."""
-    interior = mesh.interior_ids
-    boundary = mesh.boundary_ids
-    if len(interior) == 0:
-        raise NoInteriorError("mesh has no interior nodes")
-    pos = np.full(mesh.n_nodes, -1, dtype=np.int64)
-    pos[interior] = np.arange(len(interior))
-    bpos = np.full(mesh.n_nodes, -1, dtype=np.int64)
-    bpos[boundary] = np.arange(len(boundary))
-
-    ii_r, ii_c, ii_v = [], [], []
-    ib_r, ib_c, ib_v = [], [], []
-    for row, (nid, nbrs, w) in enumerate(per_node_weights):
-        ii_r.append(row)
-        ii_c.append(row)
-        ii_v.append(1.0)
-        for j, wj in zip(nbrs, w):
-            if mesh.boundary[j]:
-                ib_r.append(row)
-                ib_c.append(bpos[j])
-                ib_v.append(-wj)
-            else:
-                ii_r.append(row)
-                ii_c.append(pos[j])
-                ii_v.append(-wj)
-    m, b = len(interior), len(boundary)
-    a_ii = sparse.coo_matrix((ii_v, (ii_r, ii_c)), shape=(m, m)).tocsr()
-    a_ib = sparse.coo_matrix((ib_v, (ib_r, ib_c)), shape=(m, b)).tocsr()
-    return WeightSystem(a_ii, a_ib, interior, boundary, scheme)
-
-
-def uniform_weights(mesh):
+def uniform_weights(mesh, topology=None):
     """Centroid-of-neighbors weights: w_ij = 1/|N(i)| for every neighbor."""
-    neighbors = node_neighbors(mesh)
-    rows = []
-    for nid in mesh.interior_ids:
-        nbrs = neighbors[nid]
-        if len(nbrs) == 0:
-            raise NoNeighborsError(f"interior node {nid} has no neighbors", node=int(nid))
-        rows.append((nid, nbrs, np.full(len(nbrs), 1.0 / len(nbrs))))
-    return _weights_to_system(mesh, rows, "UNIFORM")
+    topology = _topology(mesh, topology)
+    deg = _degrees(topology)
+    return topology.row_system(np.repeat(1.0 / deg, deg), "UNIFORM")
 
 
 def _barrier_node_weights(center, nbr_coords, tol=1e-10, max_iter=100):
@@ -247,18 +351,17 @@ def _strictly_inside_hull(center, nbr_coords, tol=1e-12):
     return res.status == 0 and res.x is not None and res.x[-1] > tol
 
 
-def log_barrier_weights(mesh, tol=1e-10):
+def log_barrier_weights(mesh, tol=1e-10, topology=None):
     """Strictly positive convex weights via a per-node barrier program.
 
     Each interior node's problem is independent.  Nodes not strictly inside
     the convex hull of their neighbors are infeasible and raise.
     """
-    neighbors = node_neighbors(mesh)
+    topology = _topology(mesh, topology)
+    _degrees(topology)
     rows = []
-    for nid in mesh.interior_ids:
-        nbrs = neighbors[nid]
-        if len(nbrs) == 0:
-            raise NoNeighborsError(f"interior node {nid} has no neighbors", node=int(nid))
+    for nid in topology.interior_ids:
+        nbrs = topology.neighbors(nid)
         w = _barrier_node_weights(mesh.coords[nid], mesh.coords[nbrs], tol=tol)
         if w is None:
             if not _strictly_inside_hull(mesh.coords[nid], mesh.coords[nbrs]):
@@ -269,17 +372,21 @@ def log_barrier_weights(mesh, tol=1e-10):
             raise SingularSystemError(
                 f"barrier weights did not converge for node {nid}", node=int(nid)
             )
-        rows.append((nid, nbrs, w))
-    return _weights_to_system(mesh, rows, "LOG_BARRIER")
+        rows.append(w)
+    return topology.row_system(np.concatenate(rows), "LOG_BARRIER")
 
 
-def build_weights(mesh, scheme):
-    """Dispatch: build the WeightSystem for one of the SCHEMES."""
+def build_weights(mesh, scheme, topology=None):
+    """Dispatch: build the WeightSystem for one of the SCHEMES.
+
+    Pass the ``Topology`` of the mesh's connectivity to reuse it across
+    meshes that differ only in coordinates; without one, it is built here.
+    """
     scheme = scheme.upper()
     if scheme == "FEM":
-        return partition_system(assemble_stiffness(mesh), mesh)
+        return fem_weights(mesh, topology)
     if scheme == "UNIFORM":
-        return uniform_weights(mesh)
+        return uniform_weights(mesh, topology)
     if scheme == "LOG_BARRIER":
-        return log_barrier_weights(mesh)
+        return log_barrier_weights(mesh, topology=topology)
     raise ValueError(f"unknown scheme {scheme!r}")

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import io
 from .analytic import AnnulusSpec, annulus_coeffs, annulus_jac_det, type1_predicate
-from .assembly import build_weights
+from .assembly import SCHEMES, build_weights
 from .errors import FemwarpError, InvalidSpecError
 from .generators import gen_annulus, gen_rectangle
 from .mesh import quality_report
@@ -36,6 +36,17 @@ def _read_mesh(base):
     return io.read_mesh(base + ".node", base + ".ele")
 
 
+def _spec_number(spec, key, default, kind=float):
+    """``spec[key]`` parsed as ``kind``, or ``default`` when absent;
+    INVALID_SPEC when it does not parse."""
+    if key not in spec:
+        return default
+    try:
+        return kind(spec[key])
+    except ValueError:
+        raise InvalidSpecError(f"{key} = {spec[key]!r} is not a valid {kind.__name__}")
+
+
 def build_motion(mesh, spec, scale=1.0):
     """Construct the BoundaryMotion described by a spec dict.
 
@@ -45,6 +56,8 @@ def build_motion(mesh, spec, scale=1.0):
     if kind is None:
         raise InvalidSpecError("spec is missing 'motion'")
     if kind == "affine":
+        if "l" not in spec:
+            raise InvalidSpecError("affine motion needs 'l'")
         matrix = io.parse_matrix(spec["l"], mesh.dim)
         shift = (
             io.parse_vector(spec["v"], mesh.dim)
@@ -57,15 +70,17 @@ def build_motion(mesh, spec, scale=1.0):
             shift = scale * shift
         return AffineMotion(mesh, matrix, shift)
     if kind == "annulus":
-        theta_outer = scale * float(spec.get("theta_outer", 0.0))
-        theta_inner = scale * float(spec.get("theta_inner", 0.0))
-        s = float(spec["s"]) if "s" in spec else None
+        theta_outer = scale * _spec_number(spec, "theta_outer", 0.0)
+        theta_inner = scale * _spec_number(spec, "theta_inner", 0.0)
+        s = _spec_number(spec, "s", None)
         return annulus_rotation_motion(mesh, theta_outer, theta_inner, s=s)
     if kind == "shear":
-        return shear_motion(mesh, scale * float(spec.get("alpha", 0.0)))
+        return shear_motion(mesh, scale * _spec_number(spec, "alpha", 0.0))
     if kind == "nonlinear3d":
-        return nonlinear3d_motion(mesh, scale * float(spec.get("alpha", 0.0)))
+        return nonlinear3d_motion(mesh, scale * _spec_number(spec, "alpha", 0.0))
     if kind == "tabulated":
+        if "frames" not in spec:
+            raise InvalidSpecError("tabulated motion needs 'frames'")
         paths = [p.strip() for p in spec["frames"].split(",") if p.strip()]
         frames = [io.read_boundary_frame(mesh, p) for p in paths]
         return TabulatedMotion(mesh, frames)
@@ -76,8 +91,12 @@ def run_algorithm(mesh, spec, motion):
     """Run the spec's algorithm against one motion; returns (mesh, report)."""
     algorithm = spec.get("algorithm", "femwarp")
     scheme = spec.get("scheme", "fem")
-    min_step = float(spec.get("min_step", DEFAULT_MIN_STEP))
-    max_sweeps = int(spec.get("max_sweeps", 50))
+    if scheme.upper() not in SCHEMES:
+        raise InvalidSpecError(f"unknown scheme {scheme!r}; want one of {SCHEMES}")
+    min_step = _spec_number(spec, "min_step", DEFAULT_MIN_STEP)
+    if not min_step > 0.0:
+        raise InvalidSpecError(f"min_step must be positive, got {min_step!r}")
+    max_sweeps = _spec_number(spec, "max_sweeps", 50, kind=int)
     if algorithm == "femwarp":
         weights = build_weights(mesh, scheme)
         return femwarp_step(mesh, weights, motion.evaluate(1.0))

@@ -173,7 +173,7 @@ def parse_matrix(text, dim):
         vals = [v for v in row.replace(",", " ").split() if v]
         if len(vals) != dim:
             raise ParseError(f"expected {dim} entries per row, got {len(vals)}")
-        out.append([float(v) for v in vals])
+        out.append(_floats(vals))
     return np.array(out)
 
 
@@ -181,7 +181,14 @@ def parse_vector(text, dim):
     vals = [v for v in text.replace(",", " ").split() if v]
     if len(vals) != dim:
         raise ParseError(f"expected {dim}-vector, got {len(vals)} entries")
-    return np.array([float(v) for v in vals])
+    return np.array(_floats(vals))
+
+
+def _floats(tokens):
+    try:
+        return [float(v) for v in tokens]
+    except ValueError as exc:
+        raise ParseError(f"malformed number: {exc}")
 
 
 def read_boundary_frame(mesh, node_path):
@@ -197,11 +204,19 @@ def read_boundary_frame(mesh, node_path):
     records = lines[1:]
     if not records:
         raise ParseError(f"{node_path}: no node records")
-    base = int(records[0][1][0])
     coords = {}
+    base = None
     for lineno, tokens in records:
-        nid = int(tokens[0]) - base
-        coords[nid] = [float(t) for t in tokens[1 : 1 + dim]]
+        if len(tokens) < 1 + dim:
+            raise ParseError(f"{node_path}:{lineno}: short node record", line=lineno)
+        try:
+            nid = int(tokens[0])
+            vals = [float(t) for t in tokens[1 : 1 + dim]]
+        except ValueError:
+            raise ParseError(f"{node_path}:{lineno}: malformed node record", line=lineno)
+        if base is None:
+            base = nid
+        coords[nid - base] = vals
     out = np.empty((len(mesh.boundary_ids), mesh.dim))
     for row, nid in enumerate(mesh.boundary_ids):
         if int(nid) not in coords:

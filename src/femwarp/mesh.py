@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateElementError, ReversedElementError
+from .errors import BadIndexError, DegenerateElementError, ReversedElementError
 
 # Reversal threshold: an element is reversed iff its signed measure is <= 0.
 # Thin-but-valid elements must not be misclassified, so no epsilon here; a
@@ -36,7 +36,7 @@ class Mesh:
     elements : (ne, dim+1) int array
         Simplex connectivity.
     boundary : iterable of int
-        Node ids marked as boundary.
+        Node ids marked as boundary; each must lie in [0, n).
     """
 
     coords: np.ndarray
@@ -52,7 +52,10 @@ class Mesh:
             raise ValueError("elements must be (ne, dim+1)")
         mask = np.zeros(coords.shape[0], dtype=bool)
         if self.boundary is not None:
-            mask[np.fromiter(self.boundary, dtype=np.int64, count=-1)] = True
+            ids = np.fromiter(self.boundary, dtype=np.int64, count=-1)
+            if ids.size and (ids.min() < 0 or ids.max() >= len(mask)):
+                raise BadIndexError(f"boundary node id outside [0, {len(mask)})")
+            mask[ids] = True
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "boundary", _readonly(mask))
@@ -91,21 +94,20 @@ def signed_measure(points):
     Returns ``det(edge matrix) / d!``; the sign flips under any odd vertex
     permutation and degenerate input yields 0.
     """
-    points = np.asarray(points, dtype=float)
-    d = points.shape[1]
-    edges = points[1:] - points[0]
-    if d == 2:
-        return 0.5 * (edges[0, 0] * edges[1, 1] - edges[0, 1] * edges[1, 0])
+    return simplex_measures(np.asarray(points, dtype=float)[None])[0]
+
+
+def simplex_measures(pts):
+    """Signed measures of stacked simplices, shape (k, d+1, d) -> (k,)."""
+    edges = pts[:, 1:, :] - pts[:, :1, :]
+    if pts.shape[2] == 2:
+        return 0.5 * (edges[:, 0, 0] * edges[:, 1, 1] - edges[:, 0, 1] * edges[:, 1, 0])
     return np.linalg.det(edges) / 6.0
 
 
 def signed_measures(mesh):
     """Signed measures of every element, vectorized."""
-    pts = mesh.coords[mesh.elements]  # (ne, d+1, d)
-    edges = pts[:, 1:, :] - pts[:, :1, :]
-    if mesh.dim == 2:
-        return 0.5 * (edges[:, 0, 0] * edges[:, 1, 1] - edges[:, 0, 1] * edges[:, 1, 0])
-    return np.linalg.det(edges) / 6.0
+    return simplex_measures(mesh.coords[mesh.elements])
 
 
 def count_reversals(mesh):

@@ -1,5 +1,6 @@
-"""Linear-system backends: sparse direct factorization with pattern reuse,
-Gauss-Seidel sweeps, and a conjugate-gradient fallback.
+"""Linear-system backends: sparse direct factorization that can reuse a
+fill-reducing order across matrices of one sparsity pattern, and
+Gauss-Seidel sweeps.
 """
 
 import numpy as np
@@ -8,24 +9,24 @@ from scipy.sparse import linalg as spla
 
 from .errors import DivergedError, NotPositiveDefiniteError, SingularSystemError
 
-_SPD_OPTS = dict(
-    permc_spec="MMD_AT_PLUS_A",
-    diag_pivot_thresh=0.0,
-    options=dict(SymmetricMode=True),
-)
+_SPD_OPTS = dict(diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
 
 
 class Factorization:
-    """Reusable factorization of a sparse weight matrix.
+    """Factorization of a sparse weight matrix.
 
     For symmetric positive definite input the factorization is a Cholesky-like
-    no-pivoting LU (positive pivots enforced); for the nonsymmetric schemes a
-    general sparse LU is used.  ``refactor`` accepts a new matrix with the
-    identical nonzero pattern, mirroring symbolic-phase reuse across the
-    small steps of a warp.
+    no-pivoting LU (positive pivots enforced) under a fill-reducing symmetric
+    ordering; for the nonsymmetric schemes a general sparse LU is used.
+
+    ``like`` is an earlier factorization.  When both are SPD and their CSC
+    nonzero patterns are identical, the ordering ``like.order`` is reused:
+    the symmetrically permuted matrix is factored in natural order and
+    ``solve`` undoes the permutation.  Otherwise the matrix is ordered
+    afresh.
     """
 
-    def __init__(self, a, spd=True):
+    def __init__(self, a, spd=True, like=None):
         a = sparse.csc_matrix(a)
         if a.shape[0] != a.shape[1]:
             raise ValueError("matrix must be square")
@@ -33,55 +34,63 @@ class Factorization:
         self.spd = spd
         a.sort_indices()
         self.pattern = (a.indptr.copy(), a.indices.copy())
-        self._numeric(a)
-        self.n_numeric = 1
-
-    def _numeric(self, a):
-        if self.spd:
-            diff = a - a.T
-            if diff.nnz and abs(diff).max() > 1e-12 * max(1.0, abs(a).max()):
-                raise NotPositiveDefiniteError("matrix is not symmetric")
-            try:
-                lu = spla.splu(a, **_SPD_OPTS)
-            except RuntimeError as exc:
-                raise NotPositiveDefiniteError(str(exc)) from exc
-            # with a zero pivot threshold the diagonal of U carries the
-            # LDL pivots; any nonpositive pivot disproves definiteness
-            if np.any(lu.U.diagonal() <= 0.0):
-                raise NotPositiveDefiniteError("nonpositive pivot encountered")
+        # fill-reducing order of an SPD factorization, offered to later ones
+        self.order = None
+        # set when _lu factors a[_perm][:, _perm] rather than a itself
+        self._perm = None
+        if spd:
+            self._factor_spd(a, like)
         else:
             try:
-                lu = spla.splu(a)
+                self._lu = spla.splu(a)
             except RuntimeError as exc:
                 raise SingularSystemError(str(exc)) from exc
-        self._lu = lu
 
-    def refactor(self, a):
-        """Refactor a matrix sharing this factorization's nonzero pattern."""
-        a = sparse.csc_matrix(a)
-        a.sort_indices()
-        if not (
-            np.array_equal(a.indptr, self.pattern[0])
-            and np.array_equal(a.indices, self.pattern[1])
-        ):
-            raise ValueError("nonzero pattern differs; build a new Factorization")
-        self._numeric(a)
-        self.n_numeric += 1
-        return self
+    def _same_pattern(self, other):
+        return all(np.array_equal(p, q) for p, q in zip(self.pattern, other.pattern))
+
+    def _factor_spd(self, a, like):
+        diff = a - a.T
+        if diff.nnz and abs(diff).max() > 1e-12 * max(1.0, abs(a).max()):
+            raise NotPositiveDefiniteError("matrix is not symmetric")
+        reuse = like is not None and like.order is not None and self._same_pattern(like)
+        try:
+            if reuse:
+                order = like.order
+                lu = spla.splu(a[order][:, order], permc_spec="NATURAL", **_SPD_OPTS)
+                self._perm = order
+            else:
+                lu = spla.splu(a, permc_spec="MMD_AT_PLUS_A", **_SPD_OPTS)
+                # SuperLU factors Pr A Pc with A Pc = A[:, argsort(perm_c)];
+                # symmetric mode pivots on the diagonal, so Pr = Pc^T
+                order = np.argsort(lu.perm_c)
+        except RuntimeError as exc:
+            raise NotPositiveDefiniteError(str(exc)) from exc
+        # with a zero pivot threshold the diagonal of U carries the
+        # LDL pivots; any nonpositive pivot disproves definiteness
+        if np.any(lu.U.diagonal() <= 0.0):
+            raise NotPositiveDefiniteError("nonpositive pivot encountered")
+        self.order = order
+        self._lu = lu
 
     def solve(self, b):
         b = np.asarray(b, dtype=float)
-        return self._lu.solve(b)
+        if self._perm is None:
+            return self._lu.solve(b)
+        x = np.empty_like(b)
+        x[self._perm] = self._lu.solve(b[self._perm])
+        return x
 
 
-def factor(a, spd=True):
+def factor(a, spd=True, like=None):
     """Factor a sparse matrix; raises NOT_POSITIVE_DEFINITE for spd input
-    that is not positive definite."""
-    return Factorization(a, spd=spd)
+    that is not positive definite.  ``like``: see :class:`Factorization`."""
+    return Factorization(a, spd=spd, like=like)
 
 
 def solve_multi(f, b):
-    """Columnwise solves against one factorization.
+    """Solves against one factorization; an (m, k) block goes to SuperLU in
+    one call.
 
     Columns are independent: a (m, k) solve is bitwise identical to k
     single-column solves.
@@ -89,9 +98,7 @@ def solve_multi(f, b):
     b = np.asarray(b, dtype=float)
     if b.shape[0] != f.n:
         raise ValueError(f"rhs has {b.shape[0]} rows, expected {f.n}")
-    if b.ndim == 1:
-        return f.solve(b)
-    return np.column_stack([f.solve(b[:, j]) for j in range(b.shape[1])])
+    return f.solve(b)
 
 
 def gauss_seidel(a_ii, a_ib, boundary_coords, initial, tol=1e-10, max_sweeps=None):
@@ -128,19 +135,3 @@ def gauss_seidel(a_ii, a_ib, boundary_coords, initial, tol=1e-10, max_sweeps=Non
             )
         res = new_res
     return x, sweeps
-
-
-def conjugate_gradient(a_ii, b, tol=1e-10, maxiter=None):
-    """CG solve for the symmetric scheme; large-mesh fallback."""
-    b = np.asarray(b, dtype=float)
-    if b.ndim == 1:
-        cols = [b]
-    else:
-        cols = [b[:, j] for j in range(b.shape[1])]
-    out = []
-    for col in cols:
-        x, info = spla.cg(a_ii, col, rtol=tol, maxiter=maxiter)
-        if info != 0:
-            raise DivergedError(f"conjugate gradient did not converge (info={info})")
-        out.append(x)
-    return out[0] if b.ndim == 1 else np.column_stack(out)

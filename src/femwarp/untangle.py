@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnboundedLPError
-from .mesh import count_reversals
+from .mesh import count_reversals, simplex_measures
 from .warp import WarpReport, femwarp_step
 
 BOX_FACTOR = 10.0
@@ -51,14 +51,6 @@ def _submesh_from_arrays(coords, element_array, vertex_id, eids):
     )
 
 
-def _stack_measures(pts):
-    """Signed measures of stacked simplices, shape (k, d+1, d) -> (k,)."""
-    edges = pts[:, 1:, :] - pts[:, :1, :]
-    if pts.shape[2] == 2:
-        return 0.5 * (edges[:, 0, 0] * edges[:, 1, 1] - edges[:, 0, 1] * edges[:, 1, 0])
-    return np.linalg.det(edges) / 6.0
-
-
 def _affine_measure_coeffs(sub):
     """Coefficients (G, c) with measure_i(x) = G[i] @ x + c[i].
 
@@ -70,12 +62,12 @@ def _affine_measure_coeffs(sub):
     idx = np.arange(n)
     work = np.array(sub.elements)
     work[idx, sub.free_slots] = sub.position
-    base = _stack_measures(work)
+    base = simplex_measures(work)
     grads = np.empty((n, d))
     for j in range(d):
         bumped = np.array(work)
         bumped[idx, sub.free_slots, j] += 1.0
-        grads[:, j] = _stack_measures(bumped) - base
+        grads[:, j] = simplex_measures(bumped) - base
     return grads, base - grads @ sub.position
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analytic
-from .assembly import build_weights
+from .assembly import Topology, build_weights
 from .mesh import Mesh, count_reversals, quality_report
 from .solve import factor, solve_multi
 
@@ -198,8 +198,10 @@ def small_step_femwarp(
     From the current fraction t, attempt the full remaining motion; on
     reversal halve the increment, reusing the same factorization (weights
     depend only on the current mesh, not the trial target).  After an
-    accepted step the weights are rebuilt and refactored.  Fails with
-    outcome REVERSED once the increment drops below ``min_step``.
+    accepted step the weights are rebuilt and refactored.  Connectivity, the
+    sparsity pattern of A_I and its fill-reducing order are computed once
+    per warp; each rebuild and refactorization redoes only values.  Fails
+    with outcome REVERSED once the increment drops below ``min_step``.
 
     ``constant_step`` disables the halving search and advances by
     ``min_step`` each time, stopping at the first reversal.
@@ -210,7 +212,8 @@ def small_step_femwarp(
     t = 0.0
     nchol = 0
     steps = []
-    weights = build_weights(cur, scheme)
+    topology = Topology(mesh)
+    weights = build_weights(cur, scheme, topology=topology)
     f = factor(weights.a_ii, spd=weights.symmetric)
     nchol += 1
     while t < 1.0 - 1e-12:
@@ -240,8 +243,8 @@ def small_step_femwarp(
         cur = accepted
         t = min(t + dt, 1.0)
         if t < 1.0 - 1e-12:
-            weights = build_weights(cur, scheme)
-            f = factor(weights.a_ii, spd=weights.symmetric)
+            weights = build_weights(cur, scheme, topology=topology)
+            f = factor(weights.a_ii, spd=weights.symmetric, like=f)
             nchol += 1
     return cur, WarpReport(
         outcome="SUCCESS",

@@ -31,6 +31,41 @@ def cotangent_stiffness(points):
     return k
 
 
+def inverse_stiffness(points):
+    """P1 Laplace element matrix from the inverse of the barycentric system.
+
+    phi_i(x) = inv(M)[i] @ [1, x] with M = [[1...1], [V^T]], so the
+    gradient of phi_i is inv(M)[i, 1:]; any dimension.
+    """
+    points = np.asarray(points, dtype=float)
+    d = points.shape[1]
+    m = np.vstack([np.ones(d + 1), points.T])
+    vol = abs(np.linalg.det(points[1:] - points[0])) / np.prod(np.arange(1, d + 1))
+    grads = np.linalg.inv(m)[:, 1:]
+    return vol * (grads @ grads.T)
+
+
+def assembled_blocks(mesh, element_matrix):
+    """Dense (A_I, A_IB) summed element by element from ``element_matrix``."""
+    n = mesh.n_nodes
+    a = np.zeros((n, n))
+    for elem in mesh.elements:
+        a[np.ix_(elem, elem)] += element_matrix(mesh.coords[elem])
+    interior, boundary = mesh.interior_ids, mesh.boundary_ids
+    return a[np.ix_(interior, interior)], a[np.ix_(interior, boundary)]
+
+
+def node_neighbors(mesh):
+    """Adjacency sets N(i): nodes sharing an element with node i."""
+    neighbors = [set() for _ in range(mesh.n_nodes)]
+    for elem in mesh.elements:
+        for i in elem:
+            neighbors[i].update(elem.tolist())
+    for i, s in enumerate(neighbors):
+        s.discard(i)
+    return [np.array(sorted(s), dtype=np.int64) for s in neighbors]
+
+
 def tri_measures(free, others, slots):
     """Signed areas of triangles with the free vertex substituted in.
 

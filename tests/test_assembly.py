@@ -3,24 +3,30 @@
 import numpy as np
 import pytest
 
-from femwarp import Mesh, gen_annulus, gen_rectangle
+from femwarp import Mesh, gen_annulus, gen_box_tets, gen_rectangle
 from femwarp.assembly import (
+    Topology,
     assemble_stiffness,
     build_weights,
     local_stiffness,
     log_barrier_weights,
-    node_neighbors,
-    partition_system,
     uniform_weights,
 )
 from femwarp.errors import (
+    BadIndexError,
     DegenerateElementError,
     NodeNotInteriorError,
     NoInteriorError,
 )
 from femwarp.solve import factor
 
-from oracles import barrier_weights_dplus1, cotangent_stiffness
+from oracles import (
+    assembled_blocks,
+    barrier_weights_dplus1,
+    cotangent_stiffness,
+    inverse_stiffness,
+    node_neighbors,
+)
 
 UNIT_RIGHT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -121,7 +127,7 @@ class TestAssemble:
 class TestPartition:
     def test_square_center_1x1(self):
         mesh = square_with_center()
-        w = partition_system(assemble_stiffness(mesh), mesh)
+        w = build_weights(mesh, "FEM")
         assert w.a_ii.shape == (1, 1)
         assert w.a_ii.toarray()[0, 0] > 0.0
 
@@ -136,13 +142,13 @@ class TestPartition:
         mid = [n for n in range(mesh.n_nodes) if abs(mesh.coords[n, 0] - 1.0) < 1e-12]
         boundary = sorted(set(mesh.boundary_ids.tolist()) | set(mid))
         split = Mesh(mesh.coords, mesh.elements, boundary)
-        w = partition_system(assemble_stiffness(split), split)
+        w = build_weights(split, "FEM")
         factor(w.a_ii, spd=True)  # must not raise
 
     def test_no_interior_error(self):
         mesh = gen_annulus(0.5, 2, 8)
         with pytest.raises(NoInteriorError):
-            partition_system(assemble_stiffness(mesh), mesh)
+            build_weights(mesh, "FEM")
 
     def test_spd_factorizes_everywhere(self, annulus_mid, rect_mesh, box_mesh):
         for mesh in (annulus_mid, rect_mesh, box_mesh):
@@ -269,3 +275,54 @@ class TestBuildWeights:
         d = w.a_ii.diagonal()
         scaled = np.linalg.solve(w.a_ii.toarray() / d[:, None], rhs / d[:, None])
         assert np.allclose(direct, scaled, atol=1e-12)
+
+
+def jittered(mesh, seed, frac=0.2):
+    """``mesh`` with interior nodes moved by up to ``frac`` of the shortest edge."""
+    rng = np.random.default_rng(seed)
+    pts = mesh.coords[mesh.elements]
+    i, j = np.triu_indices(mesh.dim + 1, 1)
+    h = np.linalg.norm(pts[:, i] - pts[:, j], axis=2).min()
+    coords = np.array(mesh.coords)
+    ii = mesh.interior_ids
+    coords[ii] += rng.uniform(-frac * h, frac * h, size=(len(ii), mesh.dim))
+    return mesh.with_coords(coords)
+
+
+class TestTopology:
+    @pytest.mark.parametrize(
+        "mesh, oracle",
+        [
+            (jittered(gen_annulus(0.5, 6, 24), 3), cotangent_stiffness),
+            (jittered(gen_box_tets(4, 4, 4), 4), inverse_stiffness),
+        ],
+        ids=["annulus", "box"],
+    )
+    def test_fem_matches_element_oracle(self, mesh, oracle):
+        w = build_weights(mesh, "FEM")
+        a_ii, a_ib = assembled_blocks(mesh, oracle)
+        scale = np.abs(a_ii).max()
+        assert np.abs(w.a_ii.toarray() - a_ii).max() <= 1e-12 * scale
+        assert np.abs(w.a_ib.toarray() - a_ib).max() <= 1e-12 * scale
+
+    def test_reused_topology_matches_fresh(self, annulus_coarse):
+        topology = Topology(annulus_coarse)
+        moved = jittered(annulus_coarse, 5)
+        for scheme in ("FEM", "UNIFORM", "LOG_BARRIER"):
+            fresh = build_weights(moved, scheme)
+            reused = build_weights(moved, scheme, topology=topology)
+            for a, b in ((fresh.a_ii, reused.a_ii), (fresh.a_ib, reused.a_ib)):
+                assert (a != b).nnz == 0
+                assert np.array_equal(a.indptr, b.indptr)
+                assert np.array_equal(a.indices, b.indices)
+
+    def test_topology_of_other_mesh_rejected(self, annulus_coarse):
+        topology = Topology(gen_annulus(0.5, 6, 24))
+        with pytest.raises(ValueError):
+            build_weights(gen_annulus(0.5, 6, 25), "FEM", topology=topology)
+
+    def test_element_id_out_of_range_rejected(self):
+        for bad in (-1, 3):
+            mesh = Mesh(UNIT_RIGHT, np.array([[0, 1, bad]]), [0, 1])
+            with pytest.raises(BadIndexError):
+                Topology(mesh)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from femwarp import gen_annulus, gen_box_tets, gen_rectangle
-from femwarp.assembly import assemble_stiffness, partition_system
+from femwarp.assembly import build_weights
 from femwarp.errors import NoInteriorError
 from femwarp.mesh import count_reversals, is_valid, max_edge_length, validate
 
@@ -27,7 +27,7 @@ class TestAnnulus:
         assert mesh.n_elements == 16
         assert len(mesh.interior_ids) == 0
         with pytest.raises(NoInteriorError):
-            partition_system(assemble_stiffness(mesh), mesh)
+            build_weights(mesh, "FEM")
 
     def test_standard_fixture_h(self):
         mesh = gen_annulus(0.5, 14, 64)

@@ -250,3 +250,53 @@ class TestCli:
         assert rc == 0
         warped = io.read_mesh(out + ".node", out + ".ele")
         assert np.abs(warped.coords - mesh.coords * 1.05).max() < 1e-8
+
+
+class TestCliErrorContract:
+    """Bad specs and frame files end in one ``error code=...`` line, exit 1."""
+
+    @pytest.mark.parametrize(
+        "spec_text, code",
+        [
+            ("motion = annulus\ntheta_outer = abc\n", "INVALID_SPEC"),
+            ("motion = affine\nv = 0,0\n", "INVALID_SPEC"),
+            ("motion = affine\nl = 1,0;0,x\n", "PARSE_ERROR"),
+            ("motion = annulus\ntheta_outer = 0.1\nscheme = bogus\n", "INVALID_SPEC"),
+            (
+                "motion = annulus\ntheta_outer = 0.1\nalgorithm = small_step\n"
+                "min_step = 0\n",
+                "INVALID_SPEC",
+            ),
+        ],
+        ids=[
+            "bad_float",
+            "affine_without_l",
+            "bad_matrix_entry",
+            "bad_scheme",
+            "zero_min_step",
+        ],
+    )
+    def test_bad_spec(self, tmp_path, annulus_on_disk, capsys, spec_text, code):
+        base, _ = annulus_on_disk
+        spec = tmp_path / "bad.spec"
+        spec.write_text(spec_text)
+        rc = main(["warp", "--mesh", base, "--spec", str(spec), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"error code={code} message=")
+        assert "\n" not in err
+
+    def test_malformed_frame_token(self, tmp_path, annulus_on_disk, capsys):
+        base, mesh = annulus_on_disk
+        fbase = str(tmp_path / "frame")
+        io.write_mesh(mesh, fbase + ".node", fbase + ".ele")
+        lines = open(fbase + ".node").read().split("\n")
+        lines[1] = lines[1].replace(lines[1].split()[1], "1.0e", 1)
+        open(fbase + ".node", "w").write("\n".join(lines))
+        spec = tmp_path / "t.spec"
+        spec.write_text(f"motion = tabulated\nframes = {fbase}.node\n")
+        rc = main(["warp", "--mesh", base, "--spec", str(spec), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error code=PARSE_ERROR message=")
+        assert ":2:" in err

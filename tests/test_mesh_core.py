@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from femwarp import Mesh, gen_annulus
-from femwarp.errors import DegenerateElementError, ReversedElementError
+from femwarp.errors import BadIndexError, DegenerateElementError, ReversedElementError
 from femwarp.mesh import (
     aspect_ratio,
     count_reversals,
@@ -197,6 +197,12 @@ class TestValidate:
     def test_single_triangle_h(self):
         mesh = Mesh(UNIT_RIGHT, np.array([[0, 1, 2]]), [0, 1, 2])
         assert max_edge_length(mesh) == pytest.approx(np.sqrt(2.0), rel=1e-15)
+
+    def test_boundary_id_out_of_range_rejected(self):
+        elements = np.array([[0, 1, 2]])
+        for ids in ([-1], [0, 3]):
+            with pytest.raises(BadIndexError):
+                Mesh(UNIT_RIGHT, elements, ids)
 
     def test_bad_index_violation(self):
         mesh = Mesh(UNIT_RIGHT, np.array([[0, 1, 7]]), [0])

@@ -1,4 +1,4 @@
-"""Direct factorization, pattern reuse, Gauss-Seidel and CG backends."""
+"""Direct factorization, ordering reuse and Gauss-Seidel backends."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,7 @@ from scipy import sparse
 
 from femwarp.assembly import build_weights
 from femwarp.errors import DivergedError, NotPositiveDefiniteError
-from femwarp.solve import (
-    conjugate_gradient,
-    factor,
-    gauss_seidel,
-    solve_multi,
-)
+from femwarp.solve import factor, gauss_seidel, solve_multi
 
 SPD_2X2 = sparse.csc_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
 
@@ -42,20 +37,34 @@ class TestFactor:
                 np.abs(w.a_ii).max() * np.abs(x).max() + np.abs(b).max()
             )
 
-    def test_refactor_same_pattern(self, annulus_coarse):
-        w = build_weights(annulus_coarse, "FEM")
-        f = factor(w.a_ii)
-        assert f.n_numeric == 1
-        f.refactor(2.0 * w.a_ii)
-        assert f.n_numeric == 2
-        b = np.ones(w.m)
-        assert np.allclose(w.a_ii @ f.solve(b), 0.5 * b, atol=1e-10)
+    def test_like_reuses_order_on_same_pattern(self, annulus_coarse, rng):
+        first = build_weights(annulus_coarse, "FEM")
+        f0 = factor(first.a_ii)
+        coords = np.array(annulus_coarse.coords)
+        coords[first.interior_ids] += rng.uniform(-0.01, 0.01, (first.m, 2))
+        w = build_weights(annulus_coarse.with_coords(coords), "FEM")
+        fresh = factor(w.a_ii)
+        reused = factor(w.a_ii, like=f0)
+        # the reused path hands SuperLU a pre-permuted matrix in natural order
+        assert np.array_equal(reused._lu.perm_c, np.arange(w.m))
+        assert not np.array_equal(fresh._lu.perm_c, np.arange(w.m))
+        assert np.array_equal(reused.order, f0.order)
+        assert reused._lu.nnz == fresh._lu.nnz
+        b = rng.standard_normal((w.m, 2))
+        x = fresh.solve(b)
+        assert np.abs(reused.solve(b) - x).max() <= 1e-12 * np.abs(x).max()
 
-    def test_refactor_rejects_new_pattern(self):
-        f = factor(SPD_2X2)
-        other = sparse.csc_matrix(np.array([[2.0, 0.0], [0.0, 2.0]]))
-        with pytest.raises(ValueError):
-            f.refactor(other)
+    def test_like_orders_afresh_on_new_pattern(self, annulus_coarse, rng):
+        w = build_weights(annulus_coarse, "FEM")
+        fresh = factor(w.a_ii)
+        diagonal = sparse.diags(w.a_ii.diagonal())  # same size, other pattern
+        general = factor(w.a_ii, spd=False)  # the general LU offers no order
+        b = rng.standard_normal(w.m)
+        x = fresh.solve(b)
+        for like in (factor(diagonal), general):
+            f = factor(w.a_ii, like=like)
+            assert np.array_equal(f._lu.perm_c, fresh._lu.perm_c)
+            assert np.abs(f.solve(b) - x).max() <= 1e-12 * np.abs(x).max()
 
 
 class TestSolveMulti:
@@ -110,7 +119,7 @@ class TestGaussSeidel:
     def test_uniform_sweep_is_laplacian_smoothing(self, annulus_coarse):
         # one sweep with UNIFORM weights = sequentially move each interior
         # node to the mean of its neighbors' current positions
-        from femwarp.assembly import node_neighbors
+        from oracles import node_neighbors
 
         w = build_weights(annulus_coarse, "UNIFORM")
         mesh = annulus_coarse
@@ -131,13 +140,3 @@ class TestGaussSeidel:
         a_ib = sparse.csc_matrix(-np.eye(2))
         with pytest.raises(DivergedError):
             gauss_seidel(a, a_ib, np.ones(2), np.zeros(2), tol=1e-12)
-
-
-class TestConjugateGradient:
-    def test_matches_direct(self, annulus_coarse, rng):
-        w = build_weights(annulus_coarse, "FEM")
-        b = rng.standard_normal((w.m, 2))
-        f = factor(w.a_ii)
-        assert np.abs(
-            conjugate_gradient(w.a_ii, b, tol=1e-12) - solve_multi(f, b)
-        ).max() < 1e-8
