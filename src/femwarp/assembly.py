@@ -36,7 +36,7 @@ from .errors import (
     NoNeighborsError,
     SingularSystemError,
 )
-from .mesh import _readonly, simplex_measures
+from .mesh import _readonly, measure_gradients, simplex_measures
 
 SCHEMES = ("FEM", "UNIFORM", "LOG_BARRIER")
 
@@ -203,11 +203,9 @@ def stiffness_stack(pts):
     """P1 Laplace element matrices of stacked simplices, (k, d+1, d) ->
     (k, d+1, d+1); symmetric with zero row sums.
 
-    Closed form: in 2D ``K_ij = e_i.e_j / (4A)`` with ``e_i`` the edge
-    opposite vertex i in cyclic order; in 3D ``K_ij = n_i.n_j / (36V)`` with
-    ``n_i`` the cross product of the edges of the face opposite vertex i,
-    oriented so that it is ``6V`` times the gradient of hat function i.
-    Raises DEGENERATE_ELEMENT unless every simplex has positive measure.
+    Closed form ``K_ij = G_i.G_j / meas`` with G the measure gradients
+    (``G_i = meas * grad(phi_i)``).  Raises DEGENERATE_ELEMENT unless every
+    simplex has positive measure.
     """
     pts = np.asarray(pts, dtype=float)
     meas = simplex_measures(pts)
@@ -218,24 +216,12 @@ def stiffness_stack(pts):
             element=int(bad[0]),
             measure=float(meas[bad[0]]),
         )
-    d = pts.shape[2]
-    if d == 2:
-        g = pts[:, [2, 0, 1]] - pts[:, [1, 2, 0]]
-        denom = 4.0 * meas
-    else:
-        a, b, c = _FACES.T
-        g = np.cross(pts[:, b] - pts[:, a], pts[:, c] - pts[:, a])
-        denom = 36.0 * meas
+    g = measure_gradients(pts)
     # Gram matrix of the rows of g, accumulated axis by axis
     k = g[:, :, None, 0] * g[:, None, :, 0]
-    for ax in range(1, d):
+    for ax in range(1, pts.shape[2]):
         k += g[:, :, None, ax] * g[:, None, :, ax]
-    return k / denom[:, None, None]
-
-
-# vertices (a, b, c) of the face opposite vertex i, ordered so that
-# (b - a) x (c - a) points toward vertex i on a positive tetrahedron
-_FACES = np.array([[1, 3, 2], [0, 2, 3], [0, 3, 1], [0, 1, 2]])
+    return k / meas[:, None, None]
 
 
 def local_stiffness(points):

@@ -17,7 +17,7 @@ from .assembly import SCHEMES, build_weights
 from .errors import FemwarpError, InvalidSpecError
 from .generators import gen_annulus, gen_rectangle
 from .mesh import quality_report
-from .untangle import hybrid_warp, untangle
+from .untangle import hybrid_warp, untangle, untangle_report
 from .warp import (
     DEFAULT_MIN_STEP,
     AffineMotion,
@@ -106,31 +106,20 @@ def run_algorithm(mesh, spec, motion):
         weights = build_weights(mesh, scheme)
         return hybrid_warp(mesh, weights, motion.evaluate(1.0), max_sweeps=max_sweeps)
     if algorithm == "untangle":
-        target = motion.evaluate(1.0)
         coords = np.array(mesh.coords)
-        coords[mesh.boundary_ids] = target
-        moved = mesh.with_coords(coords)
-        fixed, sweeps, outcome = untangle(moved, max_sweeps=max_sweeps)
-        from .mesh import count_reversals
-        from .warp import WarpReport
-
-        nrev, _ = count_reversals(fixed)
-        return fixed, WarpReport(
-            outcome="SUCCESS" if outcome == "SUCCESS" else "REVERSED",
-            reversals=nrev,
-            n_factorizations=0,
-        )
+        coords[mesh.boundary_ids] = motion.evaluate(1.0)
+        fixed, _, _ = untangle(mesh.with_coords(coords), max_sweeps=max_sweeps)
+        return fixed, untangle_report(fixed)
     raise InvalidSpecError(f"unknown algorithm {algorithm!r}")
 
 
-def _report_lines(report, mesh):
-    q = report.quality or quality_report(mesh)
+def _report_lines(report):
     lines = [
         f"outcome = {report.outcome}",
         f"reversals = {report.reversals}",
         f"n_factorizations = {report.n_factorizations}",
     ]
-    for key, val in q.as_dict().items():
+    for key, val in report.quality.as_dict().items():
         lines.append(f"quality_{key} = {val:.17g}")
     return lines
 
@@ -142,27 +131,32 @@ def cmd_warp(args):
     warped, report = run_algorithm(mesh, spec, motion)
     io.write_mesh(warped, args.out + ".node", args.out + ".ele")
     with open(args.out + ".report", "w") as fh:
-        fh.write("\n".join(_report_lines(report, warped)) + "\n")
-    print("\n".join(_report_lines(report, warped)))
+        fh.write("\n".join(_report_lines(report)) + "\n")
+    print("\n".join(_report_lines(report)))
     return 0 if report.success else 2
+
+
+def _param_grid(text):
+    """The values ``start + k*step`` of a ``start:stop:step`` grid, up to
+    ``stop`` inclusive; indexing avoids the drift of repeated addition."""
+    try:
+        start, stop, step = (float(v) for v in text.split(":"))
+    except ValueError:
+        raise InvalidSpecError(f"bad --param-grid {text!r}; want a:b:step")
+    if not (np.isfinite([start, stop, step]).all() and step > 0):
+        raise InvalidSpecError("param-grid values must be finite, step positive")
+    count = int(np.floor((stop - start) / step + 1e-9)) + 1
+    return [start + k * step for k in range(max(count, 0))]
 
 
 def cmd_sweep(args):
     mesh = _read_mesh(args.mesh)
     spec = io.read_spec(args.spec)
-    try:
-        start, stop, step = (float(v) for v in args.param_grid.split(":"))
-    except ValueError:
-        raise InvalidSpecError(f"bad --param-grid {args.param_grid!r}; want a:b:step")
-    if step <= 0:
-        raise InvalidSpecError("param-grid step must be positive")
     rows = []
-    param = start
-    while param <= stop + 1e-12:
+    for param in _param_grid(args.param_grid):
         motion = build_motion(mesh, spec, scale=param)
         _, report = run_algorithm(mesh, spec, motion)
         rows.append((param, report.outcome, report.reversals, report.n_factorizations))
-        param += step
     out = sys.stdout if args.out is None else open(args.out, "w")
     try:
         out.write("param,outcome,reversals,n_factorizations\n")

@@ -1,5 +1,7 @@
 """Triangle/TetGen .node/.ele file I/O and deformation-spec parsing."""
 
+from itertools import combinations
+
 import numpy as np
 
 from .errors import BadIndexError, ParseError
@@ -118,17 +120,10 @@ def read_mesh(node_path, ele_path, reorient=True):
 
 def _infer_boundary(elements, dim):
     """Nodes on faces shared by exactly one element."""
-    faces = {}
-    d1 = dim + 1
-    for elem in elements:
-        for drop in range(d1):
-            face = tuple(sorted(np.delete(elem, drop)))
-            faces[face] = faces.get(face, 0) + 1
-    boundary = set()
-    for face, cnt in faces.items():
-        if cnt == 1:
-            boundary.update(face)
-    return sorted(boundary)
+    corners = np.array(list(combinations(range(dim + 1), dim)))
+    faces = np.sort(elements[:, corners].reshape(-1, dim), axis=1)
+    faces, counts = np.unique(faces, axis=0, return_counts=True)
+    return np.unique(faces[counts == 1])
 
 
 def write_mesh(mesh, node_path, ele_path):

@@ -119,11 +119,45 @@ def count_reversals(mesh):
     return len(bad), bad.tolist()
 
 
-def _edge_lengths(points):
-    points = np.asarray(points, dtype=float)
-    k = points.shape[0]
-    i, j = np.triu_indices(k, 1)
-    return np.linalg.norm(points[i] - points[j], axis=1)
+# vertices (a, b, c) of the face opposite vertex i, ordered so that
+# (b - a) x (c - a) points toward vertex i on a positive tetrahedron
+_FACES = np.array([[1, 3, 2], [0, 2, 3], [0, 3, 1], [0, 1, 2]])
+
+
+def measure_gradients(pts):
+    """Gradient of each simplex's signed measure with respect to each of its
+    vertices, (k, d+1, d) -> (k, d+1, d).
+
+    Row i is ``meas * grad(phi_i)`` for the P1 hat function phi_i and does
+    not depend on vertex i itself; its norm is the measure of the facet
+    opposite vertex i over d.  In 2D it is the edge opposite vertex i (in
+    cyclic order) rotated by +90 degrees and halved; in 3D the cross
+    product of the edges of the face opposite vertex i, over 6.
+    """
+    if pts.shape[2] == 2:
+        e = pts[:, [2, 0, 1]] - pts[:, [1, 2, 0]]
+        return np.stack([-0.5 * e[..., 1], 0.5 * e[..., 0]], axis=-1)
+    a, b, c = _FACES.T
+    return np.cross(pts[:, b] - pts[:, a], pts[:, c] - pts[:, a]) / 6.0
+
+
+def _edge_lengths(pts):
+    """Edge lengths of stacked simplices, (k, d+1, d) -> (k, d(d+1)/2)."""
+    i, j = np.triu_indices(pts.shape[1], 1)
+    return np.linalg.norm(pts[:, i] - pts[:, j], axis=2)
+
+
+def _aspect_ratios(pts, meas, longest):
+    """Aspect ratios of stacked simplices with signed measures ``meas`` and
+    longest edges ``longest`` (inf for degenerates).
+
+    The altitude over facet i is ``|meas| / |G_i|`` with G the measure
+    gradients, so the minimum altitude pairs with the largest row of G.
+    """
+    gmax = np.linalg.norm(measure_gradients(pts), axis=2).max(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        minalt = np.abs(meas) / gmax
+        return np.where(minalt > 0.0, longest / minalt, np.inf)
 
 
 def aspect_ratio(points, degenerate_error=False):
@@ -132,25 +166,11 @@ def aspect_ratio(points, degenerate_error=False):
     Lower is better; the equilateral triangle scores 2/sqrt(3).  Degenerate
     elements yield +inf, or raise when ``degenerate_error`` is set.
     """
-    points = np.asarray(points, dtype=float)
-    d = points.shape[1]
-    h = _edge_lengths(points).max()
-    meas = abs(signed_measure(points))
-    if meas == 0.0:
-        if degenerate_error:
-            raise DegenerateElementError("degenerate element has no altitude")
-        return np.inf
-    if d == 2:
-        # altitude over side i is 2*area/|side i|; min altitude pairs with h
-        minalt = 2.0 * meas / h
-    else:
-        face_areas = []
-        for f in range(4):
-            face = np.delete(points, f, axis=0)
-            e1, e2 = face[1] - face[0], face[2] - face[0]
-            face_areas.append(0.5 * np.linalg.norm(np.cross(e1, e2)))
-        minalt = 3.0 * meas / max(face_areas)
-    return h / minalt
+    pts = np.asarray(points, dtype=float)[None]
+    meas = simplex_measures(pts)
+    if degenerate_error and meas[0] == 0.0:
+        raise DegenerateElementError("degenerate element has no altitude")
+    return _aspect_ratios(pts, meas, _edge_lengths(pts).max(axis=1))[0]
 
 
 def _reference_edge_matrix(d):
@@ -165,69 +185,38 @@ def _reference_edge_matrix(d):
     )
 
 
-def inverse_mean_ratio(points):
-    """Shape metric equal to 1 for the regular simplex, larger otherwise.
+def _inverse_mean_ratios(pts):
+    """Inverse mean ratios of stacked simplices (nan when not positively
+    oriented).
 
-    Computed as ||T||_F^2 / (d * det(T)^(2/d)) where T maps the unit-edge
-    regular simplex onto the element.  Raises for reversed or degenerate
-    elements.
+    ``||T||_F^2 / (d * det(T)^(2/d))`` where T maps the unit-edge regular
+    simplex onto the element.
     """
-    points = np.asarray(points, dtype=float)
-    d = points.shape[1]
-    edges = (points[1:] - points[0]).T  # columns are edge vectors
-    t = edges @ np.linalg.inv(_reference_edge_matrix(d))
-    det = np.linalg.det(t)
-    if det <= 0.0:
-        raise ReversedElementError(
-            "inverse mean ratio requires a positively oriented element", det=det
-        )
-    return (t * t).sum() / (d * det ** (2.0 / d))
-
-
-def max_edge_length(mesh):
-    """Largest edge length over all elements."""
-    pts = mesh.coords[mesh.elements]
-    d1 = mesh.dim + 1
-    h = 0.0
-    for i in range(d1):
-        for j in range(i + 1, d1):
-            h = max(h, np.linalg.norm(pts[:, i] - pts[:, j], axis=1).max())
-    return h
-
-
-def _aspect_ratios(mesh, meas):
-    """Vectorized aspect_ratio over all elements (inf for degenerates)."""
-    pts = mesh.coords[mesh.elements]
-    d1 = mesh.dim + 1
-    i, j = np.triu_indices(d1, 1)
-    h = np.linalg.norm(pts[:, i] - pts[:, j], axis=2).max(axis=1)
-    vol = np.abs(signed_measures(mesh))
-    if mesh.dim == 2:
-        minalt = np.where(vol > 0.0, 2.0 * vol / np.where(h > 0, h, 1.0), 0.0)
-    else:
-        areas = np.empty((mesh.n_elements, 4))
-        for f in range(4):
-            face = np.delete(np.arange(4), f)
-            e1 = pts[:, face[1]] - pts[:, face[0]]
-            e2 = pts[:, face[2]] - pts[:, face[0]]
-            areas[:, f] = 0.5 * np.linalg.norm(np.cross(e1, e2), axis=1)
-        minalt = np.where(vol > 0.0, 3.0 * vol / areas.max(axis=1), 0.0)
-    with np.errstate(divide="ignore"):
-        return np.where(minalt > 0.0, h / np.where(minalt > 0, minalt, 1.0), np.inf)
-
-
-def _inverse_mean_ratios(mesh):
-    """Vectorized inverse_mean_ratio over all elements (nan when not
-    positively oriented)."""
-    d = mesh.dim
-    pts = mesh.coords[mesh.elements]
+    d = pts.shape[2]
     edges = np.transpose(pts[:, 1:] - pts[:, :1], (0, 2, 1))
     t = edges @ np.linalg.inv(_reference_edge_matrix(d))
     det = np.linalg.det(t)
     frob2 = (t * t).sum(axis=(1, 2))
     with np.errstate(invalid="ignore", divide="ignore"):
-        out = frob2 / (d * np.where(det > 0, det, np.nan) ** (2.0 / d))
-    return out
+        return frob2 / (d * np.where(det > 0, det, np.nan) ** (2.0 / d))
+
+
+def inverse_mean_ratio(points):
+    """Shape metric equal to 1 for the regular simplex, larger otherwise.
+
+    Raises for reversed or degenerate elements.
+    """
+    imr = _inverse_mean_ratios(np.asarray(points, dtype=float)[None])[0]
+    if np.isnan(imr):
+        raise ReversedElementError(
+            "inverse mean ratio requires a positively oriented element"
+        )
+    return imr
+
+
+def max_edge_length(mesh):
+    """Largest edge length over all elements."""
+    return _edge_lengths(mesh.coords[mesh.elements]).max()
 
 
 @dataclass(frozen=True)
@@ -307,11 +296,12 @@ def quality_report(mesh):
     reversed elements rather than raising, so tangled intermediate meshes
     can still be summarized.
     """
-    meas = signed_measures(mesh)
-    h = max_edge_length(mesh)
-    aspects = _aspect_ratios(mesh, meas)
-    imrs = _inverse_mean_ratios(mesh)
-    imrs = imrs[meas > 0.0]
+    pts = mesh.coords[mesh.elements]
+    meas = simplex_measures(pts)
+    longest = _edge_lengths(pts).max(axis=1)
+    h = longest.max()
+    aspects = _aspect_ratios(pts, meas, longest)
+    imrs = _inverse_mean_ratios(pts)[meas > 0.0]
     if imrs.size == 0:
         imrs = np.array([np.nan])
     nrev = int((meas <= ORIENTATION_TOL).sum())

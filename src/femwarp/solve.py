@@ -19,44 +19,42 @@ class Factorization:
     no-pivoting LU (positive pivots enforced) under a fill-reducing symmetric
     ordering; for the nonsymmetric schemes a general sparse LU is used.
 
-    ``like`` is an earlier factorization.  When both are SPD and their CSC
-    nonzero patterns are identical, the ordering ``like.order`` is reused:
-    the symmetrically permuted matrix is factored in natural order and
-    ``solve`` undoes the permutation.  Otherwise the matrix is ordered
-    afresh.
+    ``order`` is a symmetric ordering for SPD input, typically the ``order``
+    of an earlier factorization of a matrix with the same pattern: the
+    permuted matrix is factored in natural order and ``solve`` undoes the
+    permutation.  Without it the matrix is ordered afresh.
     """
 
-    def __init__(self, a, spd=True, like=None):
+    def __init__(self, a, spd=True, order=None):
         a = sparse.csc_matrix(a)
         if a.shape[0] != a.shape[1]:
             raise ValueError("matrix must be square")
         self.n = a.shape[0]
         self.spd = spd
-        a.sort_indices()
-        self.pattern = (a.indptr.copy(), a.indices.copy())
+        if order is not None:
+            if not spd:
+                raise ValueError("order applies to SPD factorizations only")
+            order = np.asarray(order)
+            if not np.array_equal(np.sort(order), np.arange(self.n)):
+                raise ValueError(f"order must be a permutation of 0..{self.n - 1}")
         # fill-reducing order of an SPD factorization, offered to later ones
         self.order = None
         # set when _lu factors a[_perm][:, _perm] rather than a itself
         self._perm = None
         if spd:
-            self._factor_spd(a, like)
+            self._factor_spd(a, order)
         else:
             try:
                 self._lu = spla.splu(a)
             except RuntimeError as exc:
                 raise SingularSystemError(str(exc)) from exc
 
-    def _same_pattern(self, other):
-        return all(np.array_equal(p, q) for p, q in zip(self.pattern, other.pattern))
-
-    def _factor_spd(self, a, like):
+    def _factor_spd(self, a, order):
         diff = a - a.T
         if diff.nnz and abs(diff).max() > 1e-12 * max(1.0, abs(a).max()):
             raise NotPositiveDefiniteError("matrix is not symmetric")
-        reuse = like is not None and like.order is not None and self._same_pattern(like)
         try:
-            if reuse:
-                order = like.order
+            if order is not None:
                 lu = spla.splu(a[order][:, order], permc_spec="NATURAL", **_SPD_OPTS)
                 self._perm = order
             else:
@@ -82,10 +80,10 @@ class Factorization:
         return x
 
 
-def factor(a, spd=True, like=None):
+def factor(a, spd=True, order=None):
     """Factor a sparse matrix; raises NOT_POSITIVE_DEFINITE for spd input
-    that is not positive definite.  ``like``: see :class:`Factorization`."""
-    return Factorization(a, spd=spd, like=like)
+    that is not positive definite.  ``order``: see :class:`Factorization`."""
+    return Factorization(a, spd=spd, order=order)
 
 
 def solve_multi(f, b):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnboundedLPError
-from .mesh import count_reversals, simplex_measures
+from .mesh import count_reversals, measure_gradients, quality_report, simplex_measures
 from .warp import WarpReport, femwarp_step
 
 BOX_FACTOR = 10.0
@@ -54,21 +54,12 @@ def _submesh_from_arrays(coords, element_array, vertex_id, eids):
 def _affine_measure_coeffs(sub):
     """Coefficients (G, c) with measure_i(x) = G[i] @ x + c[i].
 
-    Exact by linearity: each gradient entry is the measure difference for a
-    unit shift of the free vertex along one axis.
+    Exact by linearity: the gradient with respect to the free vertex is that
+    vertex's row of the measure gradients, which does not depend on it.
     """
-    n = len(sub.elements)
-    d = sub.position.size
-    idx = np.arange(n)
-    work = np.array(sub.elements)
-    work[idx, sub.free_slots] = sub.position
-    base = simplex_measures(work)
-    grads = np.empty((n, d))
-    for j in range(d):
-        bumped = np.array(work)
-        bumped[idx, sub.free_slots, j] += 1.0
-        grads[:, j] = simplex_measures(bumped) - base
-    return grads, base - grads @ sub.position
+    idx = np.arange(len(sub.elements))
+    grads = measure_gradients(sub.elements)[idx, sub.free_slots]
+    return grads, simplex_measures(sub.elements) - grads @ sub.position
 
 
 def _simplex_maximize(c, a_ub, b_ub, max_iter=10000):
@@ -155,11 +146,10 @@ def maximin_reposition(sub, box_factor=BOX_FACTOR):
 
 
 def vertex_to_elements(mesh):
-    incident = [[] for _ in range(mesh.n_nodes)]
-    for eid, elem in enumerate(mesh.elements):
-        for v in elem:
-            incident[v].append(eid)
-    return [np.array(e, dtype=np.int64) for e in incident]
+    """Ascending ids of the elements incident to each node."""
+    flat = mesh.elements.ravel()
+    first = np.cumsum(np.bincount(flat, minlength=mesh.n_nodes))[:-1]
+    return np.split(np.argsort(flat, kind="stable") // (mesh.dim + 1), first)
 
 
 def untangle(mesh, max_sweeps=50, on_move=None):
@@ -182,8 +172,7 @@ def untangle(mesh, max_sweeps=50, on_move=None):
             sub = _submesh_from_arrays(coords, elements, vid, incident[vid])
             new_pos, after = maximin_reposition(sub)
             if on_move is not None:
-                grads, consts = _affine_measure_coeffs(sub)
-                on_move(int(vid), (grads @ sub.position + consts).min(), after)
+                on_move(int(vid), simplex_measures(sub.elements).min(), after)
             max_move = max(max_move, np.linalg.norm(new_pos - coords[vid]))
             coords[vid] = new_pos
         sweeps += 1
@@ -196,18 +185,24 @@ def untangle(mesh, max_sweeps=50, on_move=None):
     return cur, sweeps, outcome
 
 
+def untangle_report(mesh, n_factorizations=0, steps=()):
+    """WarpReport of an untangled mesh: SUCCESS iff no element is reversed,
+    with its quality report."""
+    nrev, _ = count_reversals(mesh)
+    return WarpReport(
+        outcome="SUCCESS" if nrev == 0 else "REVERSED",
+        reversals=nrev,
+        n_factorizations=n_factorizations,
+        steps=steps,
+        quality=quality_report(mesh),
+    )
+
+
 def hybrid_warp(mesh, weights, target_boundary, max_sweeps=50):
     """One-shot warp followed, on reversal, by untangling of the warped
     (not the original) mesh."""
     warped, report = femwarp_step(mesh, weights, target_boundary)
     if report.success:
         return warped, report
-    fixed, sweeps, outcome = untangle(warped, max_sweeps=max_sweeps)
-    nrev, _ = count_reversals(fixed)
-    return fixed, WarpReport(
-        outcome="SUCCESS" if nrev == 0 else "REVERSED",
-        reversals=nrev,
-        n_factorizations=report.n_factorizations,
-        steps=report.steps,
-        quality=None,
-    )
+    fixed, _, _ = untangle(warped, max_sweeps=max_sweeps)
+    return fixed, untangle_report(fixed, report.n_factorizations, report.steps)

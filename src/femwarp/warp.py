@@ -215,6 +215,7 @@ def small_step_femwarp(
     topology = Topology(mesh)
     weights = build_weights(cur, scheme, topology=topology)
     f = factor(weights.a_ii, spd=weights.symmetric)
+    order = f.order
     nchol += 1
     while t < 1.0 - 1e-12:
         dt = min(min_step, 1.0 - t) if constant_step else 1.0 - t
@@ -243,8 +244,9 @@ def small_step_femwarp(
         cur = accepted
         t = min(t + dt, 1.0)
         if t < 1.0 - 1e-12:
+            f = None  # release the old factors before computing the next ones
             weights = build_weights(cur, scheme, topology=topology)
-            f = factor(weights.a_ii, spd=weights.symmetric, like=f)
+            f = factor(weights.a_ii, spd=weights.symmetric, order=order)
             nchol += 1
     return cur, WarpReport(
         outcome="SUCCESS",

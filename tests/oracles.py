@@ -5,6 +5,9 @@ identities, dense linear algebra, grid search, finite differences) rather
 than reusing the library's own code paths.
 """
 
+from itertools import combinations
+from math import factorial
+
 import numpy as np
 
 
@@ -137,3 +140,78 @@ def barrier_weights_dplus1(center, nbrs):
     a = np.vstack([np.ones(len(nbrs)), nbrs.T])
     b = np.concatenate([[1.0], np.asarray(center, dtype=float)])
     return np.linalg.solve(a, b)
+
+
+def simplex_measure(points):
+    """Signed measure det(edge matrix) / d! of one simplex."""
+    points = np.asarray(points, dtype=float)
+    d = points.shape[1]
+    return np.linalg.det(points[1:] - points[0]) / factorial(d)
+
+
+def face_loop_aspect_ratio(points):
+    """Longest edge over minimum altitude, one facet at a time.
+
+    The altitude over a facet is d * volume / facet measure; +inf for a
+    degenerate simplex.
+    """
+    points = np.asarray(points, dtype=float)
+    d = points.shape[1]
+    h = max(np.linalg.norm(p - q) for p, q in combinations(points, 2))
+    meas = abs(simplex_measure(points))
+    if meas == 0.0:
+        return np.inf
+    facets = []
+    for f in range(d + 1):
+        face = np.delete(points, f, axis=0)
+        e = face[1:] - face[0]
+        if d == 2:
+            facets.append(np.linalg.norm(e[0]))
+        else:
+            facets.append(0.5 * np.linalg.norm(np.cross(e[0], e[1])))
+    return h / (d * meas / max(facets))
+
+
+REGULAR_SIMPLEX = {
+    2: np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]]),
+    3: np.array(
+        [
+            [0.0, 0.0, 0.0],
+            [1.0, 0.0, 0.0],
+            [0.5, np.sqrt(3.0) / 2.0, 0.0],
+            [0.5, np.sqrt(3.0) / 6.0, np.sqrt(6.0) / 3.0],
+        ]
+    ),
+}
+
+
+def inverse_mean_ratio_by_inverse(points):
+    """||T||_F^2 / (d det(T)^(2/d)) with T = E inv(E_ref) the affine map from
+    the unit-edge regular simplex onto the element; nan unless positively
+    oriented."""
+    points = np.asarray(points, dtype=float)
+    d = points.shape[1]
+    regular = REGULAR_SIMPLEX[d]
+    t = (points[1:] - points[0]).T @ np.linalg.inv((regular[1:] - regular[0]).T)
+    det = np.linalg.det(t)
+    if det <= 0.0:
+        return np.nan
+    return (t * t).sum() / (d * det ** (2.0 / d))
+
+
+def bumped_measure_coeffs(sub):
+    """(G, c) with measure_i(x) = G[i] @ x + c[i] for the free vertex of a
+    LocalSubmesh, from measure differences under unit shifts of that vertex
+    along each axis (exact by linearity)."""
+    n = len(sub.elements)
+    d = sub.position.size
+    idx = np.arange(n)
+    work = np.array(sub.elements)
+    work[idx, sub.free_slots] = sub.position
+    base = np.array([simplex_measure(p) for p in work])
+    grads = np.empty((n, d))
+    for j in range(d):
+        bumped = np.array(work)
+        bumped[idx, sub.free_slots, j] += 1.0
+        grads[:, j] = [simplex_measure(p) for p in bumped] - base
+    return grads, base - grads @ sub.position

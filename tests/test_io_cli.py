@@ -5,8 +5,8 @@ import pytest
 
 from femwarp import Mesh, gen_annulus, gen_box_tets
 from femwarp import io
-from femwarp.cli import main
-from femwarp.errors import BadIndexError, ParseError
+from femwarp.cli import _param_grid, main
+from femwarp.errors import BadIndexError, InvalidSpecError, ParseError
 
 SINGLE_NODE = """\
 3 2 0 1
@@ -60,6 +60,22 @@ class TestReadMesh:
         node, ele = write_pair(tmp_path, node_text, SINGLE_ELE)
         mesh = io.read_mesh(node, ele)
         assert np.array_equal(mesh.boundary_ids, [0, 1, 2])
+
+    @pytest.mark.parametrize(
+        "mesh", [gen_annulus(0.5, 4, 16), gen_box_tets(4, 5, 4)], ids=["annulus", "box"]
+    )
+    def test_markerless_boundary_matches_generator(self, tmp_path, mesh):
+        node, ele = str(tmp_path / "m.node"), str(tmp_path / "m.ele")
+        io.write_mesh(mesh, node, ele)
+        # the same nodes with the marker column dropped
+        lines = open(node).read().splitlines()
+        n, dim = lines[0].split()[:2]
+        body = [" ".join(line.split()[:-1]) for line in lines[1:]]
+        with open(node, "w") as fh:
+            fh.write("\n".join([f"{n} {dim} 0 0"] + body) + "\n")
+        back = io.read_mesh(node, ele)
+        assert np.array_equal(back.boundary_ids, mesh.boundary_ids)
+        assert np.array_equal(back.coords, mesh.coords)
 
     def test_negative_orientation_fixed_with_warning(self, tmp_path):
         ele_text = "1 3 0\n0 0 2 1\n"  # clockwise
@@ -196,6 +212,18 @@ class TestCli:
         assert len(lines) == 6
         assert lines[1].startswith("0,SUCCESS")
         assert lines[-1].startswith("1.2,REVERSED")
+
+    def test_param_grid_by_index(self):
+        # adding 0.01 repeatedly would end at 99.99000000001425 and miss 100
+        grid = _param_grid("0:100:0.01")
+        assert len(grid) == 10001
+        assert grid[0] == 0.0 and grid[-1] == 100.0
+        assert grid[1234] == 1234 * 0.01
+        assert _param_grid("0:1.2:0.3") == [0.0, 0.3, 0.6, 3 * 0.3, 1.2]
+        assert _param_grid("1:0:0.5") == []
+        for bad in ("0:1", "0:1:0", "0:inf:1", "0:nan:1", "a:b:c"):
+            with pytest.raises(InvalidSpecError):
+                _param_grid(bad)
 
     def test_quality_command(self, annulus_on_disk, capsys):
         base, _ = annulus_on_disk

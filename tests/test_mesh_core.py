@@ -1,5 +1,7 @@
 """Mesh container, orientation predicates and quality metrics."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,8 @@ from femwarp.mesh import (
     signed_measures,
     validate,
 )
+
+from oracles import face_loop_aspect_ratio, inverse_mean_ratio_by_inverse
 
 UNIT_RIGHT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 EQUILATERAL = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]])
@@ -128,6 +132,17 @@ class TestAspectRatio:
         needle = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-9]])
         assert aspect_ratio(needle) == pytest.approx(1e9, rel=1e-6)
 
+    @pytest.mark.parametrize(
+        "tet, expected",
+        [(REGULAR_TET, np.sqrt(6.0) / 2.0), (UNIT_TET, np.sqrt(6.0))],
+        ids=["regular", "unit"],
+    )
+    def test_tetrahedra(self, tet, expected):
+        # regular: h = 1 over altitude sqrt(2/3); unit: h = sqrt(2) over the
+        # altitude 1/sqrt(3) onto the slanted face
+        assert aspect_ratio(tet) == pytest.approx(expected, rel=1e-12)
+        assert aspect_ratio(tet[[0, 2, 1, 3]]) == pytest.approx(expected, rel=1e-12)
+
     def test_degenerate_inf_or_raise(self):
         flat = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
         assert aspect_ratio(flat) == np.inf
@@ -223,24 +238,34 @@ class TestValidate:
         assert validate(annulus_coarse) == []
 
 
+def check_against_oracles(mesh):
+    q = quality_report(mesh)
+    pts = mesh.coords[mesh.elements]
+    meas = signed_measures(mesh)
+    aspects = [face_loop_aspect_ratio(p) for p in pts]
+    imrs = [inverse_mean_ratio_by_inverse(p) for p in pts]
+    assert q.min_measure == pytest.approx(meas.min(), rel=1e-12)
+    assert q.mean_measure == pytest.approx(meas.mean(), rel=1e-12)
+    assert q.min_aspect == pytest.approx(min(aspects), rel=1e-12)
+    assert q.max_aspect == pytest.approx(max(aspects), rel=1e-12)
+    assert q.mean_aspect == pytest.approx(np.mean(aspects), rel=1e-12)
+    assert q.min_imr == pytest.approx(min(imrs), rel=1e-12)
+    assert q.mean_imr == pytest.approx(np.mean(imrs), rel=1e-12)
+    assert q.reversal_count == 0
+    edges = [np.linalg.norm(a - b) for p in pts for a, b in combinations(p, 2)]
+    assert q.h == pytest.approx(max(edges), rel=1e-15)
+    assert q.h == max_edge_length(mesh)
+
+
 class TestQualityReport:
     def test_matches_per_element_metrics(self, annulus_coarse):
-        q = quality_report(annulus_coarse)
-        meas = signed_measures(annulus_coarse)
-        aspects = [
-            aspect_ratio(annulus_coarse.element_coords(e))
-            for e in range(annulus_coarse.n_elements)
-        ]
-        imrs = [
-            inverse_mean_ratio(annulus_coarse.element_coords(e))
-            for e in range(annulus_coarse.n_elements)
-        ]
-        assert q.min_measure == pytest.approx(meas.min(), rel=1e-12)
-        assert q.mean_measure == pytest.approx(meas.mean(), rel=1e-12)
-        assert q.max_aspect == pytest.approx(max(aspects), rel=1e-12)
-        assert q.mean_imr == pytest.approx(np.mean(imrs), rel=1e-12)
-        assert q.reversal_count == 0
-        assert q.h == pytest.approx(max_edge_length(annulus_coarse), rel=1e-15)
+        check_against_oracles(annulus_coarse)
+
+    def test_matches_per_element_metrics_3d(self, box_mesh, rng):
+        coords = np.array(box_mesh.coords)
+        ii = box_mesh.interior_ids
+        coords[ii] += rng.uniform(-0.02, 0.02, size=(len(ii), 3))
+        check_against_oracles(box_mesh.with_coords(coords))
 
     def test_tangled_mesh_still_summarizes(self, annulus_coarse):
         coords = np.array(annulus_coarse.coords)

@@ -1,9 +1,12 @@
 """Direct factorization, ordering reuse and Gauss-Seidel backends."""
 
+import weakref
+
 import numpy as np
 import pytest
 from scipy import sparse
 
+from femwarp import warp
 from femwarp.assembly import build_weights
 from femwarp.errors import DivergedError, NotPositiveDefiniteError
 from femwarp.solve import factor, gauss_seidel, solve_multi
@@ -37,14 +40,14 @@ class TestFactor:
                 np.abs(w.a_ii).max() * np.abs(x).max() + np.abs(b).max()
             )
 
-    def test_like_reuses_order_on_same_pattern(self, annulus_coarse, rng):
+    def test_order_reuses_given_order(self, annulus_coarse, rng):
         first = build_weights(annulus_coarse, "FEM")
         f0 = factor(first.a_ii)
         coords = np.array(annulus_coarse.coords)
         coords[first.interior_ids] += rng.uniform(-0.01, 0.01, (first.m, 2))
         w = build_weights(annulus_coarse.with_coords(coords), "FEM")
         fresh = factor(w.a_ii)
-        reused = factor(w.a_ii, like=f0)
+        reused = factor(w.a_ii, order=f0.order)
         # the reused path hands SuperLU a pre-permuted matrix in natural order
         assert np.array_equal(reused._lu.perm_c, np.arange(w.m))
         assert not np.array_equal(fresh._lu.perm_c, np.arange(w.m))
@@ -54,17 +57,39 @@ class TestFactor:
         x = fresh.solve(b)
         assert np.abs(reused.solve(b) - x).max() <= 1e-12 * np.abs(x).max()
 
-    def test_like_orders_afresh_on_new_pattern(self, annulus_coarse, rng):
+    def test_order_must_be_a_permutation(self, annulus_coarse, rng):
         w = build_weights(annulus_coarse, "FEM")
         fresh = factor(w.a_ii)
-        diagonal = sparse.diags(w.a_ii.diagonal())  # same size, other pattern
-        general = factor(w.a_ii, spd=False)  # the general LU offers no order
+        # any permutation yields a correct factorization, only fill differs
+        shuffled = rng.permutation(w.m)
         b = rng.standard_normal(w.m)
         x = fresh.solve(b)
-        for like in (factor(diagonal), general):
-            f = factor(w.a_ii, like=like)
-            assert np.array_equal(f._lu.perm_c, fresh._lu.perm_c)
-            assert np.abs(f.solve(b) - x).max() <= 1e-12 * np.abs(x).max()
+        f = factor(w.a_ii, order=shuffled)
+        assert np.abs(f.solve(b) - x).max() <= 1e-12 * np.abs(x).max()
+        repeated = np.array(shuffled)
+        repeated[0] = repeated[1]
+        for bad in (fresh.order[:-1], np.append(fresh.order, w.m), repeated):
+            with pytest.raises(ValueError):
+                factor(w.a_ii, order=bad)
+        with pytest.raises(ValueError):
+            factor(w.a_ii, spd=False, order=fresh.order)
+
+    def test_small_step_releases_old_factorization(self, annulus_coarse, monkeypatch):
+        # every refactorization starts with no earlier factors alive, so at
+        # most one set of L and U is held at a time
+        made = []
+
+        def tracked(*args, **kwargs):
+            assert all(ref() is None for ref in made)
+            f = factor(*args, **kwargs)
+            made.append(weakref.ref(f))
+            return f
+
+        monkeypatch.setattr(warp, "factor", tracked)
+        motion = warp.annulus_rotation_motion(annulus_coarse, 1.5)
+        _, report = warp.small_step_femwarp(annulus_coarse, "FEM", motion)
+        assert report.success
+        assert len(made) == report.n_factorizations > 2
 
 
 class TestSolveMulti:

@@ -1,20 +1,36 @@
 """Maximin LP repositioning, sweeps, and the warp/untangle hybrid."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from femwarp import Mesh, annulus_rotation_motion, femwarp_step, gen_annulus
+from femwarp import (
+    Mesh,
+    annulus_rotation_motion,
+    femwarp_step,
+    gen_annulus,
+    gen_box_tets,
+)
 from femwarp.assembly import build_weights
-from femwarp.mesh import count_reversals, signed_measures
+from femwarp.cli import run_algorithm
+from femwarp.mesh import (
+    count_reversals,
+    measure_gradients,
+    quality_report,
+    signed_measures,
+)
 from femwarp.untangle import (
+    _affine_measure_coeffs,
     hybrid_warp,
     local_submesh,
     maximin_reposition,
     untangle,
     vertex_to_elements,
 )
+from femwarp.warp import AffineMotion
 
-from oracles import grid_maximin, tri_measures
+from oracles import bumped_measure_coeffs, grid_maximin, tri_measures
 
 
 def square_cavity(free_pos):
@@ -32,6 +48,41 @@ def reflected_cavity():
     coords = np.vstack([outer, [1.0, -0.4]])  # below the bottom edge
     elements = np.array([[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]])
     return Mesh(coords, elements, [0, 1, 2, 3])
+
+
+def jittered(mesh, rng, frac=0.1):
+    """Copy of ``mesh`` with interior nodes moved by up to ``frac`` of the
+    shortest edge per axis."""
+    pts = mesh.coords[mesh.elements]
+    pairs = combinations(range(mesh.dim + 1), 2)
+    h = min(np.linalg.norm(pts[:, i] - pts[:, j], axis=1).min() for i, j in pairs)
+    coords = np.array(mesh.coords)
+    ii = mesh.interior_ids
+    coords[ii] += rng.uniform(-frac * h, frac * h, size=(len(ii), mesh.dim))
+    return mesh.with_coords(coords)
+
+
+CAVITY_MESHES = {
+    "annulus": lambda: gen_annulus(0.5, 5, 20),
+    "box": lambda: gen_box_tets(4, 4, 4),
+}
+
+
+class TestAffineMeasureCoeffs:
+    @pytest.mark.parametrize("name", CAVITY_MESHES)
+    def test_matches_bump_oracle(self, name, rng):
+        # every node in turn is the free vertex, so every row of every
+        # element's measure gradients is checked
+        mesh = jittered(CAVITY_MESHES[name](), rng)
+        incident = vertex_to_elements(mesh)
+        for vid in range(mesh.n_nodes):
+            sub = local_submesh(mesh, vid, incident[vid])
+            grads, consts = _affine_measure_coeffs(sub)
+            want_g, want_c = bumped_measure_coeffs(sub)
+            assert np.abs(grads - want_g).max() <= 1e-12 * np.abs(want_g).max()
+            assert np.abs(consts - want_c).max() <= 1e-12 * np.abs(want_c).max()
+            slots = (np.arange(len(grads)), sub.free_slots)
+            assert np.array_equal(measure_gradients(sub.elements)[slots], grads)
 
 
 class TestMaximinReposition:
@@ -135,6 +186,22 @@ class TestUntangle:
             for eid in incident[vid]:
                 assert vid in annulus_coarse.elements[eid]
 
+    def test_vertex_to_elements_matches_loop(self, box_mesh):
+        want = [[] for _ in range(box_mesh.n_nodes)]
+        for eid, elem in enumerate(box_mesh.elements):
+            for v in elem:
+                want[v].append(eid)
+        got = vertex_to_elements(box_mesh)
+        assert len(got) == box_mesh.n_nodes
+        assert all(g.tolist() == w for g, w in zip(got, want))
+
+    def test_cli_untangle_report_carries_quality(self):
+        mesh = reflected_cavity()
+        identity = AffineMotion(mesh, np.eye(2), np.zeros(2))
+        fixed, rep = run_algorithm(mesh, {"algorithm": "untangle"}, identity)
+        assert rep.success and rep.n_factorizations == 0
+        assert rep.quality == quality_report(fixed)
+
 
 class TestHybrid:
     def test_equals_femwarp_when_untangled(self, annulus_coarse):
@@ -157,6 +224,15 @@ class TestHybrid:
         fixed, hrep = hybrid_warp(annulus_mid, w, target)
         assert hrep.success
         assert count_reversals(fixed)[0] == 0
+
+    def test_untangled_report_carries_quality(self, annulus_coarse):
+        w = build_weights(annulus_coarse, "FEM")
+        motion = annulus_rotation_motion(annulus_coarse, 0.0, np.deg2rad(90.0))
+        target = motion.evaluate(1.0)
+        assert not femwarp_step(annulus_coarse, w, target)[1].success
+        fixed, hrep = hybrid_warp(annulus_coarse, w, target)
+        assert hrep.success and hrep.n_factorizations == 1
+        assert hrep.quality == quality_report(fixed)
 
     def test_reports_failure_honestly(self, annulus_coarse):
         w = build_weights(annulus_coarse, "FEM")
