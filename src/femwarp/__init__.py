@@ -27,7 +27,6 @@ from .solve import Factorization, factor, gauss_seidel, solve_multi
 from .warp import (
     AffineMotion,
     BoundaryMotion,
-    ParametricMotion,
     TabulatedMotion,
     WarpReport,
     annulus_rotation_motion,

@@ -16,8 +16,8 @@ from .analytic import AnnulusSpec, annulus_coeffs, annulus_jac_det, type1_predic
 from .assembly import SCHEMES, build_weights
 from .errors import FemwarpError, InvalidSpecError
 from .generators import gen_annulus, gen_rectangle
-from .mesh import quality_report
-from .untangle import hybrid_warp, untangle, untangle_report
+from .mesh import count_reversals, quality_report
+from .untangle import hybrid_warp, untangle
 from .warp import (
     DEFAULT_MIN_STEP,
     AffineMotion,
@@ -27,6 +27,7 @@ from .warp import (
     nonlinear3d_motion,
     shear_motion,
     small_step_femwarp,
+    warp_report,
 )
 
 ALGORITHMS = ("femwarp", "small_step", "untangle", "hybrid")
@@ -109,7 +110,7 @@ def run_algorithm(mesh, spec, motion):
         coords = np.array(mesh.coords)
         coords[mesh.boundary_ids] = motion.evaluate(1.0)
         fixed, _, _ = untangle(mesh.with_coords(coords), max_sweeps=max_sweeps)
-        return fixed, untangle_report(fixed)
+        return fixed, warp_report(fixed, count_reversals(fixed)[0], 0, ())
     raise InvalidSpecError(f"unknown algorithm {algorithm!r}")
 
 

@@ -5,7 +5,7 @@ and a boundary marking.  It is immutable after construction; warping
 produces new meshes via :meth:`Mesh.with_coords`.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -233,11 +233,11 @@ def validate(mesh):
     bad_idx = (mesh.elements < 0) | (mesh.elements >= n)
     for eid in np.flatnonzero(bad_idx.any(axis=1)):
         violations.append(Violation("BAD_INDEX", int(eid), "element cites missing node"))
-    for eid, elem in enumerate(mesh.elements):
-        if len(set(elem.tolist())) != len(elem):
-            violations.append(
-                Violation("DEGENERATE_ELEMENT", eid, "repeated node id in element")
-            )
+    ids = np.sort(mesh.elements, axis=1)
+    for eid in np.flatnonzero((ids[:, 1:] == ids[:, :-1]).any(axis=1)):
+        violations.append(
+            Violation("DEGENERATE_ELEMENT", int(eid), "repeated node id in element")
+        )
     if not bad_idx.any():
         used = np.zeros(n, dtype=bool)
         used[mesh.elements] = True
@@ -273,20 +273,7 @@ class QualityReport:
     h: float
 
     def as_dict(self):
-        return {
-            "min_measure": self.min_measure,
-            "max_measure": self.max_measure,
-            "mean_measure": self.mean_measure,
-            "min_aspect": self.min_aspect,
-            "max_aspect": self.max_aspect,
-            "mean_aspect": self.mean_aspect,
-            "min_imr": self.min_imr,
-            "max_imr": self.max_imr,
-            "mean_imr": self.mean_imr,
-            "reversal_count": self.reversal_count,
-            "near_degenerate_count": self.near_degenerate_count,
-            "h": self.h,
-        }
+        return asdict(self)
 
 
 def quality_report(mesh):

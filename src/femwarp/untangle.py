@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnboundedLPError
-from .mesh import count_reversals, measure_gradients, quality_report, simplex_measures
-from .warp import WarpReport, femwarp_step
+from .mesh import count_reversals, measure_gradients, simplex_measures
+from .warp import femwarp_step, warp_report
 
 BOX_FACTOR = 10.0
 STALL_TOL = 1e-12
@@ -164,9 +164,15 @@ def untangle(mesh, max_sweeps=50, on_move=None):
     coords = np.array(mesh.coords)
     elements = mesh.elements
     sweeps = 0
-    while sweeps < max_sweeps:
-        if count_reversals(mesh.with_coords(coords))[0] == 0:
-            return mesh.with_coords(coords), sweeps, "SUCCESS"
+    max_move = np.inf
+    while True:
+        cur = mesh.with_coords(coords)
+        if count_reversals(cur)[0] == 0:
+            return cur, sweeps, "SUCCESS"
+        if max_move <= STALL_TOL:
+            return cur, sweeps, "STALLED"
+        if sweeps >= max_sweeps:
+            return cur, sweeps, "MAX_SWEEPS"
         max_move = 0.0
         for vid in mesh.interior_ids:
             sub = _submesh_from_arrays(coords, elements, vid, incident[vid])
@@ -176,26 +182,6 @@ def untangle(mesh, max_sweeps=50, on_move=None):
             max_move = max(max_move, np.linalg.norm(new_pos - coords[vid]))
             coords[vid] = new_pos
         sweeps += 1
-        if max_move <= STALL_TOL:
-            cur = mesh.with_coords(coords)
-            tangled = count_reversals(cur)[0] != 0
-            return cur, sweeps, "STALLED" if tangled else "SUCCESS"
-    cur = mesh.with_coords(coords)
-    outcome = "SUCCESS" if count_reversals(cur)[0] == 0 else "MAX_SWEEPS"
-    return cur, sweeps, outcome
-
-
-def untangle_report(mesh, n_factorizations=0, steps=()):
-    """WarpReport of an untangled mesh: SUCCESS iff no element is reversed,
-    with its quality report."""
-    nrev, _ = count_reversals(mesh)
-    return WarpReport(
-        outcome="SUCCESS" if nrev == 0 else "REVERSED",
-        reversals=nrev,
-        n_factorizations=n_factorizations,
-        steps=steps,
-        quality=quality_report(mesh),
-    )
 
 
 def hybrid_warp(mesh, weights, target_boundary, max_sweeps=50):
@@ -205,4 +191,5 @@ def hybrid_warp(mesh, weights, target_boundary, max_sweeps=50):
     if report.success:
         return warped, report
     fixed, _, _ = untangle(warped, max_sweeps=max_sweeps)
-    return fixed, untangle_report(fixed, report.n_factorizations, report.steps)
+    nrev = count_reversals(fixed)[0]
+    return fixed, warp_report(fixed, nrev, report.n_factorizations, report.steps)

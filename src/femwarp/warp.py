@@ -2,7 +2,7 @@
 halving, and multi-frame trajectory replay.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,17 +17,18 @@ DEFAULT_MIN_STEP = 1.0 / 128.0
 class BoundaryMotion:
     """Target boundary coordinates as a function of a motion fraction t.
 
-    ``evaluate(0)`` returns the original boundary coordinates and
-    ``evaluate(1)`` the full deformation; rows follow ``ids`` (ascending
-    boundary node ids of the originating mesh).
+    ``fn(base, t)`` maps the original boundary coordinates ``base_coords``
+    (rows in ascending boundary id order) to their position at fraction t:
+    ``evaluate(0)`` returns them unchanged and ``evaluate(1)`` gives the
+    full deformation.
     """
 
-    def __init__(self, ids, base_coords):
-        self.ids = np.asarray(ids, dtype=np.int64)
-        self.base_coords = np.array(base_coords, dtype=float)
+    def __init__(self, mesh, fn):
+        self.base_coords = np.array(mesh.coords[mesh.boundary_ids], dtype=float)
+        self._fn = fn
 
     def evaluate(self, t):
-        raise NotImplementedError
+        return self._fn(self.base_coords, t)
 
 
 class AffineMotion(BoundaryMotion):
@@ -35,24 +36,13 @@ class AffineMotion(BoundaryMotion):
     is itself affine."""
 
     def __init__(self, mesh, matrix, shift):
-        super().__init__(mesh.boundary_ids, mesh.coords[mesh.boundary_ids])
+        super().__init__(mesh, self._blend)
         self.matrix = np.asarray(matrix, dtype=float)
         self.shift = np.asarray(shift, dtype=float)
 
-    def evaluate(self, t):
-        target = self.base_coords @ self.matrix.T + self.shift
-        return (1.0 - t) * self.base_coords + t * target
-
-
-class ParametricMotion(BoundaryMotion):
-    """Named closed-form motion; the map's scalar parameter is scaled by t."""
-
-    def __init__(self, mesh, fn):
-        super().__init__(mesh.boundary_ids, mesh.coords[mesh.boundary_ids])
-        self._fn = fn
-
-    def evaluate(self, t):
-        return self._fn(self.base_coords, t)
+    def _blend(self, base, t):
+        target = base @ self.matrix.T + self.shift
+        return (1.0 - t) * base + t * target
 
 
 def annulus_rotation_motion(mesh, theta_outer, theta_inner=0.0, r=None, s=None):
@@ -81,7 +71,7 @@ def annulus_rotation_motion(mesh, theta_outer, theta_inner=0.0, r=None, s=None):
             out[inner] *= scale
         return out
 
-    return ParametricMotion(mesh, lambda base, t: fn(base, t))
+    return BoundaryMotion(mesh, fn)
 
 
 def shear_motion(mesh, alpha):
@@ -92,7 +82,7 @@ def shear_motion(mesh, alpha):
         out[:, 1] += t * alpha * base[:, 0] * (2.0 - base[:, 0])
         return out
 
-    return ParametricMotion(mesh, fn)
+    return BoundaryMotion(mesh, fn)
 
 
 def nonlinear3d_motion(mesh, alpha):
@@ -106,7 +96,7 @@ def nonlinear3d_motion(mesh, alpha):
         quad = np.column_stack([0.1 * x * y, 0.5 * y * z, 0.1 * x * x])
         return base @ blend.T + (t * alpha) * quad
 
-    return ParametricMotion(mesh, fn)
+    return BoundaryMotion(mesh, fn)
 
 
 class TabulatedMotion(BoundaryMotion):
@@ -117,14 +107,14 @@ class TabulatedMotion(BoundaryMotion):
     """
 
     def __init__(self, mesh, frames):
-        super().__init__(mesh.boundary_ids, mesh.coords[mesh.boundary_ids])
+        super().__init__(mesh, self._interpolate)
         self.frames = [np.asarray(f, dtype=float) for f in frames]
         for f in self.frames:
             if f.shape != self.base_coords.shape:
                 raise ValueError("frame shape does not match boundary")
 
-    def evaluate(self, t):
-        pts = [self.base_coords] + self.frames
+    def _interpolate(self, base, t):
+        pts = [base] + self.frames
         pos = t * (len(pts) - 1)
         lo = min(int(np.floor(pos)), len(pts) - 2)
         frac = pos - lo
@@ -141,18 +131,42 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class WarpReport:
-    """Outcome of a warp: reversal status, step history and solver cost."""
+    """Outcome of a warp: reversal status, step history, solver cost and the
+    quality of the returned mesh."""
 
     outcome: str  # SUCCESS | REVERSED
     reversals: int
     n_factorizations: int
-    steps: tuple = field(default_factory=tuple)
-    t_reached: float = 1.0
-    quality: object = None
+    steps: tuple
+    t_reached: float
+    quality: object
 
     @property
     def success(self):
         return self.outcome == "SUCCESS"
+
+
+def warp_report(mesh, reversals, n_factorizations, steps, t_reached=1.0):
+    """The WarpReport of a returned mesh: SUCCESS iff ``reversals`` is 0,
+    with the mesh's quality report."""
+    return WarpReport(
+        outcome="SUCCESS" if reversals == 0 else "REVERSED",
+        reversals=reversals,
+        n_factorizations=n_factorizations,
+        steps=tuple(steps),
+        t_reached=t_reached,
+        quality=quality_report(mesh),
+    )
+
+
+def _place(mesh, weights, x_i, target):
+    """``mesh`` with interior rows ``x_i`` and boundary rows ``target``, and
+    its number of reversed elements."""
+    coords = np.array(mesh.coords)
+    coords[weights.interior_ids] = x_i
+    coords[weights.boundary_ids] = target
+    new_mesh = mesh.with_coords(coords)
+    return new_mesh, count_reversals(new_mesh)[0]
 
 
 def femwarp_step(mesh, weights, target_boundary):
@@ -165,29 +179,10 @@ def femwarp_step(mesh, weights, target_boundary):
     if target_boundary.shape != (weights.b, mesh.dim):
         raise ValueError("target must cover every boundary node")
     f = factor(weights.a_ii, spd=weights.symmetric)
-    return _step_with_factor(
-        mesh, weights, f, target_boundary, n_factorizations=1, with_quality=True
-    )
-
-
-def _step_with_factor(
-    mesh, weights, f, target_boundary, n_factorizations, with_quality=False
-):
     x_i = solve_multi(f, -(weights.a_ib @ target_boundary))
-    coords = np.array(mesh.coords)
-    coords[weights.interior_ids] = x_i
-    coords[weights.boundary_ids] = target_boundary
-    new_mesh = mesh.with_coords(coords)
-    nrev, _ = count_reversals(new_mesh)
-    outcome = "SUCCESS" if nrev == 0 else "REVERSED"
-    report = WarpReport(
-        outcome=outcome,
-        reversals=nrev,
-        n_factorizations=n_factorizations,
-        steps=(StepRecord(0.0, 1.0, nrev == 0, nrev),),
-        quality=quality_report(new_mesh) if with_quality else None,
-    )
-    return new_mesh, report
+    del f  # free the LU before the reversal count and the quality report
+    warped, nrev = _place(mesh, weights, x_i, target_boundary)
+    return warped, warp_report(warped, nrev, 1, [StepRecord(0.0, 1.0, nrev == 0, nrev)])
 
 
 def small_step_femwarp(
@@ -201,85 +196,57 @@ def small_step_femwarp(
     accepted step the weights are rebuilt and refactored.  Connectivity, the
     sparsity pattern of A_I and its fill-reducing order are computed once
     per warp; each rebuild and refactorization redoes only values.  Fails
-    with outcome REVERSED once the increment drops below ``min_step``.
+    with outcome REVERSED once the increment drops below ``min_step``,
+    returning the last accepted mesh and the fraction t it reached.
 
     ``constant_step`` disables the halving search and advances by
     ``min_step`` each time, stopping at the first reversal.
     """
     if min_step <= 0.0:
         raise ValueError("min_step must be positive")
-    cur = mesh
-    t = 0.0
-    nchol = 0
-    steps = []
     topology = Topology(mesh)
-    weights = build_weights(cur, scheme, topology=topology)
-    f = factor(weights.a_ii, spd=weights.symmetric)
-    order = f.order
-    nchol += 1
+    cur, t, nrev, nchol, order, steps = mesh, 0.0, 0, 0, None, []
     while t < 1.0 - 1e-12:
+        f = None  # release the old factors before computing the next ones
+        weights = build_weights(cur, scheme, topology=topology)
+        f = factor(weights.a_ii, spd=weights.symmetric, order=order)
+        order = f.order
+        nchol += 1
         dt = min(min_step, 1.0 - t) if constant_step else 1.0 - t
-        accepted = None
         while True:
             target = motion.evaluate(min(t + dt, 1.0))
-            trial, rep = _step_with_factor(cur, weights, f, target, nchol)
-            steps.append(StepRecord(t, t + dt, rep.reversals == 0, rep.reversals))
-            if rep.reversals == 0:
-                accepted = trial
-                break
-            if constant_step:
+            trial, nrev = _place(
+                cur, weights, solve_multi(f, -(weights.a_ib @ target)), target
+            )
+            steps.append(StepRecord(t, t + dt, nrev == 0, nrev))
+            if nrev == 0 or constant_step or 0.5 * dt < min_step:
                 break
             dt *= 0.5
-            if dt < min_step:
-                break
-        if accepted is None:
-            return cur, WarpReport(
-                outcome="REVERSED",
-                reversals=rep.reversals,
-                n_factorizations=nchol,
-                steps=tuple(steps),
-                t_reached=t,
-                quality=quality_report(cur),
-            )
-        cur = accepted
+        if nrev:
+            break
+        cur = trial
         t = min(t + dt, 1.0)
-        if t < 1.0 - 1e-12:
-            f = None  # release the old factors before computing the next ones
-            weights = build_weights(cur, scheme, topology=topology)
-            f = factor(weights.a_ii, spd=weights.symmetric, order=order)
-            nchol += 1
-    return cur, WarpReport(
-        outcome="SUCCESS",
-        reversals=0,
-        n_factorizations=nchol,
-        steps=tuple(steps),
-        t_reached=1.0,
-        quality=quality_report(cur),
-    )
+    # a success stops within 1e-12 of t = 1 and reports t = 1 exactly
+    return cur, warp_report(cur, nrev, nchol, steps, t if nrev else 1.0)
 
 
-def warp_trajectory(mesh, scheme, motion, small_steps=False, continue_on_failure=False):
-    """Replay a tabulated motion frame by frame.
+def warp_trajectory(mesh, scheme, motion):
+    """Replay a tabulated motion one-shot, frame by frame.
 
-    Each frame warps from the previous frame's mesh with freshly built
-    weights; one-shot solves by default, per-frame small steps on request.
-    Stops at the first reversed frame unless ``continue_on_failure``.
+    Each frame warps the previous frame's mesh with weights rebuilt on it;
+    all frames share one topology.  Stops at the first reversed frame.
     """
     if not isinstance(motion, TabulatedMotion):
         raise TypeError("warp_trajectory needs a TabulatedMotion")
+    topology = Topology(mesh)
     meshes = []
     reports = []
     cur = mesh
-    n = len(motion.frames)
-    for k, frame in enumerate(motion.frames):
-        if small_steps:
-            frame_motion = TabulatedMotion(cur, [frame])
-            cur, rep = small_step_femwarp(cur, scheme, frame_motion)
-        else:
-            weights = build_weights(cur, scheme)
-            cur, rep = femwarp_step(cur, weights, frame)
+    for frame in motion.frames:
+        weights = build_weights(cur, scheme, topology=topology)
+        cur, rep = femwarp_step(cur, weights, frame)
         meshes.append(cur)
         reports.append(rep)
-        if not rep.success and not continue_on_failure:
+        if not rep.success:
             break
     return meshes, reports

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from femwarp import Mesh, gen_annulus
+from femwarp import Mesh, gen_annulus, gen_box_tets
 from femwarp.errors import BadIndexError, DegenerateElementError, ReversedElementError
 from femwarp.mesh import (
     aspect_ratio,
@@ -19,6 +19,7 @@ from femwarp.mesh import (
     signed_measure,
     signed_measures,
     validate,
+    Violation,
 )
 
 from oracles import face_loop_aspect_ratio, inverse_mean_ratio_by_inverse
@@ -228,6 +229,24 @@ class TestValidate:
         mesh = Mesh(UNIT_RIGHT, np.array([[0, 1, 1]]), [0])
         codes = [v.code for v in validate(mesh)]
         assert "DEGENERATE_ELEMENT" in codes
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_duplicate_nodes_match_loop(self, dim):
+        mesh = gen_annulus(0.5, 3, 12) if dim == 2 else gen_box_tets(3, 3, 3)
+        elements = np.array(mesh.elements)
+        elements[1, 1] = elements[1, 0]  # adjacent repeat
+        elements[4, -1] = elements[4, 0]  # first and last
+        elements[5] = elements[5, 1]  # every id the same
+        elements[-1, 1] = elements[-1, -1]
+        bad = Mesh(mesh.coords, elements, mesh.boundary_ids)
+        want = [
+            Violation("DEGENERATE_ELEMENT", eid, "repeated node id in element")
+            for eid, elem in enumerate(elements)
+            if len(set(elem.tolist())) != len(elem)
+        ]
+        got = validate(bad)
+        assert len(want) == 4 and got[:4] == want
+        assert all(type(v.where) is int for v in got)
 
     def test_unused_node_violation(self):
         coords = np.vstack([UNIT_RIGHT, [5.0, 5.0]])

@@ -91,6 +91,34 @@ class TestFactor:
         assert report.success
         assert len(made) == report.n_factorizations > 2
 
+    def test_one_shot_releases_factorization_before_reporting(
+        self, annulus_coarse, monkeypatch
+    ):
+        # the LU is dead before the reversal count and the quality report
+        # run, so their temporaries never coexist with it
+        made = []
+
+        def tracked(*args, **kwargs):
+            f = factor(*args, **kwargs)
+            made.append(weakref.ref(f))
+            return f
+
+        def after_release(fn):
+            def wrapped(*args, **kwargs):
+                assert made and all(ref() is None for ref in made)
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(warp, "factor", tracked)
+        for name in ("count_reversals", "quality_report"):
+            monkeypatch.setattr(warp, name, after_release(getattr(warp, name)))
+        w = build_weights(annulus_coarse, "FEM")
+        motion = warp.annulus_rotation_motion(annulus_coarse, 0.3)
+        _, report = warp.femwarp_step(annulus_coarse, w, motion.evaluate(1.0))
+        assert report.success
+        assert len(made) == report.n_factorizations == 1
+
 
 class TestSolveMulti:
     def test_zero_rhs(self):

@@ -62,6 +62,29 @@ def jittered(mesh, rng, frac=0.1):
     return mesh.with_coords(coords)
 
 
+def reversed_rotation_warp():
+    """One-shot FEM warp of the 8x60 annulus that reverses elements."""
+    mesh = gen_annulus(0.5, 8, 60)
+    motion = annulus_rotation_motion(mesh, 0.75 * np.pi, 0.25 * np.pi)
+    return femwarp_step(mesh, build_weights(mesh, "FEM"), motion.evaluate(1.0))[0]
+
+
+def boundary_only_reversed_triangle():
+    """A clockwise triangle with no interior node: a sweep moves nothing."""
+    coords = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+    return Mesh(coords, np.array([[0, 1, 2]]), [0, 1, 2])
+
+
+# name -> (mesh factory, max_sweeps, expected sweeps, expected outcome)
+UNTANGLE_EXITS = {
+    "untangled": (lambda: gen_annulus(0.5, 6, 24), 50, 0, "SUCCESS"),
+    "max_sweeps_0": (reversed_rotation_warp, 0, 0, "MAX_SWEEPS"),
+    "max_sweeps_1": (reversed_rotation_warp, 1, 1, "MAX_SWEEPS"),
+    "success_on_last_sweep": (reflected_cavity, 1, 1, "SUCCESS"),
+    "stalled": (boundary_only_reversed_triangle, 50, 1, "STALLED"),
+}
+
+
 CAVITY_MESHES = {
     "annulus": lambda: gen_annulus(0.5, 5, 20),
     "box": lambda: gen_box_tets(4, 4, 4),
@@ -179,6 +202,11 @@ class TestUntangle:
         out, sweeps, outcome = reflection_untangle_result
         assert outcome != "SUCCESS"
         assert count_reversals(out)[0] > 0
+
+    @pytest.mark.parametrize("name", UNTANGLE_EXITS)
+    def test_exit_outcomes(self, name):
+        make, max_sweeps, sweeps, outcome = UNTANGLE_EXITS[name]
+        assert untangle(make(), max_sweeps=max_sweeps)[1:] == (sweeps, outcome)
 
     def test_vertex_to_elements(self, annulus_coarse):
         incident = vertex_to_elements(annulus_coarse)

@@ -13,8 +13,10 @@ from femwarp import (
     small_step_femwarp,
     warp_trajectory,
 )
-from femwarp.assembly import build_weights
+from femwarp import assembly, warp
+from femwarp.assembly import Topology, build_weights
 from femwarp.generators import annulus_for_h
+from femwarp.mesh import count_reversals, quality_report
 
 
 def random_affine(rng, dim):
@@ -22,6 +24,18 @@ def random_affine(rng, dim):
     while abs(np.linalg.det(l)) < 0.1:
         l = np.eye(dim) + 0.3 * rng.standard_normal((dim, dim))
     return l, rng.standard_normal(dim)
+
+
+def check_reflection_failure(mesh, **options):
+    """A small-step warp toward a reflection fails with a REVERSED report of
+    the last accepted (valid) mesh."""
+    motion = AffineMotion(mesh, np.diag([1.0, -1.0]), np.zeros(2))
+    final, rep = small_step_femwarp(mesh, "FEM", motion, **options)
+    assert rep.outcome == "REVERSED" and rep.reversals > 0
+    assert 0.0 <= rep.t_reached < 0.5
+    assert rep.steps[-1].accepted is False
+    assert rep.quality == quality_report(final)
+    assert count_reversals(final)[0] == 0
 
 
 class TestMotions:
@@ -138,13 +152,10 @@ class TestSmallStep:
     def test_failure_reports_best_t(self, annulus_coarse):
         # blending toward a reflection passes through a degenerate
         # configuration at t = 0.5, so the halving search must bottom out
-        motion = AffineMotion(annulus_coarse, np.diag([1.0, -1.0]), np.zeros(2))
-        final, rep = small_step_femwarp(annulus_coarse, "FEM", motion)
-        assert rep.outcome == "REVERSED"
-        assert 0.0 <= rep.t_reached < 0.5
-        from femwarp.mesh import count_reversals
+        check_reflection_failure(annulus_coarse)
 
-        assert count_reversals(final)[0] == 0  # last accepted mesh is valid
+    def test_constant_step_failure_reports_best_t(self, annulus_coarse):
+        check_reflection_failure(annulus_coarse, constant_step=True)
 
     def test_constant_step_costs_more(self, annulus_coarse):
         motion = annulus_rotation_motion(annulus_coarse, 1.2)
@@ -229,6 +240,23 @@ class TestTrajectory:
         meshes, reports = warp_trajectory(annulus_coarse, "FEM", motion)
         assert not reports[0].success
         assert len(reports) == 1  # later frames not attempted
+
+    def test_builds_one_topology(self, annulus_coarse, rng, monkeypatch):
+        built = []
+
+        def counted(mesh):
+            built.append(mesh)
+            return Topology(mesh)
+
+        monkeypatch.setattr(warp, "Topology", counted)
+        monkeypatch.setattr(assembly, "Topology", counted)
+        l, v = random_affine(rng, 2)
+        base = annulus_coarse.coords[annulus_coarse.boundary_ids]
+        frames = [base + t * (base @ l.T + v - base) for t in (0.25, 0.5, 1.0)]
+        motion = TabulatedMotion(annulus_coarse, frames)
+        _, reports = warp_trajectory(annulus_coarse, "FEM", motion)
+        assert len(reports) == 3 and all(r.success for r in reports)
+        assert len(built) == 1
 
     def test_requires_tabulated(self, annulus_coarse):
         with pytest.raises(TypeError):
