@@ -278,42 +278,6 @@ def uniform_weights(mesh, topology=None):
     return topology.row_system(np.repeat(1.0 / deg, deg), "UNIFORM")
 
 
-def _barrier_node_weights(center, nbr_coords, tol=1e-10, max_iter=100):
-    """Solve max sum(log w) s.t. sum w = 1, sum w*(x_j - x_i) = 0.
-
-    Damped Newton on the dual: w_j = 1 / (C^T lam)_j with C the constraint
-    matrix; initialized at uniform weights.  Returns None when the iteration
-    cannot reach the KKT tolerance (caller decides infeasibility).
-    """
-    n = len(nbr_coords)
-    rel = nbr_coords - center
-    c = np.vstack([np.ones(n), rel.T])  # (d+1, n)
-    target = np.zeros(c.shape[0])
-    target[0] = 1.0
-    lam = np.zeros(c.shape[0])
-    lam[0] = n  # yields uniform w = 1/n
-    for _ in range(max_iter):
-        s = c.T @ lam
-        if np.min(s) <= 0.0:
-            return None
-        w = 1.0 / s
-        g = c @ w - target
-        if np.abs(g).max() <= tol:
-            return w
-        jac = -(c * w**2) @ c.T
-        try:
-            step = np.linalg.solve(jac, -g)
-        except np.linalg.LinAlgError:
-            return None
-        alpha = 1.0
-        while np.min(c.T @ (lam + alpha * step)) <= 0.0:
-            alpha *= 0.5
-            if alpha < 1e-14:
-                return None
-        lam = lam + alpha * step
-    return None
-
-
 def _strictly_inside_hull(center, nbr_coords, tol=1e-12):
     """Feasibility check: does a strictly positive convex combination exist?"""
     from scipy.optimize import linprog
@@ -337,29 +301,116 @@ def _strictly_inside_hull(center, nbr_coords, tol=1e-12):
     return res.status == 0 and res.x is not None and res.x[-1] > tol
 
 
+def _barrier_newton(c, tol, max_iter=100):
+    """Damped dual Newton on a stack of per-node barrier programs.
+
+    Row r solves max sum(log w) s.t. ``c[r] @ w = e_0``, with ``c[r]`` the
+    (d+1, n) constraint matrix ``[1; (x_j - x_i)^T]``: w_j = 1 / (C^T lam)_j,
+    started at uniform weights.  A row keeps the weights of the first
+    iteration that meets ``tol`` and is frozen from then on; its step is
+    halved until it keeps ``C^T lam`` positive.  Returns (g, n) weights and
+    the mask of rows that failed (nonpositive ``C^T lam``, a step below
+    1e-14, a singular Jacobian or ``max_iter`` reached); failed rows hold
+    NaN.
+    """
+    g, k, n = c.shape
+    w_out = np.full((g, n), np.nan)
+    failed = np.zeros(g, dtype=bool)
+    lam = np.zeros((g, k))
+    lam[:, 0] = n  # yields uniform w = 1/n
+    act = np.arange(g)  # rows still iterating
+    for _ in range(max_iter):
+        if not len(act):
+            break
+        ca, la = c[act], lam[act]
+        s = np.einsum("gkn,gk->gn", ca, la)
+        ok = s.min(axis=1) > 0.0
+        w = 1.0 / s
+        grad = np.einsum("gkn,gn->gk", ca, w)
+        grad[:, 0] -= 1.0
+        done = ok & (np.abs(grad).max(axis=1) <= tol)
+        w_out[act[done]] = w[done]
+        failed[act[~ok]] = True
+        go = ok & ~done
+        act, ca, la, w, grad = act[go], ca[go], la[go], w[go], grad[go]
+        jac = -(ca * (w * w)[:, None, :]) @ ca.transpose(0, 2, 1)
+        step, singular = _solve_stack(jac, -grad)
+        failed[act[singular]] = True
+        keep = ~singular
+        act, ca, la, step = act[keep], ca[keep], la[keep], step[keep]
+        # per-row backtracking until every trial C^T lam is positive
+        alpha = np.ones(len(act))
+        trial = np.arange(len(act))
+        while len(trial):
+            lam_t = la[trial] + alpha[trial, None] * step[trial]
+            s = np.einsum("gkn,gk->gn", ca[trial], lam_t)
+            trial = trial[s.min(axis=1) <= 0.0]
+            alpha[trial] *= 0.5
+            stuck = alpha[trial] < 1e-14
+            failed[act[trial[stuck]]] = True
+            trial = trial[~stuck]
+        moving = ~failed[act]
+        act = act[moving]
+        lam[act] = la[moving] + alpha[moving, None] * step[moving]
+    failed[act] = True
+    return w_out, failed
+
+
+def _solve_stack(a, b):
+    """Solve the stacked systems ``a[r] x = b[r]``; returns the solutions and
+    the mask of singular rows (their solution is garbage).  A singular
+    matrix fails only its own row."""
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0], np.zeros(len(a), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    x = np.zeros_like(b)
+    singular = np.zeros(len(a), dtype=bool)
+    for r in range(len(a)):
+        try:
+            x[r] = np.linalg.solve(a[r], b[r])
+        except np.linalg.LinAlgError:
+            singular[r] = True
+    return x, singular
+
+
 def log_barrier_weights(mesh, tol=1e-10, topology=None):
     """Strictly positive convex weights via a per-node barrier program.
 
-    Each interior node's problem is independent.  Nodes not strictly inside
-    the convex hull of their neighbors are infeasible and raise.
+    Each interior node's problem is independent; nodes of equal degree are
+    solved together as one stack.  Nodes not strictly inside the convex
+    hull of their neighbors are infeasible: the lowest such failing node
+    raises NODE_NOT_INTERIOR, a failing node that is feasible raises
+    SINGULAR_SYSTEM.
     """
     topology = _topology(mesh, topology)
-    _degrees(topology)
-    rows = []
-    for nid in topology.interior_ids:
+    deg = _degrees(topology)
+    ids = topology.interior_ids
+    start = topology.adj_indptr[ids]
+    # offset of each interior row's weights in the adjacency-ordered list
+    offset = np.concatenate(([0], np.cumsum(deg)[:-1]))
+    weights = np.empty(deg.sum())
+    failed = []
+    for n in np.unique(deg):
+        rows = np.flatnonzero(deg == n)
+        nbrs = topology.adj_indices[start[rows, None] + np.arange(n)]
+        rel = mesh.coords[nbrs] - mesh.coords[ids[rows], None, :]
+        c = np.concatenate((np.ones((len(rows), 1, n)), rel.transpose(0, 2, 1)), axis=1)
+        w, bad = _barrier_newton(c, tol)
+        weights[offset[rows, None] + np.arange(n)] = w
+        failed.append(ids[rows[bad]])
+    failed = np.concatenate(failed)
+    if len(failed):
+        nid = int(failed.min())
         nbrs = topology.neighbors(nid)
-        w = _barrier_node_weights(mesh.coords[nid], mesh.coords[nbrs], tol=tol)
-        if w is None:
-            if not _strictly_inside_hull(mesh.coords[nid], mesh.coords[nbrs]):
-                raise NodeNotInteriorError(
-                    f"node {nid} is not strictly inside its neighbors' hull",
-                    node=int(nid),
-                )
-            raise SingularSystemError(
-                f"barrier weights did not converge for node {nid}", node=int(nid)
+        if not _strictly_inside_hull(mesh.coords[nid], mesh.coords[nbrs]):
+            raise NodeNotInteriorError(
+                f"node {nid} is not strictly inside its neighbors' hull", node=nid
             )
-        rows.append(w)
-    return topology.row_system(np.concatenate(rows), "LOG_BARRIER")
+        raise SingularSystemError(
+            f"barrier weights did not converge for node {nid}", node=nid
+        )
+    return topology.row_system(weights, "LOG_BARRIER")
 
 
 def build_weights(mesh, scheme, topology=None):

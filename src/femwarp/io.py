@@ -1,5 +1,6 @@
 """Triangle/TetGen .node/.ele file I/O and deformation-spec parsing."""
 
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -19,17 +20,62 @@ def _data_lines(path):
     return out
 
 
-def _parse_header(path, lines, expected_fields):
-    if not lines:
-        raise ParseError(f"{path}: empty file", line=0)
-    lineno, tokens = lines[0]
+def _parse_header(path, expected_fields):
+    """(line_number, integer fields) of the first data line of ``path``."""
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            tokens = raw.split("#", 1)[0].split()
+            if tokens:
+                break
+        else:
+            raise ParseError(f"{path}: empty file", line=0)
     try:
         values = [int(t) for t in tokens]
     except ValueError:
         raise ParseError(f"{path}:{lineno}: malformed header", line=lineno)
     if len(values) < expected_fields:
         raise ParseError(f"{path}:{lineno}: short header", line=lineno)
-    return values
+    if min(values[:expected_fields]) < 0:
+        raise ParseError(f"{path}:{lineno}: negative count in header", line=lineno)
+    return lineno, values
+
+
+def _records(path, skip, dtype, usecols, n=None):
+    """The first ``n`` data records (all when None) after line ``skip`` of
+    ``path``, parsed in one call; None when a record cannot be parsed or
+    fewer than ``n`` exist."""
+    dtype = np.dtype(dtype)
+    if n == 0:
+        return np.zeros(0, dtype)
+    try:
+        with warnings.catch_warnings():
+            # comment-only lines and an empty block are not errors here
+            warnings.simplefilter("ignore", UserWarning)
+            rec = np.loadtxt(
+                path, dtype=dtype, comments="#", usecols=usecols,
+                skiprows=skip, max_rows=n, ndmin=1,
+            )
+    except (ValueError, OverflowError):
+        return None
+    return None if n is not None and len(rec) != n else rec
+
+
+def _offsets(ids, base, n):
+    """``ids - base`` and the mask of ids in ``[base, base + n)``, free of
+    int64 wrap-around."""
+    idx = ids - base
+    return idx, (ids >= base) & (idx >= 0) & (idx < n)
+
+
+def _positions(ids, n):
+    """Row of each of ``n`` records, ``ids - ids[0]``, or None unless that
+    is a permutation of 0..n-1."""
+    if not n:
+        return ids
+    idx, ok = _offsets(ids, ids[0], n)
+    hit = np.zeros(n, dtype=bool)
+    hit[idx[ok]] = True
+    return idx if hit.all() else None
 
 
 def read_mesh(node_path, ele_path, reorient=True):
@@ -37,62 +83,50 @@ def read_mesh(node_path, ele_path, reorient=True):
 
     A nonzero trailing marker in the .node file marks a boundary node; if
     the file carries no markers, boundary nodes are inferred as those on
-    faces belonging to exactly one element.  1-based node ids are detected
-    from the first node record and shifted to 0-based.  Negatively oriented
-    elements are reoriented with a warning unless ``reorient`` is False.
+    faces belonging to exactly one element.  Node records may come in any
+    order, but their ids must be a permutation of ``base .. base + n - 1``;
+    1-based ids are detected from the first node record and shifted to
+    0-based.  Negatively oriented elements are reoriented with a warning
+    unless ``reorient`` is False.
     """
-    node_lines = _data_lines(node_path)
-    n_nodes, dim, n_attrs, n_markers = _parse_header(node_path, node_lines, 4)[:4]
+    skip, header = _parse_header(node_path, 4)
+    n_nodes, dim, n_attrs, n_markers = header[:4]
     if dim not in (2, 3):
         raise ParseError(f"{node_path}: dimension must be 2 or 3, got {dim}")
-    records = node_lines[1:]
-    if len(records) < n_nodes:
-        raise ParseError(f"{node_path}: expected {n_nodes} node records")
+    fields = [("id", np.int64), ("x", np.float64, (dim,))]
+    usecols = tuple(range(1 + dim))
+    if n_markers:
+        fields.append(("marker", np.int64))
+        usecols += (1 + dim + n_attrs,)
+    last = dim + n_attrs + n_markers  # the last token a record must have
+    if last > usecols[-1]:
+        fields.append(("last", "U1"))  # read only so a short record fails
+        usecols += (last,)
+    rec = _records(node_path, skip, fields, usecols, n_nodes)
+    idx = None if rec is None else _positions(rec["id"], n_nodes)
+    if idx is None:
+        _raise_node_record_error(node_path, n_nodes, dim, n_attrs, n_markers)
+    base = int(rec["id"][0]) if n_nodes else 0
     coords = np.empty((n_nodes, dim))
-    markers = np.zeros(n_nodes, dtype=int)
-    base = None
-    for k in range(n_nodes):
-        lineno, tokens = records[k]
-        if len(tokens) < 1 + dim + n_attrs + n_markers:
-            raise ParseError(f"{node_path}:{lineno}: short node record", line=lineno)
-        try:
-            nid = int(tokens[0])
-            vals = [float(t) for t in tokens[1 : 1 + dim]]
-            marker = int(tokens[1 + dim + n_attrs]) if n_markers else 0
-        except ValueError:
-            raise ParseError(f"{node_path}:{lineno}: malformed node record", line=lineno)
-        if base is None:
-            base = nid  # autodetect 0- vs 1-based ids from the first record
-        idx = nid - base
-        if not (0 <= idx < n_nodes):
-            raise BadIndexError(f"{node_path}:{lineno}: node id {nid} out of range")
-        coords[idx] = vals
-        markers[idx] = marker
+    coords[idx] = rec["x"]
+    markers = np.zeros(n_nodes, dtype=np.int64)
+    if n_markers:
+        markers[idx] = rec["marker"]
 
-    ele_lines = _data_lines(ele_path)
-    n_ele, nodes_per = _parse_header(ele_path, ele_lines, 2)[:2]
+    skip, header = _parse_header(ele_path, 2)
+    n_ele, nodes_per = header[:2]
     if nodes_per != dim + 1:
         raise ParseError(
             f"{ele_path}: expected {dim + 1} nodes per element, got {nodes_per}"
         )
-    records = ele_lines[1:]
-    if len(records) < n_ele:
-        raise ParseError(f"{ele_path}: expected {n_ele} element records")
-    elements = np.empty((n_ele, nodes_per), dtype=np.int64)
-    for k in range(n_ele):
-        lineno, tokens = records[k]
-        if len(tokens) < 1 + nodes_per:
-            raise ParseError(f"{ele_path}:{lineno}: short element record", line=lineno)
-        try:
-            ids = [int(t) for t in tokens[1 : 1 + nodes_per]]
-        except ValueError:
-            raise ParseError(f"{ele_path}:{lineno}: malformed element record", line=lineno)
-        for nid in ids:
-            if not (0 <= nid - base < n_nodes):
-                raise BadIndexError(
-                    f"{ele_path}:{lineno}: node id {nid} out of range", line=lineno
-                )
-        elements[k] = [nid - base for nid in ids]
+    rec = _records(
+        ele_path, skip, [("ids", np.int64, (nodes_per,))],
+        tuple(range(1, 1 + nodes_per)), n_ele,
+    )
+    if rec is not None:
+        elements, ok = _offsets(rec["ids"], base, n_nodes)
+    if rec is None or not ok.all():
+        _raise_element_record_error(ele_path, n_ele, nodes_per, n_nodes, base)
 
     if n_markers:
         boundary = np.flatnonzero(markers != 0)
@@ -103,8 +137,6 @@ def read_mesh(node_path, ele_path, reorient=True):
         meas = signed_measures(mesh)
         flipped = np.flatnonzero(meas < 0.0)
         if len(flipped):
-            import warnings
-
             warnings.warn(
                 f"reoriented {len(flipped)} negatively oriented elements",
                 stacklevel=2,
@@ -116,6 +148,57 @@ def read_mesh(node_path, ele_path, reorient=True):
             )
             mesh = Mesh(coords, elements, boundary)
     return mesh
+
+
+def _raise_node_record_error(path, n_nodes, dim, n_attrs, n_markers):
+    """Walk the node records of ``path`` line by line and raise the coded
+    error of the first bad one; only called once the one-call parse failed."""
+    records = _data_lines(path)[1:]
+    if len(records) < n_nodes:
+        raise ParseError(f"{path}: expected {n_nodes} node records")
+    seen = np.zeros(n_nodes, dtype=bool)
+    base = None
+    for lineno, tokens in records[:n_nodes]:
+        if len(tokens) < 1 + dim + n_attrs + n_markers:
+            raise ParseError(f"{path}:{lineno}: short node record", line=lineno)
+        try:
+            nid = int(tokens[0])
+            [float(t) for t in tokens[1 : 1 + dim]]
+            if n_markers:
+                int(tokens[1 + dim + n_attrs])
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: malformed node record", line=lineno)
+        if base is None:
+            base = nid  # autodetect 0- vs 1-based ids from the first record
+        idx = nid - base
+        if not (0 <= idx < n_nodes):
+            raise BadIndexError(
+                f"{path}:{lineno}: node id {nid} out of range", line=lineno
+            )
+        if seen[idx]:
+            raise BadIndexError(f"{path}:{lineno}: node id {nid} repeated", line=lineno)
+        seen[idx] = True
+    raise ParseError(f"{path}: unreadable node records")
+
+
+def _raise_element_record_error(path, n_ele, nodes_per, n_nodes, base):
+    """Element-file counterpart of :func:`_raise_node_record_error`."""
+    records = _data_lines(path)[1:]
+    if len(records) < n_ele:
+        raise ParseError(f"{path}: expected {n_ele} element records")
+    for lineno, tokens in records[:n_ele]:
+        if len(tokens) < 1 + nodes_per:
+            raise ParseError(f"{path}:{lineno}: short element record", line=lineno)
+        try:
+            ids = [int(t) for t in tokens[1 : 1 + nodes_per]]
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: malformed element record", line=lineno)
+        for nid in ids:
+            if not (0 <= nid - base < n_nodes):
+                raise BadIndexError(
+                    f"{path}:{lineno}: node id {nid} out of range", line=lineno
+                )
+    raise ParseError(f"{path}: unreadable element records")
 
 
 def _infer_boundary(elements, dim):
@@ -131,16 +214,22 @@ def write_mesh(mesh, node_path, ele_path):
     round-trip float formatting, boundary markers)."""
     if mesh.n_nodes == 0 or mesh.n_elements == 0:
         raise ParseError("refusing to write an empty mesh")
+    d = mesh.dim
+    # %r of a Python float is its shortest round-trip repr
+    nodes = zip(
+        range(mesh.n_nodes), *mesh.coords.T.tolist(), mesh.boundary.astype(int).tolist()
+    )
     with open(node_path, "w") as fh:
-        fh.write(f"{mesh.n_nodes} {mesh.dim} 0 1\n")
-        for nid in range(mesh.n_nodes):
-            xyz = " ".join(repr(float(v)) for v in mesh.coords[nid])
-            fh.write(f"{nid} {xyz} {1 if mesh.boundary[nid] else 0}\n")
+        fh.write(
+            f"{mesh.n_nodes} {d} 0 1\n"
+            + "".join(map(("%d" + " %r" * d + " %d\n").__mod__, nodes))
+        )
+    elements = zip(range(mesh.n_elements), *mesh.elements.T.tolist())
     with open(ele_path, "w") as fh:
-        fh.write(f"{mesh.n_elements} {mesh.dim + 1} 0\n")
-        for eid in range(mesh.n_elements):
-            ids = " ".join(str(int(v)) for v in mesh.elements[eid])
-            fh.write(f"{eid} {ids}\n")
+        fh.write(
+            f"{mesh.n_elements} {d + 1} 0\n"
+            + "".join(map(("%d" + " %d" * (d + 1) + "\n").__mod__, elements))
+        )
 
 
 def read_spec(path):
@@ -190,31 +279,39 @@ def read_boundary_frame(mesh, node_path):
     """Boundary coordinates for ``mesh`` from another .node file.
 
     Only boundary rows are consulted; ids must match the mesh numbering
-    (same base detection as read_mesh).
+    (same base detection as read_mesh).  Every record is read, and a
+    repeated id takes its last record.
     """
-    lines = _data_lines(node_path)
-    n_nodes, dim = _parse_header(node_path, lines, 2)[:2]
+    skip, header = _parse_header(node_path, 2)
+    dim = header[1]
     if dim != mesh.dim:
         raise ParseError(f"{node_path}: frame dimension {dim} != mesh dim {mesh.dim}")
-    records = lines[1:]
-    if not records:
+    rec = _records(
+        node_path, skip, [("id", np.int64), ("x", np.float64, (dim,))],
+        tuple(range(1 + dim)),
+    )
+    if rec is None:
+        _raise_frame_record_error(node_path, dim)
+    if not len(rec):
         raise ParseError(f"{node_path}: no node records")
-    coords = {}
-    base = None
-    for lineno, tokens in records:
+    idx, ok = _offsets(rec["id"], int(rec["id"][0]), mesh.n_nodes)
+    last = np.full(mesh.n_nodes, -1)
+    np.maximum.at(last, idx[ok], np.flatnonzero(ok))
+    rows = last[mesh.boundary_ids]
+    if (rows < 0).any():
+        nid = mesh.boundary_ids[np.argmax(rows < 0)]
+        raise BadIndexError(f"{node_path}: missing boundary node {nid}")
+    return rec["x"][rows]
+
+
+def _raise_frame_record_error(path, dim):
+    """Frame-file counterpart of :func:`_raise_node_record_error`."""
+    for lineno, tokens in _data_lines(path)[1:]:
         if len(tokens) < 1 + dim:
-            raise ParseError(f"{node_path}:{lineno}: short node record", line=lineno)
+            raise ParseError(f"{path}:{lineno}: short node record", line=lineno)
         try:
-            nid = int(tokens[0])
-            vals = [float(t) for t in tokens[1 : 1 + dim]]
+            int(tokens[0])
+            [float(t) for t in tokens[1 : 1 + dim]]
         except ValueError:
-            raise ParseError(f"{node_path}:{lineno}: malformed node record", line=lineno)
-        if base is None:
-            base = nid
-        coords[nid - base] = vals
-    out = np.empty((len(mesh.boundary_ids), mesh.dim))
-    for row, nid in enumerate(mesh.boundary_ids):
-        if int(nid) not in coords:
-            raise BadIndexError(f"{node_path}: missing boundary node {nid}")
-        out[row] = coords[int(nid)]
-    return out
+            raise ParseError(f"{path}:{lineno}: malformed node record", line=lineno)
+    raise ParseError(f"{path}: unreadable node records")

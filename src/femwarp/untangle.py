@@ -190,6 +190,7 @@ def hybrid_warp(mesh, weights, target_boundary, max_sweeps=50):
     warped, report = femwarp_step(mesh, weights, target_boundary)
     if report.success:
         return warped, report
-    fixed, _, _ = untangle(warped, max_sweeps=max_sweeps)
-    nrev = count_reversals(fixed)[0]
+    fixed, _, outcome = untangle(warped, max_sweeps=max_sweeps)
+    # untangle's exit check has just counted a SUCCESS mesh's reversals: 0
+    nrev = 0 if outcome == "SUCCESS" else count_reversals(fixed)[0]
     return fixed, warp_report(fixed, nrev, report.n_factorizations, report.steps)

@@ -215,3 +215,53 @@ def bumped_measure_coeffs(sub):
         bumped[idx, sub.free_slots, j] += 1.0
         grads[:, j] = [simplex_measure(p) for p in bumped] - base
     return grads, base - grads @ sub.position
+
+
+def barrier_node_weights(center, nbr_coords, tol=1e-10, max_iter=100):
+    """Solve max sum(log w) s.t. sum w = 1, sum w*(x_j - x_i) = 0, one node.
+
+    Damped Newton on the dual: w_j = 1 / (C^T lam)_j with C the constraint
+    matrix; initialized at uniform weights.  Returns None when the iteration
+    cannot reach the KKT tolerance.
+    """
+    n = len(nbr_coords)
+    rel = nbr_coords - center
+    c = np.vstack([np.ones(n), rel.T])  # (d+1, n)
+    target = np.zeros(c.shape[0])
+    target[0] = 1.0
+    lam = np.zeros(c.shape[0])
+    lam[0] = n  # yields uniform w = 1/n
+    for _ in range(max_iter):
+        s = c.T @ lam
+        if np.min(s) <= 0.0:
+            return None
+        w = 1.0 / s
+        g = c @ w - target
+        if np.abs(g).max() <= tol:
+            return w
+        jac = -(c * w**2) @ c.T
+        try:
+            step = np.linalg.solve(jac, -g)
+        except np.linalg.LinAlgError:
+            return None
+        alpha = 1.0
+        while np.min(c.T @ (lam + alpha * step)) <= 0.0:
+            alpha *= 0.5
+            if alpha < 1e-14:
+                return None
+        lam = lam + alpha * step
+    return None
+
+
+def write_mesh_by_line(mesh, node_path, ele_path):
+    """.node/.ele writer formatting one record at a time with repr(float)."""
+    with open(node_path, "w") as fh:
+        fh.write(f"{mesh.n_nodes} {mesh.dim} 0 1\n")
+        for nid in range(mesh.n_nodes):
+            xyz = " ".join(repr(float(v)) for v in mesh.coords[nid])
+            fh.write(f"{nid} {xyz} {1 if mesh.boundary[nid] else 0}\n")
+    with open(ele_path, "w") as fh:
+        fh.write(f"{mesh.n_elements} {mesh.dim + 1} 0\n")
+        for eid in range(mesh.n_elements):
+            ids = " ".join(str(int(v)) for v in mesh.elements[eid])
+            fh.write(f"{eid} {ids}\n")

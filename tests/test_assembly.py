@@ -6,6 +6,7 @@ import pytest
 from femwarp import Mesh, gen_annulus, gen_box_tets, gen_rectangle
 from femwarp.assembly import (
     Topology,
+    _solve_stack,
     assemble_stiffness,
     build_weights,
     local_stiffness,
@@ -17,11 +18,13 @@ from femwarp.errors import (
     DegenerateElementError,
     NodeNotInteriorError,
     NoInteriorError,
+    SingularSystemError,
 )
 from femwarp.solve import factor
 
 from oracles import (
     assembled_blocks,
+    barrier_node_weights,
     barrier_weights_dplus1,
     cotangent_stiffness,
     inverse_stiffness,
@@ -326,3 +329,90 @@ class TestTopology:
             mesh = Mesh(UNIT_RIGHT, np.array([[0, 1, bad]]), [0, 1])
             with pytest.raises(BadIndexError):
                 Topology(mesh)
+
+
+def split_one_triangle(mesh):
+    """``mesh`` with its first all-interior triangle split at its centroid:
+    the new node has degree 3 and its three corners gain one neighbor."""
+    inner = ~mesh.boundary[mesh.elements].any(axis=1)
+    e = int(np.flatnonzero(inner)[0])
+    a, b, c = mesh.elements[e]
+    new = mesh.n_nodes
+    coords = np.vstack([mesh.coords, mesh.coords[[a, b, c]].mean(axis=0)])
+    elements = np.vstack(
+        [np.delete(mesh.elements, e, axis=0), [[a, b, new], [b, c, new], [c, a, new]]]
+    )
+    return Mesh(coords, elements, mesh.boundary_ids)
+
+
+class TestBatchedBarrier:
+    """The degree-batched Newton against the one-node-at-a-time loop."""
+
+    @pytest.mark.parametrize(
+        "mesh, degrees",
+        [
+            (jittered(gen_box_tets(5, 5, 5), 11), [14]),
+            (jittered(gen_annulus(0.5, 6, 24), 12), [6]),
+            (split_one_triangle(jittered(gen_annulus(0.5, 6, 24), 13)), [3, 6, 7]),
+        ],
+        ids=["box", "annulus", "mixed_degree"],
+    )
+    def test_matches_oracle_loop(self, mesh, degrees):
+        topology = Topology(mesh)
+        rows = [
+            barrier_node_weights(mesh.coords[i], mesh.coords[topology.neighbors(i)])
+            for i in topology.interior_ids
+        ]
+        assert sorted({len(r) for r in rows}) == degrees
+        expected = topology.row_system(np.concatenate(rows), "LOG_BARRIER")
+        got = log_barrier_weights(mesh, topology=topology)
+        for a, b in ((got.a_ii, expected.a_ii), (got.a_ib, expected.a_ib)):
+            assert np.array_equal(a.indices, b.indices)
+            assert np.abs(a.data - b.data).max() <= 1e-12 * np.abs(b.data).max()
+
+    def test_row_keeps_its_first_converged_iterate(self):
+        # at a coarse tolerance, rows stop at different iterations and
+        # further Newton steps would still move their weights
+        mesh = split_one_triangle(jittered(gen_annulus(0.5, 6, 24), 13))
+        topology = Topology(mesh)
+        rows = [
+            barrier_node_weights(
+                mesh.coords[i], mesh.coords[topology.neighbors(i)], tol=1e-3
+            )
+            for i in topology.interior_ids
+        ]
+        expected = topology.row_system(np.concatenate(rows), "LOG_BARRIER")
+        got = log_barrier_weights(mesh, tol=1e-3, topology=topology)
+        tight = log_barrier_weights(mesh, topology=topology)
+        assert np.abs(got.a_ib.data - tight.a_ib.data).max() > 1e-6
+        for a, b in ((got.a_ii, expected.a_ii), (got.a_ib, expected.a_ib)):
+            assert np.abs(a.data - b.data).max() <= 1e-12 * np.abs(b.data).max()
+
+    @staticmethod
+    def grid_with_pushed(nodes):
+        """An 11x6 grid whose ``nodes`` are pushed past their right neighbor,
+        out of their neighbors' hull."""
+        mesh = gen_rectangle(1.0, 0.5, 11, 6)
+        coords = np.array(mesh.coords)
+        coords[nodes, 0] += 0.25
+        return mesh.with_coords(coords)
+
+    def test_lowest_failing_node_is_named(self):
+        low, high = 13, 42
+        assert not (self.grid_with_pushed([low, high]).boundary[[low, high]]).any()
+        for pushed, named in (([high], high), ([low, high], low), ([high, low], low)):
+            with pytest.raises(NodeNotInteriorError) as err:
+                log_barrier_weights(self.grid_with_pushed(pushed))
+            assert err.value.context["node"] == named
+
+    def test_never_converging_is_singular_at_first_interior_node(self, annulus_coarse):
+        with pytest.raises(SingularSystemError) as err:
+            log_barrier_weights(annulus_coarse, tol=-1.0)
+        assert err.value.context["node"] == annulus_coarse.interior_ids[0]
+
+    def test_singular_matrix_fails_only_its_row(self):
+        a = np.array([np.eye(3), np.ones((3, 3)), 2.0 * np.eye(3)])
+        b = np.arange(9.0).reshape(3, 3)
+        x, singular = _solve_stack(a, b)
+        assert singular.tolist() == [False, True, False]
+        assert np.array_equal(x[[0, 2]], [b[0], b[2] / 2.0])

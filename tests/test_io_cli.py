@@ -1,12 +1,20 @@
 """Triangle/TetGen file parsing, spec parsing and the CLI drivers."""
 
+import os
+import tempfile
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from femwarp import Mesh, gen_annulus, gen_box_tets
 from femwarp import io
 from femwarp.cli import _param_grid, main
 from femwarp.errors import BadIndexError, InvalidSpecError, ParseError
+
+from oracles import write_mesh_by_line
 
 SINGLE_NODE = """\
 3 2 0 1
@@ -87,7 +95,142 @@ class TestReadMesh:
         assert count_reversals(mesh)[0] == 0
 
 
+# a 4-node square cut into two triangles, 1-based, written every way the
+# format allows: comments, blank lines, trailing tokens, attribute columns
+# and records out of order (the first record carries the base id)
+MESSY_NODE = """\
+# square with one interior-free diagonal
+
+4 2 2 1   # nodes, dim, attributes, markers
+1 0.0 0.0   7.5 x   1 trailing tokens
+# a comment between records
+3 1.0 1.0 0 0 1
+
+4\t0.0\t1.0 0 0 0    # a tab-separated record
+2 1.0 0.0 0 0 1 # and a trailing comment
+"""
+MESSY_ELE = """\
+# elements
+2 3 1
+  1 1 2 3 9
+2 1 3 4 9   extra
+"""
+MESSY_MESH = Mesh(
+    [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]], [[0, 1, 2], [0, 2, 3]], [0, 1, 2]
+)
+
+
+def assert_same_mesh(a, b):
+    assert np.array_equal(a.coords.view(np.int64), b.coords.view(np.int64))
+    assert np.array_equal(a.elements, b.elements)
+    assert np.array_equal(a.boundary, b.boundary)
+
+
+class TestReadMeshRecords:
+    def test_messy_files_read_as_clean(self, tmp_path):
+        node, ele = write_pair(tmp_path, MESSY_NODE, MESSY_ELE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # comment-only lines warn nothing
+            assert_same_mesh(io.read_mesh(node, ele), MESSY_MESH)
+
+    def test_trailing_records_ignored(self, tmp_path):
+        node, ele = write_pair(
+            tmp_path, SINGLE_NODE + "3 not a record\n", SINGLE_ELE + "junk\n"
+        )
+        assert io.read_mesh(node, ele).n_nodes == 3
+
+    @pytest.mark.parametrize(
+        "node_text, ele_text, cls, where",
+        [
+            (MESSY_NODE.replace("3 1.0 1.0", "3 1.0 1.x"), MESSY_ELE, ParseError, "node:6"),
+            (MESSY_NODE.replace("3 1.0 1.0 0 0 1", "3 1.0 1.0 0 0"), MESSY_ELE,
+             ParseError, "node:6"),
+            (MESSY_NODE.replace("3 1.0 1.0", "5 1.0 1.0"), MESSY_ELE, BadIndexError, "node:6"),
+            ("4 2 1 0\n# no markers\n1 0.0 0.0 5\n2 1.0 0.0\n3 1.0 1.0 5\n4 0.0 1.0 5\n",
+             MESSY_ELE, ParseError, "node:4"),
+            (MESSY_NODE, MESSY_ELE.replace("2 1 3 4", "2 1 3 x"), ParseError, "ele:4"),
+            (MESSY_NODE, MESSY_ELE.replace("2 1 3 4", "2 1 3 0"), BadIndexError, "ele:4"),
+        ],
+        ids=[
+            "bad_float",
+            "short_node",
+            "node_id_range",
+            "short_attributes",
+            "bad_int",
+            "element_id_range",
+        ],
+    )
+    def test_mid_file_error_names_its_line(self, tmp_path, node_text, ele_text, cls, where):
+        node, ele = write_pair(tmp_path, node_text, ele_text)
+        with pytest.raises(cls) as err:
+            io.read_mesh(node, ele)
+        assert err.value.context["line"] == int(where.split(":")[1])
+        assert f".{where}:" in str(err.value)
+
+    def test_repeated_node_id_rejected(self, tmp_path):
+        # ids 0 1 1 3: node 2 would be left unset
+        node_text = "4 2 0 1\n0 0.0 0.0 1\n1 1.0 0.0 1\n1 1.0 1.0 1\n3 0.0 1.0 1\n"
+        node, ele = write_pair(tmp_path, node_text, "1 3 0\n0 0 1 3\n")
+        with pytest.raises(BadIndexError) as err:
+            io.read_mesh(node, ele)
+        assert err.value.context["line"] == 4
+        assert "repeated" in str(err.value)
+
+    def test_frame_reads_any_record_order(self, tmp_path):
+        node, ele = write_pair(tmp_path, MESSY_NODE, MESSY_ELE)
+        mesh = io.read_mesh(node, ele)
+        frame = tmp_path / "f.node"
+        frame.write_text("# frame\n4 2 0 0\n\n1 0 0\n4 9 9\n3 2 2 # c\n2 2 0\n1 -1 -1\n")
+        # a repeated id takes its last record
+        assert np.array_equal(
+            io.read_boundary_frame(mesh, str(frame)), [[-1.0, -1.0], [2.0, 0.0], [2.0, 2.0]]
+        )
+
+
+def random_mesh(draw, dim):
+    n = draw(st.integers(dim + 1, 12))
+    coords = draw(
+        st.lists(
+            st.floats(allow_nan=False, allow_infinity=False, width=64),
+            min_size=n * dim,
+            max_size=n * dim,
+        )
+    )
+    ne = draw(st.integers(1, 6))
+    elements = draw(
+        st.lists(st.integers(0, n - 1), min_size=ne * (dim + 1), max_size=ne * (dim + 1))
+    )
+    boundary = draw(st.sets(st.integers(0, n - 1)))
+    return Mesh(
+        np.reshape(coords, (n, dim)), np.reshape(elements, (ne, dim + 1)), sorted(boundary)
+    )
+
+
+@st.composite
+def meshes(draw):
+    return random_mesh(draw, draw(st.sampled_from([2, 3])))
+
+
 class TestWriteMesh:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(mesh=meshes())
+    def test_round_trip_property(self, mesh):
+        with tempfile.TemporaryDirectory() as tmp:
+            node, ele = os.path.join(tmp, "m.node"), os.path.join(tmp, "m.ele")
+            io.write_mesh(mesh, node, ele)
+            assert_same_mesh(io.read_mesh(node, ele, reorient=False), mesh)
+
+    @pytest.mark.parametrize("mesh", [gen_annulus(0.5, 4, 16), gen_box_tets(3, 4, 3)],
+                             ids=["annulus", "box"])
+    def test_bytes_match_line_writer(self, tmp_path, rng, mesh):
+        coords = mesh.coords + rng.normal(0.0, 1e-3, size=mesh.coords.shape)
+        coords[:3, 0] = [-0.0, 5e-324, 1.2345678901234567e22]
+        mesh = mesh.with_coords(coords)
+        io.write_mesh(mesh, str(tmp_path / "a.node"), str(tmp_path / "a.ele"))
+        write_mesh_by_line(mesh, str(tmp_path / "b.node"), str(tmp_path / "b.ele"))
+        for ext in ("node", "ele"):
+            assert (tmp_path / f"a.{ext}").read_bytes() == (tmp_path / f"b.{ext}").read_bytes()
+
     def test_round_trip_2d_bitwise(self, tmp_path, rng):
         mesh = gen_annulus(0.5, 4, 16)
         jitter = rng.uniform(-0.01, 0.01, size=mesh.coords.shape)
@@ -312,6 +455,19 @@ class TestCliErrorContract:
         assert rc == 1
         err = capsys.readouterr().err.strip()
         assert err.startswith(f"error code={code} message=")
+        assert "\n" not in err
+
+    def test_repeated_node_id(self, tmp_path, capsys):
+        base = str(tmp_path / "dup")
+        write_pair(
+            tmp_path,
+            "4 2 0 1\n0 0.0 0.0 1\n1 1.0 0.0 1\n1 1.0 1.0 1\n3 0.0 1.0 1\n",
+            "1 3 0\n0 0 1 3\n",
+            base="dup",
+        )
+        assert main(["quality", "--mesh", base]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error code=BAD_INDEX message=")
         assert "\n" not in err
 
     def test_malformed_frame_token(self, tmp_path, annulus_on_disk, capsys):

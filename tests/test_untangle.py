@@ -1,5 +1,6 @@
 """Maximin LP repositioning, sweeps, and the warp/untangle hybrid."""
 
+from importlib import import_module
 from itertools import combinations
 
 import numpy as np
@@ -31,6 +32,9 @@ from femwarp.untangle import (
 from femwarp.warp import AffineMotion
 
 from oracles import bumped_measure_coeffs, grid_maximin, tri_measures
+
+# the package re-exports the function untangle under the submodule's name
+untangle_module = import_module("femwarp.untangle")
 
 
 def square_cavity(free_pos):
@@ -261,6 +265,25 @@ class TestHybrid:
         fixed, hrep = hybrid_warp(annulus_coarse, w, target)
         assert hrep.success and hrep.n_factorizations == 1
         assert hrep.quality == quality_report(fixed)
+
+    def test_success_is_not_recounted(self, annulus_coarse, monkeypatch):
+        w = build_weights(annulus_coarse, "FEM")
+        motion = annulus_rotation_motion(annulus_coarse, 0.0, np.deg2rad(90.0))
+        target = motion.evaluate(1.0)
+        warped, _ = femwarp_step(annulus_coarse, w, target)
+        _, sweeps, outcome = untangle(warped)
+        assert outcome == "SUCCESS" and sweeps > 0
+        calls = []
+
+        def counting(mesh):
+            calls.append(1)
+            return count_reversals(mesh)
+
+        monkeypatch.setattr(untangle_module, "count_reversals", counting)
+        _, hrep = hybrid_warp(annulus_coarse, w, target)
+        # one exit check before each sweep and one after the last
+        assert hrep.success and hrep.reversals == 0
+        assert len(calls) == sweeps + 1
 
     def test_reports_failure_honestly(self, annulus_coarse):
         w = build_weights(annulus_coarse, "FEM")
