@@ -10,13 +10,13 @@ from .mesh import Mesh, count_reversals, signed_measures
 
 
 def _data_lines(path):
-    """(line_number, tokens) for non-comment, non-blank lines."""
+    """(line_number, text) for non-comment, non-blank lines, comments cut."""
     out = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if line:
-                out.append((lineno, line.split()))
+                out.append((lineno, line))
     return out
 
 
@@ -42,8 +42,8 @@ def _parse_header(path, expected_fields):
 
 def _records(path, skip, dtype, usecols, n=None):
     """The first ``n`` data records (all when None) after line ``skip`` of
-    ``path``, parsed in one call; None when a record cannot be parsed or
-    fewer than ``n`` exist."""
+    ``path`` (a file name or a list of lines), parsed in one call; None when
+    a record cannot be parsed or fewer than ``n`` exist."""
     dtype = np.dtype(dtype)
     if n == 0:
         return np.zeros(0, dtype)
@@ -51,6 +51,8 @@ def _records(path, skip, dtype, usecols, n=None):
         with warnings.catch_warnings():
             # comment-only lines and an empty block are not errors here
             warnings.simplefilter("ignore", UserWarning)
+            # older numpy only warns when it truncates "1.7" to an integer
+            warnings.simplefilter("error", DeprecationWarning)
             rec = np.loadtxt(
                 path, dtype=dtype, comments="#", usecols=usecols,
                 skiprows=skip, max_rows=n, ndmin=1,
@@ -58,6 +60,17 @@ def _records(path, skip, dtype, usecols, n=None):
     except (ValueError, OverflowError):
         return None
     return None if n is not None and len(rec) != n else rec
+
+
+def _record(path, lineno, line, dtype, usecols, kind):
+    """The one record on ``line`` as :func:`_records` parses it, or the
+    coded error of a short or malformed ``kind`` record."""
+    if len(line.split()) <= usecols[-1]:
+        raise ParseError(f"{path}:{lineno}: short {kind} record", line=lineno)
+    rec = _records([line], 0, dtype, usecols, 1)
+    if rec is None:
+        raise ParseError(f"{path}:{lineno}: malformed {kind} record", line=lineno)
+    return rec[0]
 
 
 def _offsets(ids, base, n):
@@ -105,7 +118,7 @@ def read_mesh(node_path, ele_path, reorient=True):
     rec = _records(node_path, skip, fields, usecols, n_nodes)
     idx = None if rec is None else _positions(rec["id"], n_nodes)
     if idx is None:
-        _raise_node_record_error(node_path, n_nodes, dim, n_attrs, n_markers)
+        _raise_node_record_error(node_path, n_nodes, fields, usecols)
     base = int(rec["id"][0]) if n_nodes else 0
     coords = np.empty((n_nodes, dim))
     coords[idx] = rec["x"]
@@ -119,14 +132,13 @@ def read_mesh(node_path, ele_path, reorient=True):
         raise ParseError(
             f"{ele_path}: expected {dim + 1} nodes per element, got {nodes_per}"
         )
-    rec = _records(
-        ele_path, skip, [("ids", np.int64, (nodes_per,))],
-        tuple(range(1, 1 + nodes_per)), n_ele,
-    )
+    fields = [("ids", np.int64, (nodes_per,))]
+    usecols = tuple(range(1, 1 + nodes_per))
+    rec = _records(ele_path, skip, fields, usecols, n_ele)
     if rec is not None:
         elements, ok = _offsets(rec["ids"], base, n_nodes)
     if rec is None or not ok.all():
-        _raise_element_record_error(ele_path, n_ele, nodes_per, n_nodes, base)
+        _raise_element_record_error(ele_path, n_ele, fields, usecols, n_nodes, base)
 
     if n_markers:
         boundary = np.flatnonzero(markers != 0)
@@ -150,24 +162,17 @@ def read_mesh(node_path, ele_path, reorient=True):
     return mesh
 
 
-def _raise_node_record_error(path, n_nodes, dim, n_attrs, n_markers):
-    """Walk the node records of ``path`` line by line and raise the coded
-    error of the first bad one; only called once the one-call parse failed."""
+def _raise_node_record_error(path, n_nodes, fields, usecols):
+    """Walk the node records of ``path`` line by line, each parsed as the
+    one-call parse reads it, and raise the coded error of the first bad one;
+    only called once the one-call parse failed."""
     records = _data_lines(path)[1:]
     if len(records) < n_nodes:
         raise ParseError(f"{path}: expected {n_nodes} node records")
     seen = np.zeros(n_nodes, dtype=bool)
     base = None
-    for lineno, tokens in records[:n_nodes]:
-        if len(tokens) < 1 + dim + n_attrs + n_markers:
-            raise ParseError(f"{path}:{lineno}: short node record", line=lineno)
-        try:
-            nid = int(tokens[0])
-            [float(t) for t in tokens[1 : 1 + dim]]
-            if n_markers:
-                int(tokens[1 + dim + n_attrs])
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: malformed node record", line=lineno)
+    for lineno, line in records[:n_nodes]:
+        nid = int(_record(path, lineno, line, fields, usecols, "node")["id"])
         if base is None:
             base = nid  # autodetect 0- vs 1-based ids from the first record
         idx = nid - base
@@ -181,19 +186,14 @@ def _raise_node_record_error(path, n_nodes, dim, n_attrs, n_markers):
     raise ParseError(f"{path}: unreadable node records")
 
 
-def _raise_element_record_error(path, n_ele, nodes_per, n_nodes, base):
+def _raise_element_record_error(path, n_ele, fields, usecols, n_nodes, base):
     """Element-file counterpart of :func:`_raise_node_record_error`."""
     records = _data_lines(path)[1:]
     if len(records) < n_ele:
         raise ParseError(f"{path}: expected {n_ele} element records")
-    for lineno, tokens in records[:n_ele]:
-        if len(tokens) < 1 + nodes_per:
-            raise ParseError(f"{path}:{lineno}: short element record", line=lineno)
-        try:
-            ids = [int(t) for t in tokens[1 : 1 + nodes_per]]
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: malformed element record", line=lineno)
-        for nid in ids:
+    for lineno, line in records[:n_ele]:
+        rec = _record(path, lineno, line, fields, usecols, "element")
+        for nid in rec["ids"].tolist():
             if not (0 <= nid - base < n_nodes):
                 raise BadIndexError(
                     f"{path}:{lineno}: node id {nid} out of range", line=lineno
@@ -286,12 +286,11 @@ def read_boundary_frame(mesh, node_path):
     dim = header[1]
     if dim != mesh.dim:
         raise ParseError(f"{node_path}: frame dimension {dim} != mesh dim {mesh.dim}")
-    rec = _records(
-        node_path, skip, [("id", np.int64), ("x", np.float64, (dim,))],
-        tuple(range(1 + dim)),
-    )
+    fields = [("id", np.int64), ("x", np.float64, (dim,))]
+    usecols = tuple(range(1 + dim))
+    rec = _records(node_path, skip, fields, usecols)
     if rec is None:
-        _raise_frame_record_error(node_path, dim)
+        _raise_frame_record_error(node_path, fields, usecols)
     if not len(rec):
         raise ParseError(f"{node_path}: no node records")
     idx, ok = _offsets(rec["id"], int(rec["id"][0]), mesh.n_nodes)
@@ -304,14 +303,8 @@ def read_boundary_frame(mesh, node_path):
     return rec["x"][rows]
 
 
-def _raise_frame_record_error(path, dim):
+def _raise_frame_record_error(path, fields, usecols):
     """Frame-file counterpart of :func:`_raise_node_record_error`."""
-    for lineno, tokens in _data_lines(path)[1:]:
-        if len(tokens) < 1 + dim:
-            raise ParseError(f"{path}:{lineno}: short node record", line=lineno)
-        try:
-            int(tokens[0])
-            [float(t) for t in tokens[1 : 1 + dim]]
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: malformed node record", line=lineno)
+    for lineno, line in _data_lines(path)[1:]:
+        _record(path, lineno, line, fields, usecols, "node")
     raise ParseError(f"{path}: unreadable node records")

@@ -150,6 +150,15 @@ class TestReadMeshRecords:
              MESSY_ELE, ParseError, "node:4"),
             (MESSY_NODE, MESSY_ELE.replace("2 1 3 4", "2 1 3 x"), ParseError, "ele:4"),
             (MESSY_NODE, MESSY_ELE.replace("2 1 3 4", "2 1 3 0"), BadIndexError, "ele:4"),
+            # an integer field never truncates a decimal
+            (MESSY_NODE.replace("3 1.0 1.0", "3.0 1.0 1.0"), MESSY_ELE, ParseError, "node:6"),
+            (MESSY_NODE.replace("3 1.0 1.0 0 0 1", "3 1.0 1.0 0 0 0.5"), MESSY_ELE,
+             ParseError, "node:6"),
+            (MESSY_NODE, MESSY_ELE.replace("2 1 3 4", "2 1 3.7 4"), ParseError, "ele:4"),
+            # a token numpy's parser refuses names its line, even where
+            # Python's int/float would accept it
+            (MESSY_NODE.replace("3 1.0 1.0", "3 1_0.0 1.0"), MESSY_ELE, ParseError, "node:6"),
+            (MESSY_NODE, MESSY_ELE.replace("2 1 3 4", "2 1 3 4_0"), ParseError, "ele:4"),
         ],
         ids=[
             "bad_float",
@@ -158,6 +167,11 @@ class TestReadMeshRecords:
             "short_attributes",
             "bad_int",
             "element_id_range",
+            "decimal_node_id",
+            "decimal_marker",
+            "decimal_element_id",
+            "underscore_float",
+            "underscore_int",
         ],
     )
     def test_mid_file_error_names_its_line(self, tmp_path, node_text, ele_text, cls, where):
@@ -166,6 +180,16 @@ class TestReadMeshRecords:
             io.read_mesh(node, ele)
         assert err.value.context["line"] == int(where.split(":")[1])
         assert f".{where}:" in str(err.value)
+
+    @pytest.mark.parametrize("record", ["3 2.0", "3.0 2.0 2.0", "3 2_0 2.0"])
+    def test_frame_error_names_its_line(self, tmp_path, record):
+        node, ele = write_pair(tmp_path, MESSY_NODE, MESSY_ELE)
+        mesh = io.read_mesh(node, ele)
+        frame = tmp_path / "f.node"
+        frame.write_text(f"4 2 0 0\n1 0 0\n2 2 0\n{record}\n4 0 1\n")
+        with pytest.raises(ParseError) as err:
+            io.read_boundary_frame(mesh, str(frame))
+        assert err.value.context["line"] == 4
 
     def test_repeated_node_id_rejected(self, tmp_path):
         # ids 0 1 1 3: node 2 would be left unset
