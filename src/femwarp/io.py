@@ -81,11 +81,11 @@ def _offsets(ids, base, n):
 
 
 def _positions(ids, n):
-    """Row of each of ``n`` records, ``ids - ids[0]``, or None unless that
-    is a permutation of 0..n-1."""
+    """Row of each of ``n`` records, ``ids - ids.min()``, or None unless
+    that is a permutation of 0..n-1."""
     if not n:
         return ids
-    idx, ok = _offsets(ids, ids[0], n)
+    idx, ok = _offsets(ids, ids.min(), n)
     hit = np.zeros(n, dtype=bool)
     hit[idx[ok]] = True
     return idx if hit.all() else None
@@ -97,9 +97,9 @@ def read_mesh(node_path, ele_path, reorient=True):
     A nonzero trailing marker in the .node file marks a boundary node; if
     the file carries no markers, boundary nodes are inferred as those on
     faces belonging to exactly one element.  Node records may come in any
-    order, but their ids must be a permutation of ``base .. base + n - 1``;
-    1-based ids are detected from the first node record and shifted to
-    0-based.  Negatively oriented elements are reoriented with a warning
+    order, but their ids must be a permutation of ``base .. base + n - 1``,
+    where ``base`` is the smallest id (0 or 1 in practice); ids are shifted
+    to 0-based.  Negatively oriented elements are reoriented with a warning
     unless ``reorient`` is False.
     """
     skip, header = _parse_header(node_path, 4)
@@ -119,7 +119,7 @@ def read_mesh(node_path, ele_path, reorient=True):
     idx = None if rec is None else _positions(rec["id"], n_nodes)
     if idx is None:
         _raise_node_record_error(node_path, n_nodes, fields, usecols)
-    base = int(rec["id"][0]) if n_nodes else 0
+    base = int(rec["id"].min()) if n_nodes else 0
     coords = np.empty((n_nodes, dim))
     coords[idx] = rec["x"]
     markers = np.zeros(n_nodes, dtype=np.int64)
@@ -169,12 +169,13 @@ def _raise_node_record_error(path, n_nodes, fields, usecols):
     records = _data_lines(path)[1:]
     if len(records) < n_nodes:
         raise ParseError(f"{path}: expected {n_nodes} node records")
+    ids = [
+        int(_record(path, lineno, line, fields, usecols, "node")["id"])
+        for lineno, line in records[:n_nodes]
+    ]
+    base = min(ids)  # 0- or 1-based, as read_mesh detects it
     seen = np.zeros(n_nodes, dtype=bool)
-    base = None
-    for lineno, line in records[:n_nodes]:
-        nid = int(_record(path, lineno, line, fields, usecols, "node")["id"])
-        if base is None:
-            base = nid  # autodetect 0- vs 1-based ids from the first record
+    for (lineno, _), nid in zip(records, ids):
         idx = nid - base
         if not (0 <= idx < n_nodes):
             raise BadIndexError(
@@ -279,8 +280,8 @@ def read_boundary_frame(mesh, node_path):
     """Boundary coordinates for ``mesh`` from another .node file.
 
     Only boundary rows are consulted; ids must match the mesh numbering
-    (same base detection as read_mesh).  Every record is read, and a
-    repeated id takes its last record.
+    (same base detection as read_mesh: the smallest id is the base).  Every
+    record is read, and a repeated id is a BAD_INDEX naming its line.
     """
     skip, header = _parse_header(node_path, 2)
     dim = header[1]
@@ -289,14 +290,14 @@ def read_boundary_frame(mesh, node_path):
     fields = [("id", np.int64), ("x", np.float64, (dim,))]
     usecols = tuple(range(1 + dim))
     rec = _records(node_path, skip, fields, usecols)
-    if rec is None:
+    if rec is None or len(np.unique(rec["id"])) != len(rec):
         _raise_frame_record_error(node_path, fields, usecols)
     if not len(rec):
         raise ParseError(f"{node_path}: no node records")
-    idx, ok = _offsets(rec["id"], int(rec["id"][0]), mesh.n_nodes)
-    last = np.full(mesh.n_nodes, -1)
-    np.maximum.at(last, idx[ok], np.flatnonzero(ok))
-    rows = last[mesh.boundary_ids]
+    idx, ok = _offsets(rec["id"], rec["id"].min(), mesh.n_nodes)
+    row = np.full(mesh.n_nodes, -1)
+    row[idx[ok]] = np.flatnonzero(ok)
+    rows = row[mesh.boundary_ids]
     if (rows < 0).any():
         nid = mesh.boundary_ids[np.argmax(rows < 0)]
         raise BadIndexError(f"{node_path}: missing boundary node {nid}")
@@ -305,6 +306,10 @@ def read_boundary_frame(mesh, node_path):
 
 def _raise_frame_record_error(path, fields, usecols):
     """Frame-file counterpart of :func:`_raise_node_record_error`."""
+    seen = set()
     for lineno, line in _data_lines(path)[1:]:
-        _record(path, lineno, line, fields, usecols, "node")
+        nid = int(_record(path, lineno, line, fields, usecols, "node")["id"])
+        if nid in seen:
+            raise BadIndexError(f"{path}:{lineno}: node id {nid} repeated", line=lineno)
+        seen.add(nid)
     raise ParseError(f"{path}: unreadable node records")

@@ -1,12 +1,18 @@
 """Maximin mesh untangler and the warp/untangle hybrid.
 
 Each interior vertex is repositioned at the point maximizing the minimum
-signed measure of its incident elements.  The measure of each incident
-element is affine in the free vertex, so the reposition is a tiny linear
-program solved by a dense simplex with Bland's rule.
+signed measure of its incident elements (Freitag & Plassmann, IJNME 2000).
+The measure of each incident element is affine in the free vertex, so the
+reposition is a tiny linear program.  In 2D it is solved exactly from its
+dual: the optimal basis is a triple of measure gradients whose triangle
+holds the origin, and the primal point it yields is accepted only with a
+weak-duality certificate.  Every other case (3D, an LP that only the
+feasibility box bounds, a failed certificate) goes to a dense simplex with
+Bland's rule.
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -34,32 +40,33 @@ class LocalSubmesh:
 
 
 def local_submesh(mesh, vertex_id, incident_eids):
-    return _submesh_from_arrays(
-        mesh.coords, mesh.elements, vertex_id, np.asarray(incident_eids)
-    )
+    nodes, slots = _cavity(mesh.elements, vertex_id, np.asarray(incident_eids))
+    return _gather(mesh.coords, vertex_id, nodes, slots)
 
 
-def _submesh_from_arrays(coords, element_array, vertex_id, eids):
-    nodes = element_array[eids]  # (n, d+1)
+def _cavity(element_array, vertex_id, eids):
+    """Node ids (n, d+1) of the elements ``eids`` around ``vertex_id`` and
+    the vertex's slot in each."""
+    nodes = element_array[eids]
     rows, slots = np.nonzero(nodes == vertex_id)
-    order = np.argsort(rows)
-    return LocalSubmesh(
-        int(vertex_id),
-        np.array(coords[vertex_id]),
-        np.array(coords[nodes]),
-        slots[order],
-    )
+    return nodes, slots[np.argsort(rows)]
 
 
-def _affine_measure_coeffs(sub):
-    """Coefficients (G, c) with measure_i(x) = G[i] @ x + c[i].
+def _gather(coords, vertex_id, nodes, slots):
+    """The :class:`LocalSubmesh` of a :func:`_cavity` at ``coords``."""
+    return LocalSubmesh(int(vertex_id), np.array(coords[vertex_id]), coords[nodes], slots)
+
+
+def _measure_terms(sub):
+    """Gradients G and measures m of the cavity's elements at the current
+    position, so that measure_i(position + u) = G[i] @ u + m[i].
 
     Exact by linearity: the gradient with respect to the free vertex is that
     vertex's row of the measure gradients, which does not depend on it.
     """
     idx = np.arange(len(sub.elements))
     grads = measure_gradients(sub.elements)[idx, sub.free_slots]
-    return grads, simplex_measures(sub.elements) - grads @ sub.position
+    return grads, simplex_measures(sub.elements)
 
 
 def _simplex_maximize(c, a_ub, b_ub, max_iter=10000):
@@ -102,25 +109,69 @@ def _simplex_maximize(c, a_ub, b_ub, max_iter=10000):
     return x[:n]
 
 
-def maximin_reposition(sub, box_factor=BOX_FACTOR):
-    """Optimal position for the free vertex: maximize the minimum signed
-    measure over incident elements.
+def _dual_maximin_2d(grads, meas, radius):
+    """Exact step ``u`` and value of max_u min_i(G_i @ u + m_i) in 2D, from
+    the LP's dual, or None when this cannot certify the optimum.
 
-    A feasibility box of ``box_factor`` times the cavity diameter around the
-    current position keeps the LP bounded for boundary-incomplete cavities.
-    Never worsens: if the LP result does not beat the current minimum, the
-    vertex stays in place.
+    ``grads`` and ``meas`` are lists of Python floats.  The dual is
+    min sum(l_i m_i) subject to sum(l_i G_i) = 0, sum(l_i) = 1, l >= 0; its
+    optimal basis is a triple of gradients whose triangle holds the origin,
+    with l the origin's barycentric coordinates.  The triple's three
+    constraints meet at ``u``.  It is returned only if it lies in the box
+    ``|u_j| <= radius`` and its minimum over all constraints reaches the dual
+    value within 1e-12 of the largest ``|m_i|``, which by weak duality
+    proves it optimal to that tolerance.
     """
-    grads, consts = _affine_measure_coeffs(sub)
-    x0 = sub.position
+    # cross[i][j] = G_i x G_j, so the triangle (i, j, l) has doubled signed
+    # area cross[i][j] + cross[j][l] + cross[l][i] and the origin's
+    # barycentric coordinates are (cross[j][l], cross[l][i], cross[i][j])
+    # over it
+    cross = [[ax * by - ay * bx for bx, by in grads] for ax, ay in grads]
+    best = None
+    for i, j, l in combinations(range(len(grads)), 3):
+        wi, wj, wl = cross[j][l], cross[l][i], cross[i][j]
+        area = wi + wj + wl
+        if area > 0.0:
+            if wi < 0.0 or wj < 0.0 or wl < 0.0:
+                continue
+        elif area < 0.0:
+            if wi > 0.0 or wj > 0.0 or wl > 0.0:
+                continue
+        else:
+            continue
+        value = (wi * meas[i] + wj * meas[j] + wl * meas[l]) / area
+        if best is None or value < best[0]:
+            best = (value, i, j, l)
+    if best is None:
+        return None  # the gradients do not surround the origin
+    value, i, j, l = best
+    (gx, gy), (hx, hy), (kx, ky) = grads[i], grads[j], grads[l]
+    # (G_i - G_l) @ u = m_l - m_i and (G_j - G_l) @ u = m_l - m_j
+    ax, ay, bx, by = gx - kx, gy - ky, hx - kx, hy - ky
+    ra, rb = meas[l] - meas[i], meas[l] - meas[j]
+    det = ax * by - ay * bx
+    if det == 0.0:
+        return None
+    ux = (ra * by - rb * ay) / det
+    uy = (ax * rb - bx * ra) / det
+    if abs(ux) > radius or abs(uy) > radius:
+        return None
+    achieved = min([px * ux + py * uy + m for (px, py), m in zip(grads, meas)])
+    # the optimum is a small difference of the cavity's measures, so the
+    # rounding of each G_i @ u + m_i scales with the largest |m_i|
+    if achieved < value - 1e-12 * max(map(abs, meas)):
+        return None
+    return (ux, uy), achieved
+
+
+def _simplex_reposition(grads, meas, x0, radius):
+    """Maximin point over the box ``|x - x0|_inf <= radius`` and its value,
+    by the dense simplex; ``(grads, meas)`` as from :func:`_measure_terms`
+    at ``x0``."""
+    consts = meas - grads @ x0  # measure_i(x) = G[i] @ x + consts[i]
     d = x0.size
-    pts = sub.elements.reshape(-1, d)
-    diam = max(np.ptp(pts, axis=0).max(), 1e-12)
-    radius = box_factor * diam
     lo = x0 - radius
     hi = x0 + radius
-
-    current_min = (grads @ x0 + consts).min()
     # affine functions attain extremes at box corners; anchoring the level
     # variable at the minimum over the lo corner keeps the slack basis
     # feasible without cutting off the optimum
@@ -139,7 +190,33 @@ def maximin_reposition(sub, box_factor=BOX_FACTOR):
     obj[d] = 1.0
     sol = _simplex_maximize(obj, a_ub, b_ub)
     x_new = lo + sol[:d]
-    achieved = (grads @ x_new + consts).min()
+    return x_new, (grads @ x_new + consts).min()
+
+
+def maximin_reposition(sub, box_factor=BOX_FACTOR):
+    """Optimal position for the free vertex: maximize the minimum signed
+    measure over incident elements.
+
+    A feasibility box of ``box_factor`` times the cavity diameter around the
+    current position keeps the LP bounded for boundary-incomplete cavities.
+    2D cavities are solved exactly from the LP's dual when that yields a
+    certified optimum inside the box, all others by the simplex.
+    Never worsens: if the LP result does not beat the current minimum, the
+    vertex stays in place.
+    """
+    grads, meas = _measure_terms(sub)
+    x0 = sub.position
+    pts = sub.elements.reshape(-1, x0.size)
+    radius = box_factor * max(np.ptp(pts, axis=0).max(), 1e-12)
+    exact = None
+    if x0.size == 2:
+        exact = _dual_maximin_2d(grads.tolist(), meas.tolist(), radius)
+    if exact is None:
+        x_new, achieved = _simplex_reposition(grads, meas, x0, radius)
+    else:
+        u, achieved = exact
+        x_new = x0 + u
+    current_min = meas.min()
     if achieved < current_min - 1e-12:
         return np.array(x0), current_min
     return x_new, achieved
@@ -161,8 +238,10 @@ def untangle(mesh, max_sweeps=50, on_move=None):
     after each repositioning.
     """
     incident = vertex_to_elements(mesh)
+    cavities = [
+        (vid, *_cavity(mesh.elements, vid, incident[vid])) for vid in mesh.interior_ids
+    ]
     coords = np.array(mesh.coords)
-    elements = mesh.elements
     sweeps = 0
     max_move = np.inf
     while True:
@@ -174,8 +253,8 @@ def untangle(mesh, max_sweeps=50, on_move=None):
         if sweeps >= max_sweeps:
             return cur, sweeps, "MAX_SWEEPS"
         max_move = 0.0
-        for vid in mesh.interior_ids:
-            sub = _submesh_from_arrays(coords, elements, vid, incident[vid])
+        for vid, nodes, slots in cavities:
+            sub = _gather(coords, vid, nodes, slots)
             new_pos, after = maximin_reposition(sub)
             if on_move is not None:
                 on_move(int(vid), simplex_measures(sub.elements).min(), after)

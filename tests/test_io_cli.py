@@ -204,11 +204,37 @@ class TestReadMeshRecords:
         node, ele = write_pair(tmp_path, MESSY_NODE, MESSY_ELE)
         mesh = io.read_mesh(node, ele)
         frame = tmp_path / "f.node"
-        frame.write_text("# frame\n4 2 0 0\n\n1 0 0\n4 9 9\n3 2 2 # c\n2 2 0\n1 -1 -1\n")
-        # a repeated id takes its last record
+        text = "# frame\n4 2 0 0\n\n4 9 9\n3 2 2 # c\n2 2 0\n1 -1 -1\n"
+        frame.write_text(text)
         assert np.array_equal(
             io.read_boundary_frame(mesh, str(frame)), [[-1.0, -1.0], [2.0, 0.0], [2.0, 2.0]]
         )
+        # a repeated id is refused at its second record, not taken as an update
+        frame.write_text(text.replace("4 9 9", "1 0 0\n4 9 9"))
+        with pytest.raises(BadIndexError) as err:
+            io.read_boundary_frame(mesh, str(frame))
+        assert err.value.context["line"] == 8
+        assert ".node:8: node id 1 repeated" in str(err.value)
+
+    def test_base_is_the_smallest_id(self, tmp_path):
+        # a 0-based file whose first record is not the lowest id
+        node_text = "4 2 0 1\n2 1.0 1.0 1\n0 0.0 0.0 1\n3 0.0 1.0 1\n1 1.0 0.0 1\n"
+        ele_text = "2 3 0\n0 0 1 2\n1 0 2 3\n"
+        node, ele = write_pair(tmp_path, node_text, ele_text)
+        clean = Mesh(MESSY_MESH.coords, MESSY_MESH.elements, [0, 1, 2, 3])
+        assert_same_mesh(io.read_mesh(node, ele), clean)
+        frame = tmp_path / "f.node"
+        frame.write_text("4 2 0 0\n2 3 3\n0 -1 -1\n3 0 2\n1 2 0\n")
+        assert np.array_equal(
+            io.read_boundary_frame(clean, str(frame)),
+            [[-1.0, -1.0], [2.0, 0.0], [3.0, 3.0], [0.0, 2.0]],
+        )
+        # with that base, an id past base + n - 1 is the one out of range
+        node, ele = write_pair(tmp_path, node_text.replace("3 0.0", "4 0.0"), ele_text)
+        with pytest.raises(BadIndexError) as err:
+            io.read_mesh(node, ele)
+        assert err.value.context["line"] == 4
+        assert "node id 4 out of range" in str(err.value)
 
 
 def random_mesh(draw, dim):

@@ -5,6 +5,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from femwarp import (
     Mesh,
@@ -22,7 +24,10 @@ from femwarp.mesh import (
     signed_measures,
 )
 from femwarp.untangle import (
-    _affine_measure_coeffs,
+    BOX_FACTOR,
+    _dual_maximin_2d,
+    _measure_terms,
+    _simplex_reposition,
     hybrid_warp,
     local_submesh,
     maximin_reposition,
@@ -52,6 +57,48 @@ def reflected_cavity():
     coords = np.vstack([outer, [1.0, -0.4]])  # below the bottom edge
     elements = np.array([[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]])
     return Mesh(coords, elements, [0, 1, 2, 3])
+
+
+def star_cavity(seed, n, spread):
+    """Cavity of ``n`` triangles fanning from a free vertex, placed uniformly
+    in [-spread, spread]^2 and so often outside the ring, to a random star
+    polygon around the origin."""
+    rng = np.random.default_rng(seed)
+    angles = 2 * np.pi * np.cumsum(rng.dirichlet(np.ones(n)))
+    ring = rng.uniform(0.5, 1.5, size=(n, 1)) * np.column_stack(
+        [np.cos(angles), np.sin(angles)]
+    )
+    coords = np.vstack([ring, rng.uniform(-spread, spread, size=2)])
+    elements = np.array([[i, (i + 1) % n, n] for i in range(n)])
+    return local_submesh(Mesh(coords, elements, list(range(n))), n, range(n))
+
+
+def box_radius(sub):
+    pts = sub.elements.reshape(-1, sub.position.size)
+    return BOX_FACTOR * np.ptp(pts, axis=0).max()
+
+
+def open_fan():
+    """Three triangles above a free vertex's lower neighbours and none above
+    it: every gradient points up, so only the box bounds the LP."""
+    coords = np.array([[-1.0, 0.0], [-0.3, -0.2], [0.3, -0.2], [1.0, 0.0], [0.1, 0.3]])
+    return Mesh(coords, np.array([[0, 1, 4], [1, 2, 4], [2, 3, 4]]), [0, 1, 2, 3])
+
+
+def shifted_box():
+    """3x3x3 box of tets with its one interior node moved off centre."""
+    mesh = gen_box_tets(3, 3, 3)
+    coords = np.array(mesh.coords)
+    coords[13] += [0.31, -0.22, 0.17]
+    return mesh.with_coords(coords)
+
+
+# name -> (mesh factory, free vertex, the dense simplex's position and value,
+# pinned bit for bit: these cavities must keep taking the simplex path)
+SIMPLEX_CAVITIES = {
+    "open_fan_2d": (open_fan, 4, [10.549999999999997, 20.3], 6.1499999999999995),
+    "box_tet_3d": (shifted_box, 13, [0.5, 0.5, 0.5], 0.020833333333333325),
+}
 
 
 def jittered(mesh, rng, frac=0.1):
@@ -104,7 +151,8 @@ class TestAffineMeasureCoeffs:
         incident = vertex_to_elements(mesh)
         for vid in range(mesh.n_nodes):
             sub = local_submesh(mesh, vid, incident[vid])
-            grads, consts = _affine_measure_coeffs(sub)
+            grads, meas = _measure_terms(sub)
+            consts = meas - grads @ sub.position
             want_g, want_c = bumped_measure_coeffs(sub)
             assert np.abs(grads - want_g).max() <= 1e-12 * np.abs(want_g).max()
             assert np.abs(consts - want_c).max() <= 1e-12 * np.abs(want_c).max()
@@ -166,6 +214,56 @@ class TestMaximinReposition:
         ) * (1e-6 * h):
             perturbed = tri_measures(pos + step, sub.elements, sub.free_slots).min()
             assert perturbed <= val + 1e-9
+
+
+class TestDualMaximin:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 12),
+        spread=st.floats(0.0, 2.0),
+    )
+    def test_matches_simplex(self, seed, n, spread):
+        sub = star_cavity(seed, n, spread)
+        grads, meas = _measure_terms(sub)
+        radius = box_radius(sub)
+        want_x, want = _simplex_reposition(grads, meas, sub.position, radius)
+        exact = _dual_maximin_2d(grads.tolist(), meas.tolist(), radius)
+        assert exact is not None
+        u, got = exact
+        scale = max(abs(want), np.abs(meas).max())
+        assert abs(got - want) <= 1e-9 * scale
+        assert np.abs(sub.position + u - want_x).max() <= 1e-9 * 2 * radius
+        pos, val = maximin_reposition(sub)
+        assert np.array_equal(pos, sub.position + u) and val == got
+
+    def test_rejects_a_step_outside_the_box(self):
+        # nearly opposed gradients put the unboxed optimum at u = (0.50025, 500)
+        grads = [[1.0, 0.0], [-1.0, 1e-6], [-1.0, -1e-6]]
+        meas = [0.0, 1.0, 1.001]
+        assert _dual_maximin_2d(grads, meas, 10.0) is None
+        (ux, uy), val = _dual_maximin_2d(grads, meas, 1000.0)
+        assert ux == pytest.approx(0.50025) and uy == pytest.approx(500.0)
+        assert val == pytest.approx(0.50025)
+
+    @pytest.mark.parametrize("name", SIMPLEX_CAVITIES)
+    def test_simplex_cases_unchanged(self, name, monkeypatch):
+        make, vid, want_pos, want_val = SIMPLEX_CAVITIES[name]
+        mesh = make()
+        sub = local_submesh(mesh, vid, vertex_to_elements(mesh)[vid])
+        if mesh.dim == 2:
+            grads, meas = _measure_terms(sub)
+            assert _dual_maximin_2d(grads.tolist(), meas.tolist(), box_radius(sub)) is None
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return _simplex_reposition(*args)
+
+        monkeypatch.setattr(untangle_module, "_simplex_reposition", counting)
+        pos, val = maximin_reposition(sub)
+        assert len(calls) == 1
+        assert pos.tolist() == want_pos and val == want_val
 
 
 class TestUntangle:
