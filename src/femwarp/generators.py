@@ -1,13 +1,45 @@
-"""Structured test-mesh generators: annulus and rectangle.
+"""Structured test-mesh generators: annulus, rectangle and box.
 
 Purpose-built fixtures so the test battery needs no external mesher;
 unstructured meshes can still be ingested through the Triangle/TetGen
-readers in :mod:`femwarp.io`.
+readers in :mod:`femwarp.io`.  All three are the Kuhn (Freudenthal)
+triangulation of a tensor grid, built by :func:`_kuhn_grid`.
 """
 
 import numpy as np
 
 from .mesh import Mesh
+
+# Kuhn splits of the unit square and cube into positively oriented
+# simplices; corner c of a cell sits at offset (c >> i) & 1 along axis i
+_KUHN_2D = ((0, 1, 3), (0, 3, 2))
+_KUHN_3D = (
+    (0, 1, 3, 7), (0, 1, 7, 5), (0, 5, 7, 4), (0, 3, 2, 7), (0, 2, 6, 7), (0, 6, 4, 7)
+)
+
+
+def _kuhn_grid(shape, table, wrap=False):
+    """Simplices and boundary node ids of a tensor grid with ``shape`` nodes
+    per axis, node ids running fastest along axis 0.
+
+    Cells are taken in node-id order of their lowest corner and each is split
+    into the simplices of ``table``.  With ``wrap`` axis 0 is periodic (its
+    last cell closes on the first node layer); the end layers of every other
+    axis are the boundary.
+    """
+    d = len(shape)
+    ids = np.arange(np.prod(shape)).reshape(shape[::-1])
+    if wrap:
+        ids = np.concatenate([ids, ids[..., :1]], axis=-1)
+    # flat offset of each cell corner inside ``ids``, which may be padded
+    bits = np.arange(2**d)[:, None] >> np.arange(d) & 1
+    corner = bits @ np.cumprod((1,) + ids.shape[:0:-1])
+    origin = np.arange(ids.size).reshape(ids.shape)[(slice(-1),) * d]
+    elements = ids.ravel()[origin.reshape(-1, 1, 1) + corner[np.array(table)]]
+    edge = np.zeros(shape[::-1], dtype=bool)
+    for axis in range(d - wrap):  # array axis -1 is grid axis 0
+        np.moveaxis(edge, axis, 0)[[0, -1]] = True
+    return elements.reshape(-1, d + 1), np.flatnonzero(edge)
 
 
 def gen_annulus(r, n_rings, n_sectors):
@@ -23,30 +55,14 @@ def gen_annulus(r, n_rings, n_sectors):
         raise ValueError("need at least 2 rings")
     if n_sectors < 8:
         raise ValueError("need at least 8 sectors")
-    radii = np.linspace(r, 1.0, n_rings)
+    radii = np.linspace(r, 1.0, n_rings)[:, None]
     angles = 2.0 * np.pi * np.arange(n_sectors) / n_sectors
-    coords = np.empty((n_rings * n_sectors, 2))
-    for k, rho in enumerate(radii):
-        coords[k * n_sectors : (k + 1) * n_sectors, 0] = rho * np.cos(angles)
-        coords[k * n_sectors : (k + 1) * n_sectors, 1] = rho * np.sin(angles)
-
-    def nid(ring, sector):
-        return ring * n_sectors + (sector % n_sectors)
-
-    elements = []
-    for k in range(n_rings - 1):
-        for j in range(n_sectors):
-            a = nid(k, j)
-            b = nid(k, j + 1)
-            c = nid(k + 1, j + 1)
-            d = nid(k + 1, j)
-            # quad (a, d, c, b) is CCW; split along the a-c diagonal
-            elements.append((a, d, c))
-            elements.append((a, c, b))
-    boundary = list(range(n_sectors)) + list(
-        range((n_rings - 1) * n_sectors, n_rings * n_sectors)
+    coords = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=-1)
+    # axis 0 runs along the sectors: the square's table with its axes exchanged
+    table = ((0, 2, 3), (0, 3, 1))
+    return Mesh(
+        coords.reshape(-1, 2), *_kuhn_grid((n_sectors, n_rings), table, wrap=True)
     )
-    return Mesh(coords, np.array(elements), boundary)
 
 
 def annulus_for_h(r, h):
@@ -64,27 +80,8 @@ def gen_rectangle(width, height, nx, ny):
     """
     if nx < 2 or ny < 2:
         raise ValueError("need at least 2 nodes per side")
-    xs = np.linspace(0.0, width, nx)
-    ys = np.linspace(0.0, height, ny)
-    coords = np.array([(x, y) for y in ys for x in xs])
-
-    def nid(i, j):
-        return j * nx + i
-
-    elements = []
-    for j in range(ny - 1):
-        for i in range(nx - 1):
-            a, b = nid(i, j), nid(i + 1, j)
-            c, d = nid(i + 1, j + 1), nid(i, j + 1)
-            elements.append((a, b, c))
-            elements.append((a, c, d))
-    boundary = [
-        nid(i, j)
-        for j in range(ny)
-        for i in range(nx)
-        if i in (0, nx - 1) or j in (0, ny - 1)
-    ]
-    return Mesh(coords, np.array(elements), boundary)
+    grid = np.meshgrid(np.linspace(0.0, width, nx), np.linspace(0.0, height, ny))
+    return Mesh(np.stack(grid, axis=-1).reshape(-1, 2), *_kuhn_grid((nx, ny), _KUHN_2D))
 
 
 def gen_box_tets(nx, ny, nz, size=1.0):
@@ -95,45 +92,6 @@ def gen_box_tets(nx, ny, nz, size=1.0):
     """
     if min(nx, ny, nz) < 2:
         raise ValueError("need at least 2 nodes per side")
-    xs = np.linspace(0.0, size, nx)
-    ys = np.linspace(0.0, size, ny)
-    zs = np.linspace(0.0, size, nz)
-    coords = np.array([(x, y, z) for z in zs for y in ys for x in xs])
-
-    def nid(i, j, k):
-        return (k * ny + j) * nx + i
-
-    # Kuhn split of the unit cube into 6 tets, all positively oriented
-    kuhn = [
-        (0, 1, 3, 7),
-        (0, 1, 7, 5),
-        (0, 5, 7, 4),
-        (0, 3, 2, 7),
-        (0, 2, 6, 7),
-        (0, 6, 4, 7),
-    ]
-    corner_offsets = [
-        (0, 0, 0),
-        (1, 0, 0),
-        (0, 1, 0),
-        (1, 1, 0),
-        (0, 0, 1),
-        (1, 0, 1),
-        (0, 1, 1),
-        (1, 1, 1),
-    ]
-    elements = []
-    for k in range(nz - 1):
-        for j in range(ny - 1):
-            for i in range(nx - 1):
-                cell = [nid(i + di, j + dj, k + dk) for di, dj, dk in corner_offsets]
-                for tet in kuhn:
-                    elements.append(tuple(cell[v] for v in tet))
-    boundary = [
-        nid(i, j, k)
-        for k in range(nz)
-        for j in range(ny)
-        for i in range(nx)
-        if i in (0, nx - 1) or j in (0, ny - 1) or k in (0, nz - 1)
-    ]
-    return Mesh(coords, np.array(elements), boundary)
+    zyx = np.meshgrid(*(np.linspace(0.0, size, n) for n in (nz, ny, nx)), indexing="ij")
+    coords = np.stack(zyx[::-1], axis=-1).reshape(-1, 3)
+    return Mesh(coords, *_kuhn_grid((nx, ny, nz), _KUHN_3D))

@@ -279,12 +279,15 @@ def _floats(tokens):
 def read_boundary_frame(mesh, node_path):
     """Boundary coordinates for ``mesh`` from another .node file.
 
-    Only boundary rows are consulted; ids must match the mesh numbering
-    (same base detection as read_mesh: the smallest id is the base).  Every
-    record is read, and a repeated id is a BAD_INDEX naming its line.
+    A frame is a whole .node file of the mesh: its header and its records
+    count ``mesh.n_nodes`` nodes and, as in read_mesh, its ids are a
+    permutation of ``base .. base + n - 1`` with ``base`` the smallest id
+    (a frame of only some nodes would leave its base ambiguous).  Only the
+    boundary rows are returned.  A malformed or repeated record is a coded
+    error naming its line, and any other mismatch is a BAD_INDEX.
     """
     skip, header = _parse_header(node_path, 2)
-    dim = header[1]
+    n_frame, dim = header[:2]
     if dim != mesh.dim:
         raise ParseError(f"{node_path}: frame dimension {dim} != mesh dim {mesh.dim}")
     fields = [("id", np.int64), ("x", np.float64, (dim,))]
@@ -292,16 +295,20 @@ def read_boundary_frame(mesh, node_path):
     rec = _records(node_path, skip, fields, usecols)
     if rec is None or len(np.unique(rec["id"])) != len(rec):
         _raise_frame_record_error(node_path, fields, usecols)
-    if not len(rec):
-        raise ParseError(f"{node_path}: no node records")
-    idx, ok = _offsets(rec["id"], rec["id"].min(), mesh.n_nodes)
-    row = np.full(mesh.n_nodes, -1)
-    row[idx[ok]] = np.flatnonzero(ok)
-    rows = row[mesh.boundary_ids]
-    if (rows < 0).any():
-        nid = mesh.boundary_ids[np.argmax(rows < 0)]
-        raise BadIndexError(f"{node_path}: missing boundary node {nid}")
-    return rec["x"][rows]
+    n = mesh.n_nodes
+    if n_frame != n:
+        raise BadIndexError(
+            f"{node_path}:{skip}: frame of {n_frame} nodes for a mesh of {n}", line=skip
+        )
+    if len(rec) < n:
+        raise BadIndexError(f"{node_path}: expected {n} node records, got {len(rec)}")
+    if len(rec) > n:
+        lineno = _data_lines(node_path)[n + 1][0]
+        raise BadIndexError(f"{node_path}:{lineno}: node record past {n}", line=lineno)
+    idx = _positions(rec["id"], n)
+    if idx is None:
+        _raise_node_record_error(node_path, n, fields, usecols)
+    return rec["x"][np.argsort(idx)[mesh.boundary_ids]]
 
 
 def _raise_frame_record_error(path, fields, usecols):

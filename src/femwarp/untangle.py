@@ -193,11 +193,11 @@ def _simplex_reposition(grads, meas, x0, radius):
     return x_new, (grads @ x_new + consts).min()
 
 
-def maximin_reposition(sub, box_factor=BOX_FACTOR):
+def maximin_reposition(sub):
     """Optimal position for the free vertex: maximize the minimum signed
     measure over incident elements.
 
-    A feasibility box of ``box_factor`` times the cavity diameter around the
+    A feasibility box of ``BOX_FACTOR`` times the cavity diameter around the
     current position keeps the LP bounded for boundary-incomplete cavities.
     2D cavities are solved exactly from the LP's dual when that yields a
     certified optimum inside the box, all others by the simplex.
@@ -207,7 +207,7 @@ def maximin_reposition(sub, box_factor=BOX_FACTOR):
     grads, meas = _measure_terms(sub)
     x0 = sub.position
     pts = sub.elements.reshape(-1, x0.size)
-    radius = box_factor * max(np.ptp(pts, axis=0).max(), 1e-12)
+    radius = BOX_FACTOR * max(np.ptp(pts, axis=0).max(), 1e-12)
     exact = None
     if x0.size == 2:
         exact = _dual_maximin_2d(grads.tolist(), meas.tolist(), radius)
@@ -233,13 +233,16 @@ def untangle(mesh, max_sweeps=50, on_move=None):
     """Sweep the interior vertices (ascending id) with maximin repositioning.
 
     Stops with SUCCESS when no reversals remain, STALLED when a whole sweep
-    moves nothing beyond 1e-12, or MAX_SWEEPS.  Boundary nodes never move.
+    moves nothing beyond 1e-12, or MAX_SWEEPS.  Boundary nodes never move,
+    nor does an interior node in no element.
     ``on_move`` (if given) is called with (vertex_id, min_before, min_after)
     after each repositioning.
     """
     incident = vertex_to_elements(mesh)
     cavities = [
-        (vid, *_cavity(mesh.elements, vid, incident[vid])) for vid in mesh.interior_ids
+        (vid, *_cavity(mesh.elements, vid, incident[vid]))
+        for vid in mesh.interior_ids
+        if len(incident[vid])
     ]
     coords = np.array(mesh.coords)
     sweeps = 0

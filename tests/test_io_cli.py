@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from femwarp import Mesh, gen_annulus, gen_box_tets
+from femwarp import Mesh, gen_annulus, gen_box_tets, gen_rectangle
 from femwarp import io
 from femwarp.cli import _param_grid, main
 from femwarp.errors import BadIndexError, InvalidSpecError, ParseError
@@ -215,6 +215,29 @@ class TestReadMeshRecords:
             io.read_boundary_frame(mesh, str(frame))
         assert err.value.context["line"] == 8
         assert ".node:8: node id 1 repeated" in str(err.value)
+
+    def test_frame_is_a_whole_node_file(self, tmp_path):
+        # 0-based square: interior nodes 0 and 5, boundary nodes 1-4
+        coords = [[1, 1.5], [0, 0], [3, 0], [3, 3], [0, 3], [2, 1.5]]
+        tris = [[1, 2, 5], [1, 5, 0], [1, 0, 4], [0, 5, 3], [0, 3, 4], [5, 2, 3]]
+        mesh = Mesh(coords, tris, [1, 2, 3, 4])
+        frame = tmp_path / "f.node"
+        records = "".join(f"{i} {i}0 {i}1\n" for i in range(1, 6))
+        # ids 1-5 alone would read with base 1 and shift every boundary row
+        for text, line in [
+            (f"5 2 0 0\n{records}", 1),
+            (f"6 2 0 0\n{records}", None),
+            (f"6 2 0 0\n{records}7 0 0\n", 7),
+            (f"6 2 0 0\n{records}6 0 0\n9 0 0\n", 8),
+        ]:
+            frame.write_text(text)
+            with pytest.raises(BadIndexError) as err:
+                io.read_boundary_frame(mesh, str(frame))
+            assert err.value.context.get("line") == line
+        frame.write_text(f"6 2 0 0\n0 -1 -1\n{records}")
+        assert np.array_equal(
+            io.read_boundary_frame(mesh, str(frame)), [[10, 11], [20, 21], [30, 31], [40, 41]]
+        )
 
     def test_base_is_the_smallest_id(self, tmp_path):
         # a 0-based file whose first record is not the lowest id
@@ -471,6 +494,21 @@ class TestCli:
         assert rc == 0
         warped = io.read_mesh(out + ".node", out + ".ele")
         assert np.abs(warped.coords - mesh.coords * 1.05).max() < 1e-8
+
+    def test_untangle_node_in_no_element(self, tmp_path, capsys):
+        rect = gen_rectangle(1.0, 1.0, 4, 4)
+        coords = np.vstack([rect.coords, [0.5, 0.5]])  # interior, in no element
+        base = str(tmp_path / "iso")
+        mesh = Mesh(coords, rect.elements, rect.boundary_ids)
+        io.write_mesh(mesh, base + ".node", base + ".ele")
+        spec = tmp_path / "reflect.spec"
+        spec.write_text("motion = affine\nl = -1,0;0,1\nalgorithm = untangle\n")
+        out = str(tmp_path / "o")
+        rc = main(["warp", "--mesh", base, "--spec", str(spec), "--out", out])
+        assert rc in (0, 2)
+        assert "Traceback" not in capsys.readouterr().err
+        warped = io.read_mesh(out + ".node", out + ".ele", reorient=False)
+        assert np.array_equal(warped.coords[16], [0.5, 0.5])
 
 
 class TestCliErrorContract:

@@ -300,6 +300,14 @@ class TestUntangle:
         assert records
         assert all(after >= before - 1e-12 for before, after in records)
 
+    def test_node_in_no_element_stays(self):
+        cavity = reflected_cavity()
+        coords = np.vstack([cavity.coords, [0.5, 0.5]])  # interior, in no element
+        mesh = Mesh(coords, cavity.elements, cavity.boundary_ids)
+        out, sweeps, outcome = untangle(mesh)
+        assert (sweeps, outcome) == (1, "SUCCESS")
+        assert np.array_equal(out.coords[5], [0.5, 0.5])
+
     def test_point_reflection_fixture_fails(self, reflection_untangle_result):
         out, sweeps, outcome = reflection_untangle_result
         assert outcome != "SUCCESS"
