@@ -39,13 +39,16 @@ def _read_mesh(base):
 
 def _spec_number(spec, key, default, kind=float):
     """``spec[key]`` parsed as ``kind``, or ``default`` when absent;
-    INVALID_SPEC when it does not parse."""
+    INVALID_SPEC when it does not parse or is not finite."""
     if key not in spec:
         return default
     try:
-        return kind(spec[key])
+        value = kind(spec[key])
     except ValueError:
         raise InvalidSpecError(f"{key} = {spec[key]!r} is not a valid {kind.__name__}")
+    if kind is float and not np.isfinite(value):
+        raise InvalidSpecError(f"{key} = {spec[key]!r} is not finite")
+    return value
 
 
 def build_motion(mesh, spec, scale=1.0):

@@ -1,4 +1,11 @@
-"""Triangle/TetGen .node/.ele file I/O and deformation-spec parsing."""
+"""Triangle/TetGen .node/.ele file I/O and deformation-spec parsing.
+
+Node, element and frame files share one error rule.  A valid file is parsed
+in one call.  Otherwise the first short, malformed or non-finite record is a
+PARSE_ERROR naming its line; once every record parses, the first record
+citing a node id out of range, or repeating an earlier node record's id, is
+a BAD_INDEX naming its line.
+"""
 
 import warnings
 from itertools import combinations
@@ -6,7 +13,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import BadIndexError, ParseError
-from .mesh import Mesh, count_reversals, signed_measures
+from .mesh import Mesh, signed_measures
 
 
 def _data_lines(path):
@@ -43,7 +50,8 @@ def _parse_header(path, expected_fields):
 def _records(path, skip, dtype, usecols, n=None):
     """The first ``n`` data records (all when None) after line ``skip`` of
     ``path`` (a file name or a list of lines), parsed in one call; None when
-    a record cannot be parsed or fewer than ``n`` exist."""
+    a record cannot be parsed, holds a non-finite number or fewer than ``n``
+    exist."""
     dtype = np.dtype(dtype)
     if n == 0:
         return np.zeros(0, dtype)
@@ -59,18 +67,34 @@ def _records(path, skip, dtype, usecols, n=None):
             )
     except (ValueError, OverflowError):
         return None
-    return None if n is not None and len(rec) != n else rec
+    if n is not None and len(rec) != n:
+        return None
+    floats = [rec[k] for k in dtype.names if dtype[k].base.kind == "f"]
+    return rec if all(np.isfinite(f).all() for f in floats) else None
 
 
-def _record(path, lineno, line, dtype, usecols, kind):
-    """The one record on ``line`` as :func:`_records` parses it, or the
-    coded error of a short or malformed ``kind`` record."""
-    if len(line.split()) <= usecols[-1]:
-        raise ParseError(f"{path}:{lineno}: short {kind} record", line=lineno)
-    rec = _records([line], 0, dtype, usecols, 1)
-    if rec is None:
-        raise ParseError(f"{path}:{lineno}: malformed {kind} record", line=lineno)
-    return rec[0]
+def _read_records(path, skip, dtype, usecols, n, kind):
+    """:func:`_records`, or the PARSE_ERROR of the first short or malformed
+    (non-finite included) ``kind`` record, naming its line."""
+    rec = _records(path, skip, dtype, usecols, n)
+    if rec is not None:
+        return rec
+    lines = _data_lines(path)[1:]
+    if n is not None and len(lines) < n:
+        raise ParseError(f"{path}: expected {n} {kind} records")
+    for lineno, line in lines[:n]:
+        if len(line.split()) <= usecols[-1]:
+            raise ParseError(f"{path}:{lineno}: short {kind} record", line=lineno)
+        if _records([line], 0, dtype, usecols, 1) is None:
+            raise ParseError(f"{path}:{lineno}: malformed {kind} record", line=lineno)
+    raise ParseError(f"{path}: unreadable {kind} records")
+
+
+def _bad_id(path, record, nid, what):
+    """The BAD_INDEX of data record ``record`` (0 is the first after the
+    header) citing node ``nid``; the file is re-read for its line."""
+    lineno = _data_lines(path)[record + 1][0]
+    return BadIndexError(f"{path}:{lineno}: node id {nid} {what}", line=lineno)
 
 
 def _offsets(ids, base, n):
@@ -80,15 +104,18 @@ def _offsets(ids, base, n):
     return idx, (ids >= base) & (idx >= 0) & (idx < n)
 
 
-def _positions(ids, n):
-    """Row of each of ``n`` records, ``ids - ids.min()``, or None unless
-    that is a permutation of 0..n-1."""
-    if not n:
-        return ids
-    idx, ok = _offsets(ids, ids.min(), n)
-    hit = np.zeros(n, dtype=bool)
-    hit[idx[ok]] = True
-    return idx if hit.all() else None
+def _node_rows(path, ids, n):
+    """Row ``ids - base`` of each node record and ``base``, the smallest id;
+    BAD_INDEX at the first record whose id is outside ``[base, base + n)``
+    or repeats an earlier record's."""
+    base = int(ids.min()) if len(ids) else 0
+    idx, ok = _offsets(ids, base, n)
+    if ok.all() and np.bincount(idx, minlength=n).max(initial=0) <= 1:
+        return idx, base
+    repeat = np.ones(len(ids), dtype=bool)
+    repeat[np.unique(idx, return_index=True)[1]] = False
+    i = np.flatnonzero(~ok | repeat)[0]
+    raise _bad_id(path, i, ids[i], "repeated" if ok[i] else "out of range")
 
 
 def read_mesh(node_path, ele_path, reorient=True):
@@ -99,8 +126,9 @@ def read_mesh(node_path, ele_path, reorient=True):
     faces belonging to exactly one element.  Node records may come in any
     order, but their ids must be a permutation of ``base .. base + n - 1``,
     where ``base`` is the smallest id (0 or 1 in practice); ids are shifted
-    to 0-based.  Negatively oriented elements are reoriented with a warning
-    unless ``reorient`` is False.
+    to 0-based; element ids must lie in that range.  Errors follow the
+    module's rule, node file first.  Negatively oriented elements are
+    reoriented with a warning unless ``reorient`` is False.
     """
     skip, header = _parse_header(node_path, 4)
     n_nodes, dim, n_attrs, n_markers = header[:4]
@@ -115,11 +143,8 @@ def read_mesh(node_path, ele_path, reorient=True):
     if last > usecols[-1]:
         fields.append(("last", "U1"))  # read only so a short record fails
         usecols += (last,)
-    rec = _records(node_path, skip, fields, usecols, n_nodes)
-    idx = None if rec is None else _positions(rec["id"], n_nodes)
-    if idx is None:
-        _raise_node_record_error(node_path, n_nodes, fields, usecols)
-    base = int(rec["id"].min()) if n_nodes else 0
+    rec = _read_records(node_path, skip, fields, usecols, n_nodes, "node")
+    idx, base = _node_rows(node_path, rec["id"], n_nodes)
     coords = np.empty((n_nodes, dim))
     coords[idx] = rec["x"]
     markers = np.zeros(n_nodes, dtype=np.int64)
@@ -134,11 +159,11 @@ def read_mesh(node_path, ele_path, reorient=True):
         )
     fields = [("ids", np.int64, (nodes_per,))]
     usecols = tuple(range(1, 1 + nodes_per))
-    rec = _records(ele_path, skip, fields, usecols, n_ele)
-    if rec is not None:
-        elements, ok = _offsets(rec["ids"], base, n_nodes)
-    if rec is None or not ok.all():
-        _raise_element_record_error(ele_path, n_ele, fields, usecols, n_nodes, base)
+    rec = _read_records(ele_path, skip, fields, usecols, n_ele, "element")
+    elements, ok = _offsets(rec["ids"], base, n_nodes)
+    if not ok.all():
+        i, j = np.argwhere(~ok)[0]
+        raise _bad_id(ele_path, i, rec["ids"][i, j], "out of range")
 
     if n_markers:
         boundary = np.flatnonzero(markers != 0)
@@ -160,46 +185,6 @@ def read_mesh(node_path, ele_path, reorient=True):
             )
             mesh = Mesh(coords, elements, boundary)
     return mesh
-
-
-def _raise_node_record_error(path, n_nodes, fields, usecols):
-    """Walk the node records of ``path`` line by line, each parsed as the
-    one-call parse reads it, and raise the coded error of the first bad one;
-    only called once the one-call parse failed."""
-    records = _data_lines(path)[1:]
-    if len(records) < n_nodes:
-        raise ParseError(f"{path}: expected {n_nodes} node records")
-    ids = [
-        int(_record(path, lineno, line, fields, usecols, "node")["id"])
-        for lineno, line in records[:n_nodes]
-    ]
-    base = min(ids)  # 0- or 1-based, as read_mesh detects it
-    seen = np.zeros(n_nodes, dtype=bool)
-    for (lineno, _), nid in zip(records, ids):
-        idx = nid - base
-        if not (0 <= idx < n_nodes):
-            raise BadIndexError(
-                f"{path}:{lineno}: node id {nid} out of range", line=lineno
-            )
-        if seen[idx]:
-            raise BadIndexError(f"{path}:{lineno}: node id {nid} repeated", line=lineno)
-        seen[idx] = True
-    raise ParseError(f"{path}: unreadable node records")
-
-
-def _raise_element_record_error(path, n_ele, fields, usecols, n_nodes, base):
-    """Element-file counterpart of :func:`_raise_node_record_error`."""
-    records = _data_lines(path)[1:]
-    if len(records) < n_ele:
-        raise ParseError(f"{path}: expected {n_ele} element records")
-    for lineno, line in records[:n_ele]:
-        rec = _record(path, lineno, line, fields, usecols, "element")
-        for nid in rec["ids"].tolist():
-            if not (0 <= nid - base < n_nodes):
-                raise BadIndexError(
-                    f"{path}:{lineno}: node id {nid} out of range", line=lineno
-                )
-    raise ParseError(f"{path}: unreadable element records")
 
 
 def _infer_boundary(elements, dim):
@@ -271,9 +256,12 @@ def parse_vector(text, dim):
 
 def _floats(tokens):
     try:
-        return [float(v) for v in tokens]
+        values = [float(v) for v in tokens]
     except ValueError as exc:
         raise ParseError(f"malformed number: {exc}")
+    if not np.isfinite(values).all():
+        raise ParseError(f"non-finite number in {' '.join(tokens)!r}")
+    return values
 
 
 def read_boundary_frame(mesh, node_path):
@@ -283,8 +271,9 @@ def read_boundary_frame(mesh, node_path):
     count ``mesh.n_nodes`` nodes and, as in read_mesh, its ids are a
     permutation of ``base .. base + n - 1`` with ``base`` the smallest id
     (a frame of only some nodes would leave its base ambiguous).  Only the
-    boundary rows are returned.  A malformed or repeated record is a coded
-    error naming its line, and any other mismatch is a BAD_INDEX.
+    boundary rows are returned.  Every record is read, and errors follow
+    the module's rule; once every record parses, a header count other than
+    ``mesh.n_nodes`` or too few records is a BAD_INDEX before any id is.
     """
     skip, header = _parse_header(node_path, 2)
     n_frame, dim = header[:2]
@@ -292,9 +281,7 @@ def read_boundary_frame(mesh, node_path):
         raise ParseError(f"{node_path}: frame dimension {dim} != mesh dim {mesh.dim}")
     fields = [("id", np.int64), ("x", np.float64, (dim,))]
     usecols = tuple(range(1 + dim))
-    rec = _records(node_path, skip, fields, usecols)
-    if rec is None or len(np.unique(rec["id"])) != len(rec):
-        _raise_frame_record_error(node_path, fields, usecols)
+    rec = _read_records(node_path, skip, fields, usecols, None, "node")
     n = mesh.n_nodes
     if n_frame != n:
         raise BadIndexError(
@@ -302,21 +289,5 @@ def read_boundary_frame(mesh, node_path):
         )
     if len(rec) < n:
         raise BadIndexError(f"{node_path}: expected {n} node records, got {len(rec)}")
-    if len(rec) > n:
-        lineno = _data_lines(node_path)[n + 1][0]
-        raise BadIndexError(f"{node_path}:{lineno}: node record past {n}", line=lineno)
-    idx = _positions(rec["id"], n)
-    if idx is None:
-        _raise_node_record_error(node_path, n, fields, usecols)
+    idx, _ = _node_rows(node_path, rec["id"], n)
     return rec["x"][np.argsort(idx)[mesh.boundary_ids]]
-
-
-def _raise_frame_record_error(path, fields, usecols):
-    """Frame-file counterpart of :func:`_raise_node_record_error`."""
-    seen = set()
-    for lineno, line in _data_lines(path)[1:]:
-        nid = int(_record(path, lineno, line, fields, usecols, "node")["id"])
-        if nid in seen:
-            raise BadIndexError(f"{path}:{lineno}: node id {nid} repeated", line=lineno)
-        seen.add(nid)
-    raise ParseError(f"{path}: unreadable node records")

@@ -110,12 +110,15 @@ def signed_measures(mesh):
     return simplex_measures(mesh.coords[mesh.elements])
 
 
-def count_reversals(mesh):
-    """Number of reversed elements and their ids.
+def _reversed(meas):
+    """Mask of reversed elements: signed measure not above ORIENTATION_TOL,
+    so a NaN measure (non-finite geometry) counts as reversed."""
+    return ~(meas > ORIENTATION_TOL)
 
-    An element is reversed iff its signed measure is <= ORIENTATION_TOL.
-    """
-    bad = np.flatnonzero(signed_measures(mesh) <= ORIENTATION_TOL)
+
+def count_reversals(mesh):
+    """Number of reversed elements and their ids (see :func:`_reversed`)."""
+    bad = np.flatnonzero(_reversed(signed_measures(mesh)))
     return len(bad), bad.tolist()
 
 
@@ -244,7 +247,7 @@ def validate(mesh):
         for nid in np.flatnonzero(~used):
             violations.append(Violation("UNUSED_NODE", int(nid), "node in no element"))
         meas = signed_measures(mesh)
-        for eid in np.flatnonzero(meas <= ORIENTATION_TOL):
+        for eid in np.flatnonzero(_reversed(meas)):
             violations.append(
                 Violation("REVERSED_ELEMENT", int(eid), f"signed measure {meas[eid]:g}")
             )
@@ -281,17 +284,18 @@ def quality_report(mesh):
 
     Aspect ratio and inverse mean ratio are reported as inf/nan for
     reversed elements rather than raising, so tangled intermediate meshes
-    can still be summarized.
+    can still be summarized; the inverse-mean-ratio fields are nan when no
+    element is positively oriented.
     """
     pts = mesh.coords[mesh.elements]
     meas = simplex_measures(pts)
     longest = _edge_lengths(pts).max(axis=1)
     h = longest.max()
     aspects = _aspect_ratios(pts, meas, longest)
-    imrs = _inverse_mean_ratios(pts)[meas > 0.0]
-    if imrs.size == 0:
-        imrs = np.array([np.nan])
-    nrev = int((meas <= ORIENTATION_TOL).sum())
+    imrs = _inverse_mean_ratios(pts)
+    imrs = imrs[(meas > 0.0) & ~np.isnan(imrs)]
+    imr = (imrs.min(), imrs.max(), imrs.mean()) if imrs.size else (np.nan,) * 3
+    nrev = int(_reversed(meas).sum())
     near = int(
         ((meas > ORIENTATION_TOL) & (meas < NEAR_DEGENERATE_FACTOR * h**mesh.dim)).sum()
     )
@@ -302,9 +306,9 @@ def quality_report(mesh):
         min_aspect=float(aspects.min()),
         max_aspect=float(aspects.max()),
         mean_aspect=float(aspects.mean()),
-        min_imr=float(np.nanmin(imrs)),
-        max_imr=float(np.nanmax(imrs)),
-        mean_imr=float(np.nanmean(imrs)),
+        min_imr=float(imr[0]),
+        max_imr=float(imr[1]),
+        mean_imr=float(imr[2]),
         reversal_count=nrev,
         near_degenerate_count=near,
         h=float(h),

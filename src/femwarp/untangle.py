@@ -11,6 +11,7 @@ feasibility box bounds, a failed certificate) goes to a dense simplex with
 Bland's rule.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -202,12 +203,14 @@ def maximin_reposition(sub):
     2D cavities are solved exactly from the LP's dual when that yields a
     certified optimum inside the box, all others by the simplex.
     Never worsens: if the LP result does not beat the current minimum, the
-    vertex stays in place.
+    vertex stays in place, as it does in a cavity with non-finite geometry.
     """
     grads, meas = _measure_terms(sub)
     x0 = sub.position
     pts = sub.elements.reshape(-1, x0.size)
     radius = BOX_FACTOR * max(np.ptp(pts, axis=0).max(), 1e-12)
+    if not math.isfinite(radius):  # a non-finite coordinate makes it nan or inf
+        return np.array(x0), meas.min()
     exact = None
     if x0.size == 2:
         exact = _dual_maximin_2d(grads.tolist(), meas.tolist(), radius)

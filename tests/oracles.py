@@ -265,3 +265,19 @@ def write_mesh_by_line(mesh, node_path, ele_path):
         for eid in range(mesh.n_elements):
             ids = " ".join(str(int(v)) for v in mesh.elements[eid])
             fh.write(f"{eid} {ids}\n")
+
+
+def first_bad_node_record(ids, n):
+    """(record, problem) of the first node record whose id lies outside
+    ``[base, base + n)``, ``base`` the smallest id, or repeats an earlier
+    record's id; None when every id is good.  One record at a time, in
+    Python integers."""
+    base = min(ids, default=0)
+    seen = set()
+    for i, nid in enumerate(ids):
+        if not 0 <= nid - base < n:
+            return i, "out of range"
+        if nid in seen:
+            return i, "repeated"
+        seen.add(nid)
+    return None

@@ -6,8 +6,10 @@ meshes (its rows are not coordinate-reproducing there); those legs are
 marked strict-xfail and documented as such rather than weakened.
 """
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -434,6 +436,10 @@ class TestCriterion09SystemIdentities:
 
 class TestCriterion10Sweep3d:
     def test_cli_sweep_protocol(self, box_mesh_paths, tmp_path):
+        # the subprocess imports femwarp from this checkout's src
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
         spec = tmp_path / "n3d.spec"
         alpha_max = {}
         nchol = {}
@@ -459,6 +465,7 @@ class TestCriterion10Sweep3d:
                 ],
                 capture_output=True,
                 text=True,
+                env=env,
             )
             assert proc.returncode == 0, proc.stderr
             rows = out.read_text().strip().split("\n")[1:]

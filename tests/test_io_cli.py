@@ -14,7 +14,7 @@ from femwarp import io
 from femwarp.cli import _param_grid, main
 from femwarp.errors import BadIndexError, InvalidSpecError, ParseError
 
-from oracles import write_mesh_by_line
+from oracles import first_bad_node_record, write_mesh_by_line
 
 SINGLE_NODE = """\
 3 2 0 1
@@ -133,6 +133,14 @@ class TestReadMeshRecords:
             warnings.simplefilter("error")  # comment-only lines warn nothing
             assert_same_mesh(io.read_mesh(node, ele), MESSY_MESH)
 
+    def test_too_few_records(self, tmp_path):
+        node, ele = write_pair(tmp_path, "3 2 0 1\n0 0.0 0.0 1\n1 1.0 0.0 1\n", SINGLE_ELE)
+        with pytest.raises(ParseError, match=r"\.node: expected 3 node records"):
+            io.read_mesh(node, ele)
+        node, ele = write_pair(tmp_path, SINGLE_NODE, SINGLE_ELE.replace("1 3 0", "2 3 0"))
+        with pytest.raises(ParseError, match=r"\.ele: expected 2 element records"):
+            io.read_mesh(node, ele)
+
     def test_trailing_records_ignored(self, tmp_path):
         node, ele = write_pair(
             tmp_path, SINGLE_NODE + "3 not a record\n", SINGLE_ELE + "junk\n"
@@ -150,6 +158,8 @@ class TestReadMeshRecords:
              MESSY_ELE, ParseError, "node:4"),
             (MESSY_NODE, MESSY_ELE.replace("2 1 3 4", "2 1 3 x"), ParseError, "ele:4"),
             (MESSY_NODE, MESSY_ELE.replace("2 1 3 4", "2 1 3 0"), BadIndexError, "ele:4"),
+            (MESSY_NODE, MESSY_ELE.replace("1 1 2 3", "1 1 2 0").replace("2 1 3 4", "2 0 3 4"),
+             BadIndexError, "ele:3"),
             # an integer field never truncates a decimal
             (MESSY_NODE.replace("3 1.0 1.0", "3.0 1.0 1.0"), MESSY_ELE, ParseError, "node:6"),
             (MESSY_NODE.replace("3 1.0 1.0 0 0 1", "3 1.0 1.0 0 0 0.5"), MESSY_ELE,
@@ -159,6 +169,14 @@ class TestReadMeshRecords:
             # Python's int/float would accept it
             (MESSY_NODE.replace("3 1.0 1.0", "3 1_0.0 1.0"), MESSY_ELE, ParseError, "node:6"),
             (MESSY_NODE, MESSY_ELE.replace("2 1 3 4", "2 1 3 4_0"), ParseError, "ele:4"),
+            # a non-finite coordinate is malformed
+            (MESSY_NODE.replace("3 1.0 1.0", "3 nan 1.0"), MESSY_ELE, ParseError, "node:6"),
+            (MESSY_NODE.replace("3 1.0 1.0", "3 1.0 -inf"), MESSY_ELE, ParseError, "node:6"),
+            # parse errors come before bad ids, whichever record is first
+            (MESSY_NODE.replace("1 0.0 0.0", "7 0.0 0.0").replace("3 1.0 1.0", "3 1.x 1.0"),
+             MESSY_ELE, ParseError, "node:6"),
+            (MESSY_NODE, MESSY_ELE.replace("1 1 2 3", "1 1 2 9").replace("2 1 3 4", "2 1 3 x"),
+             ParseError, "ele:4"),
         ],
         ids=[
             "bad_float",
@@ -167,11 +185,16 @@ class TestReadMeshRecords:
             "short_attributes",
             "bad_int",
             "element_id_range",
+            "first_element_id_range",
             "decimal_node_id",
             "decimal_marker",
             "decimal_element_id",
             "underscore_float",
             "underscore_int",
+            "nan_coordinate",
+            "inf_coordinate",
+            "node_id_range_before_bad_float",
+            "element_id_range_before_bad_int",
         ],
     )
     def test_mid_file_error_names_its_line(self, tmp_path, node_text, ele_text, cls, where):
@@ -181,7 +204,9 @@ class TestReadMeshRecords:
         assert err.value.context["line"] == int(where.split(":")[1])
         assert f".{where}:" in str(err.value)
 
-    @pytest.mark.parametrize("record", ["3 2.0", "3.0 2.0 2.0", "3 2_0 2.0"])
+    @pytest.mark.parametrize(
+        "record", ["3 2.0", "3.0 2.0 2.0", "3 2_0 2.0", "3 nan 2.0", "3 2.0 inf"]
+    )
     def test_frame_error_names_its_line(self, tmp_path, record):
         node, ele = write_pair(tmp_path, MESSY_NODE, MESSY_ELE)
         mesh = io.read_mesh(node, ele)
@@ -190,6 +215,62 @@ class TestReadMeshRecords:
         with pytest.raises(ParseError) as err:
             io.read_boundary_frame(mesh, str(frame))
         assert err.value.context["line"] == 4
+
+    def test_frame_parse_errors_before_bad_ids(self, tmp_path):
+        node, ele = write_pair(tmp_path, MESSY_NODE, MESSY_ELE)
+        mesh = io.read_mesh(node, ele)
+        frame = tmp_path / "f.node"
+        frame.write_text("4 2 0 0\n1 0 0\n1 2 0\n3 2.x 2\n4 0 1\n")
+        with pytest.raises(ParseError) as err:
+            io.read_boundary_frame(mesh, str(frame))
+        assert err.value.context["line"] == 4
+        # a record past n repeats or leaves the id range; the first is named
+        frame.write_text("4 2 0 0\n1 0 0\n2 2 0\n3 2 2\n4 0 1\n2 5 5\n")
+        with pytest.raises(BadIndexError, match=r"\.node:6: node id 2 repeated"):
+            io.read_boundary_frame(mesh, str(frame))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ids=st.lists(
+            st.one_of(st.integers(-3, 8), st.sampled_from([-(2**63), 2**63 - 1])),
+            max_size=8,
+        ),
+        n=st.integers(0, 8),
+    )
+    def test_node_id_check_matches_loop(self, ids, n):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "f.node")
+            with open(path, "w") as fh:
+                fh.write(f"# ids\n{len(ids)} 2\n" + "".join(f"{i} 0 0\n\n" for i in ids))
+            expected = first_bad_node_record(ids, n)
+            if expected is None:
+                rows, base = io._node_rows(path, np.array(ids, dtype=np.int64), n)
+                assert [base + r for r in rows.tolist()] == ids
+                return
+            record, problem = expected
+            with pytest.raises(BadIndexError) as err:
+                io._node_rows(path, np.array(ids, dtype=np.int64), n)
+            assert err.value.context["line"] == 3 + 2 * record
+            assert str(err.value).endswith(f"node id {ids[record]} {problem}")
+
+    def test_valid_files_never_walk_lines(self, tmp_path, monkeypatch):
+        messy = write_pair(tmp_path, MESSY_NODE, MESSY_ELE)
+        box = gen_box_tets(3, 4, 3)
+        box_pair = str(tmp_path / "box.node"), str(tmp_path / "box.ele")
+        io.write_mesh(box, *box_pair)
+        frame = tmp_path / "f.node"
+        frame.write_text("# frame\n4 2 0 0\n\n4 9 9\n3 2 2 # c\n2 2 0\n1 -1 -1\n")
+
+        def walk(path):
+            raise AssertionError(f"walked the lines of {path}")
+
+        monkeypatch.setattr(io, "_data_lines", walk)
+        mesh = io.read_mesh(*messy)
+        assert_same_mesh(mesh, MESSY_MESH)
+        assert_same_mesh(io.read_mesh(*box_pair), box)
+        assert np.array_equal(
+            io.read_boundary_frame(mesh, str(frame)), [[-1.0, -1.0], [2.0, 0.0], [2.0, 2.0]]
+        )
 
     def test_repeated_node_id_rejected(self, tmp_path):
         # ids 0 1 1 3: node 2 would be left unset
@@ -526,6 +607,8 @@ class TestCliErrorContract:
                 "min_step = 0\n",
                 "INVALID_SPEC",
             ),
+            ("motion = affine\nl = nan,0;0,1\n", "PARSE_ERROR"),
+            ("motion = shear\nalpha = inf\n", "INVALID_SPEC"),
         ],
         ids=[
             "bad_float",
@@ -533,6 +616,8 @@ class TestCliErrorContract:
             "bad_matrix_entry",
             "bad_scheme",
             "zero_min_step",
+            "nan_matrix_entry",
+            "inf_alpha",
         ],
     )
     def test_bad_spec(self, tmp_path, annulus_on_disk, capsys, spec_text, code):
@@ -572,3 +657,27 @@ class TestCliErrorContract:
         err = capsys.readouterr().err.strip()
         assert err.startswith("error code=PARSE_ERROR message=")
         assert ":2:" in err
+
+    @pytest.mark.parametrize("file", ["mesh", "frame"])
+    def test_non_finite_coordinate(self, tmp_path, annulus_on_disk, capsys, file):
+        base, mesh = annulus_on_disk
+        bad = str(tmp_path / "bad")
+        io.write_mesh(mesh, bad + ".node", bad + ".ele")
+        lines = open(bad + ".node").read().split("\n")
+        tokens = lines[3].split()
+        tokens[2] = "inf"  # node 2's y coordinate
+        lines[3] = " ".join(tokens)
+        open(bad + ".node", "w").write("\n".join(lines))
+        spec = tmp_path / "t.spec"
+        if file == "mesh":
+            spec.write_text("motion = affine\nl = 1,0;0,1\n")
+        else:
+            spec.write_text(f"motion = tabulated\nframes = {bad}.node\n")
+        out = str(tmp_path / "o")
+        rc = main(["warp", "--mesh", bad if file == "mesh" else base, "--spec", str(spec),
+                   "--out", out])
+        assert rc == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error code=PARSE_ERROR message=")
+        assert ":4:" in err and "\n" not in err
+        assert not os.path.exists(out + ".report")

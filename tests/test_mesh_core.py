@@ -1,5 +1,6 @@
 """Mesh container, orientation predicates and quality metrics."""
 
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from femwarp import Mesh, gen_annulus, gen_box_tets
+from femwarp import Mesh, gen_annulus, gen_box_tets, gen_rectangle
 from femwarp.errors import BadIndexError, DegenerateElementError, ReversedElementError
 from femwarp.mesh import (
     aspect_ratio,
@@ -21,6 +22,7 @@ from femwarp.mesh import (
     validate,
     Violation,
 )
+from femwarp.untangle import untangle
 
 from oracles import face_loop_aspect_ratio, inverse_mean_ratio_by_inverse
 
@@ -119,6 +121,23 @@ class TestCountReversals:
         broken = annulus_coarse.with_coords(coords)
         assert count_reversals(broken)[0] > 0
         assert not is_valid(broken)
+
+    @pytest.mark.parametrize("where", ["boundary", "interior"])
+    def test_nan_node_reverses_its_elements(self, where):
+        # a NaN measure is never positive, so it is never taken as valid
+        mesh = gen_rectangle(2.0, 1.0, 5, 4)
+        vid = getattr(mesh, f"{where}_ids")[0]
+        coords = np.array(mesh.coords)
+        coords[vid, 0] = np.nan
+        broken = mesh.with_coords(coords)
+        incident = np.flatnonzero((mesh.elements == vid).any(axis=1)).tolist()
+        assert count_reversals(broken) == (len(incident), incident)
+        reversed_ids = [v.where for v in validate(broken) if v.code == "REVERSED_ELEMENT"]
+        assert reversed_ids == incident
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # det of NaN entries
+            assert quality_report(broken).reversal_count == len(incident)
+        assert untangle(broken)[2] != "SUCCESS"
 
 
 class TestAspectRatio:
@@ -292,6 +311,15 @@ class TestQualityReport:
         q = quality_report(annulus_coarse.with_coords(coords))
         assert q.reversal_count > 0
         assert q.min_measure < 0
+
+    def test_fully_reversed_mesh_reports_nan_imr(self):
+        rect = gen_rectangle(1.0, 1.0, 4, 4)
+        flipped = rect.with_coords(rect.coords * [-1.0, 1.0])  # x -> -x
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = quality_report(flipped)
+        assert q.reversal_count == flipped.n_elements
+        assert np.isnan([q.min_imr, q.max_imr, q.mean_imr]).all()
 
     def test_3d_report(self, box_mesh):
         q = quality_report(box_mesh)
