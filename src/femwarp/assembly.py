@@ -36,7 +36,7 @@ from .errors import (
     NoNeighborsError,
     SingularSystemError,
 )
-from .mesh import _readonly, measure_gradients, simplex_measures
+from .mesh import _readonly, _reversed, measure_gradients, simplex_measures
 
 SCHEMES = ("FEM", "UNIFORM", "LOG_BARRIER")
 
@@ -205,11 +205,12 @@ def stiffness_stack(pts):
 
     Closed form ``K_ij = G_i.G_j / meas`` with G the measure gradients
     (``G_i = meas * grad(phi_i)``).  Raises DEGENERATE_ELEMENT unless every
-    simplex has positive measure.
+    simplex has positive measure; a nan measure (non-finite geometry) is
+    not positive.
     """
     pts = np.asarray(pts, dtype=float)
     meas = simplex_measures(pts)
-    bad = np.flatnonzero(meas <= 0.0)
+    bad = np.flatnonzero(_reversed(meas))
     if len(bad):
         raise DegenerateElementError(
             f"element {bad[0]} has nonpositive measure",

@@ -101,20 +101,30 @@ def run_algorithm(mesh, spec, motion):
     if not min_step > 0.0:
         raise InvalidSpecError(f"min_step must be positive, got {min_step!r}")
     max_sweeps = _spec_number(spec, "max_sweeps", 50, kind=int)
+    if algorithm not in ALGORITHMS:
+        raise InvalidSpecError(f"unknown algorithm {algorithm!r}")
+    target = _finite_target(motion)
     if algorithm == "femwarp":
-        weights = build_weights(mesh, scheme)
-        return femwarp_step(mesh, weights, motion.evaluate(1.0))
+        return femwarp_step(mesh, build_weights(mesh, scheme), target)
     if algorithm == "small_step":
         return small_step_femwarp(mesh, scheme, motion, min_step=min_step)
     if algorithm == "hybrid":
-        weights = build_weights(mesh, scheme)
-        return hybrid_warp(mesh, weights, motion.evaluate(1.0), max_sweeps=max_sweeps)
-    if algorithm == "untangle":
-        coords = np.array(mesh.coords)
-        coords[mesh.boundary_ids] = motion.evaluate(1.0)
-        fixed, _, _ = untangle(mesh.with_coords(coords), max_sweeps=max_sweeps)
-        return fixed, warp_report(fixed, count_reversals(fixed)[0], 0, ())
-    raise InvalidSpecError(f"unknown algorithm {algorithm!r}")
+        return hybrid_warp(mesh, build_weights(mesh, scheme), target, max_sweeps=max_sweeps)
+    coords = np.array(mesh.coords)
+    coords[mesh.boundary_ids] = target
+    fixed, _, _ = untangle(mesh.with_coords(coords), max_sweeps=max_sweeps)
+    return fixed, warp_report(fixed, count_reversals(fixed)[0], 0, ())
+
+
+def _finite_target(motion):
+    """The motion's full boundary target; INVALID_SPEC when a finite spec
+    value overflows it to inf or nan.  The small-step homotopy's targets
+    scale toward this one, so checking it covers theirs."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        target = motion.evaluate(1.0)
+    if not np.isfinite(target).all():
+        raise InvalidSpecError("the motion's boundary target is not finite")
+    return target
 
 
 def _report_lines(report):

@@ -198,9 +198,9 @@ def _inverse_mean_ratios(pts):
     d = pts.shape[2]
     edges = np.transpose(pts[:, 1:] - pts[:, :1], (0, 2, 1))
     t = edges @ np.linalg.inv(_reference_edge_matrix(d))
-    det = np.linalg.det(t)
     frob2 = (t * t).sum(axis=(1, 2))
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore"):  # nan or inf entries
+        det = np.linalg.det(t)
         return frob2 / (d * np.where(det > 0, det, np.nan) ** (2.0 / d))
 
 

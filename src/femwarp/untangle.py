@@ -3,12 +3,13 @@
 Each interior vertex is repositioned at the point maximizing the minimum
 signed measure of its incident elements (Freitag & Plassmann, IJNME 2000).
 The measure of each incident element is affine in the free vertex, so the
-reposition is a tiny linear program.  In 2D it is solved exactly from its
-dual: the optimal basis is a triple of measure gradients whose triangle
-holds the origin, and the primal point it yields is accepted only with a
-weak-duality certificate.  Every other case (3D, an LP that only the
-feasibility box bounds, a failed certificate) goes to a dense simplex with
-Bland's rule.
+reposition is a tiny linear program.  In 2D its coefficients are built in
+Python floats and it is solved exactly from its dual: the optimal basis is
+a triple of measure gradients whose triangle holds the origin, and the
+primal point it yields is accepted only with a weak-duality certificate.
+Every other case (3D, an LP that only the feasibility box bounds, a failed
+certificate, non-finite geometry) builds its coefficients with the batched
+array kernels and goes to a dense simplex with Bland's rule.
 """
 
 import math
@@ -194,19 +195,61 @@ def _simplex_reposition(grads, meas, x0, radius):
     return x_new, (grads @ x_new + consts).min()
 
 
+def _float_terms_2d(flat, slots):
+    """Gradients, measures and box radius of a 2D cavity in Python floats.
+
+    ``flat`` is the cavity's ``elements`` raveled to a list and ``slots``
+    its free slots as a list.  The float operations are those of
+    :func:`_measure_terms` (:func:`measure_gradients` and
+    :func:`simplex_measures`) and of the box in :func:`maximin_reposition`,
+    in the same order, so every value equals theirs to the bit.
+    """
+    it = iter(flat)
+    grads = []
+    meas = []
+    for (x0, y0, x1, y1, x2, y2), s in zip(zip(it, it, it, it, it, it), slots):
+        # row s of the measure gradients: the edge p[s+2] - p[s+1] (indices
+        # mod 3) rotated by +90 degrees and halved
+        if s == 0:
+            ex, ey = x2 - x1, y2 - y1
+        elif s == 1:
+            ex, ey = x0 - x2, y0 - y2
+        else:
+            ex, ey = x1 - x0, y1 - y0
+        grads.append((-0.5 * ey, 0.5 * ex))
+        meas.append(0.5 * ((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)))
+    xs, ys = flat[0::2], flat[1::2]
+    radius = BOX_FACTOR * max(max(xs) - min(xs), max(ys) - min(ys), 1e-12)
+    return grads, meas, radius
+
+
 def maximin_reposition(sub):
     """Optimal position for the free vertex: maximize the minimum signed
     measure over incident elements.
 
     A feasibility box of ``BOX_FACTOR`` times the cavity diameter around the
     current position keeps the LP bounded for boundary-incomplete cavities.
-    2D cavities are solved exactly from the LP's dual when that yields a
-    certified optimum inside the box, all others by the simplex.
+    2D cavities are solved exactly from the LP's dual, on terms from
+    :func:`_float_terms_2d`, when that yields a certified optimum inside
+    the box; all others by the simplex, on terms from :func:`_measure_terms`.
     Never worsens: if the LP result does not beat the current minimum, the
     vertex stays in place, as it does in a cavity with non-finite geometry.
     """
-    grads, meas = _measure_terms(sub)
     x0 = sub.position
+    if x0.size == 2:
+        grads, meas, radius = _float_terms_2d(
+            sub.elements.ravel().tolist(), sub.free_slots.tolist()
+        )
+        # a nan or inf coordinate makes the measure of each triangle holding
+        # it non-finite, and Python's max and min may skip a nan; such
+        # cavities, any with an overflow and any LP the dual cannot certify
+        # take the array path below
+        if math.isfinite(radius) and math.isfinite(sum(meas)):
+            exact = _dual_maximin_2d(grads, meas, radius)
+            if exact is not None:
+                u, achieved = exact
+                return _no_worse(x0, x0 + u, achieved, min(meas))
+    grads, meas = _measure_terms(sub)
     pts = sub.elements.reshape(-1, x0.size)
     radius = BOX_FACTOR * max(np.ptp(pts, axis=0).max(), 1e-12)
     if not math.isfinite(radius):  # a non-finite coordinate makes it nan or inf
@@ -219,7 +262,12 @@ def maximin_reposition(sub):
     else:
         u, achieved = exact
         x_new = x0 + u
-    current_min = meas.min()
+    return _no_worse(x0, x_new, achieved, meas.min())
+
+
+def _no_worse(x0, x_new, achieved, current_min):
+    """``(x_new, achieved)``, or ``x0`` and its value when the LP result
+    falls short of the current minimum."""
     if achieved < current_min - 1e-12:
         return np.array(x0), current_min
     return x_new, achieved
@@ -264,7 +312,9 @@ def untangle(mesh, max_sweeps=50, on_move=None):
             new_pos, after = maximin_reposition(sub)
             if on_move is not None:
                 on_move(int(vid), simplex_measures(sub.elements).min(), after)
-            max_move = max(max_move, np.linalg.norm(new_pos - coords[vid]))
+            move = new_pos - sub.position
+            # the norm np.linalg.norm takes, without its dispatch
+            max_move = max(max_move, math.sqrt(move.dot(move)))
             coords[vid] = new_pos
         sweeps += 1
 

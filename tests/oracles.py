@@ -281,3 +281,34 @@ def first_bad_node_record(ids, n):
             return i, "repeated"
         seen.add(nid)
     return None
+
+
+def maximin_reposition_by_arrays(sub):
+    """``untangle.maximin_reposition`` with every LP's terms built by the
+    batched array kernels: measure gradients and measures of the whole
+    cavity stack, the box from ``np.ptp``.
+
+    Unlike the rest of this module it reuses the library's LP solvers (the
+    exact 2D dual and the simplex): it pins the float terms of the 2D path
+    to the array kernels bit for bit, so it must share everything else.
+    """
+    from femwarp.mesh import measure_gradients, simplex_measures
+    from femwarp.untangle import BOX_FACTOR, _dual_maximin_2d, _simplex_reposition
+
+    grads = measure_gradients(sub.elements)[np.arange(len(sub.elements)), sub.free_slots]
+    meas = simplex_measures(sub.elements)
+    x0 = sub.position
+    radius = BOX_FACTOR * max(np.ptp(sub.elements.reshape(-1, x0.size), axis=0).max(), 1e-12)
+    if not np.isfinite(radius):
+        return np.array(x0), meas.min()
+    exact = None
+    if x0.size == 2:
+        exact = _dual_maximin_2d(grads.tolist(), meas.tolist(), radius)
+    if exact is None:
+        x_new, achieved = _simplex_reposition(grads, meas, x0, radius)
+    else:
+        u, achieved = exact
+        x_new = x0 + u
+    if achieved < meas.min() - 1e-12:
+        return np.array(x0), meas.min()
+    return x_new, achieved

@@ -88,6 +88,19 @@ class TestLocalStiffness:
         with pytest.raises(DegenerateElementError):
             local_stiffness(flat)
 
+    @pytest.mark.parametrize("where", ["boundary", "interior"])
+    def test_nan_node_rejected(self, where):
+        # a nan measure is not positive: no weights hold nan
+        mesh = gen_rectangle(2.0, 1.0, 5, 4)
+        vid = getattr(mesh, f"{where}_ids")[0]
+        coords = np.array(mesh.coords)
+        coords[vid, 1] = np.nan
+        first = int(np.flatnonzero((mesh.elements == vid).any(axis=1))[0])
+        with pytest.raises(DegenerateElementError) as info:
+            build_weights(mesh.with_coords(coords), "FEM")
+        assert info.value.code == "DEGENERATE_ELEMENT"
+        assert info.value.context["element"] == first
+
 
 class TestAssemble:
     def test_two_triangle_square_pattern(self):

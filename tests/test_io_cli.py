@@ -630,6 +630,31 @@ class TestCliErrorContract:
         assert err.startswith(f"error code={code} message=")
         assert "\n" not in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("algorithm", ["femwarp", "small_step", "hybrid", "untangle"])
+    @pytest.mark.parametrize(
+        "spec_text",
+        ["motion = shear\nalpha = 1e308\n", "motion = affine\nl = 1e308,0;0,1e308\n"],
+        ids=["shear", "affine"],
+    )
+    def test_overflowing_motion_target(self, tmp_path, capsys, spec_text, algorithm):
+        # finite spec values whose boundary target overflows to inf or nan
+        base = str(tmp_path / "rect")
+        io.write_mesh(gen_rectangle(2.0, 1.0, 5, 4), base + ".node", base + ".ele")
+        spec = tmp_path / "big.spec"
+        spec.write_text(spec_text + f"algorithm = {algorithm}\n")
+        out = str(tmp_path / "o")
+        for argv in (
+            ["warp", "--mesh", base, "--spec", str(spec), "--out", out],
+            ["sweep", "--mesh", base, "--spec", str(spec), "--param-grid", "1:1:1"],
+        ):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            err = captured.err.strip()
+            assert err.startswith("error code=INVALID_SPEC message=")
+            assert "\n" not in err and captured.out == ""
+        assert not os.path.exists(out + ".node")
+
     def test_repeated_node_id(self, tmp_path, capsys):
         base = str(tmp_path / "dup")
         write_pair(

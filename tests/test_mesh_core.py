@@ -122,6 +122,7 @@ class TestCountReversals:
         assert count_reversals(broken)[0] > 0
         assert not is_valid(broken)
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("where", ["boundary", "interior"])
     def test_nan_node_reverses_its_elements(self, where):
         # a NaN measure is never positive, so it is never taken as valid
@@ -134,9 +135,7 @@ class TestCountReversals:
         assert count_reversals(broken) == (len(incident), incident)
         reversed_ids = [v.where for v in validate(broken) if v.code == "REVERSED_ELEMENT"]
         assert reversed_ids == incident
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # det of NaN entries
-            assert quality_report(broken).reversal_count == len(incident)
+        assert quality_report(broken).reversal_count == len(incident)
         assert untangle(broken)[2] != "SUCCESS"
 
 

@@ -25,7 +25,9 @@ from femwarp.mesh import (
 )
 from femwarp.untangle import (
     BOX_FACTOR,
+    LocalSubmesh,
     _dual_maximin_2d,
+    _float_terms_2d,
     _measure_terms,
     _simplex_reposition,
     hybrid_warp,
@@ -36,7 +38,12 @@ from femwarp.untangle import (
 )
 from femwarp.warp import AffineMotion
 
-from oracles import bumped_measure_coeffs, grid_maximin, tri_measures
+from oracles import (
+    bumped_measure_coeffs,
+    grid_maximin,
+    maximin_reposition_by_arrays,
+    tri_measures,
+)
 
 # the package re-exports the function untangle under the submodule's name
 untangle_module = import_module("femwarp.untangle")
@@ -136,6 +143,54 @@ UNTANGLE_EXITS = {
 }
 
 
+# small integers make repeated points and exactly collinear triples common
+COORDS = st.one_of(
+    st.integers(-2, 2).map(float),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+
+
+def fan_cavity(free, ring_pairs, slots):
+    """LocalSubmesh of the triangles (free, a, b), each rotated so that the
+    free vertex sits in its slot and the orientation is kept."""
+    tris = []
+    for (a, b), s in zip(ring_pairs, slots):
+        tri = [free, a, b]
+        tris.append(tri[-s:] + tri[:-s] if s else tri)
+    return LocalSubmesh(0, np.array(free, dtype=float), np.array(tris, dtype=float), np.array(slots))
+
+
+@st.composite
+def random_cavities(draw):
+    """A 2D cavity of 1-8 triangles of any orientation, degenerate ones
+    (a repeated point) included, with the free vertex in any slot."""
+    point = st.lists(COORDS, min_size=2, max_size=2)
+    k = draw(st.integers(1, 8))
+    pairs = []
+    for _ in range(k):
+        a = draw(point)
+        pairs.append((a, a if draw(st.booleans()) else draw(point)))
+    slots = draw(st.lists(st.integers(0, 2), min_size=k, max_size=k))
+    return fan_cavity(draw(point), pairs, slots)
+
+
+def float_terms(sub):
+    return _float_terms_2d(sub.elements.ravel().tolist(), sub.free_slots.tolist())
+
+
+def array_terms(sub):
+    """``_measure_terms`` and the box radius of ``maximin_reposition``'s
+    array path."""
+    ptp = np.ptp(sub.elements.reshape(-1, sub.position.size), axis=0).max()
+    return (*_measure_terms(sub), BOX_FACTOR * max(ptp, 1e-12))
+
+
+def assert_same_bits(got, want):
+    want = np.asarray(want, dtype=float)
+    got = np.asarray(got, dtype=float)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 CAVITY_MESHES = {
     "annulus": lambda: gen_annulus(0.5, 5, 20),
     "box": lambda: gen_box_tets(4, 4, 4),
@@ -158,6 +213,116 @@ class TestAffineMeasureCoeffs:
             assert np.abs(consts - want_c).max() <= 1e-12 * np.abs(want_c).max()
             slots = (np.arange(len(grads)), sub.free_slots)
             assert np.array_equal(measure_gradients(sub.elements)[slots], grads)
+
+
+class TestFloatTerms2d:
+    @settings(max_examples=300, deadline=None)
+    @given(sub=random_cavities())
+    def test_matches_array_kernels_bitwise(self, sub):
+        for got, want in zip(float_terms(sub), array_terms(sub)):
+            assert_same_bits(got, want)
+
+    def test_every_slot_and_orientation(self):
+        a, b = [1.1, 0.2], [0.4, 0.9]
+        kinds = {"positive": (a, b), "reversed": (b, a), "degenerate": (a, a)}
+        pairs = [pair for pair in kinds.values() for _ in range(3)]
+        sub = fan_cavity([0.3, -0.7], pairs, [0, 1, 2] * 3)
+        grads, meas, radius = float_terms(sub)
+        assert np.sign(meas).tolist() == [1.0] * 3 + [-1.0] * 3 + [0.0] * 3
+        for got, want in zip((grads, meas, radius), array_terms(sub)):
+            assert_same_bits(got, want)
+
+    # the array kernels warn on inf - inf; the verdict is what is tested
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("corner, axis", [(1, 0), (2, 0), (1, 1)])
+    def test_non_finite_cavity_stays(self, bad, corner, axis):
+        # one coordinate of a ring corner of a later triangle: Python's max
+        # and min may skip a nan there, so the box alone cannot tell
+        sub = star_cavity(3, 6, 0.5)
+        elements = np.array(sub.elements)
+        elements[3, (sub.free_slots[3] + corner) % 3, axis] = bad
+        sub = LocalSubmesh(sub.free_id, sub.position, elements, sub.free_slots)
+        pos, val = maximin_reposition(sub)
+        want_pos, want_val = maximin_reposition_by_arrays(sub)
+        assert np.array_equal(pos, sub.position) and np.array_equal(want_pos, pos)
+        assert_same_bits(val, want_val)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # np.ptp
+    def test_overflowing_box_stays(self):
+        # a star cavity whose LP the dual certifies, and two triangles with
+        # finite coordinates and measures that take the box diameter past
+        # the largest float
+        sub = star_cavity(3, 6, 0.5)
+        x, y = sub.position.tolist()
+        far = [[[1e308, y], [1e308, y + 1.0]], [[-1e308, y], [-1e308, y - 1.0]]]
+        outer = fan_cavity([x, y], far, [0, 0])
+        sub = LocalSubmesh(
+            sub.free_id,
+            sub.position,
+            np.concatenate([sub.elements, outer.elements]),
+            np.concatenate([sub.free_slots, outer.free_slots]),
+        )
+        grads, meas, radius = float_terms(sub)
+        assert np.isfinite(sum(meas)) and radius == np.inf
+        assert _dual_maximin_2d(grads, meas, 1e308) is not None
+        pos, val = maximin_reposition(sub)
+        want_pos, want_val = maximin_reposition_by_arrays(sub)
+        assert np.array_equal(pos, sub.position) and np.array_equal(want_pos, pos)
+        assert val == want_val == min(meas)
+
+
+def tangled_box():
+    """4x4x4 box of tets with one interior node pushed through a face."""
+    mesh = gen_box_tets(4, 4, 4)
+    coords = np.array(mesh.coords)
+    vid = mesh.interior_ids[5]
+    coords[vid] += [0.5, 0.4, -0.45]
+    return mesh.with_coords(coords)
+
+
+class TestFloatPathMatchesArrays:
+    """The untangler with the 2D float terms moves every vertex exactly as
+    it does with :func:`oracles.maximin_reposition_by_arrays`."""
+
+    @staticmethod
+    def runs(monkeypatch, call):
+        """``call()`` under each reposition, with the exits of the
+        ``untangle`` runs it makes."""
+        results = []
+        for reposition in (maximin_reposition, maximin_reposition_by_arrays):
+            exits = []
+
+            def recording(*args, **kwargs):
+                out = untangle(*args, **kwargs)
+                exits.append(out[1:])
+                return out
+
+            monkeypatch.setattr(untangle_module, "maximin_reposition", reposition)
+            monkeypatch.setattr(untangle_module, "untangle", recording)
+            results.append((call(), exits))
+        return results
+
+    def test_hybrid_workload_seeds(self, monkeypatch):
+        # the benchmark's hybrid_annulus8x60 cell and motion, seeds 1-20
+        base = gen_annulus(0.5, 8, 60)
+        for seed in range(1, 21):
+            mesh = jittered(base, np.random.default_rng(seed), frac=1e-10)
+            target = annulus_rotation_motion(mesh, 0.75 * np.pi, 0.25 * np.pi).evaluate(1.0)
+            weights = build_weights(mesh, "FEM")
+            (got, got_exits), (want, want_exits) = self.runs(
+                monkeypatch, lambda: hybrid_warp(mesh, weights, target)
+            )
+            assert len(got_exits) == 1 and got_exits == want_exits
+            assert_same_bits(got[0].coords, want[0].coords)
+            assert got[1] == want[1]
+
+    def test_3d_untangle(self, monkeypatch):
+        mesh = tangled_box()
+        assert count_reversals(mesh)[0] > 0
+        (got, _), (want, _) = self.runs(monkeypatch, lambda: untangle(mesh))
+        assert got[1:] == want[1:] and got[2] == "SUCCESS"
+        assert_same_bits(got[0].coords, want[0].coords)
 
 
 class TestMaximinReposition:
