@@ -1,6 +1,6 @@
-"""Linear-system backends: sparse direct factorization that can reuse a
-fill-reducing order across matrices of one sparsity pattern, and
-Gauss-Seidel sweeps.
+"""Linear-system backends: one sparse direct factorization for every
+weight scheme, which can reuse a fill-reducing order across matrices of
+one sparsity pattern, and Gauss-Seidel sweeps.
 """
 
 import numpy as np
@@ -9,20 +9,25 @@ from scipy.sparse import linalg as spla
 
 from .errors import DivergedError, NotPositiveDefiniteError, SingularSystemError
 
-_SPD_OPTS = dict(diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
-
 
 class Factorization:
-    """Factorization of a sparse weight matrix.
+    """Factorization of a sparse weight matrix ``A_I``.
 
-    For symmetric positive definite input the factorization is a Cholesky-like
-    no-pivoting LU (positive pivots enforced) under a fill-reducing symmetric
-    ordering; for the nonsymmetric schemes a general sparse LU is used.
+    Every scheme takes one path: SuperLU in symmetric mode, which pivots on
+    the diagonal under a fill-reducing symmetric ordering.  For FEM ``A_I``
+    is symmetric positive definite; for UNIFORM and LOG_BARRIER it is a row
+    diagonally dominant M-matrix, on which LU without pivoting is stable.
+    ``spd`` selects only the symmetry check, the pivot threshold, the
+    positive-pivot check and the error a failure raises.  SPD input pivots
+    on the diagonal always (threshold 0), must give positive pivots and
+    fails with NOT_POSITIVE_DEFINITE; other input takes an off-diagonal
+    pivot only where the diagonal is below a tenth of its column's largest
+    entry (threshold 0.1) and fails with SINGULAR_SYSTEM.
 
-    ``order`` is a symmetric ordering for SPD input, typically the ``order``
-    of an earlier factorization of a matrix with the same pattern: the
-    permuted matrix is factored in natural order and ``solve`` undoes the
-    permutation.  Without it the matrix is ordered afresh.
+    ``order`` is a symmetric ordering, typically the ``order`` of an earlier
+    factorization of a matrix with the same pattern: the permuted matrix is
+    factored in natural order and ``solve`` undoes the permutation.  Without
+    it the matrix is ordered afresh with ``MMD_AT_PLUS_A``.
     """
 
     def __init__(self, a, spd=True, order=None):
@@ -30,44 +35,36 @@ class Factorization:
         if a.shape[0] != a.shape[1]:
             raise ValueError("matrix must be square")
         self.n = a.shape[0]
-        self.spd = spd
         if order is not None:
-            if not spd:
-                raise ValueError("order applies to SPD factorizations only")
             order = np.asarray(order)
             if not np.array_equal(np.sort(order), np.arange(self.n)):
                 raise ValueError(f"order must be a permutation of 0..{self.n - 1}")
-        # fill-reducing order of an SPD factorization, offered to later ones
-        self.order = None
-        # set when _lu factors a[_perm][:, _perm] rather than a itself
-        self._perm = None
+        error = NotPositiveDefiniteError if spd else SingularSystemError
         if spd:
-            self._factor_spd(a, order)
-        else:
-            try:
-                self._lu = spla.splu(a)
-            except RuntimeError as exc:
-                raise SingularSystemError(str(exc)) from exc
-
-    def _factor_spd(self, a, order):
-        diff = a - a.T
-        if diff.nnz and abs(diff).max() > 1e-12 * max(1.0, abs(a).max()):
-            raise NotPositiveDefiniteError("matrix is not symmetric")
+            diff = a - a.T
+            if diff.nnz and abs(diff).max() > 1e-12 * max(1.0, abs(a).max()):
+                raise NotPositiveDefiniteError("matrix is not symmetric")
+        opts = dict(
+            diag_pivot_thresh=0.0 if spd else 0.1, options=dict(SymmetricMode=True)
+        )
+        # set when _lu factors a[_perm][:, _perm] rather than a itself
+        self._perm = order
         try:
             if order is not None:
-                lu = spla.splu(a[order][:, order], permc_spec="NATURAL", **_SPD_OPTS)
-                self._perm = order
+                lu = spla.splu(a[order][:, order], permc_spec="NATURAL", **opts)
             else:
-                lu = spla.splu(a, permc_spec="MMD_AT_PLUS_A", **_SPD_OPTS)
+                lu = spla.splu(a, permc_spec="MMD_AT_PLUS_A", **opts)
                 # SuperLU factors Pr A Pc with A Pc = A[:, argsort(perm_c)];
-                # symmetric mode pivots on the diagonal, so Pr = Pc^T
+                # symmetric mode keeps Pr = Pc^T while it pivots on the
+                # diagonal
                 order = np.argsort(lu.perm_c)
         except RuntimeError as exc:
-            raise NotPositiveDefiniteError(str(exc)) from exc
+            raise error(str(exc)) from exc
         # with a zero pivot threshold the diagonal of U carries the
         # LDL pivots; any nonpositive pivot disproves definiteness
-        if np.any(lu.U.diagonal() <= 0.0):
+        if spd and np.any(lu.U.diagonal() <= 0.0):
             raise NotPositiveDefiniteError("nonpositive pivot encountered")
+        # fill-reducing order, offered to later factorizations
         self.order = order
         self._lu = lu
 
@@ -82,7 +79,8 @@ class Factorization:
 
 def factor(a, spd=True, order=None):
     """Factor a sparse matrix; raises NOT_POSITIVE_DEFINITE for spd input
-    that is not positive definite.  ``order``: see :class:`Factorization`."""
+    that is not positive definite and SINGULAR_SYSTEM for other input that
+    is singular.  ``order``: see :class:`Factorization`."""
     return Factorization(a, spd=spd, order=order)
 
 

@@ -7,9 +7,10 @@ reposition is a tiny linear program.  In 2D its coefficients are built in
 Python floats and it is solved exactly from its dual: the optimal basis is
 a triple of measure gradients whose triangle holds the origin, and the
 primal point it yields is accepted only with a weak-duality certificate.
-Every other case (3D, an LP that only the feasibility box bounds, a failed
-certificate, non-finite geometry) builds its coefficients with the batched
-array kernels and goes to a dense simplex with Bland's rule.
+A vertex whose cavity has non-finite geometry stays in place.  Every other
+case (3D, an LP that only the feasibility box bounds, a failed certificate)
+builds its coefficients with the batched array kernels and goes to a dense
+simplex with Bland's rule.
 """
 
 import math
@@ -156,12 +157,13 @@ def _dual_maximin_2d(grads, meas, radius):
         return None
     ux = (ra * by - rb * ay) / det
     uy = (ax * rb - bx * ra) / det
-    if abs(ux) > radius or abs(uy) > radius:
+    # written so that a nan (an overflow of the dual value or of u) fails
+    if not (abs(ux) <= radius and abs(uy) <= radius):
         return None
     achieved = min([px * ux + py * uy + m for (px, py), m in zip(grads, meas)])
     # the optimum is a small difference of the cavity's measures, so the
     # rounding of each G_i @ u + m_i scales with the largest |m_i|
-    if achieved < value - 1e-12 * max(map(abs, meas)):
+    if not achieved >= value - 1e-12 * max(map(abs, meas)):
         return None
     return (ux, uy), achieved
 
@@ -241,27 +243,21 @@ def maximin_reposition(sub):
             sub.elements.ravel().tolist(), sub.free_slots.tolist()
         )
         # a nan or inf coordinate makes the measure of each triangle holding
-        # it non-finite, and Python's max and min may skip a nan; such
-        # cavities, any with an overflow and any LP the dual cannot certify
-        # take the array path below
-        if math.isfinite(radius) and math.isfinite(sum(meas)):
-            exact = _dual_maximin_2d(grads, meas, radius)
-            if exact is not None:
-                u, achieved = exact
-                return _no_worse(x0, x0 + u, achieved, min(meas))
+        # it non-finite (Python's max and min may skip a nan, so the box
+        # alone cannot tell), and so does an overflow: such a cavity stays,
+        # valued by numpy's min, which keeps a nan
+        if not (math.isfinite(radius) and math.isfinite(sum(meas))):
+            return np.array(x0), np.min(meas)
+        exact = _dual_maximin_2d(grads, meas, radius)
+        if exact is not None:
+            u, achieved = exact
+            return _no_worse(x0, x0 + u, achieved, min(meas))
     grads, meas = _measure_terms(sub)
     pts = sub.elements.reshape(-1, x0.size)
     radius = BOX_FACTOR * max(np.ptp(pts, axis=0).max(), 1e-12)
     if not math.isfinite(radius):  # a non-finite coordinate makes it nan or inf
         return np.array(x0), meas.min()
-    exact = None
-    if x0.size == 2:
-        exact = _dual_maximin_2d(grads.tolist(), meas.tolist(), radius)
-    if exact is None:
-        x_new, achieved = _simplex_reposition(grads, meas, x0, radius)
-    else:
-        u, achieved = exact
-        x_new = x0 + u
+    x_new, achieved = _simplex_reposition(grads, meas, x0, radius)
     return _no_worse(x0, x_new, achieved, meas.min())
 
 

@@ -6,12 +6,25 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from femwarp import warp
+from femwarp import gen_annulus, gen_box_tets, warp
 from femwarp.assembly import build_weights
-from femwarp.errors import DivergedError, NotPositiveDefiniteError
+from femwarp.errors import (
+    DivergedError,
+    NotPositiveDefiniteError,
+    SingularSystemError,
+)
 from femwarp.solve import factor, gauss_seidel, solve_multi
 
 SPD_2X2 = sparse.csc_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+
+
+def jittered(mesh, rng, amount=0.02):
+    """Copy of ``mesh`` with each interior coordinate moved by up to
+    ``amount``."""
+    coords = np.array(mesh.coords)
+    ii = mesh.interior_ids
+    coords[ii] += rng.uniform(-amount, amount, (len(ii), mesh.dim))
+    return mesh.with_coords(coords)
 
 
 class TestFactor:
@@ -71,8 +84,62 @@ class TestFactor:
         for bad in (fresh.order[:-1], np.append(fresh.order, w.m), repeated):
             with pytest.raises(ValueError):
                 factor(w.a_ii, order=bad)
-        with pytest.raises(ValueError):
-            factor(w.a_ii, spd=False, order=fresh.order)
+        # the nonsymmetric schemes take the same path, so an order serves
+        # them too
+        general = factor(w.a_ii, spd=False, order=fresh.order)
+        assert np.abs(general.solve(b) - x).max() <= 1e-12 * np.abs(x).max()
+
+    @pytest.mark.parametrize("scheme", ["UNIFORM", "LOG_BARRIER"])
+    @pytest.mark.parametrize(
+        "mesh", [gen_annulus(0.5, 6, 24), gen_box_tets(5, 5, 5)], ids=["annulus", "box"]
+    )
+    def test_nonsymmetric_schemes_pivot_on_the_diagonal(self, mesh, scheme, rng):
+        # A_I = I - W_II is a row diagonally dominant M-matrix, so the
+        # symmetric-mode threshold never takes an off-diagonal pivot
+        w = build_weights(jittered(mesh, rng), scheme)
+        assert not w.symmetric
+        f = factor(w.a_ii, spd=w.symmetric)
+        assert np.array_equal(f._lu.perm_r, f._lu.perm_c)
+        b = rng.standard_normal(w.m)
+        x = f.solve(b)
+        assert np.abs(w.a_ii @ x - b).max() <= 1e-12 * np.abs(b).max()
+
+    @pytest.mark.parametrize("order", [None, [2, 0, 1]])
+    def test_singular_nonsymmetric_rejected(self, order):
+        # the third row is the sum of the first two
+        a = sparse.csc_matrix(
+            np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 1.0], [1.0, 3.0, 1.0]])
+        )
+        with pytest.raises(SingularSystemError):
+            factor(a, spd=False, order=order)
+
+    def test_zero_diagonal_pivots_off_it(self):
+        a = sparse.csc_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        f = factor(a, spd=False)
+        assert np.array_equal(f.solve(np.array([2.0, 3.0])), [3.0, 2.0])
+
+    def test_log_barrier_small_step_reuses_order(self, annulus_coarse, monkeypatch):
+        # every factorization after the first reuses the first one's order,
+        # and the warp takes the steps it takes when each orders afresh
+        motion = warp.annulus_rotation_motion(annulus_coarse, 1.5)
+        runs = []
+        for reuse in (True, False):
+            orders = []
+
+            def recording(a, spd=True, order=None):
+                orders.append(order)
+                return factor(a, spd=spd, order=order if reuse else None)
+
+            monkeypatch.setattr(warp, "factor", recording)
+            _, report = warp.small_step_femwarp(annulus_coarse, "LOG_BARRIER", motion)
+            runs.append(report)
+            assert orders[0] is None and len(orders) == report.n_factorizations
+            if reuse:
+                assert all(order is not None for order in orders[1:])
+        reused, fresh = runs
+        assert reused.n_factorizations == fresh.n_factorizations > 1
+        assert reused.steps == fresh.steps
+        assert reused.outcome == fresh.outcome
 
     def test_small_step_releases_old_factorization(self, annulus_coarse, monkeypatch):
         # every refactorization starts with no earlier factors alive, so at

@@ -1,5 +1,6 @@
 """Maximin LP repositioning, sweeps, and the warp/untangle hybrid."""
 
+import warnings
 from importlib import import_module
 from itertools import combinations
 
@@ -185,6 +186,14 @@ def array_terms(sub):
     return (*_measure_terms(sub), BOX_FACTOR * max(ptp, 1e-12))
 
 
+def quiet_oracle(sub):
+    """:func:`oracles.maximin_reposition_by_arrays` with the runtime
+    warnings of its array kernels ignored."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return maximin_reposition_by_arrays(sub)
+
+
 def assert_same_bits(got, want):
     want = np.asarray(want, dtype=float)
     got = np.asarray(got, dtype=float)
@@ -232,8 +241,9 @@ class TestFloatTerms2d:
         for got, want in zip((grads, meas, radius), array_terms(sub)):
             assert_same_bits(got, want)
 
-    # the array kernels warn on inf - inf; the verdict is what is tested
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    # the library stays silent; only the array oracle may warn (on inf - inf
+    # and on a box past the largest float)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("corner, axis", [(1, 0), (2, 0), (1, 1)])
     def test_non_finite_cavity_stays(self, bad, corner, axis):
@@ -244,11 +254,11 @@ class TestFloatTerms2d:
         elements[3, (sub.free_slots[3] + corner) % 3, axis] = bad
         sub = LocalSubmesh(sub.free_id, sub.position, elements, sub.free_slots)
         pos, val = maximin_reposition(sub)
-        want_pos, want_val = maximin_reposition_by_arrays(sub)
+        want_pos, want_val = quiet_oracle(sub)
         assert np.array_equal(pos, sub.position) and np.array_equal(want_pos, pos)
         assert_same_bits(val, want_val)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # np.ptp
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_box_stays(self):
         # a star cavity whose LP the dual certifies, and two triangles with
         # finite coordinates and measures that take the box diameter past
@@ -267,7 +277,7 @@ class TestFloatTerms2d:
         assert np.isfinite(sum(meas)) and radius == np.inf
         assert _dual_maximin_2d(grads, meas, 1e308) is not None
         pos, val = maximin_reposition(sub)
-        want_pos, want_val = maximin_reposition_by_arrays(sub)
+        want_pos, want_val = quiet_oracle(sub)
         assert np.array_equal(pos, sub.position) and np.array_equal(want_pos, pos)
         assert val == want_val == min(meas)
 
@@ -472,6 +482,15 @@ class TestUntangle:
         out, sweeps, outcome = untangle(mesh)
         assert (sweeps, outcome) == (1, "SUCCESS")
         assert np.array_equal(out.coords[5], [0.5, 0.5])
+
+    @pytest.mark.parametrize("scale", [1e80, 1e120])
+    def test_huge_finite_coordinates(self, scale):
+        # the dual value overflows to nan in many cavities this large; the
+        # box test and the certificate must refuse it, not write it
+        warped = reversed_rotation_warp()
+        out, _, outcome = untangle(warped.with_coords(warped.coords * scale))
+        assert np.isfinite(out.coords).all()
+        assert outcome == "SUCCESS"
 
     def test_point_reflection_fixture_fails(self, reflection_untangle_result):
         out, sweeps, outcome = reflection_untangle_result
