@@ -49,7 +49,7 @@ def annulus_coeffs(spec):
 def annulus_map(spec, point):
     """Harmonic map of the annulus: (x, y) -> (Ax + By, -Bx + Ay)
     with A = a + b/rho^2, B = c + d/rho^2."""
-    x, y = _check_annulus_point(spec, point)
+    x, y = _check_annulus_point(spec.r, point)
     a, b, c, d = annulus_coeffs(spec)
     rho2 = x * x + y * y
     big_a = a + b / rho2
@@ -62,19 +62,19 @@ def annulus_jac_det(spec, point):
 
     Minimized on the inner circle rho = r.
     """
-    x, y = _check_annulus_point(spec, point)
+    x, y = _check_annulus_point(spec.r, point)
     a, b, c, d = annulus_coeffs(spec)
     rho2 = x * x + y * y
     return a * a + c * c - (b * b + d * d) / (rho2 * rho2)
 
 
-def _check_annulus_point(spec, point, slack=1e-9):
+def _check_annulus_point(r, point):
     x, y = float(point[0]), float(point[1])
     rho = np.hypot(x, y)
     if rho == 0.0:
         raise DomainError("annulus map undefined at the origin")
-    if rho < spec.r - slack or rho > 1.0 + slack:
-        raise DomainError(f"point at radius {rho:g} outside annulus [{spec.r}, 1]")
+    if rho < r - 1e-9 or rho > 1.0 + 1e-9:
+        raise DomainError(f"point at radius {rho:g} outside annulus [{r}, 1]")
     return x, y
 
 
@@ -92,10 +92,8 @@ def infinitesimal_rotation_map(r, theta, point):
     the inner boundary stays fixed, the outer rotates by theta.  Bijective
     for every theta.
     """
-    x, y = float(point[0]), float(point[1])
+    x, y = _check_annulus_point(r, point)
     rho = np.hypot(x, y)
-    if rho < r - 1e-9 or rho > 1.0 + 1e-9:
-        raise DomainError(f"point at radius {rho:g} outside annulus [{r}, 1]")
     alpha = (1.0 - (r * r) / (rho * rho)) * theta / (1.0 - r * r)
     ca, sa = np.cos(alpha), np.sin(alpha)
     return np.array([ca * x - sa * y, sa * x + ca * y])
@@ -133,66 +131,3 @@ def reversal_bound_check(triangle, grad_at_v1, hessian_bound):
     sigma_min = np.linalg.svd(np.asarray(grad_at_v1, dtype=float), compute_uv=False)[-1]
     h = _edge_lengths(triangle[None]).max()
     return sigma_min / hessian_bound > 2.0 * h * aspect_ratio(triangle)
-
-
-# numeric helpers for the analytic maps (used as oracles in tests and by
-# the soundness checks)
-
-def numeric_jacobian(fn, point, eps=1e-6):
-    """Central-difference Jacobian of a 2D/3D map at a point."""
-    point = np.asarray(point, dtype=float)
-    d = point.size
-    cols = []
-    for j in range(d):
-        step = np.zeros(d)
-        step[j] = eps
-        cols.append((np.asarray(fn(point + step)) - np.asarray(fn(point - step))) / (2 * eps))
-    return np.column_stack(cols)
-
-
-def shear_gradient(alpha, point):
-    x = float(point[0])
-    return np.array([[1.0, 0.0], [alpha * (2.0 - 2.0 * x), 1.0]])
-
-
-def shear_hessian_norm(alpha):
-    # second derivatives: only d2y/dx2 = -2*alpha
-    return 2.0 * abs(alpha)
-
-
-def rotation_gradient(r, theta, point):
-    return numeric_jacobian(lambda p: infinitesimal_rotation_map(r, theta, p), point)
-
-
-def rotation_hessian_norm_bound(r, theta, triangle, samples=10):
-    """Upper bound on the rotation map's Hessian norm over a triangle,
-    estimated from a barycentric sample of finite-difference Hessians."""
-    triangle = np.asarray(triangle, dtype=float)
-    best = 0.0
-    for i in range(samples + 1):
-        for j in range(samples + 1 - i):
-            k = samples - i - j
-            p = (i * triangle[0] + j * triangle[1] + k * triangle[2]) / samples
-            best = max(best, _hessian_norm(lambda q: infinitesimal_rotation_map(r, theta, q), p))
-    return best
-
-
-def _hessian_norm(fn, point, eps=1e-5):
-    point = np.asarray(point, dtype=float)
-    d = point.size
-    total = 0.0
-    for comp in range(d):
-        h = np.zeros((d, d))
-        for a in range(d):
-            for b in range(d):
-                pa, pb = np.zeros(d), np.zeros(d)
-                pa[a] = eps
-                pb[b] = eps
-                h[a, b] = (
-                    fn(point + pa + pb)[comp]
-                    - fn(point + pa - pb)[comp]
-                    - fn(point - pa + pb)[comp]
-                    + fn(point - pa - pb)[comp]
-                ) / (4 * eps * eps)
-        total += np.linalg.norm(h, 2) ** 2
-    return np.sqrt(total)

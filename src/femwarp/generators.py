@@ -65,13 +65,6 @@ def gen_annulus(r, n_rings, n_sectors):
     )
 
 
-def annulus_for_h(r, h):
-    """Ring/sector counts so the annulus mesh edge length lands near h."""
-    n_rings = max(2, int(np.ceil((1.0 - r) / h)) + 1)
-    n_sectors = max(8, int(np.ceil(2.0 * np.pi / h)))
-    return gen_annulus(r, n_rings, n_sectors)
-
-
 def gen_rectangle(width, height, nx, ny):
     """Structured triangular mesh of [0, width] x [0, height].
 

@@ -221,15 +221,11 @@ def write_mesh(mesh, node_path, ele_path):
 def read_spec(path):
     """Parse a line-oriented ``key = value`` deformation spec into a dict."""
     spec = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError(f"{path}:{lineno}: expected 'key = value'", line=lineno)
-            key, value = line.split("=", 1)
-            spec[key.strip().lower()] = value.strip()
+    for lineno, line in _data_lines(path):
+        if "=" not in line:
+            raise ParseError(f"{path}:{lineno}: expected 'key = value'", line=lineno)
+        key, value = line.split("=", 1)
+        spec[key.strip().lower()] = value.strip()
     return spec
 
 

@@ -6,10 +6,11 @@ produces new meshes via :meth:`Mesh.with_coords`.
 """
 
 from dataclasses import asdict, dataclass, field
+from math import factorial
 
 import numpy as np
 
-from .errors import BadIndexError, DegenerateElementError, ReversedElementError
+from .errors import BadIndexError, ReversedElementError
 
 # Reversal threshold: an element is reversed iff its signed measure is <= 0.
 # Thin-but-valid elements must not be misclassified, so no epsilon here; a
@@ -83,9 +84,6 @@ class Mesh:
     def with_coords(self, coords):
         """New mesh with the same connectivity and boundary marking."""
         return Mesh(coords, self.elements, self.boundary_ids)
-
-    def element_coords(self, eid):
-        return self.coords[self.elements[eid]]
 
 
 def signed_measure(points):
@@ -163,44 +161,42 @@ def _aspect_ratios(pts, meas, longest):
         return np.where(minalt > 0.0, longest / minalt, np.inf)
 
 
-def aspect_ratio(points, degenerate_error=False):
+def aspect_ratio(points):
     """Max side length over minimum altitude.
 
     Lower is better; the equilateral triangle scores 2/sqrt(3).  Degenerate
-    elements yield +inf, or raise when ``degenerate_error`` is set.
+    elements yield +inf.
     """
     pts = np.asarray(points, dtype=float)[None]
-    meas = simplex_measures(pts)
-    if degenerate_error and meas[0] == 0.0:
-        raise DegenerateElementError("degenerate element has no altitude")
-    return _aspect_ratios(pts, meas, _edge_lengths(pts).max(axis=1))[0]
+    return _aspect_ratios(pts, simplex_measures(pts), _edge_lengths(pts).max(axis=1))[0]
 
 
-def _reference_edge_matrix(d):
-    if d == 2:
-        return np.array([[1.0, 0.5], [0.0, np.sqrt(3.0) / 2.0]])
-    return np.array(
-        [
-            [1.0, 0.5, 0.5],
-            [0.0, np.sqrt(3.0) / 2.0, np.sqrt(3.0) / 6.0],
-            [0.0, 0.0, np.sqrt(6.0) / 3.0],
-        ]
-    )
+# edge vectors (columns) of the unit-edge regular tetrahedron; its leading
+# 2x2 block holds those of the unit-edge regular triangle
+_REGULAR_EDGES = np.array(
+    [
+        [1.0, 0.5, 0.5],
+        [0.0, np.sqrt(3.0) / 2.0, np.sqrt(3.0) / 6.0],
+        [0.0, 0.0, np.sqrt(6.0) / 3.0],
+    ]
+)
 
 
-def _inverse_mean_ratios(pts):
-    """Inverse mean ratios of stacked simplices (nan when not positively
-    oriented).
+def _inverse_mean_ratios(pts, meas):
+    """Inverse mean ratios of stacked simplices with signed measures
+    ``meas`` (nan when not positively oriented).
 
-    ``||T||_F^2 / (d * det(T)^(2/d))`` where T maps the unit-edge regular
-    simplex onto the element.
+    ``||T||_F^2 / (d * det(T)^(2/d))`` where T = E inv(E_ref) maps the
+    unit-edge regular simplex onto the element, so that
+    ``det(T) = d! * meas / det(E_ref)``.
     """
     d = pts.shape[2]
+    ref = _REGULAR_EDGES[:d, :d]
     edges = np.transpose(pts[:, 1:] - pts[:, :1], (0, 2, 1))
-    t = edges @ np.linalg.inv(_reference_edge_matrix(d))
+    t = edges @ np.linalg.inv(ref)
     frob2 = (t * t).sum(axis=(1, 2))
     with np.errstate(invalid="ignore", divide="ignore"):  # nan or inf entries
-        det = np.linalg.det(t)
+        det = meas * (factorial(d) / np.linalg.det(ref))
         return frob2 / (d * np.where(det > 0, det, np.nan) ** (2.0 / d))
 
 
@@ -209,7 +205,8 @@ def inverse_mean_ratio(points):
 
     Raises for reversed or degenerate elements.
     """
-    imr = _inverse_mean_ratios(np.asarray(points, dtype=float)[None])[0]
+    pts = np.asarray(points, dtype=float)[None]
+    imr = _inverse_mean_ratios(pts, simplex_measures(pts))[0]
     if np.isnan(imr):
         raise ReversedElementError(
             "inverse mean ratio requires a positively oriented element"
@@ -254,10 +251,6 @@ def validate(mesh):
     return violations
 
 
-def is_valid(mesh):
-    return not validate(mesh)
-
-
 @dataclass(frozen=True)
 class QualityReport:
     """Summary statistics over all elements of a mesh."""
@@ -292,8 +285,8 @@ def quality_report(mesh):
     longest = _edge_lengths(pts).max(axis=1)
     h = longest.max()
     aspects = _aspect_ratios(pts, meas, longest)
-    imrs = _inverse_mean_ratios(pts)
-    imrs = imrs[(meas > 0.0) & ~np.isnan(imrs)]
+    imrs = _inverse_mean_ratios(pts, meas)
+    imrs = imrs[~np.isnan(imrs)]
     imr = (imrs.min(), imrs.max(), imrs.mean()) if imrs.size else (np.nan,) * 3
     nrev = int(_reversed(meas).sum())
     near = int(

@@ -7,10 +7,11 @@ reposition is a tiny linear program.  In 2D its coefficients are built in
 Python floats and it is solved exactly from its dual: the optimal basis is
 a triple of measure gradients whose triangle holds the origin, and the
 primal point it yields is accepted only with a weak-duality certificate.
-A vertex whose cavity has non-finite geometry stays in place.  Every other
-case (3D, an LP that only the feasibility box bounds, a failed certificate)
-builds its coefficients with the batched array kernels and goes to a dense
-simplex with Bland's rule.
+A vertex whose cavity's box radius or measure sum is not finite (non-finite
+or overflowing geometry) stays in place.  Every other case (3D, an LP that
+only the feasibility box bounds, a failed certificate) builds its
+coefficients with the batched array kernels and goes to a dense simplex
+with Bland's rule.
 """
 
 import math
@@ -31,33 +32,14 @@ STALL_TOL = 1e-12
 class LocalSubmesh:
     """A free vertex and its incident elements.
 
-    ``elements`` holds the vertex coordinates of each incident simplex as a
-    (n, d+1, d) array; ``free_slots[i]`` identifies the free vertex's
-    position in tuple i.
+    ``position`` is the free vertex's coordinates; ``elements`` holds the
+    vertex coordinates of each incident simplex as a (n, d+1, d) array;
+    ``free_slots[i]`` identifies the free vertex's position in tuple i.
     """
 
-    free_id: int
     position: np.ndarray
     elements: np.ndarray
     free_slots: np.ndarray
-
-
-def local_submesh(mesh, vertex_id, incident_eids):
-    nodes, slots = _cavity(mesh.elements, vertex_id, np.asarray(incident_eids))
-    return _gather(mesh.coords, vertex_id, nodes, slots)
-
-
-def _cavity(element_array, vertex_id, eids):
-    """Node ids (n, d+1) of the elements ``eids`` around ``vertex_id`` and
-    the vertex's slot in each."""
-    nodes = element_array[eids]
-    rows, slots = np.nonzero(nodes == vertex_id)
-    return nodes, slots[np.argsort(rows)]
-
-
-def _gather(coords, vertex_id, nodes, slots):
-    """The :class:`LocalSubmesh` of a :func:`_cavity` at ``coords``."""
-    return LocalSubmesh(int(vertex_id), np.array(coords[vertex_id]), coords[nodes], slots)
 
 
 def _measure_terms(sub):
@@ -235,7 +217,8 @@ def maximin_reposition(sub):
     :func:`_float_terms_2d`, when that yields a certified optimum inside
     the box; all others by the simplex, on terms from :func:`_measure_terms`.
     Never worsens: if the LP result does not beat the current minimum, the
-    vertex stays in place, as it does in a cavity with non-finite geometry.
+    vertex stays in place, as it does in a cavity whose box radius or
+    measure sum is not finite.
     """
     x0 = sub.position
     if x0.size == 2:
@@ -252,11 +235,14 @@ def maximin_reposition(sub):
         if exact is not None:
             u, achieved = exact
             return _no_worse(x0, x0 + u, achieved, min(meas))
-    grads, meas = _measure_terms(sub)
-    pts = sub.elements.reshape(-1, x0.size)
-    radius = BOX_FACTOR * max(np.ptp(pts, axis=0).max(), 1e-12)
-    if not math.isfinite(radius):  # a non-finite coordinate makes it nan or inf
-        return np.array(x0), meas.min()
+    # the same rule on the array terms, built without warnings on the
+    # non-finite or overflowing cavities that it exists to keep in place
+    with np.errstate(over="ignore", invalid="ignore"):
+        grads, meas = _measure_terms(sub)
+        pts = sub.elements.reshape(-1, x0.size)
+        radius = BOX_FACTOR * max(np.ptp(pts, axis=0).max(), 1e-12)
+        if not (math.isfinite(radius) and math.isfinite(meas.sum())):
+            return np.array(x0), meas.min()
     x_new, achieved = _simplex_reposition(grads, meas, x0, radius)
     return _no_worse(x0, x_new, achieved, meas.min())
 
@@ -270,10 +256,12 @@ def _no_worse(x0, x_new, achieved, current_min):
 
 
 def vertex_to_elements(mesh):
-    """Ascending ids of the elements incident to each node."""
+    """Per node, the ascending ids of its elements and its slot in each,
+    from one stable argsort of the raveled connectivity."""
     flat = mesh.elements.ravel()
     first = np.cumsum(np.bincount(flat, minlength=mesh.n_nodes))[:-1]
-    return np.split(np.argsort(flat, kind="stable") // (mesh.dim + 1), first)
+    eids, slots = np.divmod(np.argsort(flat, kind="stable"), mesh.dim + 1)
+    return np.split(eids, first), np.split(slots, first)
 
 
 def untangle(mesh, max_sweeps=50, on_move=None):
@@ -285,11 +273,11 @@ def untangle(mesh, max_sweeps=50, on_move=None):
     ``on_move`` (if given) is called with (vertex_id, min_before, min_after)
     after each repositioning.
     """
-    incident = vertex_to_elements(mesh)
+    eids, slots = vertex_to_elements(mesh)
     cavities = [
-        (vid, *_cavity(mesh.elements, vid, incident[vid]))
+        (vid, mesh.elements[eids[vid]], slots[vid])
         for vid in mesh.interior_ids
-        if len(incident[vid])
+        if len(eids[vid])
     ]
     coords = np.array(mesh.coords)
     sweeps = 0
@@ -303,8 +291,8 @@ def untangle(mesh, max_sweeps=50, on_move=None):
         if sweeps >= max_sweeps:
             return cur, sweeps, "MAX_SWEEPS"
         max_move = 0.0
-        for vid, nodes, slots in cavities:
-            sub = _gather(coords, vid, nodes, slots)
+        for vid, nodes, free_slots in cavities:
+            sub = LocalSubmesh(np.array(coords[vid]), coords[nodes], free_slots)
             new_pos, after = maximin_reposition(sub)
             if on_move is not None:
                 on_move(int(vid), simplex_measures(sub.elements).min(), after)

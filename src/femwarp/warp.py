@@ -8,7 +8,7 @@ import numpy as np
 
 from . import analytic
 from .assembly import Topology, build_weights
-from .mesh import Mesh, count_reversals, quality_report
+from .mesh import count_reversals, quality_report
 from .solve import factor, solve_multi
 
 DEFAULT_MIN_STEP = 1.0 / 128.0
@@ -45,20 +45,17 @@ class AffineMotion(BoundaryMotion):
         return (1.0 - t) * base + t * target
 
 
-def annulus_rotation_motion(mesh, theta_outer, theta_inner=0.0, r=None, s=None):
+def annulus_rotation_motion(mesh, theta_outer, theta_inner=0.0, s=None):
     """Rotate the outer boundary by theta_outer and the inner by theta_inner,
-    optionally moving the inner radius from r to s, all proportionally in t.
+    optionally moving the inner radius r (the smallest boundary radius) to
+    s, all proportionally in t.
 
     Boundary nodes are classified inner/outer by radius against the midpoint
     of the two boundary radii.
     """
-    ids = mesh.boundary_ids
-    pts = mesh.coords[ids]
-    radii = np.linalg.norm(pts, axis=1)
-    if r is None:
-        r = radii.min()
-    cut = 0.5 * (radii.min() + radii.max())
-    inner = radii < cut
+    radii = np.linalg.norm(mesh.coords[mesh.boundary_ids], axis=1)
+    r = radii.min()
+    inner = radii < 0.5 * (r + radii.max())
 
     def fn(base, t):
         out = np.empty_like(base)

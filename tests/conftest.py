@@ -84,3 +84,23 @@ def jittered_rectangle(nx, ny, seed=7):
     ii = mesh.interior_ids
     coords[ii] += rng.uniform(-0.25 * cell, 0.25 * cell, size=(len(ii), 2))
     return mesh.with_coords(coords)
+
+
+def jittered(mesh, seed, frac=0.2):
+    """``mesh`` with interior nodes moved by up to ``frac`` of the shortest
+    edge per axis; ``seed`` is a seed or a numpy Generator."""
+    rng = np.random.default_rng(seed)
+    pts = mesh.coords[mesh.elements]
+    i, j = np.triu_indices(mesh.dim + 1, 1)
+    h = np.linalg.norm(pts[:, i] - pts[:, j], axis=2).min()
+    coords = np.array(mesh.coords)
+    ii = mesh.interior_ids
+    coords[ii] += rng.uniform(-frac * h, frac * h, size=(len(ii), mesh.dim))
+    return mesh.with_coords(coords)
+
+
+def random_affine(rng, dim):
+    l = np.eye(dim) + 0.3 * rng.standard_normal((dim, dim))
+    while abs(np.linalg.det(l)) < 0.1:
+        l = np.eye(dim) + 0.3 * rng.standard_normal((dim, dim))
+    return l, rng.standard_normal(dim)

@@ -10,6 +10,10 @@ from math import factorial
 
 import numpy as np
 
+from femwarp.analytic import infinitesimal_rotation_map
+from femwarp.generators import gen_annulus
+from femwarp.untangle import LocalSubmesh
+
 
 def cotangent_stiffness(points):
     """2D P1 Laplace element matrix via the cotangent formula.
@@ -128,6 +132,70 @@ def fd_jacobian(fn, point, eps=1e-6):
         dp[j] = eps
         cols.append((np.asarray(fn(point + dp)) - np.asarray(fn(point - dp))) / (2 * eps))
     return np.column_stack(cols)
+
+
+def shear_gradient(alpha, point):
+    """Jacobian of the rectangle shear (x, y) -> (x, y + alpha x (2 - x))."""
+    x = float(point[0])
+    return np.array([[1.0, 0.0], [alpha * (2.0 - 2.0 * x), 1.0]])
+
+
+def shear_hessian_norm(alpha):
+    # second derivatives: only d2y/dx2 = -2*alpha
+    return 2.0 * abs(alpha)
+
+
+def rotation_gradient(r, theta, point):
+    return fd_jacobian(lambda p: infinitesimal_rotation_map(r, theta, p), point)
+
+
+def rotation_hessian_norm_bound(r, theta, triangle, samples=10):
+    """Upper bound on the rotation map's Hessian norm over a triangle,
+    estimated from a barycentric sample of finite-difference Hessians."""
+    triangle = np.asarray(triangle, dtype=float)
+    best = 0.0
+    for i in range(samples + 1):
+        for j in range(samples + 1 - i):
+            k = samples - i - j
+            p = (i * triangle[0] + j * triangle[1] + k * triangle[2]) / samples
+            best = max(best, _hessian_norm(lambda q: infinitesimal_rotation_map(r, theta, q), p))
+    return best
+
+
+def _hessian_norm(fn, point, eps=1e-5):
+    point = np.asarray(point, dtype=float)
+    d = point.size
+    total = 0.0
+    for comp in range(d):
+        h = np.zeros((d, d))
+        for a in range(d):
+            for b in range(d):
+                pa, pb = np.zeros(d), np.zeros(d)
+                pa[a] = eps
+                pb[b] = eps
+                h[a, b] = (
+                    fn(point + pa + pb)[comp]
+                    - fn(point + pa - pb)[comp]
+                    - fn(point - pa + pb)[comp]
+                    + fn(point - pa - pb)[comp]
+                ) / (4 * eps * eps)
+        total += np.linalg.norm(h, 2) ** 2
+    return np.sqrt(total)
+
+
+def annulus_for_h(r, h):
+    """Fixture: ``gen_annulus`` with its edge length near h."""
+    n_rings = max(2, int(np.ceil((1.0 - r) / h)) + 1)
+    n_sectors = max(8, int(np.ceil(2.0 * np.pi / h)))
+    return gen_annulus(r, n_rings, n_sectors)
+
+
+def local_submesh(mesh, vertex_id, incident_eids):
+    """Fixture: the ``LocalSubmesh`` of ``vertex_id`` over the elements
+    ``incident_eids``, each free slot found by comparison."""
+    nodes = mesh.elements[np.asarray(incident_eids)]
+    slots = np.nonzero(nodes == vertex_id)[1]
+    return LocalSubmesh(np.array(mesh.coords[vertex_id]), mesh.coords[nodes], slots)
 
 
 def barrier_weights_dplus1(center, nbrs):

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from femwarp import (
-    AffineMotion,
     annulus_rotation_motion,
     femwarp_step,
     gen_annulus,
@@ -23,23 +22,22 @@ from femwarp import (
     reversal_bound_check,
     small_step_femwarp,
 )
-from femwarp.analytic import (
-    AnnulusSpec,
-    annulus_coeffs,
+from femwarp.analytic import AnnulusSpec, annulus_coeffs, type1_predicate
+from femwarp.assembly import build_weights
+from femwarp.mesh import count_reversals, signed_measure
+from femwarp.solve import factor, gauss_seidel, solve_multi
+from femwarp.untangle import hybrid_warp, maximin_reposition, untangle
+
+from conftest import jittered_rectangle, random_affine
+from oracles import (
+    annulus_for_h,
+    grid_maximin,
+    local_submesh,
     rotation_gradient,
     rotation_hessian_norm_bound,
     shear_gradient,
     shear_hessian_norm,
-    type1_predicate,
 )
-from femwarp.assembly import build_weights
-from femwarp.generators import annulus_for_h
-from femwarp.mesh import count_reversals, signed_measure
-from femwarp.solve import factor, gauss_seidel, solve_multi
-from femwarp.untangle import hybrid_warp, local_submesh, maximin_reposition, untangle
-
-from conftest import jittered_rectangle
-from oracles import grid_maximin, tri_measures
 
 
 def report(n, name, ok, detail=""):
@@ -51,13 +49,6 @@ def report(n, name, ok, detail=""):
 def annulus_fine():
     """Annulus with max edge length below 0.04."""
     return annulus_for_h(0.5, 0.0283)
-
-
-def random_affine(rng, dim):
-    l = np.eye(dim) + 0.3 * rng.standard_normal((dim, dim))
-    while abs(np.linalg.det(l)) < 0.1:
-        l = np.eye(dim) + 0.3 * rng.standard_normal((dim, dim))
-    return l, rng.standard_normal(dim)
 
 
 def affine_error(mesh, scheme, rng, n_maps=20):
@@ -118,9 +109,7 @@ class TestCriterion02Type1Threshold:
         transition = None
         prev = True
         for deg in range(17, 25):
-            motion = annulus_rotation_motion(
-                annulus_fine, np.deg2rad(deg), r=0.5, s=0.75
-            )
+            motion = annulus_rotation_motion(annulus_fine, np.deg2rad(deg), s=0.75)
             _, rep = femwarp_step(annulus_fine, w, motion.evaluate(1.0))
             if prev and not rep.success:
                 transition = deg - 0.5

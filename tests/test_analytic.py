@@ -12,15 +12,17 @@ from femwarp.analytic import (
     nonlinear3d_map,
     rectangle_shear_map,
     reversal_bound_check,
-    rotation_hessian_norm_bound,
-    shear_gradient,
-    shear_hessian_norm,
     type1_predicate,
 )
 from femwarp.errors import DomainError, InvalidBoundError, InvalidSpecError
 from femwarp.mesh import signed_measure
 
-from oracles import fd_jacobian
+from oracles import (
+    fd_jacobian,
+    rotation_hessian_norm_bound,
+    shear_gradient,
+    shear_hessian_norm,
+)
 
 
 class TestAnnulusCoeffs:

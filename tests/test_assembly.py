@@ -22,6 +22,7 @@ from femwarp.errors import (
 )
 from femwarp.solve import factor
 
+from conftest import jittered
 from oracles import (
     assembled_blocks,
     barrier_node_weights,
@@ -291,18 +292,6 @@ class TestBuildWeights:
         d = w.a_ii.diagonal()
         scaled = np.linalg.solve(w.a_ii.toarray() / d[:, None], rhs / d[:, None])
         assert np.allclose(direct, scaled, atol=1e-12)
-
-
-def jittered(mesh, seed, frac=0.2):
-    """``mesh`` with interior nodes moved by up to ``frac`` of the shortest edge."""
-    rng = np.random.default_rng(seed)
-    pts = mesh.coords[mesh.elements]
-    i, j = np.triu_indices(mesh.dim + 1, 1)
-    h = np.linalg.norm(pts[:, i] - pts[:, j], axis=2).min()
-    coords = np.array(mesh.coords)
-    ii = mesh.interior_ids
-    coords[ii] += rng.uniform(-frac * h, frac * h, size=(len(ii), mesh.dim))
-    return mesh.with_coords(coords)
 
 
 class TestTopology:

@@ -9,12 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from femwarp import Mesh, gen_annulus, gen_box_tets, gen_rectangle
-from femwarp.errors import BadIndexError, DegenerateElementError, ReversedElementError
+from femwarp.errors import BadIndexError, ReversedElementError
 from femwarp.mesh import (
     aspect_ratio,
     count_reversals,
     inverse_mean_ratio,
-    is_valid,
     max_edge_length,
     quality_report,
     signed_measure,
@@ -86,7 +85,7 @@ class TestSignedMeasure:
         meas = signed_measures(annulus_coarse)
         for eid in (0, 7, annulus_coarse.n_elements - 1):
             assert meas[eid] == pytest.approx(
-                signed_measure(annulus_coarse.element_coords(eid)), rel=1e-14
+                signed_measure(annulus_coarse.coords[annulus_coarse.elements[eid]]), rel=1e-14
             )
 
 
@@ -115,12 +114,12 @@ class TestCountReversals:
         assert count_reversals(flipped)[0] == 0
 
     def test_zero_reversals_iff_valid(self, annulus_coarse, rng):
-        assert is_valid(annulus_coarse)
+        assert not validate(annulus_coarse)
         coords = np.array(annulus_coarse.coords)
         coords[annulus_coarse.interior_ids[3]] += 5.0
         broken = annulus_coarse.with_coords(coords)
         assert count_reversals(broken)[0] > 0
-        assert not is_valid(broken)
+        assert validate(broken)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("where", ["boundary", "interior"])
@@ -165,8 +164,6 @@ class TestAspectRatio:
     def test_degenerate_inf_or_raise(self):
         flat = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
         assert aspect_ratio(flat) == np.inf
-        with pytest.raises(DegenerateElementError):
-            aspect_ratio(flat, degenerate_error=True)
 
     @given(
         nondegenerate_triangles(),

@@ -2,7 +2,6 @@
 
 import warnings
 from importlib import import_module
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -32,16 +31,17 @@ from femwarp.untangle import (
     _measure_terms,
     _simplex_reposition,
     hybrid_warp,
-    local_submesh,
     maximin_reposition,
     untangle,
     vertex_to_elements,
 )
 from femwarp.warp import AffineMotion
 
+from conftest import jittered
 from oracles import (
     bumped_measure_coeffs,
     grid_maximin,
+    local_submesh,
     maximin_reposition_by_arrays,
     tri_measures,
 )
@@ -81,11 +81,6 @@ def star_cavity(seed, n, spread):
     return local_submesh(Mesh(coords, elements, list(range(n))), n, range(n))
 
 
-def box_radius(sub):
-    pts = sub.elements.reshape(-1, sub.position.size)
-    return BOX_FACTOR * np.ptp(pts, axis=0).max()
-
-
 def open_fan():
     """Three triangles above a free vertex's lower neighbours and none above
     it: every gradient points up, so only the box bounds the LP."""
@@ -107,18 +102,6 @@ SIMPLEX_CAVITIES = {
     "open_fan_2d": (open_fan, 4, [10.549999999999997, 20.3], 6.1499999999999995),
     "box_tet_3d": (shifted_box, 13, [0.5, 0.5, 0.5], 0.020833333333333325),
 }
-
-
-def jittered(mesh, rng, frac=0.1):
-    """Copy of ``mesh`` with interior nodes moved by up to ``frac`` of the
-    shortest edge per axis."""
-    pts = mesh.coords[mesh.elements]
-    pairs = combinations(range(mesh.dim + 1), 2)
-    h = min(np.linalg.norm(pts[:, i] - pts[:, j], axis=1).min() for i, j in pairs)
-    coords = np.array(mesh.coords)
-    ii = mesh.interior_ids
-    coords[ii] += rng.uniform(-frac * h, frac * h, size=(len(ii), mesh.dim))
-    return mesh.with_coords(coords)
 
 
 def reversed_rotation_warp():
@@ -158,7 +141,7 @@ def fan_cavity(free, ring_pairs, slots):
     for (a, b), s in zip(ring_pairs, slots):
         tri = [free, a, b]
         tris.append(tri[-s:] + tri[:-s] if s else tri)
-    return LocalSubmesh(0, np.array(free, dtype=float), np.array(tris, dtype=float), np.array(slots))
+    return LocalSubmesh(np.array(free, dtype=float), np.array(tris, dtype=float), np.array(slots))
 
 
 @st.composite
@@ -211,8 +194,8 @@ class TestAffineMeasureCoeffs:
     def test_matches_bump_oracle(self, name, rng):
         # every node in turn is the free vertex, so every row of every
         # element's measure gradients is checked
-        mesh = jittered(CAVITY_MESHES[name](), rng)
-        incident = vertex_to_elements(mesh)
+        mesh = jittered(CAVITY_MESHES[name](), rng, frac=0.1)
+        incident, _ = vertex_to_elements(mesh)
         for vid in range(mesh.n_nodes):
             sub = local_submesh(mesh, vid, incident[vid])
             grads, meas = _measure_terms(sub)
@@ -252,7 +235,7 @@ class TestFloatTerms2d:
         sub = star_cavity(3, 6, 0.5)
         elements = np.array(sub.elements)
         elements[3, (sub.free_slots[3] + corner) % 3, axis] = bad
-        sub = LocalSubmesh(sub.free_id, sub.position, elements, sub.free_slots)
+        sub = LocalSubmesh(sub.position, elements, sub.free_slots)
         pos, val = maximin_reposition(sub)
         want_pos, want_val = quiet_oracle(sub)
         assert np.array_equal(pos, sub.position) and np.array_equal(want_pos, pos)
@@ -268,7 +251,6 @@ class TestFloatTerms2d:
         far = [[[1e308, y], [1e308, y + 1.0]], [[-1e308, y], [-1e308, y - 1.0]]]
         outer = fan_cavity([x, y], far, [0, 0])
         sub = LocalSubmesh(
-            sub.free_id,
             sub.position,
             np.concatenate([sub.elements, outer.elements]),
             np.concatenate([sub.free_slots, outer.free_slots]),
@@ -390,6 +372,24 @@ class TestMaximinReposition:
             perturbed = tri_measures(pos + step, sub.elements, sub.free_slots).min()
             assert perturbed <= val + 1e-9
 
+    # the library stays silent on the array path too; only the oracle warns
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e308])
+    def test_non_finite_or_overflowing_3d_cavity_stays(self, bad):
+        # a ring corner of the first tet moved to +bad and one of the last
+        # to -bad: non-finite coordinates, or a box past the largest float
+        mesh = gen_box_tets(4, 4, 4)
+        vid = mesh.interior_ids[0]
+        sub = local_submesh(mesh, vid, vertex_to_elements(mesh)[0][vid])
+        elements = np.array(sub.elements)
+        elements[0, (sub.free_slots[0] + 1) % 4] = bad
+        elements[-1, (sub.free_slots[-1] + 1) % 4] = -bad
+        sub = LocalSubmesh(sub.position, elements, sub.free_slots)
+        pos, val = maximin_reposition(sub)
+        want_pos, want_val = quiet_oracle(sub)
+        assert np.array_equal(pos, sub.position) and np.array_equal(want_pos, pos)
+        assert_same_bits(val, want_val)
+
 
 class TestDualMaximin:
     @settings(max_examples=150, deadline=None)
@@ -400,8 +400,7 @@ class TestDualMaximin:
     )
     def test_matches_simplex(self, seed, n, spread):
         sub = star_cavity(seed, n, spread)
-        grads, meas = _measure_terms(sub)
-        radius = box_radius(sub)
+        grads, meas, radius = array_terms(sub)
         want_x, want = _simplex_reposition(grads, meas, sub.position, radius)
         exact = _dual_maximin_2d(grads.tolist(), meas.tolist(), radius)
         assert exact is not None
@@ -425,10 +424,10 @@ class TestDualMaximin:
     def test_simplex_cases_unchanged(self, name, monkeypatch):
         make, vid, want_pos, want_val = SIMPLEX_CAVITIES[name]
         mesh = make()
-        sub = local_submesh(mesh, vid, vertex_to_elements(mesh)[vid])
+        sub = local_submesh(mesh, vid, vertex_to_elements(mesh)[0][vid])
         if mesh.dim == 2:
-            grads, meas = _measure_terms(sub)
-            assert _dual_maximin_2d(grads.tolist(), meas.tolist(), box_radius(sub)) is None
+            grads, meas, radius = array_terms(sub)
+            assert _dual_maximin_2d(grads.tolist(), meas.tolist(), radius) is None
         calls = []
 
         def counting(*args):
@@ -483,14 +482,22 @@ class TestUntangle:
         assert (sweeps, outcome) == (1, "SUCCESS")
         assert np.array_equal(out.coords[5], [0.5, 0.5])
 
-    @pytest.mark.parametrize("scale", [1e80, 1e120])
-    def test_huge_finite_coordinates(self, scale):
-        # the dual value overflows to nan in many cavities this large; the
-        # box test and the certificate must refuse it, not write it
-        warped = reversed_rotation_warp()
-        out, _, outcome = untangle(warped.with_coords(warped.coords * scale))
+    # the 3D mesh's own measures overflow in np.linalg.det
+    @pytest.mark.filterwarnings("ignore:overflow encountered in det:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "make, scale, want",
+        [(reversed_rotation_warp, s, "SUCCESS") for s in (1e80, 1e120)]
+        + [(tangled_box, 1e104, "STALLED")],
+        ids=["1e+80", "1e+120", "tangled_box-1e+104"],
+    )
+    def test_huge_finite_coordinates(self, make, scale, want):
+        # 2D: the dual value overflows to nan in many cavities this large;
+        # the box test and the certificate must refuse it, not write it.
+        # 3D: the measures overflow in a finite box; the cavity must stay
+        mesh = make()
+        out, _, outcome = untangle(mesh.with_coords(mesh.coords * scale))
         assert np.isfinite(out.coords).all()
-        assert outcome == "SUCCESS"
+        assert outcome == want
 
     def test_point_reflection_fixture_fails(self, reflection_untangle_result):
         out, sweeps, outcome = reflection_untangle_result
@@ -503,7 +510,7 @@ class TestUntangle:
         assert untangle(make(), max_sweeps=max_sweeps)[1:] == (sweeps, outcome)
 
     def test_vertex_to_elements(self, annulus_coarse):
-        incident = vertex_to_elements(annulus_coarse)
+        incident, _ = vertex_to_elements(annulus_coarse)
         for vid in (0, int(annulus_coarse.interior_ids[0])):
             for eid in incident[vid]:
                 assert vid in annulus_coarse.elements[eid]
@@ -511,11 +518,12 @@ class TestUntangle:
     def test_vertex_to_elements_matches_loop(self, box_mesh):
         want = [[] for _ in range(box_mesh.n_nodes)]
         for eid, elem in enumerate(box_mesh.elements):
-            for v in elem:
-                want[v].append(eid)
-        got = vertex_to_elements(box_mesh)
-        assert len(got) == box_mesh.n_nodes
-        assert all(g.tolist() == w for g, w in zip(got, want))
+            for slot, v in enumerate(elem):
+                want[v].append((eid, slot))
+        eids, slots = vertex_to_elements(box_mesh)
+        assert len(eids) == len(slots) == box_mesh.n_nodes
+        got = [list(zip(e.tolist(), s.tolist())) for e, s in zip(eids, slots)]
+        assert got == want
 
     def test_cli_untangle_report_carries_quality(self):
         mesh = reflected_cavity()

@@ -8,22 +8,16 @@ from femwarp import (
     TabulatedMotion,
     annulus_rotation_motion,
     femwarp_step,
-    gen_annulus,
     shear_motion,
     small_step_femwarp,
     warp_trajectory,
 )
 from femwarp import assembly, warp
 from femwarp.assembly import Topology, build_weights
-from femwarp.generators import annulus_for_h
 from femwarp.mesh import count_reversals, quality_report
 
-
-def random_affine(rng, dim):
-    l = np.eye(dim) + 0.3 * rng.standard_normal((dim, dim))
-    while abs(np.linalg.det(l)) < 0.1:
-        l = np.eye(dim) + 0.3 * rng.standard_normal((dim, dim))
-    return l, rng.standard_normal(dim)
+from conftest import random_affine
+from oracles import annulus_for_h
 
 
 def check_reflection_failure(mesh, **options):
