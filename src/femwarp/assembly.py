@@ -61,18 +61,8 @@ class WeightSystem:
         return self.scheme == "FEM"
 
     @property
-    def m(self):
-        return len(self.interior_ids)
-
-    @property
     def b(self):
         return len(self.boundary_ids)
-
-    def residual(self, coords):
-        """max-norm of [A_I, A_B] @ coords per axis, for the generating mesh."""
-        x_i = coords[self.interior_ids]
-        x_b = coords[self.boundary_ids]
-        return np.abs(self.a_ii @ x_i + self.a_ib @ x_b).max(axis=0)
 
 
 class Topology:

@@ -6,6 +6,7 @@ produces new meshes via :meth:`Mesh.with_coords`.
 """
 
 from dataclasses import asdict, dataclass, field
+from itertools import combinations
 from math import factorial
 
 import numpy as np
@@ -86,32 +87,99 @@ class Mesh:
         return Mesh(coords, self.elements, self.boundary_ids)
 
 
+def _geometry(cols, quality=False):
+    """The element-geometry kernel, on per-axis vertex columns ``cols``
+    (d, k, d+1): ``cols[a][:, i]`` is axis a of vertex i of k simplices.
+
+    Mesh-level callers gather them once as ``coords.T[:, elements]``; a
+    (k, d+1, d) stack passes in as the view ``np.moveaxis(pts, 2, 0)``.
+    Returns ``(meas,)``, the signed measures ``det(edge matrix) / d!``, or
+    with ``quality`` ``(meas, longest, aspect, imr)``: longest edges, aspect
+    ratios (inf for degenerates) and inverse mean ratios (nan for reversed
+    elements).  It builds 1-D edge-component arrays, the d edges of one
+    vertex at a time, never a (k, C(d+1, 2), d) stack.  Non-finite geometry,
+    or finite coordinates that overflow, give nan or inf without a warning.
+    """
+    d = len(cols)
+
+    def star(a):  # edges from vertex a to each later vertex, per axis
+        return [[c[:, j] - c[:, a] for c in cols] for j in range(a + 1, d + 1)]
+
+    def dot(u, v):
+        total = u[0] * v[0]
+        for ui, vi in zip(u[1:], v[1:]):
+            total += ui * vi
+        return total
+
+    def cross(u, v):
+        return [u[i - 2] * v[i - 1] - u[i - 1] * v[i - 2] for i in range(3)]
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        edges = star(0)
+        if d == 2:
+            meas = 0.5 * (edges[0][0] * edges[1][1] - edges[0][1] * edges[1][0])
+        else:  # the triple product
+            meas = dot(edges[0], cross(edges[1], edges[2])) / 6.0
+        if not quality:
+            return (meas,)
+        # squared edges, summed and maxed, and in 3D the largest squared
+        # cross product over the faces {a, b, c}, a < b < c, vertex by vertex
+        l2sum = l2max = c2max = 0.0
+        for a in range(d):
+            for e in edges:
+                l2 = dot(e, e)
+                l2sum, l2max = l2sum + l2, np.maximum(l2max, l2)
+            for u, v in combinations(edges, 2) if d == 3 else ():
+                w = cross(u, v)
+                c2max = np.maximum(c2max, dot(w, w))
+            del edges  # free this vertex's edges before the next one's
+            edges = star(a + 1)
+        # the altitude over facet i is |meas| / |G_i|, with |G_i| the facet's
+        # measure over d: half an edge in 2D, a sixth of a cross product in 3D
+        longest = np.sqrt(l2max)
+        minalt = np.abs(meas) / (0.5 * longest if d == 2 else np.sqrt(c2max) / 6.0)
+        aspect = np.where(minalt > 0.0, longest / minalt, np.inf)
+        # T = E inv(E_ref) maps the unit-edge regular simplex onto the element;
+        # E_ref^T E_ref = (I + J) / 2 gives ||T||_F^2 = 2/(d+1) sum l_ij^2 and
+        # det(T) = d! meas / det(E_ref) with det(E_ref)^2 = (d+1) / 2^d
+        det = meas * (factorial(d) * np.sqrt(2.0**d / (d + 1)))
+        det = np.where(_reversed(meas), np.nan, det)
+        return meas, longest, aspect, 2.0 / (d + 1) * l2sum / (d * det ** (2.0 / d))
+
+
+def _element(points, quality=False):
+    """The kernel's values for one simplex of (d+1, d) ``points``."""
+    return [v[0] for v in _geometry(np.asarray(points, dtype=float).T[:, None], quality)]
+
+
+def _columns(mesh):
+    # coords.T[:, elements] by take, which gathers several times faster
+    return mesh.coords.T.take(mesh.elements, axis=1)
+
+
 def signed_measure(points):
     """Signed area (2D) / volume (3D) of one simplex.
 
     Returns ``det(edge matrix) / d!``; the sign flips under any odd vertex
     permutation and degenerate input yields 0.
     """
-    return simplex_measures(np.asarray(points, dtype=float)[None])[0]
+    return _element(points)[0]
 
 
 def simplex_measures(pts):
     """Signed measures of stacked simplices, shape (k, d+1, d) -> (k,)."""
-    edges = pts[:, 1:, :] - pts[:, :1, :]
-    if pts.shape[2] == 2:
-        return 0.5 * (edges[:, 0, 0] * edges[:, 1, 1] - edges[:, 0, 1] * edges[:, 1, 0])
-    return np.linalg.det(edges) / 6.0
+    return _geometry(np.moveaxis(pts, 2, 0))[0]
 
 
 def signed_measures(mesh):
     """Signed measures of every element, vectorized."""
-    return simplex_measures(mesh.coords[mesh.elements])
+    return _geometry(_columns(mesh))[0]
 
 
 def _reversed(meas):
-    """Mask of reversed elements: signed measure not above ORIENTATION_TOL,
-    so a NaN measure (non-finite geometry) counts as reversed."""
-    return ~(meas > ORIENTATION_TOL)
+    """Mask of reversed elements: measure not in (ORIENTATION_TOL, inf), so a
+    nan or inf measure (non-finite or overflowing geometry) counts too."""
+    return ~((meas > ORIENTATION_TOL) & (meas < np.inf))
 
 
 def count_reversals(mesh):
@@ -142,62 +210,13 @@ def measure_gradients(pts):
     return np.cross(pts[:, b] - pts[:, a], pts[:, c] - pts[:, a]) / 6.0
 
 
-def _edge_lengths(pts):
-    """Edge lengths of stacked simplices, (k, d+1, d) -> (k, d(d+1)/2)."""
-    i, j = np.triu_indices(pts.shape[1], 1)
-    return np.linalg.norm(pts[:, i] - pts[:, j], axis=2)
-
-
-def _aspect_ratios(pts, meas, longest):
-    """Aspect ratios of stacked simplices with signed measures ``meas`` and
-    longest edges ``longest`` (inf for degenerates).
-
-    The altitude over facet i is ``|meas| / |G_i|`` with G the measure
-    gradients, so the minimum altitude pairs with the largest row of G.
-    """
-    gmax = np.linalg.norm(measure_gradients(pts), axis=2).max(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        minalt = np.abs(meas) / gmax
-        return np.where(minalt > 0.0, longest / minalt, np.inf)
-
-
 def aspect_ratio(points):
     """Max side length over minimum altitude.
 
     Lower is better; the equilateral triangle scores 2/sqrt(3).  Degenerate
     elements yield +inf.
     """
-    pts = np.asarray(points, dtype=float)[None]
-    return _aspect_ratios(pts, simplex_measures(pts), _edge_lengths(pts).max(axis=1))[0]
-
-
-# edge vectors (columns) of the unit-edge regular tetrahedron; its leading
-# 2x2 block holds those of the unit-edge regular triangle
-_REGULAR_EDGES = np.array(
-    [
-        [1.0, 0.5, 0.5],
-        [0.0, np.sqrt(3.0) / 2.0, np.sqrt(3.0) / 6.0],
-        [0.0, 0.0, np.sqrt(6.0) / 3.0],
-    ]
-)
-
-
-def _inverse_mean_ratios(pts, meas):
-    """Inverse mean ratios of stacked simplices with signed measures
-    ``meas`` (nan when not positively oriented).
-
-    ``||T||_F^2 / (d * det(T)^(2/d))`` where T = E inv(E_ref) maps the
-    unit-edge regular simplex onto the element, so that
-    ``det(T) = d! * meas / det(E_ref)``.
-    """
-    d = pts.shape[2]
-    ref = _REGULAR_EDGES[:d, :d]
-    edges = np.transpose(pts[:, 1:] - pts[:, :1], (0, 2, 1))
-    t = edges @ np.linalg.inv(ref)
-    frob2 = (t * t).sum(axis=(1, 2))
-    with np.errstate(invalid="ignore", divide="ignore"):  # nan or inf entries
-        det = meas * (factorial(d) / np.linalg.det(ref))
-        return frob2 / (d * np.where(det > 0, det, np.nan) ** (2.0 / d))
+    return _element(points, quality=True)[2]
 
 
 def inverse_mean_ratio(points):
@@ -205,8 +224,7 @@ def inverse_mean_ratio(points):
 
     Raises for reversed or degenerate elements.
     """
-    pts = np.asarray(points, dtype=float)[None]
-    imr = _inverse_mean_ratios(pts, simplex_measures(pts))[0]
+    imr = _element(points, quality=True)[3]
     if np.isnan(imr):
         raise ReversedElementError(
             "inverse mean ratio requires a positively oriented element"
@@ -216,7 +234,7 @@ def inverse_mean_ratio(points):
 
 def max_edge_length(mesh):
     """Largest edge length over all elements."""
-    return _edge_lengths(mesh.coords[mesh.elements]).max()
+    return _geometry(_columns(mesh), quality=True)[1].max()
 
 
 @dataclass(frozen=True)
@@ -280,29 +298,20 @@ def quality_report(mesh):
     can still be summarized; the inverse-mean-ratio fields are nan when no
     element is positively oriented.
     """
-    pts = mesh.coords[mesh.elements]
-    meas = simplex_measures(pts)
-    longest = _edge_lengths(pts).max(axis=1)
-    h = longest.max()
-    aspects = _aspect_ratios(pts, meas, longest)
-    imrs = _inverse_mean_ratios(pts, meas)
+    meas, longest, aspects, imrs = _geometry(_columns(mesh), quality=True)
     imrs = imrs[~np.isnan(imrs)]
-    imr = (imrs.min(), imrs.max(), imrs.mean()) if imrs.size else (np.nan,) * 3
-    nrev = int(_reversed(meas).sum())
-    near = int(
-        ((meas > ORIENTATION_TOL) & (meas < NEAR_DEGENERATE_FACTOR * h**mesh.dim)).sum()
-    )
+    h = longest.max()
+    # the means and h^d of overflowing geometry are inf or nan, silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        stats = [
+            float(f(v))
+            for v in (meas, aspects, imrs if imrs.size else np.array([np.nan]))
+            for f in (np.min, np.max, np.mean)
+        ]
+        tiny = NEAR_DEGENERATE_FACTOR * h**mesh.dim
     return QualityReport(
-        min_measure=float(meas.min()),
-        max_measure=float(meas.max()),
-        mean_measure=float(meas.mean()),
-        min_aspect=float(aspects.min()),
-        max_aspect=float(aspects.max()),
-        mean_aspect=float(aspects.mean()),
-        min_imr=float(imr[0]),
-        max_imr=float(imr[1]),
-        mean_imr=float(imr[2]),
-        reversal_count=nrev,
-        near_degenerate_count=near,
+        *stats,
+        reversal_count=int(_reversed(meas).sum()),
+        near_degenerate_count=int(((meas > ORIENTATION_TOL) & (meas < tiny)).sum()),
         h=float(h),
     )

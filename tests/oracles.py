@@ -380,3 +380,86 @@ def maximin_reposition_by_arrays(sub):
     if achieved < meas.min() - 1e-12:
         return np.array(x0), meas.min()
     return x_new, achieved
+
+
+def weight_residual(weights, coords):
+    """Max-norm per axis of [A_I, A_B] @ coords for a WeightSystem and the
+    coordinates of the mesh that generated it (0 up to rounding for a
+    scheme that reproduces that mesh)."""
+    x_i = coords[weights.interior_ids]
+    x_b = coords[weights.boundary_ids]
+    return np.abs(weights.a_ii @ x_i + weights.a_ib @ x_b).max(axis=0)
+
+
+# The stack kernels that the per-axis element-geometry kernel of
+# femwarp.mesh replaced: they take (k, d+1, d) stacks and build
+# (k, C(d+1, 2), d) edge stacks.
+
+
+def det_measures(pts):
+    """Signed measures of stacked simplices, (k, d+1, d) -> (k,): the 2D
+    cross product, and ``np.linalg.det(edges) / 6`` in 3D."""
+    edges = pts[:, 1:, :] - pts[:, :1, :]
+    if pts.shape[2] == 2:
+        return 0.5 * (edges[:, 0, 0] * edges[:, 1, 1] - edges[:, 0, 1] * edges[:, 1, 0])
+    return np.linalg.det(edges) / 6.0
+
+
+def stack_edge_lengths(pts):
+    """Edge lengths of stacked simplices, (k, d+1, d) -> (k, d(d+1)/2)."""
+    i, j = np.triu_indices(pts.shape[1], 1)
+    return np.linalg.norm(pts[:, i] - pts[:, j], axis=2)
+
+
+def stack_aspect_ratios(pts, meas, longest):
+    """Aspect ratios from the norms of the measure gradients: the altitude
+    over facet i is |meas| / |G_i|; inf for degenerates."""
+    from femwarp.mesh import measure_gradients
+
+    gmax = np.linalg.norm(measure_gradients(pts), axis=2).max(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        minalt = np.abs(meas) / gmax
+        return np.where(minalt > 0.0, longest / minalt, np.inf)
+
+
+def stack_inverse_mean_ratios(pts, meas):
+    """``||T||_F^2 / (d det(T)^(2/d))`` with T = E inv(E_ref) formed
+    explicitly and det(T) = d! meas / det(E_ref); nan unless meas > 0."""
+    d = pts.shape[2]
+    ref = (REGULAR_SIMPLEX[d][1:] - REGULAR_SIMPLEX[d][0]).T
+    edges = np.transpose(pts[:, 1:] - pts[:, :1], (0, 2, 1))
+    t = edges @ np.linalg.inv(ref)
+    frob2 = (t * t).sum(axis=(1, 2))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        det = meas * (factorial(d) / np.linalg.det(ref))
+        return frob2 / (d * np.where(det > 0, det, np.nan) ** (2.0 / d))
+
+
+def stack_quality_report(mesh):
+    """``mesh.quality_report`` computed by the stack kernels above."""
+    from femwarp.mesh import NEAR_DEGENERATE_FACTOR, QualityReport
+
+    pts = mesh.coords[mesh.elements]
+    meas = det_measures(pts)
+    longest = stack_edge_lengths(pts).max(axis=1)
+    h = longest.max()
+    aspects = stack_aspect_ratios(pts, meas, longest)
+    imrs = stack_inverse_mean_ratios(pts, meas)
+    imrs = imrs[~np.isnan(imrs)]
+    imr = (imrs.min(), imrs.max(), imrs.mean()) if imrs.size else (np.nan,) * 3
+    return QualityReport(
+        min_measure=float(meas.min()),
+        max_measure=float(meas.max()),
+        mean_measure=float(meas.mean()),
+        min_aspect=float(aspects.min()),
+        max_aspect=float(aspects.max()),
+        mean_aspect=float(aspects.mean()),
+        min_imr=float(imr[0]),
+        max_imr=float(imr[1]),
+        mean_imr=float(imr[2]),
+        reversal_count=int((~(meas > 0.0)).sum()),
+        near_degenerate_count=int(
+            ((meas > 0.0) & (meas < NEAR_DEGENERATE_FACTOR * h**mesh.dim)).sum()
+        ),
+        h=float(h),
+    )

@@ -655,6 +655,27 @@ class TestCliErrorContract:
             assert "\n" not in err and captured.out == ""
         assert not os.path.exists(out + ".node")
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_measures_count_as_reversed(self, tmp_path, capsys):
+        # param 0.5 warps to finite coordinates near 1e308 whose measures
+        # overflow to nan or inf: every element counts as reversed, with no
+        # warning; param 1 overflows the boundary target itself
+        base = str(tmp_path / "rect")
+        io.write_mesh(gen_rectangle(2, 1, 5, 4), base + ".node", base + ".ele")
+        spec = tmp_path / "big.spec"
+        spec.write_text("motion = affine\nl = 1e308,0;0,1e308\n")
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--mesh", base, "--spec", str(spec), "--out", str(out)]
+        assert main(argv + ["--param-grid", "0:1:0.5"]) == 1
+        assert capsys.readouterr().err.startswith("error code=INVALID_SPEC message=")
+        assert not out.exists()
+        assert main(argv + ["--param-grid", "0:0.5:0.5"]) == 0
+        assert out.read_text().splitlines() == [
+            "param,outcome,reversals,n_factorizations",
+            "0,SUCCESS,0,1",
+            "0.5,REVERSED,24,1",
+        ]
+
     def test_repeated_node_id(self, tmp_path, capsys):
         base = str(tmp_path / "dup")
         write_pair(

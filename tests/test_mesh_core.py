@@ -1,5 +1,6 @@
 """Mesh container, orientation predicates and quality metrics."""
 
+import tracemalloc
 import warnings
 from itertools import combinations
 
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 from femwarp import Mesh, gen_annulus, gen_box_tets, gen_rectangle
 from femwarp.errors import BadIndexError, ReversedElementError
 from femwarp.mesh import (
+    _geometry,
+    _reversed,
     aspect_ratio,
     count_reversals,
     inverse_mean_ratio,
@@ -18,12 +21,21 @@ from femwarp.mesh import (
     quality_report,
     signed_measure,
     signed_measures,
+    simplex_measures,
     validate,
     Violation,
 )
 from femwarp.untangle import untangle
 
-from oracles import face_loop_aspect_ratio, inverse_mean_ratio_by_inverse
+from oracles import (
+    det_measures,
+    face_loop_aspect_ratio,
+    inverse_mean_ratio_by_inverse,
+    stack_aspect_ratios,
+    stack_edge_lengths,
+    stack_inverse_mean_ratios,
+    stack_quality_report,
+)
 
 UNIT_RIGHT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 EQUILATERAL = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]])
@@ -343,3 +355,99 @@ class TestMeshContainer:
         coords = np.array(UNIT_RIGHT)
         Mesh(coords, np.array([[0, 1, 2]]), [0, 1, 2])
         coords[0, 0] = 42.0  # caller's buffer must stay writable
+
+
+UNIT_SIMPLEX = {2: UNIT_RIGHT, 3: UNIT_TET}
+
+
+def jittered_stack(seed, dim, jitter, k=40):
+    """k unit right simplices, each vertex jittered by up to ``jitter`` per
+    axis, scaled by 1e-3..1e3 and shifted within [-100, 100]; about a
+    third are reflected by swapping their first two vertices."""
+    rng = np.random.default_rng(seed)
+    base = UNIT_SIMPLEX[dim] + rng.uniform(-jitter, jitter, (k, dim + 1, dim))
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, (k, 1, 1))
+    pts = rng.uniform(-100.0, 100.0, (k, 1, dim)) + scale * base
+    flip = rng.random(k) < 0.3
+    pts[flip, :2] = pts[flip, 1::-1]
+    return pts
+
+
+def stack_mesh(pts):
+    """A (k, d+1, d) stack as a mesh of k disconnected elements."""
+    k, n, d = pts.shape
+    return Mesh(pts.reshape(-1, d), np.arange(k * n).reshape(k, n))
+
+
+STACKS = (st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.floats(0.0, 0.15))
+
+
+class TestGeometryKernel:
+    """The per-axis kernel against the stack kernels it replaced."""
+
+    @given(*STACKS)
+    @settings(max_examples=60, deadline=None)
+    def test_measures_match_det(self, seed, dim, jitter):
+        pts = jittered_stack(seed, dim, jitter)
+        want = det_measures(pts)
+        edges = pts[:, 1:] - pts[:, :1]
+        bound = 1e-14 * np.prod(np.linalg.norm(edges, axis=2), axis=1)
+        for got in (simplex_measures(pts), signed_measures(stack_mesh(pts))):
+            if dim == 2:
+                assert np.array_equal(got, want)
+            else:
+                assert (np.abs(got - want) <= bound).all()
+
+    @given(*STACKS)
+    @settings(max_examples=60, deadline=None)
+    def test_quality_matches_stack_kernels(self, seed, dim, jitter):
+        pts = jittered_stack(seed, dim, jitter)
+        meas = det_measures(pts)
+        longest = stack_edge_lengths(pts).max(axis=1)
+        _, got_longest, aspect, imr = _geometry(np.moveaxis(pts, 2, 0), quality=True)
+        np.testing.assert_allclose(got_longest, longest, rtol=1e-13)
+        np.testing.assert_allclose(
+            aspect, stack_aspect_ratios(pts, meas, longest), rtol=1e-13
+        )
+        np.testing.assert_allclose(imr, stack_inverse_mean_ratios(pts, meas), rtol=1e-13)
+        mesh = stack_mesh(pts)
+        got = quality_report(mesh).as_dict()
+        # measures of both signs cancel in their mean, so its rounding
+        # scales with the mean magnitude
+        scale = {"mean_measure": np.abs(meas).mean()}
+        for key, want in stack_quality_report(mesh).as_dict().items():
+            tol = 1e-13 * abs(scale.get(key, want))
+            assert got[key] == pytest.approx(want, rel=0.0, abs=tol, nan_ok=True), key
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([2, 3]),
+        st.sampled_from([np.nan, np.inf, -np.inf]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_non_finite_coordinates(self, seed, dim, value):
+        pts = jittered_stack(seed, dim, 0.15)
+        rng = np.random.default_rng(seed)
+        for _ in range(10):
+            pts[rng.integers(len(pts)), rng.integers(dim + 1), rng.integers(dim)] = value
+        got = simplex_measures(pts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want = det_measures(pts)
+        assert np.array_equal(_reversed(got), _reversed(want))
+        # for a tet holding an inf, LAPACK's LU and the triple product may
+        # disagree on nan against +-inf; both are non-finite and reversed
+        pattern = np.isnan if dim == 2 or np.isnan(value) else np.isfinite
+        assert np.array_equal(pattern(got), pattern(want))
+
+    def test_report_builds_no_edge_stack(self):
+        # a (k, 6, 3) edge stack from two gathered (k, 6, 3) operands would
+        # take the traced peak of the report past half the stack kernels'
+        mesh = gen_box_tets(20, 20, 20, size=3.0)
+        peaks = []
+        for report in (quality_report, stack_quality_report):
+            tracemalloc.start()
+            report(mesh)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[0] < 0.5 * peaks[1]

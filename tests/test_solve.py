@@ -47,7 +47,7 @@ class TestFactor:
         w = build_weights(annulus_coarse, "FEM")
         f = factor(w.a_ii)
         for _ in range(5):
-            b = rng.standard_normal(w.m)
+            b = rng.standard_normal(len(w.interior_ids))
             x = f.solve(b)
             assert np.abs(w.a_ii @ x - b).max() < 1e-10 * (
                 np.abs(w.a_ii).max() * np.abs(x).max() + np.abs(b).max()
@@ -57,16 +57,16 @@ class TestFactor:
         first = build_weights(annulus_coarse, "FEM")
         f0 = factor(first.a_ii)
         coords = np.array(annulus_coarse.coords)
-        coords[first.interior_ids] += rng.uniform(-0.01, 0.01, (first.m, 2))
+        coords[first.interior_ids] += rng.uniform(-0.01, 0.01, (len(first.interior_ids), 2))
         w = build_weights(annulus_coarse.with_coords(coords), "FEM")
         fresh = factor(w.a_ii)
         reused = factor(w.a_ii, order=f0.order)
         # the reused path hands SuperLU a pre-permuted matrix in natural order
-        assert np.array_equal(reused._lu.perm_c, np.arange(w.m))
-        assert not np.array_equal(fresh._lu.perm_c, np.arange(w.m))
+        assert np.array_equal(reused._lu.perm_c, np.arange(len(w.interior_ids)))
+        assert not np.array_equal(fresh._lu.perm_c, np.arange(len(w.interior_ids)))
         assert np.array_equal(reused.order, f0.order)
         assert reused._lu.nnz == fresh._lu.nnz
-        b = rng.standard_normal((w.m, 2))
+        b = rng.standard_normal((len(w.interior_ids), 2))
         x = fresh.solve(b)
         assert np.abs(reused.solve(b) - x).max() <= 1e-12 * np.abs(x).max()
 
@@ -74,14 +74,14 @@ class TestFactor:
         w = build_weights(annulus_coarse, "FEM")
         fresh = factor(w.a_ii)
         # any permutation yields a correct factorization, only fill differs
-        shuffled = rng.permutation(w.m)
-        b = rng.standard_normal(w.m)
+        shuffled = rng.permutation(len(w.interior_ids))
+        b = rng.standard_normal(len(w.interior_ids))
         x = fresh.solve(b)
         f = factor(w.a_ii, order=shuffled)
         assert np.abs(f.solve(b) - x).max() <= 1e-12 * np.abs(x).max()
         repeated = np.array(shuffled)
         repeated[0] = repeated[1]
-        for bad in (fresh.order[:-1], np.append(fresh.order, w.m), repeated):
+        for bad in (fresh.order[:-1], np.append(fresh.order, len(w.interior_ids)), repeated):
             with pytest.raises(ValueError):
                 factor(w.a_ii, order=bad)
         # the nonsymmetric schemes take the same path, so an order serves
@@ -100,7 +100,7 @@ class TestFactor:
         assert not w.symmetric
         f = factor(w.a_ii, spd=w.symmetric)
         assert np.array_equal(f._lu.perm_r, f._lu.perm_c)
-        b = rng.standard_normal(w.m)
+        b = rng.standard_normal(len(w.interior_ids))
         x = f.solve(b)
         assert np.abs(w.a_ii @ x - b).max() <= 1e-12 * np.abs(b).max()
 
@@ -200,7 +200,7 @@ class TestSolveMulti:
     def test_columns_bitwise_independent(self, annulus_coarse, rng):
         w = build_weights(annulus_coarse, "FEM")
         f = factor(w.a_ii)
-        b = rng.standard_normal((w.m, 3))
+        b = rng.standard_normal((len(w.interior_ids), 3))
         multi = solve_multi(f, b)
         for j in range(3):
             single = solve_multi(f, b[:, j])
@@ -233,7 +233,7 @@ class TestGaussSeidel:
         xb = annulus_coarse.coords[w.boundary_ids] * 1.3 + 0.2
         f = factor(w.a_ii)
         direct = solve_multi(f, -(w.a_ib @ xb))
-        gs, _ = gauss_seidel(w.a_ii, w.a_ib, xb, np.zeros((w.m, 2)), tol=1e-10)
+        gs, _ = gauss_seidel(w.a_ii, w.a_ib, xb, np.zeros((len(w.interior_ids), 2)), tol=1e-10)
         assert np.abs(gs - direct).max() < 1e-6
 
     def test_uniform_sweep_is_laplacian_smoothing(self, annulus_coarse):
@@ -244,7 +244,7 @@ class TestGaussSeidel:
         w = build_weights(annulus_coarse, "UNIFORM")
         mesh = annulus_coarse
         xb = mesh.coords[w.boundary_ids]
-        start = np.zeros((w.m, 2))
+        start = np.zeros((len(w.interior_ids), 2))
         one_sweep, _ = gauss_seidel(
             w.a_ii, w.a_ib, xb, start, tol=0.0, max_sweeps=1
         )
