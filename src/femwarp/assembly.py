@@ -36,7 +36,7 @@ from .errors import (
     NoNeighborsError,
     SingularSystemError,
 )
-from .mesh import _readonly, _reversed, measure_gradients, simplex_measures
+from .mesh import _columns, _dot, _geometry, _gradients, _readonly, _reversed
 
 SCHEMES = ("FEM", "UNIFORM", "LOG_BARRIER")
 
@@ -189,17 +189,14 @@ def _topology(mesh, topology):
     return topology
 
 
-def stiffness_stack(pts):
-    """P1 Laplace element matrices of stacked simplices, (k, d+1, d) ->
-    (k, d+1, d+1); symmetric with zero row sums.
-
-    Closed form ``K_ij = G_i.G_j / meas`` with G the measure gradients
-    (``G_i = meas * grad(phi_i)``).  Raises DEGENERATE_ELEMENT unless every
-    simplex has positive measure; a nan measure (non-finite geometry) is
-    not positive.
+def _stiffness(cols):
+    """P1 Laplace element matrices ``K_ij = G_i.G_j / meas`` on the per-axis
+    vertex columns of ``mesh._geometry``, (d, k, d+1) -> (k, d+1, d+1), with
+    G the measure gradients (``G_i = meas * grad(phi_i)``).  Raises
+    DEGENERATE_ELEMENT unless every measure lies in (0, inf); an entry that
+    overflows is inf or nan, without a warning.
     """
-    pts = np.asarray(pts, dtype=float)
-    meas = simplex_measures(pts)
+    meas = _geometry(cols)[0]
     bad = np.flatnonzero(_reversed(meas))
     if len(bad):
         raise DegenerateElementError(
@@ -207,12 +204,10 @@ def stiffness_stack(pts):
             element=int(bad[0]),
             measure=float(meas[bad[0]]),
         )
-    g = measure_gradients(pts)
-    # Gram matrix of the rows of g, accumulated axis by axis
-    k = g[:, :, None, 0] * g[:, None, :, 0]
-    for ax in range(1, pts.shape[2]):
-        k += g[:, :, None, ax] * g[:, None, :, ax]
-    return k / meas[:, None, None]
+    g = _gradients(cols)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the Gram matrix of the gradients, accumulated axis by axis
+        return _dot(g[:, :, :, None], g[:, :, None, :]) / meas[:, None, None]
 
 
 def local_stiffness(points):
@@ -221,7 +216,7 @@ def local_stiffness(points):
     Symmetric (d+1)x(d+1) with zero row sums.  Requires a nondegenerate,
     positively oriented simplex.
     """
-    return stiffness_stack(np.asarray(points, dtype=float)[None])[0]
+    return _stiffness(np.asarray(points, dtype=float).T[:, None])[0]
 
 
 def assemble_stiffness(mesh):
@@ -230,13 +225,11 @@ def assemble_stiffness(mesh):
     Rows sum to zero and the nonzero pattern is node adjacency.
     """
     d1 = mesh.dim + 1
-    local = stiffness_stack(mesh.coords[mesh.elements])
+    local = _stiffness(_columns(mesh))
     rows = np.repeat(mesh.elements, d1, axis=1).ravel()
     cols = np.tile(mesh.elements, (1, d1)).ravel()
     n = mesh.n_nodes
-    a = sparse.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    a.sum_duplicates()
-    return a
+    return sparse.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
 def fem_weights(mesh, topology=None):
@@ -244,7 +237,7 @@ def fem_weights(mesh, topology=None):
     topology = _topology(mesh, topology)
     if len(topology.boundary_ids) == 0:
         raise SingularSystemError("mesh has no boundary nodes; A_I is singular")
-    local = stiffness_stack(mesh.coords[mesh.elements])
+    local = _stiffness(_columns(mesh))
     data = np.bincount(
         topology.scatter, weights=local.ravel(), minlength=topology.nnz + 1
     )

@@ -153,6 +153,8 @@ def read_mesh(node_path, ele_path, reorient=True):
 
     skip, header = _parse_header(ele_path, 2)
     n_ele, nodes_per = header[:2]
+    if n_ele == 0:
+        raise ParseError(f"{ele_path}:{skip}: refusing an empty mesh", line=skip)
     if nodes_per != dim + 1:
         raise ParseError(
             f"{ele_path}: expected {dim + 1} nodes per element, got {nodes_per}"
@@ -179,10 +181,7 @@ def read_mesh(node_path, ele_path, reorient=True):
                 stacklevel=2,
             )
             elements = np.array(elements)
-            elements[flipped, 0], elements[flipped, 1] = (
-                elements[flipped, 1],
-                elements[flipped, 0].copy(),
-            )
+            elements[flipped, :2] = elements[flipped, 1::-1]
             mesh = Mesh(coords, elements, boundary)
     return mesh
 

@@ -87,6 +87,22 @@ class Mesh:
         return Mesh(coords, self.elements, self.boundary_ids)
 
 
+def _edge(cols, a, b):
+    """Edge from vertex a to vertex b of each simplex, one array per axis."""
+    return [c[:, b] - c[:, a] for c in cols]
+
+
+def _dot(u, v):
+    total = u[0] * v[0]
+    for ui, vi in zip(u[1:], v[1:]):
+        total += ui * vi
+    return total
+
+
+def _cross(u, v):
+    return [u[i - 2] * v[i - 1] - u[i - 1] * v[i - 2] for i in range(3)]
+
+
 def _geometry(cols, quality=False):
     """The element-geometry kernel, on per-axis vertex columns ``cols``
     (d, k, d+1): ``cols[a][:, i]`` is axis a of vertex i of k simplices.
@@ -102,24 +118,15 @@ def _geometry(cols, quality=False):
     """
     d = len(cols)
 
-    def star(a):  # edges from vertex a to each later vertex, per axis
-        return [[c[:, j] - c[:, a] for c in cols] for j in range(a + 1, d + 1)]
-
-    def dot(u, v):
-        total = u[0] * v[0]
-        for ui, vi in zip(u[1:], v[1:]):
-            total += ui * vi
-        return total
-
-    def cross(u, v):
-        return [u[i - 2] * v[i - 1] - u[i - 1] * v[i - 2] for i in range(3)]
+    def star(a):  # edges from vertex a to each later vertex
+        return [_edge(cols, a, j) for j in range(a + 1, d + 1)]
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         edges = star(0)
         if d == 2:
             meas = 0.5 * (edges[0][0] * edges[1][1] - edges[0][1] * edges[1][0])
         else:  # the triple product
-            meas = dot(edges[0], cross(edges[1], edges[2])) / 6.0
+            meas = _dot(edges[0], _cross(edges[1], edges[2])) / 6.0
         if not quality:
             return (meas,)
         # squared edges, summed and maxed, and in 3D the largest squared
@@ -127,11 +134,11 @@ def _geometry(cols, quality=False):
         l2sum = l2max = c2max = 0.0
         for a in range(d):
             for e in edges:
-                l2 = dot(e, e)
+                l2 = _dot(e, e)
                 l2sum, l2max = l2sum + l2, np.maximum(l2max, l2)
             for u, v in combinations(edges, 2) if d == 3 else ():
-                w = cross(u, v)
-                c2max = np.maximum(c2max, dot(w, w))
+                w = _cross(u, v)
+                c2max = np.maximum(c2max, _dot(w, w))
             del edges  # free this vertex's edges before the next one's
             edges = star(a + 1)
         # the altitude over facet i is |meas| / |G_i|, with |G_i| the facet's
@@ -166,11 +173,6 @@ def signed_measure(points):
     return _element(points)[0]
 
 
-def simplex_measures(pts):
-    """Signed measures of stacked simplices, shape (k, d+1, d) -> (k,)."""
-    return _geometry(np.moveaxis(pts, 2, 0))[0]
-
-
 def signed_measures(mesh):
     """Signed measures of every element, vectorized."""
     return _geometry(_columns(mesh))[0]
@@ -188,26 +190,27 @@ def count_reversals(mesh):
     return len(bad), bad.tolist()
 
 
-# vertices (a, b, c) of the face opposite vertex i, ordered so that
-# (b - a) x (c - a) points toward vertex i on a positive tetrahedron
-_FACES = np.array([[1, 3, 2], [0, 2, 3], [0, 3, 1], [0, 1, 2]])
-
-
-def measure_gradients(pts):
-    """Gradient of each simplex's signed measure with respect to each of its
-    vertices, (k, d+1, d) -> (k, d+1, d).
-
-    Row i is ``meas * grad(phi_i)`` for the P1 hat function phi_i and does
-    not depend on vertex i itself; its norm is the measure of the facet
-    opposite vertex i over d.  In 2D it is the edge opposite vertex i (in
-    cyclic order) rotated by +90 degrees and halved; in 3D the cross
-    product of the edges of the face opposite vertex i, over 6.
+def _gradients(cols):
+    """Gradients of the signed measures with respect to each vertex, on the
+    per-axis columns of :func:`_geometry`: ``g[a][:, i]`` of the (d, k, d+1)
+    result is axis a of ``meas * grad(phi_i)``, phi_i the P1 hat function of
+    vertex i.  In 2D it is the edge opposite vertex i (in cyclic order)
+    rotated by +90 degrees and halved; in 3D the cross product of the edges
+    of the face opposite vertex i, over 6.  Silent like :func:`_geometry`.
     """
-    if pts.shape[2] == 2:
-        e = pts[:, [2, 0, 1]] - pts[:, [1, 2, 0]]
-        return np.stack([-0.5 * e[..., 1], 0.5 * e[..., 0]], axis=-1)
-    a, b, c = _FACES.T
-    return np.cross(pts[:, b] - pts[:, a], pts[:, c] - pts[:, a]) / 6.0
+    d = len(cols)
+    g = np.empty(cols.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(d + 1):
+            if d == 2:
+                ex, ey = _edge(cols, (i + 1) % 3, (i + 2) % 3)
+                g[:, :, i] = (-0.5 * ey, 0.5 * ex)
+            else:  # (b - a) x (c - a) points toward vertex i when meas > 0
+                a, b, c = ((1, 3, 2), (0, 2, 3), (0, 3, 1), (0, 1, 2))[i]
+                g[:, :, i] = _cross(_edge(cols, a, b), _edge(cols, a, c))
+        if d == 3:
+            g /= 6.0
+    return g
 
 
 def aspect_ratio(points):

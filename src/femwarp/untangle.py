@@ -21,7 +21,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import UnboundedLPError
-from .mesh import count_reversals, measure_gradients, simplex_measures
+from .mesh import _geometry, _gradients, count_reversals
 from .warp import femwarp_step, warp_report
 
 BOX_FACTOR = 10.0
@@ -49,9 +49,10 @@ def _measure_terms(sub):
     Exact by linearity: the gradient with respect to the free vertex is that
     vertex's row of the measure gradients, which does not depend on it.
     """
+    cols = np.moveaxis(sub.elements, 2, 0)
     idx = np.arange(len(sub.elements))
-    grads = measure_gradients(sub.elements)[idx, sub.free_slots]
-    return grads, simplex_measures(sub.elements)
+    grads = np.moveaxis(_gradients(cols), 0, 2)[idx, sub.free_slots]
+    return grads, _geometry(cols)[0]
 
 
 def _simplex_maximize(c, a_ub, b_ub, max_iter=10000):
@@ -184,9 +185,9 @@ def _float_terms_2d(flat, slots):
 
     ``flat`` is the cavity's ``elements`` raveled to a list and ``slots``
     its free slots as a list.  The float operations are those of
-    :func:`_measure_terms` (:func:`measure_gradients` and
-    :func:`simplex_measures`) and of the box in :func:`maximin_reposition`,
-    in the same order, so every value equals theirs to the bit.
+    :func:`_measure_terms` (the kernels ``mesh._gradients`` and
+    ``mesh._geometry``) and of the box in :func:`maximin_reposition`, in the
+    same order, so every value equals theirs to the bit.
     """
     it = iter(flat)
     grads = []
@@ -295,7 +296,7 @@ def untangle(mesh, max_sweeps=50, on_move=None):
             sub = LocalSubmesh(np.array(coords[vid]), coords[nodes], free_slots)
             new_pos, after = maximin_reposition(sub)
             if on_move is not None:
-                on_move(int(vid), simplex_measures(sub.elements).min(), after)
+                on_move(int(vid), _measure_terms(sub)[1].min(), after)
             move = new_pos - sub.position
             # the norm np.linalg.norm takes, without its dispatch
             max_move = max(max_move, math.sqrt(move.dot(move)))

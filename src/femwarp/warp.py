@@ -190,11 +190,13 @@ def small_step_femwarp(
     From the current fraction t, attempt the full remaining motion; on
     reversal halve the increment, reusing the same factorization (weights
     depend only on the current mesh, not the trial target).  After an
-    accepted step the weights are rebuilt and refactored.  Connectivity, the
-    sparsity pattern of A_I and its fill-reducing order are computed once
-    per warp; each rebuild and refactorization redoes only values.  Fails
-    with outcome REVERSED once the increment drops below ``min_step``,
-    returning the last accepted mesh and the fraction t it reached.
+    accepted step the weights are rebuilt and refactored.  The ``Topology``
+    (connectivity and the pattern of A_I) and the fill-reducing order are
+    computed once per warp and reused; a rebuild writes values into that
+    pattern, and a refactorization reruns all of SuperLU, its symbolic
+    analysis included, in that order.  Fails with outcome REVERSED once the
+    increment drops below ``min_step``, returning the last accepted mesh and
+    the fraction t it reached.
 
     ``constant_step`` disables the halving search and advances by
     ``min_step`` each time, stopping at the first reversal.

@@ -353,18 +353,18 @@ def first_bad_node_record(ids, n):
 
 def maximin_reposition_by_arrays(sub):
     """``untangle.maximin_reposition`` with every LP's terms built by the
-    batched array kernels: measure gradients and measures of the whole
+    stack kernels below: measure gradients and measures of the whole
     cavity stack, the box from ``np.ptp``.
 
     Unlike the rest of this module it reuses the library's LP solvers (the
     exact 2D dual and the simplex): it pins the float terms of the 2D path
     to the array kernels bit for bit, so it must share everything else.
     """
-    from femwarp.mesh import measure_gradients, simplex_measures
     from femwarp.untangle import BOX_FACTOR, _dual_maximin_2d, _simplex_reposition
 
-    grads = measure_gradients(sub.elements)[np.arange(len(sub.elements)), sub.free_slots]
-    meas = simplex_measures(sub.elements)
+    idx = np.arange(len(sub.elements))
+    grads = stack_measure_gradients(sub.elements)[idx, sub.free_slots]
+    meas = stack_measures(sub.elements)
     x0 = sub.position
     radius = BOX_FACTOR * max(np.ptp(sub.elements.reshape(-1, x0.size), axis=0).max(), 1e-12)
     if not np.isfinite(radius):
@@ -391,9 +391,9 @@ def weight_residual(weights, coords):
     return np.abs(weights.a_ii @ x_i + weights.a_ib @ x_b).max(axis=0)
 
 
-# The stack kernels that the per-axis element-geometry kernel of
-# femwarp.mesh replaced: they take (k, d+1, d) stacks and build
-# (k, C(d+1, 2), d) edge stacks.
+# The stack kernels that the per-axis element kernels of femwarp.mesh
+# replaced: they take (k, d+1, d) stacks, build (k, C(d+1, 2), d) edge
+# stacks and gather vertices by fancy indexing.
 
 
 def det_measures(pts):
@@ -405,6 +405,57 @@ def det_measures(pts):
     return np.linalg.det(edges) / 6.0
 
 
+def stack_measures(pts):
+    """Signed measures of stacked simplices, (k, d+1, d) -> (k,): the 2D
+    cross product, and in 3D the triple product ``e0 . (e1 x e2) / 6``
+    summed axis by axis, the float operations of the library's kernel."""
+    if pts.shape[2] == 2:
+        return det_measures(pts)
+    e = pts[:, 1:] - pts[:, :1]
+    c = np.cross(e[:, 1], e[:, 2])
+    return (e[:, 0, 0] * c[:, 0] + e[:, 0, 1] * c[:, 1] + e[:, 0, 2] * c[:, 2]) / 6.0
+
+
+# vertices (a, b, c) of the face opposite vertex i, ordered so that
+# (b - a) x (c - a) points toward vertex i on a positive tetrahedron
+FACES = np.array([[1, 3, 2], [0, 2, 3], [0, 3, 1], [0, 1, 2]])
+
+
+def stack_measure_gradients(pts):
+    """Gradient of each simplex's signed measure with respect to each of its
+    vertices, (k, d+1, d) -> (k, d+1, d): in 2D the edge opposite vertex i
+    (in cyclic order) rotated by +90 degrees and halved; in 3D the cross
+    product of the edges of the face opposite vertex i, over 6."""
+    if pts.shape[2] == 2:
+        e = pts[:, [2, 0, 1]] - pts[:, [1, 2, 0]]
+        return np.stack([-0.5 * e[..., 1], 0.5 * e[..., 0]], axis=-1)
+    a, b, c = FACES.T
+    return np.cross(pts[:, b] - pts[:, a], pts[:, c] - pts[:, a]) / 6.0
+
+
+def stack_stiffness(pts):
+    """P1 Laplace element matrices ``K_ij = G_i.G_j / meas`` of stacked
+    simplices, (k, d+1, d) -> (k, d+1, d+1), with G from
+    :func:`stack_measure_gradients` and its Gram matrix accumulated axis by
+    axis.  Raises DEGENERATE_ELEMENT at the first simplex whose measure is
+    not in (0, inf)."""
+    from femwarp.errors import DegenerateElementError
+
+    meas = stack_measures(pts)
+    bad = np.flatnonzero(~((meas > 0.0) & (meas < np.inf)))
+    if len(bad):
+        raise DegenerateElementError(
+            f"element {bad[0]} has nonpositive measure",
+            element=int(bad[0]),
+            measure=float(meas[bad[0]]),
+        )
+    g = stack_measure_gradients(pts)
+    k = g[:, :, None, 0] * g[:, None, :, 0]
+    for ax in range(1, pts.shape[2]):
+        k += g[:, :, None, ax] * g[:, None, :, ax]
+    return k / meas[:, None, None]
+
+
 def stack_edge_lengths(pts):
     """Edge lengths of stacked simplices, (k, d+1, d) -> (k, d(d+1)/2)."""
     i, j = np.triu_indices(pts.shape[1], 1)
@@ -414,9 +465,7 @@ def stack_edge_lengths(pts):
 def stack_aspect_ratios(pts, meas, longest):
     """Aspect ratios from the norms of the measure gradients: the altitude
     over facet i is |meas| / |G_i|; inf for degenerates."""
-    from femwarp.mesh import measure_gradients
-
-    gmax = np.linalg.norm(measure_gradients(pts), axis=2).max(axis=1)
+    gmax = np.linalg.norm(stack_measure_gradients(pts), axis=2).max(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         minalt = np.abs(meas) / gmax
         return np.where(minalt > 0.0, longest / minalt, np.inf)

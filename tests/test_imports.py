@@ -1,4 +1,6 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports, and every
+module-level definition the package does not re-export is read somewhere
+in it."""
 
 import ast
 from pathlib import Path
@@ -26,3 +28,58 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("name", sorted({p.name for p in PACKAGE.glob("*.py")} - {"__init__.py"}))
 def test_no_unused_import(name):
     assert unused_imports((PACKAGE / name).read_text()) == []
+
+
+def _defined(stmt):
+    """Names a module-level statement defines: a function, a class or the
+    targets of an assignment."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return []
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def unread_definitions(sources, exported):
+    """Module-level names defined in ``sources`` (module name -> source),
+    neither dunder nor in ``exported``, that no statement of any module
+    reads outside the statement defining them, as a name or an
+    attribute."""
+    defined = []
+    read = set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            names = _defined(stmt)
+            defined += [(module, name) for name in names]
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    word = node.id
+                elif isinstance(node, ast.Attribute):
+                    word = node.attr
+                else:
+                    continue
+                if word not in names:
+                    read.add(word)
+    return [
+        f"{module}.{name}"
+        for module, name in defined
+        if name not in read and name not in exported and not name.startswith("__")
+    ]
+
+
+def test_detects_an_unread_definition():
+    sources = {
+        "a": "X = 1\nY = 2\ndef f():\n    return f()\n"
+        "def g():\n    return X\nclass C:\n    pass\n",
+        "b": "from .a import g\n__all__ = ['g']\ng()\n",
+    }
+    assert unread_definitions(sources, {"C"}) == ["a.Y", "a.f"]
+
+
+def test_no_unread_definition():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unread_definitions(sources, set(femwarp.__all__)) == []

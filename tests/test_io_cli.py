@@ -52,6 +52,12 @@ class TestReadMesh:
         mesh = io.read_mesh(node, ele)
         assert np.array_equal(mesh.elements[0], [0, 1, 2])
 
+    def test_no_elements_rejected(self, tmp_path):
+        node, ele = write_pair(tmp_path, SINGLE_NODE, "# none\n0 3 0\n")
+        with pytest.raises(ParseError, match="empty mesh") as info:
+            io.read_mesh(node, ele)
+        assert info.value.context["line"] == 2
+
     def test_bad_index(self, tmp_path):
         ele_text = "1 3 0\n0 0 1 999\n"
         node, ele = write_pair(tmp_path, SINGLE_NODE, ele_text)
@@ -675,6 +681,25 @@ class TestCliErrorContract:
             "0,SUCCESS,0,1",
             "0.5,REVERSED,24,1",
         ]
+
+    @pytest.mark.parametrize("command", ["quality", "warp"])
+    def test_mesh_without_elements(self, tmp_path, capsys, command):
+        # an .ele header listing 0 elements is refused when the mesh is read
+        write_pair(tmp_path, SINGLE_NODE, "0 3 0\n", base="empty")
+        base = str(tmp_path / "empty")
+        spec = tmp_path / "id.spec"
+        spec.write_text("motion = affine\nl = 1,0;0,1\n")
+        out = str(tmp_path / "o")
+        argv = {
+            "quality": ["quality", "--mesh", base],
+            "warp": ["warp", "--mesh", base, "--spec", str(spec), "--out", out],
+        }[command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error code=PARSE_ERROR message=")
+        assert f"{base}.ele:1: " in err and "Traceback" not in err
+        assert not any(os.path.exists(out + ext) for ext in (".node", ".ele", ".report"))
 
     def test_repeated_node_id(self, tmp_path, capsys):
         base = str(tmp_path / "dup")

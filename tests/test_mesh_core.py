@@ -10,9 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from femwarp import Mesh, gen_annulus, gen_box_tets, gen_rectangle
-from femwarp.errors import BadIndexError, ReversedElementError
+from femwarp.assembly import _stiffness
+from femwarp.errors import BadIndexError, DegenerateElementError, ReversedElementError
 from femwarp.mesh import (
+    _columns,
     _geometry,
+    _gradients,
     _reversed,
     aspect_ratio,
     count_reversals,
@@ -21,12 +24,12 @@ from femwarp.mesh import (
     quality_report,
     signed_measure,
     signed_measures,
-    simplex_measures,
     validate,
     Violation,
 )
 from femwarp.untangle import untangle
 
+from conftest import jittered
 from oracles import (
     det_measures,
     face_loop_aspect_ratio,
@@ -34,7 +37,10 @@ from oracles import (
     stack_aspect_ratios,
     stack_edge_lengths,
     stack_inverse_mean_ratios,
+    stack_measure_gradients,
+    stack_measures,
     stack_quality_report,
+    stack_stiffness,
 )
 
 UNIT_RIGHT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -89,7 +95,8 @@ class TestSignedMeasure:
     )
     def test_affine_image_scales_by_det(self, tri, lvals, v):
         l = np.array(lvals).reshape(2, 2)
-        expected = np.linalg.det(l) * signed_measure(tri)
+        # det(l) in closed form: LAPACK's det warns on a subnormal pivot
+        expected = (lvals[0] * lvals[3] - lvals[1] * lvals[2]) * signed_measure(tri)
         got = signed_measure(tri @ l.T + np.array(v))
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-9)
 
@@ -392,7 +399,8 @@ class TestGeometryKernel:
         want = det_measures(pts)
         edges = pts[:, 1:] - pts[:, :1]
         bound = 1e-14 * np.prod(np.linalg.norm(edges, axis=2), axis=1)
-        for got in (simplex_measures(pts), signed_measures(stack_mesh(pts))):
+        stack = _geometry(np.moveaxis(pts, 2, 0))[0]
+        for got in (stack, signed_measures(stack_mesh(pts))):
             if dim == 2:
                 assert np.array_equal(got, want)
             else:
@@ -430,7 +438,7 @@ class TestGeometryKernel:
         rng = np.random.default_rng(seed)
         for _ in range(10):
             pts[rng.integers(len(pts)), rng.integers(dim + 1), rng.integers(dim)] = value
-        got = simplex_measures(pts)
+        got = _geometry(np.moveaxis(pts, 2, 0))[0]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             want = det_measures(pts)
@@ -451,3 +459,69 @@ class TestGeometryKernel:
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
         assert peaks[0] < 0.5 * peaks[1]
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def degenerate(stiffness, stack):
+    """(element, measure bits) of the DEGENERATE_ELEMENT that
+    ``stiffness(stack)`` raises, or None."""
+    try:
+        stiffness(stack)
+    except DegenerateElementError as err:
+        return err.context["element"], np.float64(err.context["measure"]).tobytes()
+    return None
+
+
+class TestGradientKernel:
+    """The per-axis measure gradients and P1 stiffness against the stack
+    formulas they replaced, bit for bit."""
+
+    @staticmethod
+    def check(pts):
+        """The kernels' gradients of the stack ``pts``, the stiffness of its
+        simplices with a measure in (0, inf) and the DEGENERATE_ELEMENT of
+        the whole stack equal the stack oracles'; the kernels stay silent
+        where the oracles warn."""
+        cols = np.moveaxis(pts, 2, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            meas = stack_measures(pts)
+            good = (meas > 0.0) & (meas < np.inf)
+            want_g = stack_measure_gradients(pts)
+            want_k = stack_stiffness(pts[good])
+            want_error = degenerate(stack_stiffness, pts)
+        assert_same_bits(np.moveaxis(_gradients(cols), 0, 2), want_g)
+        assert_same_bits(_stiffness(cols[:, good]), want_k)
+        assert degenerate(_stiffness, cols) == want_error
+
+    @pytest.mark.parametrize(
+        "make", [lambda: gen_annulus(0.5, 16, 64), lambda: gen_box_tets(6, 6, 6)],
+        ids=["annulus", "box"],
+    )
+    def test_jittered_meshes(self, make):
+        mesh = jittered(make(), 11, frac=0.2)
+        pts = mesh.coords[mesh.elements]
+        self.check(pts)
+        assert_same_bits(_stiffness(_columns(mesh)), stack_stiffness(pts))
+
+    @given(*STACKS)
+    @settings(max_examples=60, deadline=None)
+    def test_stacks(self, seed, dim, jitter):
+        self.check(jittered_stack(seed, dim, jitter))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([2, 3]),
+        st.sampled_from([np.nan, np.inf, -np.inf, 1e308, -1e308]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_non_finite_or_huge_coordinates(self, seed, dim, value):
+        pts = jittered_stack(seed, dim, 0.15)
+        rng = np.random.default_rng(seed)
+        for _ in range(10):
+            pts[rng.integers(len(pts)), rng.integers(dim + 1), rng.integers(dim)] = value
+        self.check(pts)

@@ -17,12 +17,7 @@ from femwarp import (
 )
 from femwarp.assembly import build_weights
 from femwarp.cli import run_algorithm
-from femwarp.mesh import (
-    count_reversals,
-    measure_gradients,
-    quality_report,
-    signed_measures,
-)
+from femwarp.mesh import count_reversals, quality_report, signed_measures
 from femwarp.untangle import (
     BOX_FACTOR,
     LocalSubmesh,
@@ -43,6 +38,7 @@ from oracles import (
     grid_maximin,
     local_submesh,
     maximin_reposition_by_arrays,
+    stack_measure_gradients,
     tri_measures,
 )
 
@@ -204,7 +200,7 @@ class TestAffineMeasureCoeffs:
             assert np.abs(grads - want_g).max() <= 1e-12 * np.abs(want_g).max()
             assert np.abs(consts - want_c).max() <= 1e-12 * np.abs(want_c).max()
             slots = (np.arange(len(grads)), sub.free_slots)
-            assert np.array_equal(measure_gradients(sub.elements)[slots], grads)
+            assert np.array_equal(stack_measure_gradients(sub.elements)[slots], grads)
 
 
 class TestFloatTerms2d:
