@@ -99,19 +99,24 @@ def infinitesimal_rotation_map(r, theta, point):
     return np.array([ca * x - sa * y, sa * x + ca * y])
 
 
-def rectangle_shear_map(alpha, point):
-    """(x, y) -> (x, y + alpha*x*(2-x)); unit Jacobian determinant everywhere,
-    so only finite elements (never the continuum) can reverse under it."""
-    x, y = float(point[0]), float(point[1])
-    return np.array([x, y + alpha * x * (2.0 - x)])
+def rectangle_shear_map(alpha, points):
+    """(x, y) -> (x, y + alpha*x*(2-x)) of one point or of rows of points;
+    unit Jacobian determinant everywhere, so only finite elements (never the
+    continuum) can reverse under it."""
+    out = np.array(points, dtype=float)
+    x = out[..., 0]
+    out[..., 1] += alpha * x * (2.0 - x)
+    return out
 
 
-def nonlinear3d_map(alpha, point):
-    """3D stress deformation: a fixed linear map plus alpha times a
-    quadratic perturbation (0.1xy, 0.5yz, 0.1x^2)."""
-    x, y, z = (float(v) for v in point[:3])
-    linear = np.array([2.0 * x - y, -2.0 * x + 5.0 * y, z])
-    return linear + alpha * np.array([0.1 * x * y, 0.5 * y * z, 0.1 * x * x])
+def nonlinear3d_map(alpha, points):
+    """3D stress deformation of one point or of rows of points: a fixed
+    linear map plus alpha times a quadratic perturbation (0.1xy, 0.5yz,
+    0.1x^2)."""
+    p = np.asarray(points, dtype=float)
+    x, y, z = p[..., 0], p[..., 1], p[..., 2]
+    quad = np.stack([0.1 * x * y, 0.5 * y * z, 0.1 * x * x], axis=-1)
+    return p @ NONLINEAR3D_LINEAR.T + alpha * quad
 
 
 NONLINEAR3D_LINEAR = np.array([[2.0, -1.0, 0.0], [-2.0, 5.0, 0.0], [0.0, 0.0, 1.0]])

@@ -29,7 +29,6 @@ import numpy as np
 from scipy import sparse
 
 from .errors import (
-    BadIndexError,
     DegenerateElementError,
     NoInteriorError,
     NodeNotInteriorError,
@@ -86,8 +85,6 @@ class Topology:
     def __init__(self, mesh):
         n = mesh.n_nodes
         elements = mesh.elements
-        if elements.size and (elements.min() < 0 or elements.max() >= n):
-            raise BadIndexError(f"element cites a node id outside [0, {n})")
         self.elements = elements
         self.boundary = mesh.boundary
         self.interior_ids = _readonly(mesh.interior_ids)

@@ -54,7 +54,8 @@ def _spec_number(spec, key, default, kind=float):
 def build_motion(mesh, spec, scale=1.0):
     """Construct the BoundaryMotion described by a spec dict.
 
-    ``scale`` multiplies the motion's scalar parameter (used by sweeps).
+    ``scale`` multiplies the motion's scalar parameter (used by sweeps); a
+    tabulated motion has none.
     """
     kind = spec.get("motion")
     if kind is None:
@@ -166,6 +167,8 @@ def _param_grid(text):
 def cmd_sweep(args):
     mesh = _read_mesh(args.mesh)
     spec = io.read_spec(args.spec)
+    if spec.get("motion") == "tabulated":
+        raise InvalidSpecError("a tabulated motion has no parameter to sweep")
     rows = []
     for param in _param_grid(args.param_grid):
         motion = build_motion(mesh, spec, scale=param)
@@ -183,7 +186,8 @@ def cmd_sweep(args):
 
 
 def cmd_quality(args):
-    mesh = _read_mesh(args.mesh)
+    # the file as written: a reversed element is reported, not reoriented
+    mesh = io.read_mesh(args.mesh + ".node", args.mesh + ".ele", reorient=False)
     q = quality_report(mesh)
     for key, val in q.as_dict().items():
         print(f"{key} = {val:.17g}")

@@ -36,7 +36,7 @@ class Mesh:
     coords : (n, dim) float array
         Node coordinates; node ids are dense 0..n-1.
     elements : (ne, dim+1) int array
-        Simplex connectivity.
+        Simplex connectivity; each id must lie in [0, n).
     boundary : iterable of int
         Node ids marked as boundary; each must lie in [0, n).
     """
@@ -52,11 +52,15 @@ class Mesh:
             raise ValueError("coords must be (n, 2) or (n, 3)")
         if elements.ndim != 2 or elements.shape[1] != coords.shape[1] + 1:
             raise ValueError("elements must be (ne, dim+1)")
-        mask = np.zeros(coords.shape[0], dtype=bool)
+        n = coords.shape[0]
+        if elements.size and (elements.min() < 0 or elements.max() >= n):
+            eid = np.argmax(((elements < 0) | (elements >= n)).any(axis=1))
+            raise BadIndexError(f"element {eid} cites a node id outside [0, {n})")
+        mask = np.zeros(n, dtype=bool)
         if self.boundary is not None:
             ids = np.fromiter(self.boundary, dtype=np.int64, count=-1)
-            if ids.size and (ids.min() < 0 or ids.max() >= len(mask)):
-                raise BadIndexError(f"boundary node id outside [0, {len(mask)})")
+            if ids.size and (ids.min() < 0 or ids.max() >= n):
+                raise BadIndexError(f"boundary node id outside [0, {n})")
             mask[ids] = True
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "elements", elements)
@@ -248,27 +252,23 @@ class Violation:
 
 
 def validate(mesh):
-    """Check Mesh invariants; returns a list of Violation records."""
+    """Check Mesh invariants; returns a list of Violation records.  Node ids
+    out of range never get here: the Mesh constructor refuses them."""
     violations = []
-    n = mesh.n_nodes
-    bad_idx = (mesh.elements < 0) | (mesh.elements >= n)
-    for eid in np.flatnonzero(bad_idx.any(axis=1)):
-        violations.append(Violation("BAD_INDEX", int(eid), "element cites missing node"))
     ids = np.sort(mesh.elements, axis=1)
     for eid in np.flatnonzero((ids[:, 1:] == ids[:, :-1]).any(axis=1)):
         violations.append(
             Violation("DEGENERATE_ELEMENT", int(eid), "repeated node id in element")
         )
-    if not bad_idx.any():
-        used = np.zeros(n, dtype=bool)
-        used[mesh.elements] = True
-        for nid in np.flatnonzero(~used):
-            violations.append(Violation("UNUSED_NODE", int(nid), "node in no element"))
-        meas = signed_measures(mesh)
-        for eid in np.flatnonzero(_reversed(meas)):
-            violations.append(
-                Violation("REVERSED_ELEMENT", int(eid), f"signed measure {meas[eid]:g}")
-            )
+    used = np.zeros(mesh.n_nodes, dtype=bool)
+    used[mesh.elements] = True
+    for nid in np.flatnonzero(~used):
+        violations.append(Violation("UNUSED_NODE", int(nid), "node in no element"))
+    meas = signed_measures(mesh)
+    for eid in np.flatnonzero(_reversed(meas)):
+        violations.append(
+            Violation("REVERSED_ELEMENT", int(eid), f"signed measure {meas[eid]:g}")
+        )
     return violations
 
 

@@ -3,6 +3,7 @@ halving, and multi-frame trajectory replay.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -31,20 +32,6 @@ class BoundaryMotion:
         return self._fn(self.base_coords, t)
 
 
-class AffineMotion(BoundaryMotion):
-    """Linear interpolation toward L x + v; every intermediate configuration
-    is itself affine."""
-
-    def __init__(self, mesh, matrix, shift):
-        super().__init__(mesh, self._blend)
-        self.matrix = np.asarray(matrix, dtype=float)
-        self.shift = np.asarray(shift, dtype=float)
-
-    def _blend(self, base, t):
-        target = base @ self.matrix.T + self.shift
-        return (1.0 - t) * base + t * target
-
-
 def annulus_rotation_motion(mesh, theta_outer, theta_inner=0.0, s=None):
     """Rotate the outer boundary by theta_outer and the inner by theta_inner,
     optionally moving the inner radius r (the smallest boundary radius) to
@@ -71,36 +58,12 @@ def annulus_rotation_motion(mesh, theta_outer, theta_inner=0.0, s=None):
     return BoundaryMotion(mesh, fn)
 
 
-def shear_motion(mesh, alpha):
-    """Rectangle shear (x, y) -> (x, y + t*alpha*x*(2-x)) on the boundary."""
-
-    def fn(base, t):
-        out = base.copy()
-        out[:, 1] += t * alpha * base[:, 0] * (2.0 - base[:, 0])
-        return out
-
-    return BoundaryMotion(mesh, fn)
-
-
-def nonlinear3d_motion(mesh, alpha):
-    """Homotopy from identity to the 3D stress deformation: the linear part
-    is blended (1-t)I + tL while the quadratic part is scaled by t*alpha."""
-    lin = analytic.NONLINEAR3D_LINEAR
-
-    def fn(base, t):
-        blend = (1.0 - t) * np.eye(3) + t * lin
-        x, y, z = base[:, 0], base[:, 1], base[:, 2]
-        quad = np.column_stack([0.1 * x * y, 0.5 * y * z, 0.1 * x * x])
-        return base @ blend.T + (t * alpha) * quad
-
-    return BoundaryMotion(mesh, fn)
-
-
 class TabulatedMotion(BoundaryMotion):
     """Piecewise-linear motion through explicit per-frame boundary coordinates.
 
     ``frames`` excludes the initial configuration; t=1 lands on the last
-    frame.
+    frame.  A straight-line motion (``AffineMotion``, ``shear_motion``,
+    ``nonlinear3d_motion``) is one frame, the image of the boundary.
     """
 
     def __init__(self, mesh, frames):
@@ -116,6 +79,38 @@ class TabulatedMotion(BoundaryMotion):
         lo = min(int(np.floor(pos)), len(pts) - 2)
         frac = pos - lo
         return (1.0 - frac) * pts[lo] + frac * pts[lo + 1]
+
+
+def _image(mesh, fn):
+    """The one frame ``[fn(boundary coordinates)]`` of a straight-line
+    motion.  It is built without numpy warnings: a target that overflows is
+    refused where a driver reads it (``cli._finite_target``)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [fn(mesh.coords[mesh.boundary_ids])]
+
+
+class AffineMotion(TabulatedMotion):
+    """The straight line toward L x + v, one tabulated frame; every
+    intermediate configuration is itself affine."""
+
+    def __init__(self, mesh, matrix, shift):
+        matrix = np.asarray(matrix, dtype=float)
+        shift = np.asarray(shift, dtype=float)
+        super().__init__(mesh, _image(mesh, lambda base: base @ matrix.T + shift))
+
+
+def shear_motion(mesh, alpha):
+    """The straight line toward the rectangle shear
+    ``analytic.rectangle_shear_map(alpha, .)`` of the boundary."""
+    frames = _image(mesh, partial(analytic.rectangle_shear_map, alpha))
+    return TabulatedMotion(mesh, frames)
+
+
+def nonlinear3d_motion(mesh, alpha):
+    """The straight line toward the 3D stress deformation
+    ``analytic.nonlinear3d_map(alpha, .)`` of the boundary."""
+    frames = _image(mesh, partial(analytic.nonlinear3d_map, alpha))
+    return TabulatedMotion(mesh, frames)
 
 
 @dataclass(frozen=True)
@@ -182,9 +177,7 @@ def femwarp_step(mesh, weights, target_boundary):
     return warped, warp_report(warped, nrev, 1, [StepRecord(0.0, 1.0, nrev == 0, nrev)])
 
 
-def small_step_femwarp(
-    mesh, scheme, motion, min_step=DEFAULT_MIN_STEP, constant_step=False
-):
+def small_step_femwarp(mesh, scheme, motion, min_step=DEFAULT_MIN_STEP):
     """Homotopy warp with greedy stepsize halving.
 
     From the current fraction t, attempt the full remaining motion; on
@@ -196,10 +189,8 @@ def small_step_femwarp(
     pattern, and a refactorization reruns all of SuperLU, its symbolic
     analysis included, in that order.  Fails with outcome REVERSED once the
     increment drops below ``min_step``, returning the last accepted mesh and
-    the fraction t it reached.
-
-    ``constant_step`` disables the halving search and advances by
-    ``min_step`` each time, stopping at the first reversal.
+    the fraction t it reached.  The fixed-step baseline is
+    ``warp_trajectory`` over the frames ``motion.evaluate(min(k*h, 1))``.
     """
     if min_step <= 0.0:
         raise ValueError("min_step must be positive")
@@ -211,14 +202,14 @@ def small_step_femwarp(
         f = factor(weights.a_ii, spd=weights.symmetric, order=order)
         order = f.order
         nchol += 1
-        dt = min(min_step, 1.0 - t) if constant_step else 1.0 - t
+        dt = 1.0 - t
         while True:
             target = motion.evaluate(min(t + dt, 1.0))
             trial, nrev = _place(
                 cur, weights, solve_multi(f, -(weights.a_ib @ target)), target
             )
             steps.append(StepRecord(t, t + dt, nrev == 0, nrev))
-            if nrev == 0 or constant_step or 0.5 * dt < min_step:
+            if nrev == 0 or 0.5 * dt < min_step:
                 break
             dt *= 0.5
         if nrev:

@@ -7,7 +7,13 @@ code paths always exercise the file-ingestion route.
 import numpy as np
 import pytest
 
-from femwarp import gen_annulus, gen_box_tets, gen_rectangle
+from femwarp import (
+    TabulatedMotion,
+    gen_annulus,
+    gen_box_tets,
+    gen_rectangle,
+    warp_trajectory,
+)
 from femwarp import io
 
 
@@ -104,3 +110,12 @@ def random_affine(rng, dim):
     while abs(np.linalg.det(l)) < 0.1:
         l = np.eye(dim) + 0.3 * rng.standard_normal((dim, dim))
     return l, rng.standard_normal(dim)
+
+
+def fixed_step_trajectory(mesh, motion, h):
+    """The fixed-step FEM baseline: ``warp_trajectory`` over the frames
+    ``motion.evaluate(min(k*h, 1))``, k = 1 .. ceil(1/h), one factorization
+    per frame, stopping at the first reversed frame."""
+    count = int(np.ceil(1.0 / h - 1e-9))
+    frames = [motion.evaluate(min(k * h, 1.0)) for k in range(1, count + 1)]
+    return warp_trajectory(mesh, "FEM", TabulatedMotion(mesh, frames))

@@ -512,3 +512,30 @@ def stack_quality_report(mesh):
         ),
         h=float(h),
     )
+
+
+def affine_blend(base, matrix, shift, t):
+    """The affine motion as blended before it was a one-frame tabulated
+    motion: (1-t) x + t (L x + v)."""
+    target = base @ matrix.T + shift
+    return (1.0 - t) * base + t * target
+
+
+def shear_blend(base, alpha, t):
+    """The rectangle shear motion as written out before: y gains
+    t*alpha*x*(2-x)."""
+    out = base.copy()
+    out[:, 1] += t * alpha * base[:, 0] * (2.0 - base[:, 0])
+    return out
+
+
+NONLINEAR3D_L = np.array([[2.0, -1.0, 0.0], [-2.0, 5.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+def nonlinear3d_blend(base, alpha, t):
+    """The 3D stress motion as written out before: the linear part blended
+    (1-t)I + tL, the quadratic part scaled by t*alpha."""
+    blend = (1.0 - t) * np.eye(3) + t * NONLINEAR3D_L
+    x, y, z = base[:, 0], base[:, 1], base[:, 2]
+    quad = np.column_stack([0.1 * x * y, 0.5 * y * z, 0.1 * x * x])
+    return base @ blend.T + (t * alpha) * quad

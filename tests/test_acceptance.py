@@ -18,6 +18,7 @@ from femwarp import (
     annulus_rotation_motion,
     femwarp_step,
     gen_annulus,
+    nonlinear3d_map,
     rectangle_shear_map,
     reversal_bound_check,
     small_step_femwarp,
@@ -28,7 +29,7 @@ from femwarp.mesh import count_reversals, signed_measure
 from femwarp.solve import factor, gauss_seidel, solve_multi
 from femwarp.untangle import hybrid_warp, maximin_reposition, untangle
 
-from conftest import jittered_rectangle, random_affine
+from conftest import fixed_step_trajectory, jittered_rectangle, random_affine
 from oracles import (
     annulus_for_h,
     grid_maximin,
@@ -152,16 +153,12 @@ class TestCriterion04SmallStepSuperiority:
             mesh = annulus_for_h(0.5, h)
             motion = annulus_rotation_motion(mesh, theta_total)
             _, var = small_step_femwarp(mesh, "FEM", motion)
-            _, const = small_step_femwarp(
-                mesh,
-                "FEM",
-                motion,
-                min_step=(np.pi / 128.0) / theta_total,
-                constant_step=True,
-            )
+            # the fixed-step baseline: one factorization per pi/128 of rotation
+            step = (np.pi / 128.0) / theta_total
+            _, fixed = fixed_step_trajectory(mesh, motion, step)
             rows.append(
                 (h, var.t_reached * theta_total, var.n_factorizations,
-                 const.n_factorizations)
+                 sum(r.n_factorizations for r in fixed))
             )
         alphas = [row[1] for row in rows]
         nondecreasing = all(a2 >= a1 - 1e-9 for a1, a2 in zip(alphas, alphas[1:]))
@@ -220,6 +217,22 @@ class TestCriterion05ShearRefinementTrend:
             alpha = rng.uniform(0, 50)
             bulk = np.array([p[0], p[1] + alpha * p[0] * (2.0 - p[0])])
             assert np.array_equal(rectangle_shear_map(alpha, p), bulk)
+        # the straight-line motions apply the maps to rows of points
+        for k in (1, 2, 3, 7, 50):
+            alpha = rng.uniform(0, 50)
+            rows = rng.uniform(0, 2, size=(k, 2))
+            pointwise = [rectangle_shear_map(alpha, p) for p in rows]
+            assert np.array_equal(rectangle_shear_map(alpha, rows), pointwise)
+            # dyadic points make every product of the linear part exact, so
+            # the rows' matrix product (which BLAS may fuse into FMAs) must
+            # agree bit for bit; general points agree within rounding
+            dyadic = rng.integers(-512, 513, size=(k, 3)) / 256.0
+            rows = np.vstack([dyadic, rng.uniform(-2, 2, size=(k, 3))])
+            pointwise = np.array([nonlinear3d_map(alpha, p) for p in rows])
+            bulk = nonlinear3d_map(alpha, rows)
+            assert np.array_equal(bulk[:k], pointwise[:k])
+            scale = np.abs(rows).max() * (5.0 + alpha * np.abs(rows).max())
+            assert np.abs(bulk - pointwise).max() <= 1e-15 * scale
 
 
 class TestCriterion06BoundSoundness:

@@ -328,10 +328,11 @@ class TestTopology:
             build_weights(gen_annulus(0.5, 6, 25), "FEM", topology=topology)
 
     def test_element_id_out_of_range_rejected(self):
+        # a Topology reads a Mesh, whose constructor refuses ids outside
+        # [0, n), so no out-of-range id reaches the pattern
         for bad in (-1, 3):
-            mesh = Mesh(UNIT_RIGHT, np.array([[0, 1, bad]]), [0, 1])
-            with pytest.raises(BadIndexError):
-                Topology(mesh)
+            with pytest.raises(BadIndexError, match="element 0 "):
+                Mesh(UNIT_RIGHT, np.array([[0, 1, bad]]), [0, 1])
 
 
 def split_one_triangle(mesh):

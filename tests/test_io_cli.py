@@ -534,6 +534,22 @@ class TestCli:
         out = capsys.readouterr().out
         assert "reversal_count = 0" in out
 
+    @pytest.mark.filterwarnings("error")
+    def test_quality_reports_the_file_as_written(self, tmp_path, annulus_on_disk, capsys):
+        # a REVERSED warp output is measured as written: `quality` does not
+        # reorient its elements (it used to report 0 reversals here)
+        base, _ = annulus_on_disk
+        spec = tmp_path / "rot.spec"
+        spec.write_text("motion = annulus\ntheta_outer = 3.0\n")
+        out = str(tmp_path / "out")
+        assert main(["warp", "--mesh", base, "--spec", str(spec), "--out", out]) == 2
+        with open(out + ".report") as fh:
+            report = dict(line.split(" = ") for line in fh.read().splitlines())
+        assert int(report["reversals"]) > 0
+        capsys.readouterr()
+        assert main(["quality", "--mesh", out]) == 0
+        assert f"reversal_count = {report['reversals']}\n" in capsys.readouterr().out
+
     def test_genmesh_annulus(self, tmp_path, capsys):
         out = str(tmp_path / "g")
         rc = main(
@@ -660,6 +676,24 @@ class TestCliErrorContract:
             assert err.startswith("error code=INVALID_SPEC message=")
             assert "\n" not in err and captured.out == ""
         assert not os.path.exists(out + ".node")
+
+    def test_sweep_refuses_tabulated(self, tmp_path, annulus_on_disk, capsys):
+        # a tabulated motion has no parameter, so every row would claim the
+        # whole motion; it is refused before any frame is read
+        base, mesh = annulus_on_disk
+        fbase = str(tmp_path / "frame")
+        io.write_mesh(mesh, fbase + ".node", fbase + ".ele")
+        out = tmp_path / "sweep.csv"
+        for frames in (fbase + ".node", str(tmp_path / "missing.node")):
+            spec = tmp_path / "t.spec"
+            spec.write_text(f"motion = tabulated\nframes = {frames}\n")
+            argv = ["sweep", "--mesh", base, "--spec", str(spec), "--out", str(out)]
+            assert main(argv + ["--param-grid", "0:2:0.5"]) == 1
+            captured = capsys.readouterr()
+            lines = captured.err.strip().splitlines()
+            assert len(lines) == 1
+            assert lines[0].startswith("error code=INVALID_SPEC message=")
+            assert captured.out == "" and not out.exists()
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_measures_count_as_reversed(self, tmp_path, capsys):

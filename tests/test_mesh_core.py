@@ -255,9 +255,14 @@ class TestValidate:
                 Mesh(UNIT_RIGHT, elements, ids)
 
     def test_bad_index_violation(self):
-        mesh = Mesh(UNIT_RIGHT, np.array([[0, 1, 7]]), [0])
-        codes = [v.code for v in validate(mesh)]
-        assert "BAD_INDEX" in codes
+        # an element id outside [0, n) is refused when the mesh is built,
+        # naming the first bad element; -1 used to read node n-1 silently
+        square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        for bad in (-1, 4, 7):
+            elements = np.array([[0, 1, 2], [0, 2, 3], [1, bad, 2], [3, bad, 0]])
+            with pytest.raises(BadIndexError, match="element 2 ") as info:
+                Mesh(square, elements, [0, 1, 2, 3])
+            assert info.value.code == "BAD_INDEX"
 
     def test_duplicate_node_violation(self):
         mesh = Mesh(UNIT_RIGHT, np.array([[0, 1, 1]]), [0])

@@ -8,6 +8,7 @@ from femwarp import (
     TabulatedMotion,
     annulus_rotation_motion,
     femwarp_step,
+    nonlinear3d_motion,
     shear_motion,
     small_step_femwarp,
     warp_trajectory,
@@ -16,20 +17,14 @@ from femwarp import assembly, warp
 from femwarp.assembly import Topology, build_weights
 from femwarp.mesh import count_reversals, quality_report
 
-from conftest import random_affine
-from oracles import annulus_for_h
+from conftest import fixed_step_trajectory, random_affine
+from oracles import affine_blend, annulus_for_h, nonlinear3d_blend, shear_blend
 
 
-def check_reflection_failure(mesh, **options):
-    """A small-step warp toward a reflection fails with a REVERSED report of
-    the last accepted (valid) mesh."""
-    motion = AffineMotion(mesh, np.diag([1.0, -1.0]), np.zeros(2))
-    final, rep = small_step_femwarp(mesh, "FEM", motion, **options)
-    assert rep.outcome == "REVERSED" and rep.reversals > 0
-    assert 0.0 <= rep.t_reached < 0.5
-    assert rep.steps[-1].accepted is False
-    assert rep.quality == quality_report(final)
-    assert count_reversals(final)[0] == 0
+def reflection(mesh):
+    """Blending toward a reflection passes through a degenerate
+    configuration at t = 0.5."""
+    return AffineMotion(mesh, np.diag([1.0, -1.0]), np.zeros(2))
 
 
 class TestMotions:
@@ -62,6 +57,30 @@ class TestMotions:
         assert np.allclose(motion.evaluate(0.5), base + 1.0)
         assert np.allclose(motion.evaluate(0.75), base + 2.0)
         assert np.allclose(motion.evaluate(1.0), base + 3.0)
+
+    @pytest.mark.parametrize("kind", ["affine", "shear", "nonlinear3d"])
+    def test_straight_lines_match_blends(self, kind, request, rng):
+        # each straight-line motion is one tabulated frame, the image of the
+        # boundary; it equals the blend it replaced bit for bit at t = 0 and
+        # 1 (affine: at every t), and within rounding in between
+        if kind == "affine":
+            mesh = request.getfixturevalue("annulus_coarse")
+            l, v = random_affine(rng, 2)
+            motion, blend, args = AffineMotion(mesh, l, v), affine_blend, (l, v)
+        elif kind == "shear":
+            mesh = request.getfixturevalue("rect_mesh")
+            motion, blend, args = shear_motion(mesh, 3.0), shear_blend, (3.0,)
+        else:
+            mesh = request.getfixturevalue("box_mesh")
+            motion, blend, args = nonlinear3d_motion(mesh, 4.0), nonlinear3d_blend, (4.0,)
+        assert isinstance(motion, TabulatedMotion) and len(motion.frames) == 1
+        base = mesh.coords[mesh.boundary_ids]
+        for t in (0.0, 0.3, 0.5, 1.0):
+            got, want = motion.evaluate(t), blend(base, *args, t)
+            if kind == "affine" or t in (0.0, 1.0):
+                assert np.array_equal(got, want)
+            else:
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_tabulated_shape_check(self, annulus_coarse):
         with pytest.raises(ValueError):
@@ -144,21 +163,36 @@ class TestSmallStep:
         assert rep.n_factorizations > 1
 
     def test_failure_reports_best_t(self, annulus_coarse):
-        # blending toward a reflection passes through a degenerate
-        # configuration at t = 0.5, so the halving search must bottom out
-        check_reflection_failure(annulus_coarse)
+        # the halving search must bottom out before the degenerate t = 0.5;
+        # the REVERSED report is of the last accepted (valid) mesh
+        motion = reflection(annulus_coarse)
+        final, rep = small_step_femwarp(annulus_coarse, "FEM", motion)
+        assert rep.outcome == "REVERSED" and rep.reversals > 0
+        assert 0.0 <= rep.t_reached < 0.5
+        assert rep.steps[-1].accepted is False
+        assert rep.quality == quality_report(final)
+        assert count_reversals(final)[0] == 0
 
-    def test_constant_step_failure_reports_best_t(self, annulus_coarse):
-        check_reflection_failure(annulus_coarse, constant_step=True)
+    def test_fixed_steps_failure_reports_best_t(self, annulus_coarse):
+        # the fixed-step baseline stops at its first reversed frame, before
+        # t = 0.5; the frame before it is the last valid mesh
+        h = warp.DEFAULT_MIN_STEP
+        meshes, reports = fixed_step_trajectory(
+            annulus_coarse, reflection(annulus_coarse), h
+        )
+        assert reports[-1].outcome == "REVERSED" and reports[-1].reversals > 0
+        assert 0.0 < (len(reports) - 1) * h < 0.5
+        assert reports[-1].steps[-1].accepted is False
+        final, rep = meshes[-2], reports[-2]
+        assert rep.quality == quality_report(final)
+        assert count_reversals(final)[0] == 0
 
-    def test_constant_step_costs_more(self, annulus_coarse):
+    def test_fixed_steps_cost_more(self, annulus_coarse):
         motion = annulus_rotation_motion(annulus_coarse, 1.2)
         _, var = small_step_femwarp(annulus_coarse, "FEM", motion)
-        _, const = small_step_femwarp(
-            annulus_coarse, "FEM", motion, min_step=1.0 / 64.0, constant_step=True
-        )
-        assert var.success and const.success
-        assert var.n_factorizations < const.n_factorizations
+        _, fixed = fixed_step_trajectory(annulus_coarse, motion, 1.0 / 64.0)
+        assert var.success and all(r.success for r in fixed)
+        assert var.n_factorizations < sum(r.n_factorizations for r in fixed)
 
     def test_determinism(self, annulus_coarse):
         motion = annulus_rotation_motion(annulus_coarse, 1.0)
@@ -254,4 +288,5 @@ class TestTrajectory:
 
     def test_requires_tabulated(self, annulus_coarse):
         with pytest.raises(TypeError):
-            warp_trajectory(annulus_coarse, "FEM", shear_motion(annulus_coarse, 1.0))
+            motion = annulus_rotation_motion(annulus_coarse, 1.0)
+            warp_trajectory(annulus_coarse, "FEM", motion)
