@@ -5,6 +5,7 @@ closed-form annulus oracles."""
 from .mesh import (
     Mesh,
     QualityReport,
+    Topology,
     aspect_ratio,
     count_reversals,
     inverse_mean_ratio,
@@ -15,7 +16,6 @@ from .mesh import (
     validate,
 )
 from .assembly import (
-    Topology,
     WeightSystem,
     assemble_stiffness,
     build_weights,

@@ -17,13 +17,13 @@ exactly when every interior node is the centroid of its neighbors (true
 for uniform grids and structured box tet meshes, false for curved meshes
 such as the polar annulus).
 
-All three schemes fill the same fixed sparsity pattern, held by a
-:class:`Topology` built once per mesh connectivity; rebuilding the weights
-of a moved mesh with the same topology writes values only.
+All three schemes fill the same fixed sparsity pattern, held by the
+mesh's :class:`~femwarp.mesh.Topology`; a moved mesh from
+``Mesh.with_coords`` shares it, so rebuilding its weights writes values
+only.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -35,7 +35,7 @@ from .errors import (
     NoNeighborsError,
     SingularSystemError,
 )
-from .mesh import _columns, _dot, _geometry, _gradients, _readonly, _reversed
+from .mesh import _columns, _dot, _geometry, _gradients, _reversed
 
 SCHEMES = ("FEM", "UNIFORM", "LOG_BARRIER")
 
@@ -64,126 +64,35 @@ class WeightSystem:
         return len(self.boundary_ids)
 
 
-class Topology:
-    """Connectivity of a mesh, which a warp never changes.
-
-    Built once from ``mesh.elements`` and ``mesh.boundary``: the interior
-    and boundary ids, the node adjacency in CSR form (``adj_indptr``,
-    ``adj_indices``; columns ascend within a row, no self loops) and the
-    CSR patterns of ``A_I`` (interior x interior, ``ii_*``) and ``A_IB``
-    (interior x boundary, ``ib_*``) that every scheme fills.  Values are
-    written into one data array of length ``nnz`` holding the ``A_I``
-    entries followed by the ``A_IB`` entries:
-
-    * ``scatter`` (computed on first use) maps every entry of the
-      (ne, d+1, d+1) element-matrix stack, flattened, to its data slot, or
-      to the discard slot ``nnz`` when its row is a boundary node;
-    * ``diag_slots`` / ``nbr_slots`` are the slots of each interior row's
-      diagonal and of its neighbors in adjacency order.
-    """
-
-    def __init__(self, mesh):
-        n = mesh.n_nodes
-        elements = mesh.elements
-        self.elements = elements
-        self.boundary = mesh.boundary
-        self.interior_ids = _readonly(mesh.interior_ids)
-        self.boundary_ids = _readonly(mesh.boundary_ids)
-        m = len(self.interior_ids)
-        # position of each node within its block (interior or boundary)
-        pos = np.empty(n, dtype=np.int64)
-        pos[self.interior_ids] = np.arange(m)
-        pos[self.boundary_ids] = np.arange(len(self.boundary_ids))
-
-        # the full pattern: one sorted key row * n + col per node pair that
-        # shares an element, the diagonal included
-        self._keys = _sorted_unique(_pair_keys(elements, n))
-        urow, ucol = np.divmod(self._keys, n)
-        off = urow != ucol
-        self.adj_indptr = _indptr(urow[off], n)
-        self.adj_indices = ucol[off]
-
-        inner = ~self.boundary[urow]
-        to_ii = inner & ~self.boundary[ucol]
-        to_ib = inner & self.boundary[ucol]
-        self.ii_indptr = _indptr(pos[urow[to_ii]], m)
-        self.ii_indices = pos[ucol[to_ii]]
-        self.ib_indptr = _indptr(pos[urow[to_ib]], m)
-        self.ib_indices = pos[ucol[to_ib]]
-        nnz_ii = len(self.ii_indices)
-        self.nnz = nnz_ii + len(self.ib_indices)
-        # data slot of each pattern entry
-        self._slot = np.full(len(self._keys), self.nnz, dtype=np.int64)
-        self._slot[to_ii] = np.arange(nnz_ii)
-        self._slot[to_ib] = np.arange(nnz_ii, self.nnz)
-        self.diag_slots = self._slot[inner & ~off]
-        self.nbr_slots = self._slot[inner & off]
-
-    @cached_property
-    def scatter(self):
-        """Data slot of every entry of the flattened element-matrix stack."""
-        keys = _pair_keys(self.elements, len(self.boundary))
-        return self._slot[np.searchsorted(self._keys, keys)]
-
-    def neighbors(self, node):
-        """Ascending ids of the nodes sharing an element with ``node``."""
-        return self.adj_indices[self.adj_indptr[node] : self.adj_indptr[node + 1]]
-
-    def check(self, mesh):
-        """Raise unless ``mesh`` has this topology's connectivity and
-        boundary marking."""
-        if not (
-            np.array_equal(mesh.elements, self.elements)
-            and np.array_equal(mesh.boundary, self.boundary)
-        ):
-            raise ValueError("topology was built for a different mesh")
-
-    def system(self, data, scheme):
-        """WeightSystem holding ``data`` (length ``nnz``) in this pattern."""
-        nnz_ii = len(self.ii_indices)
-        m, b = len(self.interior_ids), len(self.boundary_ids)
-        a_ii = sparse.csr_matrix(
-            (data[:nnz_ii], self.ii_indices, self.ii_indptr), shape=(m, m)
-        )
-        a_ib = sparse.csr_matrix(
-            (data[nnz_ii:], self.ib_indices, self.ib_indptr), shape=(m, b)
-        )
-        return WeightSystem(a_ii, a_ib, self.interior_ids, self.boundary_ids, scheme)
-
-    def row_system(self, weights, scheme):
-        """Unit-diagonal A_I with -w_ij off the diagonal; ``weights`` lists
-        every interior row's neighbor weights in adjacency order."""
-        data = np.zeros(self.nnz)
-        data[self.diag_slots] = 1.0
-        data[self.nbr_slots] = -weights
-        return self.system(data, scheme)
+def system(topology, data, scheme):
+    """WeightSystem of ``data`` (length ``topology.nnz``) in its pattern."""
+    nnz_ii = len(topology.ii_indices)
+    m, b = len(topology.interior_ids), len(topology.boundary_ids)
+    a_ii = sparse.csr_matrix(
+        (data[:nnz_ii], topology.ii_indices, topology.ii_indptr), shape=(m, m)
+    )
+    a_ib = sparse.csr_matrix(
+        (data[nnz_ii:], topology.ib_indices, topology.ib_indptr), shape=(m, b)
+    )
+    return WeightSystem(
+        a_ii, a_ib, topology.interior_ids, topology.boundary_ids, scheme
+    )
 
 
-def _pair_keys(elements, n):
-    """Key row * n + col of every entry of the flattened element-matrix stack."""
-    return (elements[:, :, None] * n + elements[:, None, :]).ravel()
+def row_system(topology, weights, scheme):
+    """Unit-diagonal A_I with -w_ij off the diagonal; ``weights`` lists
+    every interior row's neighbor weights in adjacency order."""
+    data = np.zeros(topology.nnz)
+    data[topology.diag_slots] = 1.0
+    data[topology.nbr_slots] = -weights
+    return system(topology, data, scheme)
 
 
-def _sorted_unique(a):
-    a = np.sort(a)
-    return a[np.concatenate(([True], a[1:] != a[:-1]))]
-
-
-def _indptr(rows, n):
-    """CSR row pointer of row indices sorted ascending."""
-    return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
-
-
-def _topology(mesh, topology):
-    """The topology to fill for ``mesh``: ``topology`` checked against the
-    mesh, or a new one.  Raises NO_INTERIOR for a mesh without interior."""
-    if topology is None:
-        topology = Topology(mesh)
-    else:
-        topology.check(mesh)
-    if len(topology.interior_ids) == 0:
+def _topology(mesh):
+    """``mesh.topology``; raises NO_INTERIOR for a mesh without interior."""
+    if len(mesh.topology.interior_ids) == 0:
         raise NoInteriorError("mesh has no interior nodes")
-    return topology
+    return mesh.topology
 
 
 def _stiffness(cols):
@@ -229,16 +138,16 @@ def assemble_stiffness(mesh):
     return sparse.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
-def fem_weights(mesh, topology=None):
+def fem_weights(mesh):
     """FEM weights: element stiffness summed into the topology's pattern."""
-    topology = _topology(mesh, topology)
+    topology = _topology(mesh)
     if len(topology.boundary_ids) == 0:
         raise SingularSystemError("mesh has no boundary nodes; A_I is singular")
     local = _stiffness(_columns(mesh))
     data = np.bincount(
         topology.scatter, weights=local.ravel(), minlength=topology.nnz + 1
     )
-    return topology.system(data[: topology.nnz], "FEM")
+    return system(topology, data[: topology.nnz], "FEM")
 
 
 def _degrees(topology):
@@ -252,11 +161,11 @@ def _degrees(topology):
     return deg
 
 
-def uniform_weights(mesh, topology=None):
+def uniform_weights(mesh):
     """Centroid-of-neighbors weights: w_ij = 1/|N(i)| for every neighbor."""
-    topology = _topology(mesh, topology)
+    topology = _topology(mesh)
     deg = _degrees(topology)
-    return topology.row_system(np.repeat(1.0 / deg, deg), "UNIFORM")
+    return row_system(topology, np.repeat(1.0 / deg, deg), "UNIFORM")
 
 
 def _strictly_inside_hull(center, nbr_coords, tol=1e-12):
@@ -355,7 +264,7 @@ def _solve_stack(a, b):
     return x, singular
 
 
-def log_barrier_weights(mesh, tol=1e-10, topology=None):
+def log_barrier_weights(mesh, tol=1e-10):
     """Strictly positive convex weights via a per-node barrier program.
 
     Each interior node's problem is independent; nodes of equal degree are
@@ -364,7 +273,7 @@ def log_barrier_weights(mesh, tol=1e-10, topology=None):
     raises NODE_NOT_INTERIOR, a failing node that is feasible raises
     SINGULAR_SYSTEM.
     """
-    topology = _topology(mesh, topology)
+    topology = _topology(mesh)
     deg = _degrees(topology)
     ids = topology.interior_ids
     start = topology.adj_indptr[ids]
@@ -391,20 +300,17 @@ def log_barrier_weights(mesh, tol=1e-10, topology=None):
         raise SingularSystemError(
             f"barrier weights did not converge for node {nid}", node=nid
         )
-    return topology.row_system(weights, "LOG_BARRIER")
+    return row_system(topology, weights, "LOG_BARRIER")
 
 
-def build_weights(mesh, scheme, topology=None):
-    """Dispatch: build the WeightSystem for one of the SCHEMES.
-
-    Pass the ``Topology`` of the mesh's connectivity to reuse it across
-    meshes that differ only in coordinates; without one, it is built here.
-    """
+def build_weights(mesh, scheme):
+    """Dispatch: build the WeightSystem for one of the SCHEMES, in the
+    pattern of ``mesh.topology``."""
     scheme = scheme.upper()
     if scheme == "FEM":
-        return fem_weights(mesh, topology)
+        return fem_weights(mesh)
     if scheme == "UNIFORM":
-        return uniform_weights(mesh, topology)
+        return uniform_weights(mesh)
     if scheme == "LOG_BARRIER":
-        return log_barrier_weights(mesh, topology=topology)
+        return log_barrier_weights(mesh)
     raise ValueError(f"unknown scheme {scheme!r}")

@@ -2,10 +2,13 @@
 
 A :class:`Mesh` stores node coordinates, (d+1)-node simplex connectivity
 and a boundary marking.  It is immutable after construction; warping
-produces new meshes via :meth:`Mesh.with_coords`.
+produces new meshes via :meth:`Mesh.with_coords`, which share its
+connectivity and :class:`Topology`, because no warp changes them.
 """
 
+import copy
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from itertools import combinations
 from math import factorial
 
@@ -86,9 +89,110 @@ class Mesh:
     def interior_ids(self):
         return np.flatnonzero(~self.boundary)
 
+    @cached_property
+    def topology(self):
+        """The :class:`Topology` of the connectivity, built on first use."""
+        return Topology(self)
+
     def with_coords(self, coords):
-        """New mesh with the same connectivity and boundary marking."""
-        return Mesh(coords, self.elements, self.boundary_ids)
+        """New mesh at ``coords`` sharing ``elements``, ``boundary`` and, once
+        built, ``topology``; ValueError unless ``coords`` keeps the shape."""
+        coords = _readonly(np.asarray(coords, dtype=float))
+        if coords.shape != self.coords.shape:
+            raise ValueError(f"coords must have the shape {self.coords.shape}")
+        moved = copy.copy(self)
+        object.__setattr__(moved, "coords", coords)
+        return moved
+
+
+class Topology:
+    """Connectivity of a mesh, which a warp never changes.
+
+    Built once from ``mesh.elements`` and ``mesh.boundary``: the interior
+    and boundary ids, the node adjacency in CSR form (``adj_indptr``,
+    ``adj_indices``; columns ascend within a row, no self loops) and the
+    CSR patterns of ``A_I`` (interior x interior, ``ii_*``) and ``A_IB``
+    (interior x boundary, ``ib_*``) that every weight scheme fills.  Values
+    are written into one data array of length ``nnz`` holding the ``A_I``
+    entries followed by the ``A_IB`` entries:
+
+    * ``scatter`` (computed on first use) maps every entry of the
+      (ne, d+1, d+1) element-matrix stack, flattened, to its data slot, or
+      to the discard slot ``nnz`` when its row is a boundary node;
+    * ``diag_slots`` / ``nbr_slots`` are the slots of each interior row's
+      diagonal and of its neighbors in adjacency order.
+    """
+
+    def __init__(self, mesh):
+        n = mesh.n_nodes
+        self.elements = mesh.elements
+        self.boundary = mesh.boundary
+        self.interior_ids = _readonly(mesh.interior_ids)
+        self.boundary_ids = _readonly(mesh.boundary_ids)
+        m = len(self.interior_ids)
+        # position of each node within its block (interior or boundary)
+        pos = np.empty(n, dtype=np.int64)
+        pos[self.interior_ids] = np.arange(m)
+        pos[self.boundary_ids] = np.arange(len(self.boundary_ids))
+
+        # the full pattern: one sorted key row * n + col per node pair that
+        # shares an element, the diagonal included
+        self._keys = _sorted_unique(_pair_keys(self.elements, n))
+        urow, ucol = np.divmod(self._keys, n)
+        off = urow != ucol
+        self.adj_indptr = _indptr(urow[off], n)
+        self.adj_indices = ucol[off]
+
+        inner = ~self.boundary[urow]
+        to_ii = inner & ~self.boundary[ucol]
+        to_ib = inner & self.boundary[ucol]
+        self.ii_indptr = _indptr(pos[urow[to_ii]], m)
+        self.ii_indices = pos[ucol[to_ii]]
+        self.ib_indptr = _indptr(pos[urow[to_ib]], m)
+        self.ib_indices = pos[ucol[to_ib]]
+        nnz_ii = len(self.ii_indices)
+        self.nnz = nnz_ii + len(self.ib_indices)
+        # data slot of each pattern entry
+        self._slot = np.full(len(self._keys), self.nnz, dtype=np.int64)
+        self._slot[to_ii] = np.arange(nnz_ii)
+        self._slot[to_ib] = np.arange(nnz_ii, self.nnz)
+        self.diag_slots = self._slot[inner & ~off]
+        self.nbr_slots = self._slot[inner & off]
+
+    @cached_property
+    def scatter(self):
+        """Data slot of every entry of the flattened element-matrix stack."""
+        keys = _pair_keys(self.elements, len(self.boundary))
+        return self._slot[np.searchsorted(self._keys, keys)]
+
+    @cached_property
+    def incidence(self):
+        """Per node, the ascending ids of its elements and its slot in each,
+        from one stable argsort of the raveled connectivity."""
+        flat = self.elements.ravel()
+        first = np.cumsum(np.bincount(flat, minlength=len(self.boundary)))[:-1]
+        d1 = self.elements.shape[1]
+        eids, slots = np.divmod(np.argsort(flat, kind="stable"), d1)
+        return np.split(eids, first), np.split(slots, first)
+
+    def neighbors(self, node):
+        """Ascending ids of the nodes sharing an element with ``node``."""
+        return self.adj_indices[self.adj_indptr[node] : self.adj_indptr[node + 1]]
+
+
+def _pair_keys(elements, n):
+    """Key row * n + col of every entry of the flattened element-matrix stack."""
+    return (elements[:, :, None] * n + elements[:, None, :]).ravel()
+
+
+def _sorted_unique(a):
+    a = np.sort(a)
+    return a[np.concatenate(([True], a[1:] != a[:-1]))]
+
+
+def _indptr(rows, n):
+    """CSR row pointer of row indices sorted ascending."""
+    return np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
 
 
 def _edge(cols, a, b):

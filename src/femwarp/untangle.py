@@ -256,15 +256,6 @@ def _no_worse(x0, x_new, achieved, current_min):
     return x_new, achieved
 
 
-def vertex_to_elements(mesh):
-    """Per node, the ascending ids of its elements and its slot in each,
-    from one stable argsort of the raveled connectivity."""
-    flat = mesh.elements.ravel()
-    first = np.cumsum(np.bincount(flat, minlength=mesh.n_nodes))[:-1]
-    eids, slots = np.divmod(np.argsort(flat, kind="stable"), mesh.dim + 1)
-    return np.split(eids, first), np.split(slots, first)
-
-
 def untangle(mesh, max_sweeps=50, on_move=None):
     """Sweep the interior vertices (ascending id) with maximin repositioning.
 
@@ -274,7 +265,7 @@ def untangle(mesh, max_sweeps=50, on_move=None):
     ``on_move`` (if given) is called with (vertex_id, min_before, min_after)
     after each repositioning.
     """
-    eids, slots = vertex_to_elements(mesh)
+    eids, slots = mesh.topology.incidence
     cavities = [
         (vid, mesh.elements[eids[vid]], slots[vid])
         for vid in mesh.interior_ids

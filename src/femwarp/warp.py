@@ -8,7 +8,7 @@ from functools import partial
 import numpy as np
 
 from . import analytic
-from .assembly import Topology, build_weights
+from .assembly import build_weights
 from .mesh import count_reversals, quality_report
 from .solve import factor, solve_multi
 
@@ -183,22 +183,21 @@ def small_step_femwarp(mesh, scheme, motion, min_step=DEFAULT_MIN_STEP):
     From the current fraction t, attempt the full remaining motion; on
     reversal halve the increment, reusing the same factorization (weights
     depend only on the current mesh, not the trial target).  After an
-    accepted step the weights are rebuilt and refactored.  The ``Topology``
-    (connectivity and the pattern of A_I) and the fill-reducing order are
-    computed once per warp and reused; a rebuild writes values into that
-    pattern, and a refactorization reruns all of SuperLU, its symbolic
-    analysis included, in that order.  Fails with outcome REVERSED once the
-    increment drops below ``min_step``, returning the last accepted mesh and
-    the fraction t it reached.  The fixed-step baseline is
+    accepted step the weights are rebuilt and refactored.  Every accepted
+    mesh shares ``mesh.topology`` (connectivity and the pattern of A_I), and
+    the fill-reducing order is computed once per warp; a rebuild writes
+    values into that pattern, and a refactorization reruns all of SuperLU,
+    its symbolic analysis included, in that order.  Fails with outcome
+    REVERSED once the increment drops below ``min_step``, returning the last
+    accepted mesh and the fraction t it reached.  The fixed-step baseline is
     ``warp_trajectory`` over the frames ``motion.evaluate(min(k*h, 1))``.
     """
     if min_step <= 0.0:
         raise ValueError("min_step must be positive")
-    topology = Topology(mesh)
     cur, t, nrev, nchol, order, steps = mesh, 0.0, 0, 0, None, []
     while t < 1.0 - 1e-12:
         f = None  # release the old factors before computing the next ones
-        weights = build_weights(cur, scheme, topology=topology)
+        weights = build_weights(cur, scheme)
         f = factor(weights.a_ii, spd=weights.symmetric, order=order)
         order = f.order
         nchol += 1
@@ -224,16 +223,15 @@ def warp_trajectory(mesh, scheme, motion):
     """Replay a tabulated motion one-shot, frame by frame.
 
     Each frame warps the previous frame's mesh with weights rebuilt on it;
-    all frames share one topology.  Stops at the first reversed frame.
+    all frames share ``mesh.topology``.  Stops at the first reversed frame.
     """
     if not isinstance(motion, TabulatedMotion):
         raise TypeError("warp_trajectory needs a TabulatedMotion")
-    topology = Topology(mesh)
     meshes = []
     reports = []
     cur = mesh
     for frame in motion.frames:
-        weights = build_weights(cur, scheme, topology=topology)
+        weights = build_weights(cur, scheme)
         cur, rep = femwarp_step(cur, weights, frame)
         meshes.append(cur)
         reports.append(rep)

@@ -9,6 +9,7 @@ import pytest
 
 from femwarp import (
     TabulatedMotion,
+    Topology,
     gen_annulus,
     gen_box_tets,
     gen_rectangle,
@@ -69,6 +70,21 @@ def reflection_untangle_result(annulus_14_64):
     bid = annulus_14_64.boundary_ids
     coords[bid] = -coords[bid]
     return untangle(annulus_14_64.with_coords(coords))
+
+
+@pytest.fixture()
+def topology_builds(monkeypatch):
+    """The meshes that ``Mesh.topology`` builds a Topology for during the
+    test.  Count them on fresh meshes: a session fixture keeps the topology
+    an earlier test built."""
+    built = []
+
+    def counted(mesh):
+        built.append(mesh)
+        return Topology(mesh)
+
+    monkeypatch.setattr("femwarp.mesh.Topology", counted)
+    return built
 
 
 @pytest.fixture()

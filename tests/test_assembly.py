@@ -5,12 +5,12 @@ import pytest
 
 from femwarp import Mesh, gen_annulus, gen_box_tets, gen_rectangle
 from femwarp.assembly import (
-    Topology,
     _solve_stack,
     assemble_stiffness,
     build_weights,
     local_stiffness,
     log_barrier_weights,
+    row_system,
     uniform_weights,
 )
 from femwarp.errors import (
@@ -311,21 +311,19 @@ class TestTopology:
         assert np.abs(w.a_ii.toarray() - a_ii).max() <= 1e-12 * scale
         assert np.abs(w.a_ib.toarray() - a_ib).max() <= 1e-12 * scale
 
-    def test_reused_topology_matches_fresh(self, annulus_coarse):
-        topology = Topology(annulus_coarse)
-        moved = jittered(annulus_coarse, 5)
+    def test_reused_topology_matches_fresh(self):
+        base = gen_annulus(0.5, 6, 24)
+        topology = base.topology  # built before the move, so shared by it
+        moved = jittered(base, 5)
+        assert moved.topology is topology
+        fresh_mesh = Mesh(moved.coords, moved.elements, moved.boundary_ids)
         for scheme in ("FEM", "UNIFORM", "LOG_BARRIER"):
-            fresh = build_weights(moved, scheme)
-            reused = build_weights(moved, scheme, topology=topology)
+            fresh = build_weights(fresh_mesh, scheme)
+            reused = build_weights(moved, scheme)
             for a, b in ((fresh.a_ii, reused.a_ii), (fresh.a_ib, reused.a_ib)):
                 assert (a != b).nnz == 0
                 assert np.array_equal(a.indptr, b.indptr)
                 assert np.array_equal(a.indices, b.indices)
-
-    def test_topology_of_other_mesh_rejected(self, annulus_coarse):
-        topology = Topology(gen_annulus(0.5, 6, 24))
-        with pytest.raises(ValueError):
-            build_weights(gen_annulus(0.5, 6, 25), "FEM", topology=topology)
 
     def test_element_id_out_of_range_rejected(self):
         # a Topology reads a Mesh, whose constructor refuses ids outside
@@ -362,14 +360,14 @@ class TestBatchedBarrier:
         ids=["box", "annulus", "mixed_degree"],
     )
     def test_matches_oracle_loop(self, mesh, degrees):
-        topology = Topology(mesh)
+        topology = mesh.topology
         rows = [
             barrier_node_weights(mesh.coords[i], mesh.coords[topology.neighbors(i)])
             for i in topology.interior_ids
         ]
         assert sorted({len(r) for r in rows}) == degrees
-        expected = topology.row_system(np.concatenate(rows), "LOG_BARRIER")
-        got = log_barrier_weights(mesh, topology=topology)
+        expected = row_system(topology, np.concatenate(rows), "LOG_BARRIER")
+        got = log_barrier_weights(mesh)
         for a, b in ((got.a_ii, expected.a_ii), (got.a_ib, expected.a_ib)):
             assert np.array_equal(a.indices, b.indices)
             assert np.abs(a.data - b.data).max() <= 1e-12 * np.abs(b.data).max()
@@ -378,16 +376,16 @@ class TestBatchedBarrier:
         # at a coarse tolerance, rows stop at different iterations and
         # further Newton steps would still move their weights
         mesh = split_one_triangle(jittered(gen_annulus(0.5, 6, 24), 13))
-        topology = Topology(mesh)
+        topology = mesh.topology
         rows = [
             barrier_node_weights(
                 mesh.coords[i], mesh.coords[topology.neighbors(i)], tol=1e-3
             )
             for i in topology.interior_ids
         ]
-        expected = topology.row_system(np.concatenate(rows), "LOG_BARRIER")
-        got = log_barrier_weights(mesh, tol=1e-3, topology=topology)
-        tight = log_barrier_weights(mesh, topology=topology)
+        expected = row_system(topology, np.concatenate(rows), "LOG_BARRIER")
+        got = log_barrier_weights(mesh, tol=1e-3)
+        tight = log_barrier_weights(mesh)
         assert np.abs(got.a_ib.data - tight.a_ib.data).max() > 1e-6
         for a, b in ((got.a_ii, expected.a_ii), (got.a_ib, expected.a_ib)):
             assert np.abs(a.data - b.data).max() <= 1e-12 * np.abs(b.data).max()

@@ -516,6 +516,19 @@ class TestCli:
         assert lines[1].startswith("0,SUCCESS")
         assert lines[-1].startswith("1.2,REVERSED")
 
+    @pytest.mark.parametrize("algorithm", ["femwarp", "small_step", "hybrid"])
+    def test_sweep_builds_one_topology(
+        self, tmp_path, annulus_on_disk, topology_builds, algorithm
+    ):
+        base, _ = annulus_on_disk
+        spec = tmp_path / "rot.spec"
+        spec.write_text(f"motion = annulus\ntheta_outer = 1.2\nalgorithm = {algorithm}\n")
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--mesh", base, "--spec", str(spec), "--out", str(out)]
+        assert main(argv + ["--param-grid", "0:1:0.25"]) == 0
+        assert len(out.read_text().splitlines()) == 6  # header and 5 points
+        assert len(topology_builds) == 1
+
     def test_param_grid_by_index(self):
         # adding 0.01 repeatedly would end at 99.99000000001425 and miss 100
         grid = _param_grid("0:100:0.01")

@@ -357,6 +357,24 @@ class TestMeshContainer:
         assert np.array_equal(moved.elements, annulus_coarse.elements)
         assert np.array_equal(moved.boundary, annulus_coarse.boundary)
 
+    def test_with_coords_shares_connectivity(self):
+        mesh = gen_annulus(0.5, 6, 24)
+        topology = mesh.topology
+        coords = mesh.coords * 2.0
+        moved = mesh.with_coords(coords)
+        coords[0] = 99.0  # the caller's array stays the caller's
+        assert np.array_equal(moved.coords, mesh.coords * 2.0)
+        assert not moved.coords.flags.writeable
+        assert moved.elements is mesh.elements
+        assert moved.boundary is mesh.boundary
+        assert moved.topology is topology
+
+    @pytest.mark.parametrize("rows, cols", [(1, 0), (-1, 0), (0, 1)])
+    def test_with_coords_refuses_another_shape(self, annulus_coarse, rows, cols):
+        n, d = annulus_coarse.coords.shape
+        with pytest.raises(ValueError, match="shape"):
+            annulus_coarse.with_coords(np.zeros((n + rows, d + cols)))
+
     def test_counts_partition(self, annulus_coarse):
         m = len(annulus_coarse.interior_ids)
         b = len(annulus_coarse.boundary_ids)

@@ -28,7 +28,6 @@ from femwarp.untangle import (
     hybrid_warp,
     maximin_reposition,
     untangle,
-    vertex_to_elements,
 )
 from femwarp.warp import AffineMotion
 
@@ -191,7 +190,7 @@ class TestAffineMeasureCoeffs:
         # every node in turn is the free vertex, so every row of every
         # element's measure gradients is checked
         mesh = jittered(CAVITY_MESHES[name](), rng, frac=0.1)
-        incident, _ = vertex_to_elements(mesh)
+        incident, _ = mesh.topology.incidence
         for vid in range(mesh.n_nodes):
             sub = local_submesh(mesh, vid, incident[vid])
             grads, meas = _measure_terms(sub)
@@ -376,7 +375,7 @@ class TestMaximinReposition:
         # to -bad: non-finite coordinates, or a box past the largest float
         mesh = gen_box_tets(4, 4, 4)
         vid = mesh.interior_ids[0]
-        sub = local_submesh(mesh, vid, vertex_to_elements(mesh)[0][vid])
+        sub = local_submesh(mesh, vid, mesh.topology.incidence[0][vid])
         elements = np.array(sub.elements)
         elements[0, (sub.free_slots[0] + 1) % 4] = bad
         elements[-1, (sub.free_slots[-1] + 1) % 4] = -bad
@@ -420,7 +419,7 @@ class TestDualMaximin:
     def test_simplex_cases_unchanged(self, name, monkeypatch):
         make, vid, want_pos, want_val = SIMPLEX_CAVITIES[name]
         mesh = make()
-        sub = local_submesh(mesh, vid, vertex_to_elements(mesh)[0][vid])
+        sub = local_submesh(mesh, vid, mesh.topology.incidence[0][vid])
         if mesh.dim == 2:
             grads, meas, radius = array_terms(sub)
             assert _dual_maximin_2d(grads.tolist(), meas.tolist(), radius) is None
@@ -504,7 +503,7 @@ class TestUntangle:
         assert untangle(make(), max_sweeps=max_sweeps)[1:] == (sweeps, outcome)
 
     def test_vertex_to_elements(self, annulus_coarse):
-        incident, _ = vertex_to_elements(annulus_coarse)
+        incident, _ = annulus_coarse.topology.incidence
         for vid in (0, int(annulus_coarse.interior_ids[0])):
             for eid in incident[vid]:
                 assert vid in annulus_coarse.elements[eid]
@@ -514,7 +513,7 @@ class TestUntangle:
         for eid, elem in enumerate(box_mesh.elements):
             for slot, v in enumerate(elem):
                 want[v].append((eid, slot))
-        eids, slots = vertex_to_elements(box_mesh)
+        eids, slots = box_mesh.topology.incidence
         assert len(eids) == len(slots) == box_mesh.n_nodes
         got = [list(zip(e.tolist(), s.tolist())) for e, s in zip(eids, slots)]
         assert got == want
@@ -548,6 +547,14 @@ class TestHybrid:
         fixed, hrep = hybrid_warp(annulus_mid, w, target)
         assert hrep.success
         assert count_reversals(fixed)[0] == 0
+
+    def test_builds_one_topology(self, topology_builds):
+        # build_weights builds it; the warped mesh and untangle share it
+        mesh = gen_annulus(0.5, 6, 24)
+        motion = annulus_rotation_motion(mesh, 0.0, np.deg2rad(90.0))
+        _, hrep = hybrid_warp(mesh, build_weights(mesh, "FEM"), motion.evaluate(1.0))
+        assert hrep.success and hrep.steps[0].reversals > 0
+        assert len(topology_builds) == 1 and topology_builds[0] is mesh
 
     def test_untangled_report_carries_quality(self, annulus_coarse):
         w = build_weights(annulus_coarse, "FEM")

@@ -8,13 +8,14 @@ from femwarp import (
     TabulatedMotion,
     annulus_rotation_motion,
     femwarp_step,
+    gen_annulus,
     nonlinear3d_motion,
     shear_motion,
     small_step_femwarp,
     warp_trajectory,
 )
-from femwarp import assembly, warp
-from femwarp.assembly import Topology, build_weights
+from femwarp import warp
+from femwarp.assembly import build_weights
 from femwarp.mesh import count_reversals, quality_report
 
 from conftest import fixed_step_trajectory, random_affine
@@ -142,6 +143,14 @@ class TestFemwarpStep:
 
 
 class TestSmallStep:
+    @pytest.mark.parametrize("scheme", ["FEM", "LOG_BARRIER"])
+    def test_builds_one_topology(self, scheme, topology_builds):
+        mesh = gen_annulus(0.5, 6, 24)
+        motion = annulus_rotation_motion(mesh, 1.2)
+        _, rep = small_step_femwarp(mesh, scheme, motion)
+        assert rep.n_factorizations > 1  # weights built on several meshes
+        assert len(topology_builds) == 1 and topology_builds[0] is mesh
+
     def test_affine_single_step(self, annulus_coarse, rng):
         l, v = random_affine(rng, 2)
         motion = AffineMotion(annulus_coarse, l, v)
@@ -269,22 +278,15 @@ class TestTrajectory:
         assert not reports[0].success
         assert len(reports) == 1  # later frames not attempted
 
-    def test_builds_one_topology(self, annulus_coarse, rng, monkeypatch):
-        built = []
-
-        def counted(mesh):
-            built.append(mesh)
-            return Topology(mesh)
-
-        monkeypatch.setattr(warp, "Topology", counted)
-        monkeypatch.setattr(assembly, "Topology", counted)
+    def test_builds_one_topology(self, rng, topology_builds):
+        mesh = gen_annulus(0.5, 6, 24)
         l, v = random_affine(rng, 2)
-        base = annulus_coarse.coords[annulus_coarse.boundary_ids]
+        base = mesh.coords[mesh.boundary_ids]
         frames = [base + t * (base @ l.T + v - base) for t in (0.25, 0.5, 1.0)]
-        motion = TabulatedMotion(annulus_coarse, frames)
-        _, reports = warp_trajectory(annulus_coarse, "FEM", motion)
+        motion = TabulatedMotion(mesh, frames)
+        _, reports = warp_trajectory(mesh, "FEM", motion)
         assert len(reports) == 3 and all(r.success for r in reports)
-        assert len(built) == 1
+        assert len(topology_builds) == 1 and topology_builds[0] is mesh
 
     def test_requires_tabulated(self, annulus_coarse):
         with pytest.raises(TypeError):
