@@ -297,11 +297,14 @@ def untangle(mesh, max_sweeps=50, on_move=None):
 
 def hybrid_warp(mesh, weights, target_boundary, max_sweeps=50):
     """One-shot warp followed, on reversal, by untangling of the warped
-    (not the original) mesh."""
+    (not the original) mesh.  Returns the better of the two: the one-shot
+    mesh and report when the untangled mesh has more reversals."""
     warped, report = femwarp_step(mesh, weights, target_boundary)
     if report.success:
         return warped, report
     fixed, _, outcome = untangle(warped, max_sweeps=max_sweeps)
     # untangle's exit check has just counted a SUCCESS mesh's reversals: 0
     nrev = 0 if outcome == "SUCCESS" else count_reversals(fixed)[0]
+    if nrev > report.reversals:
+        return warped, report
     return fixed, warp_report(fixed, nrev, report.n_factorizations, report.steps)

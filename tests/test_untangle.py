@@ -584,6 +584,16 @@ class TestHybrid:
         assert hrep.success and hrep.reversals == 0
         assert len(calls) == sweeps + 1
 
+    def test_never_worse_than_one_shot(self, annulus_mid):
+        # 50 sweeps leave 640 reversals on this cell's 216 one-shot ones
+        w = build_weights(annulus_mid, "FEM")
+        target = annulus_rotation_motion(annulus_mid, 2.5).evaluate(1.0)
+        warped, drep = femwarp_step(annulus_mid, w, target)
+        assert drep.reversals == 216
+        out, hrep = hybrid_warp(annulus_mid, w, target)
+        assert hrep.reversals <= 216
+        assert hrep.reversals == count_reversals(out)[0]
+
     def test_reports_failure_honestly(self, annulus_coarse):
         w = build_weights(annulus_coarse, "FEM")
         motion = annulus_rotation_motion(
