@@ -38,9 +38,10 @@ def annulus_rotation_motion(mesh, theta_outer, theta_inner=0.0, s=None):
     s, all proportionally in t.
 
     Boundary nodes are classified inner/outer by radius against the midpoint
-    of the two boundary radii.
+    of the two boundary radii; ``np.hypot`` takes the radii without squaring
+    the coordinates, so the split holds at any scale.
     """
-    radii = np.linalg.norm(mesh.coords[mesh.boundary_ids], axis=1)
+    radii = np.hypot(*mesh.coords[mesh.boundary_ids].T)
     r = radii.min()
     inner = radii < 0.5 * (r + radii.max())
 

@@ -51,6 +51,30 @@ class TestMotions:
         )
         assert np.allclose(out[~inner], base[~inner] @ rot.T, atol=1e-12)
 
+    @staticmethod
+    def outer_rotation_fixes(mesh):
+        """Mask of the boundary rows that rotating the outer ring leaves in
+        place: the inner ring, as the motion's radius split sees it."""
+        motion = annulus_rotation_motion(mesh, np.pi / 2)
+        return (motion.evaluate(1.0) == motion.base_coords).all(axis=1)
+
+    @pytest.mark.parametrize("k", [-1000, -600, 512, 1000])
+    def test_annulus_split_at_any_scale(self, annulus_coarse, k):
+        scaled = annulus_coarse.with_coords(np.ldexp(annulus_coarse.coords, k))
+        want = self.outer_rotation_fixes(annulus_coarse)
+        assert 0 < want.sum() < len(want)
+        assert np.array_equal(self.outer_rotation_fixes(scaled), want)
+
+    @pytest.mark.parametrize("k", [-500, -123, -1, 1, 77, 500])
+    def test_annulus_rotation_scales_exactly(self, annulus_coarse, k):
+        scaled = annulus_coarse.with_coords(np.ldexp(annulus_coarse.coords, k))
+        for s, s_scaled in ((None, None), (0.6, np.ldexp(0.6, k))):
+            motion = annulus_rotation_motion(annulus_coarse, 0.7, -0.4, s=s)
+            big = annulus_rotation_motion(scaled, 0.7, -0.4, s=s_scaled)
+            for t in (0.3, 1.0):
+                want = np.ldexp(motion.evaluate(t), k)
+                assert big.evaluate(t).tobytes() == want.tobytes()
+
     def test_tabulated_interpolation(self, annulus_coarse):
         base = annulus_coarse.coords[annulus_coarse.boundary_ids]
         motion = TabulatedMotion(annulus_coarse, [base + 1.0, base + 3.0])
