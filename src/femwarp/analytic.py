@@ -110,16 +110,15 @@ def rectangle_shear_map(alpha, points):
 
 
 def nonlinear3d_map(alpha, points):
-    """3D stress deformation of one point or of rows of points: a fixed
-    linear map plus alpha times a quadratic perturbation (0.1xy, 0.5yz,
-    0.1x^2)."""
+    """3D stress deformation of one point or of rows of points: the linear
+    map (2x - y, -2x + 5y, z) plus alpha times a quadratic perturbation
+    (0.1xy, 0.5yz, 0.1x^2).  Written column by column, not as a matrix
+    product, so a row maps to the same bits alone as in any batch."""
     p = np.asarray(points, dtype=float)
     x, y, z = p[..., 0], p[..., 1], p[..., 2]
-    quad = np.stack([0.1 * x * y, 0.5 * y * z, 0.1 * x * x], axis=-1)
-    return p @ NONLINEAR3D_LINEAR.T + alpha * quad
-
-
-NONLINEAR3D_LINEAR = np.array([[2.0, -1.0, 0.0], [-2.0, 5.0, 0.0], [0.0, 0.0, 1.0]])
+    linear = (2.0 * x - y, -2.0 * x + 5.0 * y, z)
+    quad = (0.1 * x * y, 0.5 * y * z, 0.1 * x * x)
+    return np.stack([a + alpha * b for a, b in zip(linear, quad)], axis=-1)
 
 
 def reversal_bound_check(triangle, grad_at_v1, hessian_bound):

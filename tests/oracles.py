@@ -534,8 +534,11 @@ NONLINEAR3D_L = np.array([[2.0, -1.0, 0.0], [-2.0, 5.0, 0.0], [0.0, 0.0, 1.0]])
 
 def nonlinear3d_blend(base, alpha, t):
     """The 3D stress motion as written out before: the linear part blended
-    (1-t)I + tL, the quadratic part scaled by t*alpha."""
+    (1-t)I + tL, the quadratic part scaled by t*alpha.  The blend is applied
+    as a sum over columns, not a matrix product, whose last bits depend on
+    the BLAS build and the row count."""
     blend = (1.0 - t) * np.eye(3) + t * NONLINEAR3D_L
     x, y, z = base[:, 0], base[:, 1], base[:, 2]
+    linear = np.column_stack([b[0] * x + b[1] * y + b[2] * z for b in blend])
     quad = np.column_stack([0.1 * x * y, 0.5 * y * z, 0.1 * x * x])
-    return base @ blend.T + (t * alpha) * quad
+    return linear + (t * alpha) * quad

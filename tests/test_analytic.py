@@ -18,6 +18,7 @@ from femwarp.errors import DomainError, InvalidBoundError, InvalidSpecError
 from femwarp.mesh import signed_measure
 
 from oracles import (
+    NONLINEAR3D_L,
     fd_jacobian,
     rotation_hessian_norm_bound,
     shear_gradient,
@@ -192,10 +193,15 @@ class TestRectangleShear:
 
 class TestNonlinear3d:
     def test_alpha_zero_is_linear(self, rng):
-        from femwarp.analytic import NONLINEAR3D_LINEAR
-
         for p in rng.uniform(-1, 1, size=(5, 3)):
-            assert np.allclose(nonlinear3d_map(0.0, p), NONLINEAR3D_LINEAR @ p)
+            assert np.allclose(nonlinear3d_map(0.0, p), NONLINEAR3D_L @ p)
+
+    def test_batch_maps_each_row_alone(self, rng):
+        # a matrix product rounds by row count on some BLAS builds
+        rows = rng.uniform(-3, 3, size=(1000, 3))
+        for alpha in (0.0, 4.0):
+            alone = np.array([nonlinear3d_map(alpha, p) for p in rows])
+            assert nonlinear3d_map(alpha, rows).tobytes() == alone.tobytes()
 
     def test_sample_point(self):
         assert np.allclose(nonlinear3d_map(1.0, (1.0, 1.0, 1.0)), [1.1, 3.5, 1.1])
