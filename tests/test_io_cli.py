@@ -522,7 +522,9 @@ class TestCli:
     ):
         base, _ = annulus_on_disk
         spec = tmp_path / "rot.spec"
-        spec.write_text(f"motion = annulus\ntheta_outer = 1.2\nalgorithm = {algorithm}\n")
+        spec.write_text(
+            f"motion = annulus\ntheta_outer = 1.2\nalgorithm = {algorithm}\n"
+        )
         out = tmp_path / "sweep.csv"
         argv = ["sweep", "--mesh", base, "--spec", str(spec), "--out", str(out)]
         assert main(argv + ["--param-grid", "0:1:0.25"]) == 0
