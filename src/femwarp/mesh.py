@@ -30,9 +30,12 @@ def _readonly(a):
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mesh:
     """Triangular (dim 2) or tetrahedral (dim 3) mesh.
+
+    Meshes compare and hash by identity: two meshes are equal only when
+    they are one object, so a mesh can key a dict or a set.
 
     Parameters
     ----------

@@ -369,6 +369,15 @@ class TestMeshContainer:
         assert moved.boundary is mesh.boundary
         assert moved.topology is topology
 
+    def test_equality_and_hash_by_identity(self):
+        mesh = gen_annulus(0.5, 6, 24)
+        copy = mesh.with_coords(mesh.coords)
+        assert mesh == mesh and not mesh != mesh
+        assert mesh != copy and not mesh == copy
+        assert hash(mesh) == hash(mesh)
+        assert len({mesh, copy, mesh}) == 2
+        assert {mesh: 1}[mesh] == 1
+
     @pytest.mark.parametrize("rows, cols", [(1, 0), (-1, 0), (0, 1)])
     def test_with_coords_refuses_another_shape(self, annulus_coarse, rows, cols):
         n, d = annulus_coarse.coords.shape
