@@ -113,6 +113,8 @@ def run_algorithm(mesh, spec, motion):
         return hybrid_warp(mesh, build_weights(mesh, scheme), target, max_sweeps=max_sweeps)
     coords = np.array(mesh.coords)
     coords[mesh.boundary_ids] = target
+    # built on ``mesh`` before the copy, so one sweep's runs share it
+    mesh.topology
     fixed, _, _ = untangle(mesh.with_coords(coords), max_sweeps=max_sweeps)
     return fixed, warp_report(fixed, count_reversals(fixed)[0], 0, ())
 

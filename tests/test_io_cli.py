@@ -516,7 +516,9 @@ class TestCli:
         assert lines[1].startswith("0,SUCCESS")
         assert lines[-1].startswith("1.2,REVERSED")
 
-    @pytest.mark.parametrize("algorithm", ["femwarp", "small_step", "hybrid"])
+    @pytest.mark.parametrize(
+        "algorithm", ["femwarp", "small_step", "hybrid", "untangle"]
+    )
     def test_sweep_builds_one_topology(
         self, tmp_path, annulus_on_disk, topology_builds, algorithm
     ):
