@@ -391,6 +391,20 @@ class TestWriteMesh:
         for ext in ("node", "ele"):
             assert (tmp_path / f"a.{ext}").read_bytes() == (tmp_path / f"b.{ext}").read_bytes()
 
+    @pytest.mark.parametrize("digits", [1, 2, 3, 4, 5])
+    def test_ele_bytes_across_digit_boundaries(self, tmp_path, digits):
+        # node ids 10^k - 1 and 10^k for k <= digits, element ids up to
+        # 10^digits: every field crosses each width up to digits + 1
+        n = 10**digits + 1
+        ids = [i for k in range(1, digits + 1) for i in (10**k - 1, 10**k)]
+        rows = np.resize(np.array([0] + ids + [n - 1]), (n + 1, 3))
+        mesh = Mesh(np.zeros((n, 2)), rows, [0])
+        io.write_mesh(mesh, str(tmp_path / "m.node"), str(tmp_path / "m.ele"))
+        expected = f"{n + 1} 3 0\n" + "".join(
+            "%d %d %d %d\n" % (eid, *row) for eid, row in enumerate(rows.tolist())
+        )
+        assert (tmp_path / "m.ele").read_bytes() == expected.encode()
+
     def test_round_trip_2d_bitwise(self, tmp_path, rng):
         mesh = gen_annulus(0.5, 4, 16)
         jitter = rng.uniform(-0.01, 0.01, size=mesh.coords.shape)
