@@ -23,6 +23,9 @@ ORIENTATION_TOL = 0.0
 
 NEAR_DEGENERATE_FACTOR = 1e-12
 
+# Parts of at most this many interior nodes end the nested dissection.
+ND_LEAF_SIZE = 16
+
 
 def _readonly(a):
     a = np.array(a)  # private copy; callers keep write access to theirs
@@ -124,10 +127,16 @@ class Topology:
       to the discard slot ``nnz`` when its row is a boundary node;
     * ``diag_slots`` / ``nbr_slots`` are the slots of each interior row's
       diagonal and of its neighbors in adjacency order.
+
+    ``order`` (computed on first use) is the fill-reducing order that the
+    warp drivers hand to every factorization of ``A_I``.
     """
 
     def __init__(self, mesh):
         n = mesh.n_nodes
+        # the coordinates the topology was built at; they only place the
+        # cuts of the nested-dissection ``order``
+        self._coords = mesh.coords
         self.elements = mesh.elements
         self.boundary = mesh.boundary
         self.interior_ids = _readonly(mesh.interior_ids)
@@ -181,6 +190,69 @@ class Topology:
     def neighbors(self, node):
         """Ascending ids of the nodes sharing an element with ``node``."""
         return self.adj_indices[self.adj_indptr[node] : self.adj_indptr[node + 1]]
+
+    @cached_property
+    def order(self):
+        """Symmetric fill-reducing order of ``A_I``'s rows: in 3D the
+        nested-dissection order of :func:`_nested_dissection` on the
+        coordinates the topology was built at; in 2D None, so that SuperLU
+        orders each matrix with ``MMD_AT_PLUS_A``."""
+        if self._coords.shape[1] != 3:
+            return None
+        xyz = self._coords[self.interior_ids]
+        return _readonly(_nested_dissection(self.ii_indptr, self.ii_indices, xyz))
+
+
+def _nested_dissection(indptr, indices, xyz):
+    """Nested-dissection order (George 1973) of the symmetric CSR pattern
+    ``indptr``/``indices`` on nodes at ``xyz`` (m, d).
+
+    Every part of more than ``ND_LEAF_SIZE`` nodes is split at the median
+    of its longest coordinate extent; the nodes of the second half that
+    neighbour the first half form the part's separator, and the rest of
+    each half is split in turn.  The order lists each part's halves, in
+    that order, before its separator.  All parts of one level are split
+    at once: the live nodes stay grouped by part, each node's path so far
+    is a base-4 key (digit 0 first half, 1 second half, 2 separator) whose
+    ascending sort is the order, and an edge is dropped once its ends lie
+    in different parts.
+    """
+    m = len(xyz)
+    rows = np.repeat(np.arange(m), np.diff(indptr))
+    off = rows != indices
+    rows, cols = rows[off], indices[off]
+    # distinct ranks along each axis: sorting a part by rank sorts it by
+    # coordinate, ties broken by node id
+    rank = np.argsort(np.argsort(xyz, axis=0, kind="stable"), axis=0)
+    key = np.zeros(m, dtype=np.int64)
+    part = np.zeros(m, dtype=np.int64)  # -1 once a node is placed
+    ids = np.arange(m) if m > ND_LEAF_SIZE else np.arange(0)
+    while len(ids):  # the live nodes, grouped by ascending part
+        p = part[ids]
+        start = np.flatnonzero(np.concatenate(([True], p[1:] != p[:-1])))
+        size = np.diff(np.append(start, len(ids)))
+        seg = np.repeat(np.arange(len(start)), size)
+        pts = xyz[ids]
+        extent = np.maximum.reduceat(pts, start) - np.minimum.reduceat(pts, start)
+        axis = extent.argmax(axis=1)
+        ids = ids[np.argsort(seg * m + rank[ids, axis[seg]])]
+        second = np.arange(len(ids)) - start[seg] >= (size // 2)[seg]
+        part[ids] = 2 * seg + second
+        key *= 4
+        key[ids] += second
+        pr = part[rows]
+        sep = rows[(pr & 1).astype(bool) & (part[cols] == pr - 1)]
+        key[sep] += 1  # digit 1 becomes 2; a repeated id adds once
+        part[sep] = -1
+        ids = ids[part[ids] >= 0]
+        p = part[ids]
+        leaf = np.bincount(p)[p] <= ND_LEAF_SIZE
+        part[ids[leaf]] = -1
+        ids = ids[~leaf]
+        pr = part[rows]
+        keep = (pr >= 0) & (pr == part[cols])
+        rows, cols = rows[keep], cols[keep]
+    return np.argsort(key, kind="stable")
 
 
 def _pair_keys(elements, n):

@@ -24,10 +24,12 @@ class Factorization:
     pivot only where the diagonal is below a tenth of its column's largest
     entry (threshold 0.1) and fails with SINGULAR_SYSTEM.
 
-    ``order`` is a symmetric ordering, typically the ``order`` of an earlier
-    factorization of a matrix with the same pattern: the permuted matrix is
-    factored in natural order and ``solve`` undoes the permutation.  Without
-    it the matrix is ordered afresh with ``MMD_AT_PLUS_A``.
+    ``order`` is a symmetric ordering: the permuted matrix is factored in
+    natural order and ``solve`` undoes the permutation.  Without it the
+    matrix is ordered afresh with ``MMD_AT_PLUS_A``.  The warp drivers pass
+    ``Topology.order``, a nested-dissection order built once per topology
+    in 3D; in 2D it is None, so the first factorization orders with MMD
+    and a small-step warp hands that ``order`` to the later ones.
     """
 
     def __init__(self, a, spd=True, order=None):

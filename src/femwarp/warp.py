@@ -171,7 +171,7 @@ def femwarp_step(mesh, weights, target_boundary):
     target_boundary = np.asarray(target_boundary, dtype=float)
     if target_boundary.shape != (weights.b, mesh.dim):
         raise ValueError("target must cover every boundary node")
-    f = factor(weights.a_ii, spd=weights.symmetric)
+    f = factor(weights.a_ii, spd=weights.symmetric, order=mesh.topology.order)
     x_i = solve_multi(f, -(weights.a_ib @ target_boundary))
     del f  # free the LU before the reversal count and the quality report
     warped, nrev = _place(mesh, weights, x_i, target_boundary)
@@ -186,16 +186,17 @@ def small_step_femwarp(mesh, scheme, motion, min_step=DEFAULT_MIN_STEP):
     depend only on the current mesh, not the trial target).  After an
     accepted step the weights are rebuilt and refactored.  Every accepted
     mesh shares ``mesh.topology`` (connectivity and the pattern of A_I), and
-    the fill-reducing order is computed once per warp; a rebuild writes
-    values into that pattern, and a refactorization reruns all of SuperLU,
-    its symbolic analysis included, in that order.  Fails with outcome
+    every factorization takes one fill-reducing order: ``Topology.order``
+    in 3D, and in 2D the order the first factorization computes.  A rebuild
+    writes values into that pattern, and a refactorization reruns all of
+    SuperLU, its symbolic analysis included, in that order.  Fails with outcome
     REVERSED once the increment drops below ``min_step``, returning the last
     accepted mesh and the fraction t it reached.  The fixed-step baseline is
     ``warp_trajectory`` over the frames ``motion.evaluate(min(k*h, 1))``.
     """
     if min_step <= 0.0:
         raise ValueError("min_step must be positive")
-    cur, t, nrev, nchol, order, steps = mesh, 0.0, 0, 0, None, []
+    cur, t, nrev, nchol, order, steps = mesh, 0.0, 0, 0, mesh.topology.order, []
     while t < 1.0 - 1e-12:
         f = None  # release the old factors before computing the next ones
         weights = build_weights(cur, scheme)

@@ -7,6 +7,7 @@ import pytest
 from scipy import sparse
 
 from femwarp import gen_annulus, gen_box_tets, warp
+from femwarp import mesh as mesh_module
 from femwarp.assembly import build_weights
 from femwarp.errors import (
     DivergedError,
@@ -185,6 +186,97 @@ class TestFactor:
         _, report = warp.femwarp_step(annulus_coarse, w, motion.evaluate(1.0))
         assert report.success
         assert len(made) == report.n_factorizations == 1
+
+
+class TestNestedDissectionOrder:
+    """``Topology.order``: nested dissection of A_I's rows in 3D, None in 2D."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng: gen_box_tets(3, 3, 3),  # one interior node
+            lambda rng: gen_box_tets(5, 5, 5, size=3.0),
+            lambda rng: jittered(gen_box_tets(8, 8, 8), rng),
+        ],
+        ids=["box3", "box5", "box8_jittered"],
+    )
+    def test_permutes_interior_rows(self, make, rng):
+        mesh = make(rng)
+        order = mesh.topology.order
+        assert np.array_equal(np.sort(order), np.arange(len(mesh.interior_ids)))
+        assert not order.flags.writeable
+
+    def test_permutes_box_fixture_rows(self, box_mesh):
+        order = box_mesh.topology.order
+        assert np.array_equal(np.sort(order), np.arange(len(box_mesh.interior_ids)))
+
+    def test_none_in_2d(self, annulus_coarse, rect_mesh):
+        assert annulus_coarse.topology.order is None
+        assert rect_mesh.topology.order is None
+
+    def test_built_once_and_shared(self, monkeypatch, rng):
+        calls, build = [], mesh_module._nested_dissection
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(mesh_module, "_nested_dissection", counted)
+        mesh = gen_box_tets(5, 5, 5, size=3.0)
+        order = mesh.topology.order
+        moved = jittered(mesh, rng)
+        assert moved.topology.order is order
+        motion = warp.nonlinear3d_motion(moved, 12.0)
+        _, report = warp.small_step_femwarp(moved, "FEM", motion)
+        assert report.n_factorizations > 1
+        assert mesh.topology.order is order and len(calls) == 1
+
+    @pytest.mark.parametrize("scheme", ["FEM", "LOG_BARRIER"])
+    def test_fill_below_mmd(self, scheme, rng):
+        # below about 1,000 interior rows MMD fills less (1.12x on the 8^3
+        # box); from 14^3 on the dissection wins
+        mesh = jittered(gen_box_tets(14, 14, 14), rng, amount=0.01)
+        w = build_weights(mesh, scheme)
+        nd = factor(w.a_ii, spd=w.symmetric, order=mesh.topology.order)
+        mmd = factor(w.a_ii, spd=w.symmetric)
+        assert nd._lu.nnz < 0.95 * mmd._lu.nnz
+
+    @pytest.mark.parametrize("scheme", ["FEM", "LOG_BARRIER"])
+    def test_one_shot_matches_mmd(self, scheme, rng, monkeypatch):
+        mesh = jittered(gen_box_tets(8, 8, 8), rng)
+        w = build_weights(mesh, scheme)
+        target = warp.nonlinear3d_motion(mesh, 4.0).evaluate(1.0)
+        orders = []
+
+        def recording(a, spd=True, order=None):
+            orders.append(order)
+            return factor(a, spd=spd, order=order)
+
+        monkeypatch.setattr(warp, "factor", recording)
+        nd, _ = warp.femwarp_step(mesh, w, target)
+        assert len(orders) == 1 and orders[0] is mesh.topology.order
+        monkeypatch.setattr(warp, "factor", lambda a, spd, order: factor(a, spd))
+        mmd, _ = warp.femwarp_step(mesh, w, target)
+        ii = mesh.interior_ids
+        scale = np.abs(mmd.coords[ii]).max()
+        assert np.abs(nd.coords[ii] - mmd.coords[ii]).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("scheme, alpha", [("FEM", 12.0), ("LOG_BARRIER", 16.0)])
+    def test_small_step_hands_every_factorization_one_order(
+        self, scheme, alpha, monkeypatch
+    ):
+        mesh = gen_box_tets(5, 5, 5, size=3.0)
+        orders = []
+
+        def recording(a, spd=True, order=None):
+            orders.append(order)
+            return factor(a, spd=spd, order=order)
+
+        monkeypatch.setattr(warp, "factor", recording)
+        motion = warp.nonlinear3d_motion(mesh, alpha)
+        _, report = warp.small_step_femwarp(mesh, scheme, motion)
+        assert len(orders) == report.n_factorizations > 1
+        assert all(order is mesh.topology.order for order in orders)
 
 
 class TestSolveMulti:
