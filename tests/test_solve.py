@@ -188,6 +188,19 @@ class TestFactor:
         assert len(made) == report.n_factorizations == 1
 
 
+@pytest.fixture()
+def factor_orders(monkeypatch):
+    """The ``order`` of every ``factor`` call the warp drivers make."""
+    orders = []
+
+    def recording(a, spd=True, order=None):
+        orders.append(order)
+        return factor(a, spd=spd, order=order)
+
+    monkeypatch.setattr(warp, "factor", recording)
+    return orders
+
+
 class TestNestedDissectionOrder:
     """``Topology.order``: nested dissection of A_I's rows in 3D, None in 2D."""
 
@@ -242,19 +255,12 @@ class TestNestedDissectionOrder:
         assert nd._lu.nnz < 0.95 * mmd._lu.nnz
 
     @pytest.mark.parametrize("scheme", ["FEM", "LOG_BARRIER"])
-    def test_one_shot_matches_mmd(self, scheme, rng, monkeypatch):
+    def test_one_shot_matches_mmd(self, scheme, rng, monkeypatch, factor_orders):
         mesh = jittered(gen_box_tets(8, 8, 8), rng)
         w = build_weights(mesh, scheme)
         target = warp.nonlinear3d_motion(mesh, 4.0).evaluate(1.0)
-        orders = []
-
-        def recording(a, spd=True, order=None):
-            orders.append(order)
-            return factor(a, spd=spd, order=order)
-
-        monkeypatch.setattr(warp, "factor", recording)
         nd, _ = warp.femwarp_step(mesh, w, target)
-        assert len(orders) == 1 and orders[0] is mesh.topology.order
+        assert len(factor_orders) == 1 and factor_orders[0] is mesh.topology.order
         monkeypatch.setattr(warp, "factor", lambda a, spd, order: factor(a, spd))
         mmd, _ = warp.femwarp_step(mesh, w, target)
         ii = mesh.interior_ids
@@ -263,20 +269,13 @@ class TestNestedDissectionOrder:
 
     @pytest.mark.parametrize("scheme, alpha", [("FEM", 12.0), ("LOG_BARRIER", 16.0)])
     def test_small_step_hands_every_factorization_one_order(
-        self, scheme, alpha, monkeypatch
+        self, scheme, alpha, factor_orders
     ):
         mesh = gen_box_tets(5, 5, 5, size=3.0)
-        orders = []
-
-        def recording(a, spd=True, order=None):
-            orders.append(order)
-            return factor(a, spd=spd, order=order)
-
-        monkeypatch.setattr(warp, "factor", recording)
         motion = warp.nonlinear3d_motion(mesh, alpha)
         _, report = warp.small_step_femwarp(mesh, scheme, motion)
-        assert len(orders) == report.n_factorizations > 1
-        assert all(order is mesh.topology.order for order in orders)
+        assert len(factor_orders) == report.n_factorizations > 1
+        assert all(order is mesh.topology.order for order in factor_orders)
 
 
 class TestSolveMulti:
