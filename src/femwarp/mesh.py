@@ -15,6 +15,7 @@ from math import factorial
 import numpy as np
 
 from .errors import BadIndexError, ReversedElementError
+from .solve import mmd_order
 
 # Reversal threshold: an element is reversed iff its signed measure is <= 0.
 # Thin-but-valid elements must not be misclassified, so no epsilon here; a
@@ -195,10 +196,10 @@ class Topology:
     def order(self):
         """Symmetric fill-reducing order of ``A_I``'s rows: in 3D the
         nested-dissection order of :func:`_nested_dissection` on the
-        coordinates the topology was built at; in 2D None, so that SuperLU
-        orders each matrix with ``MMD_AT_PLUS_A``."""
+        coordinates the topology was built at; in 2D SuperLU's minimum-degree
+        order of the pattern, :func:`~femwarp.solve.mmd_order`."""
         if self._coords.shape[1] != 3:
-            return None
+            return _readonly(mmd_order(self.ii_indptr, self.ii_indices))
         xyz = self._coords[self.interior_ids]
         return _readonly(_nested_dissection(self.ii_indptr, self.ii_indices, xyz))
 

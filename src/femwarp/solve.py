@@ -1,6 +1,6 @@
 """Linear-system backends: one sparse direct factorization for every
-weight scheme, which can reuse a fill-reducing order across matrices of
-one sparsity pattern, and Gauss-Seidel sweeps.
+weight scheme, which takes a fill-reducing order that matrices of one
+sparsity pattern share, and Gauss-Seidel sweeps.
 """
 
 import numpy as np
@@ -10,26 +10,37 @@ from scipy.sparse import linalg as spla
 from .errors import DivergedError, NotPositiveDefiniteError, SingularSystemError
 
 
+def mmd_order(indptr, indices):
+    """SuperLU's ``MMD_AT_PLUS_A`` order, etree postorder included, of a
+    square CSC pattern: read from an ILU that drops every entry of a
+    diagonally dominant matrix with that pattern and its diagonal, so only
+    the ordering is paid for."""
+    n = len(indptr) - 1
+    p = sparse.csc_matrix((np.full(len(indices), -1.0), indices, indptr), shape=(n, n))
+    p = p + (n + 1.0) * sparse.identity(n, format="csc")
+    ilu = spla.spilu(
+        p, drop_tol=np.inf, permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True)
+    )
+    # SuperLU factors A Pc = A[:, argsort(perm_c)]
+    return np.argsort(ilu.perm_c)
+
+
 class Factorization:
     """Factorization of a sparse weight matrix ``A_I``.
 
-    Every scheme takes one path: SuperLU in symmetric mode, which pivots on
-    the diagonal under a fill-reducing symmetric ordering.  For FEM ``A_I``
-    is symmetric positive definite; for UNIFORM and LOG_BARRIER it is a row
-    diagonally dominant M-matrix, on which LU without pivoting is stable.
-    ``spd`` selects only the symmetry check, the pivot threshold, the
+    Every scheme takes one path: SuperLU in symmetric mode factors
+    ``a[order][:, order]`` in natural order, pivoting on the diagonal, and
+    ``solve`` undoes the permutation.  ``order`` is a symmetric
+    fill-reducing order, :func:`mmd_order` of ``a``'s pattern by default;
+    the warp drivers pass ``Topology.order``.  For FEM ``A_I`` is symmetric
+    positive definite; for UNIFORM and LOG_BARRIER it is a row diagonally
+    dominant M-matrix, on which LU without pivoting is stable.  ``spd``
+    selects only the symmetry check, the pivot threshold, the
     positive-pivot check and the error a failure raises.  SPD input pivots
     on the diagonal always (threshold 0), must give positive pivots and
     fails with NOT_POSITIVE_DEFINITE; other input takes an off-diagonal
     pivot only where the diagonal is below a tenth of its column's largest
     entry (threshold 0.1) and fails with SINGULAR_SYSTEM.
-
-    ``order`` is a symmetric ordering: the permuted matrix is factored in
-    natural order and ``solve`` undoes the permutation.  Without it the
-    matrix is ordered afresh with ``MMD_AT_PLUS_A``.  The warp drivers pass
-    ``Topology.order``, a nested-dissection order built once per topology
-    in 3D; in 2D it is None, so the first factorization orders with MMD
-    and a small-step warp hands that ``order`` to the later ones.
     """
 
     def __init__(self, a, spd=True, order=None):
@@ -37,10 +48,11 @@ class Factorization:
         if a.shape[0] != a.shape[1]:
             raise ValueError("matrix must be square")
         self.n = a.shape[0]
-        if order is not None:
-            order = np.asarray(order)
-            if not np.array_equal(np.sort(order), np.arange(self.n)):
-                raise ValueError(f"order must be a permutation of 0..{self.n - 1}")
+        if order is None:
+            order = mmd_order(a.indptr, a.indices)
+        order = np.asarray(order)
+        if not np.array_equal(np.sort(order), np.arange(self.n)):
+            raise ValueError(f"order must be a permutation of 0..{self.n - 1}")
         error = NotPositiveDefiniteError if spd else SingularSystemError
         if spd:
             diff = a - a.T
@@ -49,33 +61,21 @@ class Factorization:
         opts = dict(
             diag_pivot_thresh=0.0 if spd else 0.1, options=dict(SymmetricMode=True)
         )
-        # set when _lu factors a[_perm][:, _perm] rather than a itself
-        self._perm = order
         try:
-            if order is not None:
-                lu = spla.splu(a[order][:, order], permc_spec="NATURAL", **opts)
-            else:
-                lu = spla.splu(a, permc_spec="MMD_AT_PLUS_A", **opts)
-                # SuperLU factors Pr A Pc with A Pc = A[:, argsort(perm_c)];
-                # symmetric mode keeps Pr = Pc^T while it pivots on the
-                # diagonal
-                order = np.argsort(lu.perm_c)
+            lu = spla.splu(a[order][:, order], permc_spec="NATURAL", **opts)
         except RuntimeError as exc:
             raise error(str(exc)) from exc
         # with a zero pivot threshold the diagonal of U carries the
         # LDL pivots; any nonpositive pivot disproves definiteness
         if spd and np.any(lu.U.diagonal() <= 0.0):
             raise NotPositiveDefiniteError("nonpositive pivot encountered")
-        # fill-reducing order, offered to later factorizations
         self.order = order
         self._lu = lu
 
     def solve(self, b):
         b = np.asarray(b, dtype=float)
-        if self._perm is None:
-            return self._lu.solve(b)
         x = np.empty_like(b)
-        x[self._perm] = self._lu.solve(b[self._perm])
+        x[self.order] = self._lu.solve(b[self.order])
         return x
 
 

@@ -185,23 +185,20 @@ def small_step_femwarp(mesh, scheme, motion, min_step=DEFAULT_MIN_STEP):
     reversal halve the increment, reusing the same factorization (weights
     depend only on the current mesh, not the trial target).  After an
     accepted step the weights are rebuilt and refactored.  Every accepted
-    mesh shares ``mesh.topology`` (connectivity and the pattern of A_I), and
-    every factorization takes one fill-reducing order: ``Topology.order``
-    in 3D, and in 2D the order the first factorization computes.  A rebuild
-    writes values into that pattern, and a refactorization reruns all of
-    SuperLU, its symbolic analysis included, in that order.  Fails with outcome
-    REVERSED once the increment drops below ``min_step``, returning the last
-    accepted mesh and the fraction t it reached.  The fixed-step baseline is
-    ``warp_trajectory`` over the frames ``motion.evaluate(min(k*h, 1))``.
+    mesh shares ``mesh.topology``, and every factorization takes its
+    ``order``; a refactorization reruns all of SuperLU, its symbolic
+    analysis included.  Fails with outcome REVERSED once the increment
+    drops below ``min_step``, returning the last accepted mesh and the
+    fraction t it reached.  The fixed-step baseline is ``warp_trajectory``
+    over the frames ``motion.evaluate(min(k*h, 1))``.
     """
     if min_step <= 0.0:
         raise ValueError("min_step must be positive")
-    cur, t, nrev, nchol, order, steps = mesh, 0.0, 0, 0, mesh.topology.order, []
+    cur, t, nrev, nchol, steps = mesh, 0.0, 0, 0, []
     while t < 1.0 - 1e-12:
         f = None  # release the old factors before computing the next ones
         weights = build_weights(cur, scheme)
-        f = factor(weights.a_ii, spd=weights.symmetric, order=order)
-        order = f.order
+        f = factor(weights.a_ii, spd=weights.symmetric, order=mesh.topology.order)
         nchol += 1
         dt = 1.0 - t
         while True:

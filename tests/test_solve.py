@@ -1,20 +1,22 @@
 """Direct factorization, ordering reuse and Gauss-Seidel backends."""
 
 import weakref
+from itertools import product
 
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse import linalg as spla
 
-from femwarp import gen_annulus, gen_box_tets, warp
+from femwarp import cli, gen_annulus, gen_box_tets, io, warp
 from femwarp import mesh as mesh_module
-from femwarp.assembly import build_weights
+from femwarp.assembly import SCHEMES, build_weights
 from femwarp.errors import (
     DivergedError,
     NotPositiveDefiniteError,
     SingularSystemError,
 )
-from femwarp.solve import factor, gauss_seidel, solve_multi
+from femwarp.solve import factor, gauss_seidel, mmd_order, solve_multi
 
 SPD_2X2 = sparse.csc_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
 
@@ -62,10 +64,15 @@ class TestFactor:
         w = build_weights(annulus_coarse.with_coords(coords), "FEM")
         fresh = factor(w.a_ii)
         reused = factor(w.a_ii, order=f0.order)
-        # the reused path hands SuperLU a pre-permuted matrix in natural order
-        assert np.array_equal(reused._lu.perm_c, np.arange(len(w.interior_ids)))
-        assert not np.array_equal(fresh._lu.perm_c, np.arange(len(w.interior_ids)))
+        # both paths hand SuperLU a pre-permuted matrix in natural order;
+        # the default order is the pattern's MMD order, not the natural one
+        natural = np.arange(len(w.interior_ids))
+        for f in (fresh, reused):
+            assert np.array_equal(f._lu.perm_c, natural)
+            assert np.array_equal(f._lu.perm_r, natural)
+        assert not np.array_equal(fresh.order, natural)
         assert np.array_equal(reused.order, f0.order)
+        assert np.array_equal(fresh.order, f0.order)
         assert reused._lu.nnz == fresh._lu.nnz
         b = rng.standard_normal((len(w.interior_ids), 2))
         x = fresh.solve(b)
@@ -120,8 +127,8 @@ class TestFactor:
         assert np.array_equal(f.solve(np.array([2.0, 3.0])), [3.0, 2.0])
 
     def test_log_barrier_small_step_reuses_order(self, annulus_coarse, monkeypatch):
-        # every factorization after the first reuses the first one's order,
-        # and the warp takes the steps it takes when each orders afresh
+        # every factorization receives the topology's order, and the warp
+        # takes the steps it takes when each orders afresh
         motion = warp.annulus_rotation_motion(annulus_coarse, 1.5)
         runs = []
         for reuse in (True, False):
@@ -134,9 +141,8 @@ class TestFactor:
             monkeypatch.setattr(warp, "factor", recording)
             _, report = warp.small_step_femwarp(annulus_coarse, "LOG_BARRIER", motion)
             runs.append(report)
-            assert orders[0] is None and len(orders) == report.n_factorizations
-            if reuse:
-                assert all(order is not None for order in orders[1:])
+            assert len(orders) == report.n_factorizations
+            assert all(order is annulus_coarse.topology.order for order in orders)
         reused, fresh = runs
         assert reused.n_factorizations == fresh.n_factorizations > 1
         assert reused.steps == fresh.steps
@@ -202,7 +208,8 @@ def factor_orders(monkeypatch):
 
 
 class TestNestedDissectionOrder:
-    """``Topology.order``: nested dissection of A_I's rows in 3D, None in 2D."""
+    """``Topology.order``: nested dissection of A_I's rows in 3D, SuperLU's
+    MMD order in 2D; every factorization takes it."""
 
     @pytest.mark.parametrize(
         "make",
@@ -223,9 +230,36 @@ class TestNestedDissectionOrder:
         order = box_mesh.topology.order
         assert np.array_equal(np.sort(order), np.arange(len(box_mesh.interior_ids)))
 
-    def test_none_in_2d(self, annulus_coarse, rect_mesh):
-        assert annulus_coarse.topology.order is None
-        assert rect_mesh.topology.order is None
+    def test_mmd_in_2d(self, annulus_coarse, rect_mesh):
+        # the order SuperLU itself chooses for each scheme's matrix
+        for mesh, scheme in product((annulus_coarse, rect_mesh), SCHEMES):
+            a = sparse.csc_matrix(build_weights(mesh, scheme).a_ii)
+            lu = spla.splu(a, permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
+            assert np.array_equal(mesh.topology.order, np.argsort(lu.perm_c))
+            assert not mesh.topology.order.flags.writeable
+
+    def test_mmd_built_once_in_2d(self, monkeypatch, tmp_path):
+        # a small-step warp, and a sweep of three small-step warps, order once
+        calls, build = [], mesh_module.mmd_order
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(mesh_module, "mmd_order", counted)
+        mesh = gen_annulus(0.5, 6, 24)
+        _, report = warp.small_step_femwarp(
+            mesh, "FEM", warp.annulus_rotation_motion(mesh, 1.5)
+        )
+        assert report.n_factorizations > 1 and len(calls) == 1
+        base = str(tmp_path / "ann")
+        io.write_mesh(gen_annulus(0.5, 6, 24), base + ".node", base + ".ele")
+        spec = tmp_path / "rot.spec"
+        spec.write_text("motion = annulus\ntheta_outer = 1.5\nalgorithm = small_step\n")
+        argv = ["sweep", "--mesh", base, "--spec", str(spec), "--param-grid", "0:1:0.5"]
+        assert cli.main(argv + ["--out", str(tmp_path / "sweep.csv")]) == 0
+        assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 4
+        assert len(calls) == 2
 
     def test_built_once_and_shared(self, monkeypatch, rng):
         calls, build = [], mesh_module._nested_dissection
@@ -267,15 +301,34 @@ class TestNestedDissectionOrder:
         scale = np.abs(mmd.coords[ii]).max()
         assert np.abs(nd.coords[ii] - mmd.coords[ii]).max() <= 1e-13 * scale
 
-    @pytest.mark.parametrize("scheme, alpha", [("FEM", 12.0), ("LOG_BARRIER", 16.0)])
+    @pytest.mark.parametrize(
+        "scheme, alpha, make, motion",
+        [
+            ("FEM", 12.0, lambda: gen_box_tets(5, 5, 5, size=3.0), warp.nonlinear3d_motion),
+            ("LOG_BARRIER", 16.0, lambda: gen_box_tets(5, 5, 5, size=3.0),
+             warp.nonlinear3d_motion),
+            ("FEM", 1.5, lambda: gen_annulus(0.5, 6, 24), warp.annulus_rotation_motion),
+        ],
+        ids=["FEM-12.0", "LOG_BARRIER-16.0", "annulus-FEM-1.5"],
+    )
     def test_small_step_hands_every_factorization_one_order(
-        self, scheme, alpha, factor_orders
+        self, scheme, alpha, make, motion, factor_orders
     ):
-        mesh = gen_box_tets(5, 5, 5, size=3.0)
-        motion = warp.nonlinear3d_motion(mesh, alpha)
+        mesh = make()
+        motion = motion(mesh, alpha)
         _, report = warp.small_step_femwarp(mesh, scheme, motion)
         assert len(factor_orders) == report.n_factorizations > 1
         assert all(order is mesh.topology.order for order in factor_orders)
+
+
+class TestMmdOrder:
+    @pytest.mark.parametrize("scheme", ["FEM", "UNIFORM", "LOG_BARRIER"])
+    @pytest.mark.parametrize("fixture", ["annulus_coarse", "rect_mesh", "box_mesh"])
+    def test_matches_splu(self, request, fixture, scheme):
+        # the order is SuperLU's own MMD choice for the matrix, 3D included
+        a = sparse.csc_matrix(build_weights(request.getfixturevalue(fixture), scheme).a_ii)
+        lu = spla.splu(a, permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True))
+        assert np.array_equal(mmd_order(a.indptr, a.indices), np.argsort(lu.perm_c))
 
 
 class TestSolveMulti:
