@@ -31,6 +31,15 @@ from .warp import (
 )
 
 ALGORITHMS = ("femwarp", "small_step", "untangle", "hybrid")
+# the spec keys every run reads, and those each motion kind adds
+RUN_KEYS = ("motion", "algorithm", "scheme", "min_step", "max_sweeps")
+MOTION_KEYS = {
+    "affine": ("l", "v"),
+    "annulus": ("theta_outer", "theta_inner", "s"),
+    "shear": ("alpha",),
+    "nonlinear3d": ("alpha",),
+    "tabulated": ("frames",),
+}
 
 
 def _read_mesh(base):
@@ -60,6 +69,14 @@ def build_motion(mesh, spec, scale=1.0):
     kind = spec.get("motion")
     if kind is None:
         raise InvalidSpecError("spec is missing 'motion'")
+    if kind not in MOTION_KEYS:
+        raise InvalidSpecError(f"unknown motion kind {kind!r}")
+    for key in spec:
+        if key in MOTION_KEYS[kind] or key in RUN_KEYS:
+            continue
+        if any(key in keys for keys in MOTION_KEYS.values()):
+            raise InvalidSpecError(f"a {kind} motion does not read {key!r}")
+        raise InvalidSpecError(f"unknown spec key {key!r}")
     if kind == "affine":
         if "l" not in spec:
             raise InvalidSpecError("affine motion needs 'l'")
@@ -89,7 +106,6 @@ def build_motion(mesh, spec, scale=1.0):
         paths = [p.strip() for p in spec["frames"].split(",") if p.strip()]
         frames = [io.read_boundary_frame(mesh, p) for p in paths]
         return TabulatedMotion(mesh, frames)
-    raise InvalidSpecError(f"unknown motion kind {kind!r}")
 
 
 def run_algorithm(mesh, spec, motion):
@@ -102,6 +118,8 @@ def run_algorithm(mesh, spec, motion):
     if not min_step > 0.0:
         raise InvalidSpecError(f"min_step must be positive, got {min_step!r}")
     max_sweeps = _spec_number(spec, "max_sweeps", 50, kind=int)
+    if max_sweeps < 0:
+        raise InvalidSpecError(f"max_sweeps must not be negative, got {max_sweeps}")
     if algorithm not in ALGORITHMS:
         raise InvalidSpecError(f"unknown algorithm {algorithm!r}")
     target = _finite_target(motion)
@@ -210,10 +228,13 @@ def cmd_oracle(args):
 
 
 def cmd_genmesh(args):
-    if args.shape == "annulus":
-        mesh = gen_annulus(args.r, args.rings, args.sectors)
-    else:
-        mesh = gen_rectangle(args.width, args.height, args.nx, args.ny)
+    try:
+        if args.shape == "annulus":
+            mesh = gen_annulus(args.r, args.rings, args.sectors)
+        else:
+            mesh = gen_rectangle(args.width, args.height, args.nx, args.ny)
+    except ValueError as exc:
+        raise InvalidSpecError(str(exc)) from exc
     io.write_mesh(mesh, args.out + ".node", args.out + ".ele")
     print(f"nodes = {mesh.n_nodes}")
     print(f"elements = {mesh.n_elements}")

@@ -69,10 +69,13 @@ def gen_rectangle(width, height, nx, ny):
     """Structured triangular mesh of [0, width] x [0, height].
 
     nx, ny are node counts per side; each grid cell is split along one
-    diagonal.  Perimeter nodes are boundary.
+    diagonal.  Perimeter nodes are boundary.  ValueError unless width and
+    height are positive and finite.
     """
     if nx < 2 or ny < 2:
         raise ValueError("need at least 2 nodes per side")
+    if not (0.0 < width < np.inf and 0.0 < height < np.inf):
+        raise ValueError(f"width {width} and height {height} must be positive, finite")
     grid = np.meshgrid(np.linspace(0.0, width, nx), np.linspace(0.0, height, ny))
     return Mesh(np.stack(grid, axis=-1).reshape(-1, 2), *_kuhn_grid((nx, ny), _KUHN_2D))
 

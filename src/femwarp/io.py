@@ -237,13 +237,17 @@ def _int_lines(table):
 
 
 def read_spec(path):
-    """Parse a line-oriented ``key = value`` deformation spec into a dict."""
+    """Parse a line-oriented ``key = value`` deformation spec into a dict;
+    a line without ``=`` or repeating an earlier key is a PARSE_ERROR."""
     spec = {}
     for lineno, line in _data_lines(path):
         if "=" not in line:
             raise ParseError(f"{path}:{lineno}: expected 'key = value'", line=lineno)
         key, value = line.split("=", 1)
-        spec[key.strip().lower()] = value.strip()
+        key = key.strip().lower()
+        if key in spec:
+            raise ParseError(f"{path}:{lineno}: repeated key {key!r}", line=lineno)
+        spec[key] = value.strip()
     return spec
 
 

@@ -87,6 +87,15 @@ class TestRectangle:
         with pytest.raises(ValueError):
             gen_rectangle(1.0, 1.0, 1, 5)
 
+    @pytest.mark.parametrize(
+        "width, height", [(-2.0, 1.0), (0.0, 1.0), (1.0, np.nan), (np.inf, 1.0)]
+    )
+    def test_extent_positive_and_finite(self, width, height):
+        # a negative width used to give only reversed triangles, nan or inf
+        # nan coordinates
+        with pytest.raises(ValueError):
+            gen_rectangle(width, height, 5, 4)
+
 
 class TestBoxTets:
     def test_counts_and_validity(self):

@@ -817,3 +817,75 @@ class TestCliErrorContract:
         assert err.startswith("error code=PARSE_ERROR message=")
         assert ":4:" in err and "\n" not in err
         assert not os.path.exists(out + ".report")
+
+    @pytest.mark.parametrize(
+        "spec_text, code, names",
+        [
+            ("motion = annulus\ntheta_outr = 2.5\n", "INVALID_SPEC", "'theta_outr'"),
+            ("motion = annulus\ntheta_outer = 2.5\nalgoritm = hybrid\n", "INVALID_SPEC",
+             "'algoritm'"),
+            ("motion = annulus\ntheta_outer = 2.5\nschem = uniform\n", "INVALID_SPEC",
+             "'schem'"),
+            ("motion = shear\nalpha = 0.5\nv = 1,2\n", "INVALID_SPEC", "'v'"),
+            ("motion = shear\nalpha = 0.5\nalpha = 0.7\n", "PARSE_ERROR", ":3: "),
+            ("motion = annulus\ntheta_outer = 2.5\nalgorithm = hybrid\nmax_sweeps = -5\n",
+             "INVALID_SPEC", "-5"),
+        ],
+        ids=["unknown_motion_key", "unknown_algorithm_key", "unknown_scheme_key",
+             "key_the_motion_ignores", "repeated_key", "negative_max_sweeps"],
+    )
+    def test_refused_spec(self, tmp_path, annulus_on_disk, capsys, spec_text, code, names):
+        # each used to run: a typo ran the default, a repeated key kept its
+        # last value and a negative max_sweeps untangled nothing
+        base, _ = annulus_on_disk
+        spec = tmp_path / "bad.spec"
+        spec.write_text(spec_text)
+        out = str(tmp_path / "o")
+        for argv in (
+            ["warp", "--mesh", base, "--spec", str(spec), "--out", out],
+            ["sweep", "--mesh", base, "--spec", str(spec), "--param-grid", "1:1:1",
+             "--out", out + ".csv"],
+        ):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            lines = captured.err.strip().splitlines()
+            assert len(lines) == 1 and captured.out == ""
+            assert lines[0].startswith(f"error code={code} message=")
+            assert names in lines[0]
+        assert not any(os.path.exists(out + ext) for ext in (".node", ".ele", ".report", ".csv"))
+
+    def test_bench_spec_keys_stay_valid(self, tmp_path, annulus_on_disk, capsys):
+        base, _ = annulus_on_disk
+        spec = tmp_path / "ok.spec"
+        spec.write_text(
+            "motion = shear\nalpha = 0.1\nscheme = LOG_BARRIER\nalgorithm = femwarp\n"
+            "min_step = 0.01\nmax_sweeps = 0\n"
+        )
+        out = str(tmp_path / "o")
+        assert main(["warp", "--mesh", base, "--spec", str(spec), "--out", out]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["annulus", "--sectors", "4"],
+            ["annulus", "--rings", "1"],
+            ["annulus", "--r", "1.5"],
+            ["annulus", "--r", "nan"],
+            ["rectangle", "--nx", "1"],
+            ["rectangle", "--width", "nan"],
+            ["rectangle", "--width", "-2"],
+            ["rectangle", "--height", "inf"],
+        ],
+        ids=["sectors4", "rings1", "r1.5", "r_nan", "nx1", "width_nan", "width_neg",
+             "height_inf"],
+    )
+    def test_genmesh_refuses_bad_shape(self, tmp_path, capsys, argv):
+        # each used to print a traceback or write nan or reversed elements
+        out = str(tmp_path / "g")
+        assert main(["genmesh", *argv, "--out", out]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and captured.out == ""
+        assert lines[0].startswith("error code=INVALID_SPEC message=")
+        assert not os.listdir(tmp_path)
