@@ -11,10 +11,11 @@ from .errors import DivergedError, NotPositiveDefiniteError, SingularSystemError
 
 
 def mmd_order(indptr, indices):
-    """SuperLU's ``MMD_AT_PLUS_A`` order, etree postorder included, of a
-    square CSC pattern: read from an ILU that drops every entry of a
-    diagonally dominant matrix with that pattern and its diagonal, so only
-    the ordering is paid for."""
+    """SuperLU's ``MMD_AT_PLUS_A`` order, etree postorder included, of the
+    square CSC pattern ``indptr``/``indices`` (it orders A^T + A, so the
+    CSR arrays give the same order): read from an ILU that drops every
+    entry of a diagonally dominant matrix with that pattern and its
+    diagonal, so only the ordering is paid for."""
     n = len(indptr) - 1
     p = sparse.csc_matrix((np.full(len(indices), -1.0), indices, indptr), shape=(n, n))
     p = p + (n + 1.0) * sparse.identity(n, format="csc")

@@ -854,7 +854,8 @@ class TestCliErrorContract:
             assert names in lines[0]
         assert not any(os.path.exists(out + ext) for ext in (".node", ".ele", ".report", ".csv"))
 
-    def test_bench_spec_keys_stay_valid(self, tmp_path, annulus_on_disk, capsys):
+    def test_run_keys_valid_with_any_motion(self, tmp_path, annulus_on_disk, capsys):
+        # the keys every run reads pass the key check whatever the algorithm
         base, _ = annulus_on_disk
         spec = tmp_path / "ok.spec"
         spec.write_text(

@@ -322,7 +322,7 @@ class TestNestedDissectionOrder:
 
 
 class TestMmdOrder:
-    @pytest.mark.parametrize("scheme", ["FEM", "UNIFORM", "LOG_BARRIER"])
+    @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("fixture", ["annulus_coarse", "rect_mesh", "box_mesh"])
     def test_matches_splu(self, request, fixture, scheme):
         # the order is SuperLU's own MMD choice for the matrix, 3D included
