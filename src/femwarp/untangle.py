@@ -95,6 +95,26 @@ def _simplex_maximize(c, a_ub, b_ub, max_iter=10000):
     return x[:n]
 
 
+# the triple tables of cavities of up to this many elements, built once; a
+# table has n**3 / 6 rows, so a larger cavity's rows are generated per call
+TRIPLES_KEPT = 24
+_TRIPLES = {}
+
+
+def _triples(n):
+    """The triples ``i < j < l`` of ``range(n)`` in ``combinations`` order,
+    each as ``(j*n+l, l*n+i, i*n+j, i, j, l)``: the flat indices of the
+    cross products :func:`_dual_maximin_2d` reads, then the triple."""
+    table = _TRIPLES.get(n)
+    if table is None:
+        table = (
+            (j * n + l, l * n + i, i * n + j, i, j, l) for i, j, l in combinations(range(n), 3)
+        )
+        if n <= TRIPLES_KEPT:
+            table = _TRIPLES[n] = tuple(table)
+    return table
+
+
 def _dual_maximin_2d(grads, meas, radius):
     """Exact step ``u`` and value of max_u min_i(G_i @ u + m_i) in 2D, from
     the LP's dual, or None when this cannot certify the optimum.
@@ -108,14 +128,14 @@ def _dual_maximin_2d(grads, meas, radius):
     value within 1e-12 of the largest ``|m_i|``, which by weak duality
     proves it optimal to that tolerance.
     """
-    # cross[i][j] = G_i x G_j, so the triangle (i, j, l) has doubled signed
-    # area cross[i][j] + cross[j][l] + cross[l][i] and the origin's
-    # barycentric coordinates are (cross[j][l], cross[l][i], cross[i][j])
+    # cross[i*n+j] = G_i x G_j, so the triangle (i, j, l) has doubled signed
+    # area cross[i*n+j] + cross[j*n+l] + cross[l*n+i] and the origin's
+    # barycentric coordinates are (cross[j*n+l], cross[l*n+i], cross[i*n+j])
     # over it
-    cross = [[ax * by - ay * bx for bx, by in grads] for ax, ay in grads]
+    cross = [ax * by - ay * bx for ax, ay in grads for bx, by in grads]
     best = None
-    for i, j, l in combinations(range(len(grads)), 3):
-        wi, wj, wl = cross[j][l], cross[l][i], cross[i][j]
+    for jl, li, ij, i, j, l in _triples(len(grads)):
+        wi, wj, wl = cross[jl], cross[li], cross[ij]
         area = wi + wj + wl
         if area > 0.0:
             if wi < 0.0 or wj < 0.0 or wl < 0.0:
@@ -234,8 +254,12 @@ def maximin_reposition(sub):
             return np.array(x0), np.min(meas)
         exact = _dual_maximin_2d(grads, meas, radius)
         if exact is not None:
-            u, achieved = exact
-            return _no_worse(x0, x0 + u, achieved, min(meas))
+            (ux, uy), achieved = exact
+            # _no_worse on Python floats
+            if achieved < min(meas) - 1e-12:
+                return np.array(x0), min(meas)
+            px, py = x0.tolist()
+            return np.array([px + ux, py + uy]), achieved
     # the same rule on the array terms, built without warnings on the
     # non-finite or overflowing cavities that it exists to keep in place
     with np.errstate(over="ignore", invalid="ignore"):
@@ -267,7 +291,7 @@ def untangle(mesh, max_sweeps=50, on_move=None):
     """
     eids, slots = mesh.topology.incidence
     cavities = [
-        (vid, mesh.elements[eids[vid]], slots[vid])
+        (int(vid), mesh.elements[eids[vid]], slots[vid])
         for vid in mesh.interior_ids
         if len(eids[vid])
     ]
@@ -284,13 +308,13 @@ def untangle(mesh, max_sweeps=50, on_move=None):
             return cur, sweeps, "MAX_SWEEPS"
         max_move = 0.0
         for vid, nodes, free_slots in cavities:
-            sub = LocalSubmesh(np.array(coords[vid]), coords[nodes], free_slots)
+            # the row itself: it is read before it is overwritten below
+            position = coords[vid]
+            sub = LocalSubmesh(position, coords.take(nodes, axis=0), free_slots)
             new_pos, after = maximin_reposition(sub)
             if on_move is not None:
-                on_move(int(vid), _measure_terms(sub)[1].min(), after)
-            move = new_pos - sub.position
-            # the norm np.linalg.norm takes, without its dispatch
-            max_move = max(max_move, math.sqrt(move.dot(move)))
+                on_move(vid, _measure_terms(sub)[1].min(), after)
+            max_move = max(max_move, math.dist(new_pos.tolist(), position.tolist()))
             coords[vid] = new_pos
         sweeps += 1
 

@@ -5,6 +5,7 @@ identities, dense linear algebra, grid search, finite differences) rather
 than reusing the library's own code paths.
 """
 
+import math
 from itertools import combinations
 from math import factorial
 
@@ -12,7 +13,17 @@ import numpy as np
 
 from femwarp.analytic import infinitesimal_rotation_map
 from femwarp.generators import gen_annulus
-from femwarp.untangle import LocalSubmesh
+from femwarp.mesh import count_reversals
+from femwarp.untangle import (
+    BOX_FACTOR,
+    STALL_TOL,
+    LocalSubmesh,
+    _dual_maximin_2d,
+    _float_terms_2d,
+    _measure_terms,
+    _no_worse,
+    _simplex_reposition,
+)
 
 
 def cotangent_stiffness(points):
@@ -360,8 +371,6 @@ def maximin_reposition_by_arrays(sub):
     exact 2D dual and the simplex): it pins the float terms of the 2D path
     to the array kernels bit for bit, so it must share everything else.
     """
-    from femwarp.untangle import BOX_FACTOR, _dual_maximin_2d, _simplex_reposition
-
     idx = np.arange(len(sub.elements))
     grads = stack_measure_gradients(sub.elements)[idx, sub.free_slots]
     meas = stack_measures(sub.elements)
@@ -380,6 +389,107 @@ def maximin_reposition_by_arrays(sub):
     if achieved < meas.min() - 1e-12:
         return np.array(x0), meas.min()
     return x_new, achieved
+
+
+# The 2D untangle sweep as written before it indexed one flat list of cross
+# products and kept the free vertex's moves in Python floats.  Like
+# maximin_reposition_by_arrays these reuse the library's other LP parts:
+# they pin the rewrite to the old code bit for bit.
+
+
+def nested_dual_maximin_2d(grads, meas, radius):
+    """``untangle._dual_maximin_2d`` with ``cross`` as a list of rows,
+    indexed ``cross[i][j]``, over the triples of ``combinations``."""
+    cross = [[ax * by - ay * bx for bx, by in grads] for ax, ay in grads]
+    best = None
+    for i, j, l in combinations(range(len(grads)), 3):
+        wi, wj, wl = cross[j][l], cross[l][i], cross[i][j]
+        area = wi + wj + wl
+        if area > 0.0:
+            if wi < 0.0 or wj < 0.0 or wl < 0.0:
+                continue
+        elif area < 0.0:
+            if wi > 0.0 or wj > 0.0 or wl > 0.0:
+                continue
+        else:
+            continue
+        value = (wi * meas[i] + wj * meas[j] + wl * meas[l]) / area
+        if best is None or value < best[0]:
+            best = (value, i, j, l)
+    if best is None:
+        return None
+    value, i, j, l = best
+    (gx, gy), (hx, hy), (kx, ky) = grads[i], grads[j], grads[l]
+    ax, ay, bx, by = gx - kx, gy - ky, hx - kx, hy - ky
+    ra, rb = meas[l] - meas[i], meas[l] - meas[j]
+    det = ax * by - ay * bx
+    if det == 0.0:
+        return None
+    ux = (ra * by - rb * ay) / det
+    uy = (ax * rb - bx * ra) / det
+    if not (abs(ux) <= radius and abs(uy) <= radius):
+        return None
+    achieved = min([px * ux + py * uy + m for (px, py), m in zip(grads, meas)])
+    if not achieved >= value - 1e-12 * max(map(abs, meas)):
+        return None
+    return (ux, uy), achieved
+
+
+def maximin_reposition_nested(sub):
+    """``untangle.maximin_reposition`` with :func:`nested_dual_maximin_2d`
+    and the exact 2D step added to the position as an array."""
+    x0 = sub.position
+    if x0.size == 2:
+        grads, meas, radius = _float_terms_2d(
+            sub.elements.ravel().tolist(), sub.free_slots.tolist()
+        )
+        if not (math.isfinite(radius) and math.isfinite(sum(meas))):
+            return np.array(x0), np.min(meas)
+        exact = nested_dual_maximin_2d(grads, meas, radius)
+        if exact is not None:
+            u, achieved = exact
+            return _no_worse(x0, x0 + u, achieved, min(meas))
+    with np.errstate(over="ignore", invalid="ignore"):
+        grads, meas = _measure_terms(sub)
+        pts = sub.elements.reshape(-1, x0.size)
+        radius = BOX_FACTOR * max(np.ptp(pts, axis=0).max(), 1e-12)
+        if not (math.isfinite(radius) and math.isfinite(meas.sum())):
+            return np.array(x0), meas.min()
+    x_new, achieved = _simplex_reposition(grads, meas, x0, radius)
+    return _no_worse(x0, x_new, achieved, meas.min())
+
+
+def untangle_nested(mesh, max_sweeps=50, on_move=None):
+    """``untangle.untangle`` over :func:`maximin_reposition_nested`, each
+    cavity gathered by fancy indexing around a copy of the free vertex's
+    row and each move's norm taken from arrays."""
+    eids, slots = mesh.topology.incidence
+    cavities = [
+        (vid, mesh.elements[eids[vid]], slots[vid])
+        for vid in mesh.interior_ids
+        if len(eids[vid])
+    ]
+    coords = np.array(mesh.coords)
+    sweeps = 0
+    max_move = np.inf
+    while True:
+        cur = mesh.with_coords(coords)
+        if count_reversals(cur)[0] == 0:
+            return cur, sweeps, "SUCCESS"
+        if max_move <= STALL_TOL:
+            return cur, sweeps, "STALLED"
+        if sweeps >= max_sweeps:
+            return cur, sweeps, "MAX_SWEEPS"
+        max_move = 0.0
+        for vid, nodes, free_slots in cavities:
+            sub = LocalSubmesh(np.array(coords[vid]), coords[nodes], free_slots)
+            new_pos, after = maximin_reposition_nested(sub)
+            if on_move is not None:
+                on_move(int(vid), _measure_terms(sub)[1].min(), after)
+            move = new_pos - sub.position
+            max_move = max(max_move, math.sqrt(move.dot(move)))
+            coords[vid] = new_pos
+        sweeps += 1
 
 
 def weight_residual(weights, coords):

@@ -2,6 +2,7 @@
 
 import warnings
 from importlib import import_module
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -14,17 +15,20 @@ from femwarp import (
     femwarp_step,
     gen_annulus,
     gen_box_tets,
+    gen_rectangle,
 )
 from femwarp.assembly import build_weights
 from femwarp.cli import run_algorithm
 from femwarp.mesh import count_reversals, quality_report, signed_measures
 from femwarp.untangle import (
     BOX_FACTOR,
+    TRIPLES_KEPT,
     LocalSubmesh,
     _dual_maximin_2d,
     _float_terms_2d,
     _measure_terms,
     _simplex_reposition,
+    _triples,
     hybrid_warp,
     maximin_reposition,
     untangle,
@@ -37,8 +41,11 @@ from oracles import (
     grid_maximin,
     local_submesh,
     maximin_reposition_by_arrays,
+    maximin_reposition_nested,
+    nested_dual_maximin_2d,
     stack_measure_gradients,
     tri_measures,
+    untangle_nested,
 )
 
 # the package re-exports the function untangle under the submodule's name
@@ -310,6 +317,129 @@ class TestFloatPathMatchesArrays:
         (got, _), (want, _) = self.runs(monkeypatch, lambda: untangle(mesh))
         assert got[1:] == want[1:] and got[2] == "SUCCESS"
         assert_same_bits(got[0].coords, want[0].coords)
+
+
+def hybrid_seed_warp(seed):
+    """The benchmark's hybrid_annulus8x60 cell on ``seed``, warped one-shot
+    by FEM: the mesh its untangler starts from."""
+    mesh = jittered(gen_annulus(0.5, 8, 60), np.random.default_rng(seed), frac=1e-10)
+    target = annulus_rotation_motion(mesh, 0.75 * np.pi, 0.25 * np.pi).evaluate(1.0)
+    return femwarp_step(mesh, build_weights(mesh, "FEM"), target)[0]
+
+
+def flipped_rectangle(seed):
+    """``gen_rectangle(2, 1, 11, 7)``'s nodes with each cell split along a
+    random diagonal, so that interior cavities hold 4 to 8 triangles, and
+    interior nodes jittered by up to two cells, which reverses dozens."""
+    nx, ny = 11, 7
+    base = gen_rectangle(2.0, 1.0, nx, ny)
+    rng = np.random.default_rng(seed)
+    elements = []
+    for j in range(ny - 1):
+        for i in range(nx - 1):
+            a, b = j * nx + i, j * nx + i + 1
+            c, d = b + nx, a + nx
+            elements += [[a, b, c], [a, c, d]] if rng.random() < 0.5 else [[a, b, d], [b, c, d]]
+    coords = np.array(base.coords)
+    ii = base.interior_ids
+    coords[ii] += rng.uniform(-2.0 / (ny - 1), 2.0 / (ny - 1), size=(len(ii), 2))
+    return Mesh(coords, np.array(elements), base.boundary_ids)
+
+
+def point_reflected(mesh):
+    coords = np.array(mesh.coords)
+    coords[mesh.boundary_ids] *= -1.0
+    return mesh.with_coords(coords)
+
+
+class TestSweepMatchesNested:
+    """The flat-index dual and the sweep that keeps moves in Python floats
+    reproduce :func:`oracles.untangle_nested` (the nested-list dual, row
+    copies and array steps) bit for bit."""
+
+    @staticmethod
+    def visited(monkeypatch, mesh):
+        """``untangle(mesh)`` and a copy of every cavity it solved."""
+        cavities = []
+
+        def recording(sub):
+            # the position is the row of the sweep's coordinates, which the
+            # sweep overwrites after the call
+            cavities.append(LocalSubmesh(np.array(sub.position), sub.elements, sub.free_slots))
+            return maximin_reposition(sub)
+
+        monkeypatch.setattr(untangle_module, "maximin_reposition", recording)
+        out = untangle(mesh)
+        monkeypatch.undo()
+        return out, cavities
+
+    @staticmethod
+    def assert_same_run(got, want):
+        assert got[1:] == want[1:]
+        assert_same_bits(got[0].coords, want[0].coords)
+
+    @staticmethod
+    def assert_same_cavities(cavities):
+        for sub in cavities:
+            terms = float_terms(sub)
+            # repr tells -0.0 from 0.0 and keeps None
+            assert repr(_dual_maximin_2d(*terms)) == repr(nested_dual_maximin_2d(*terms))
+            pos, val = maximin_reposition(sub)
+            want_pos, want_val = maximin_reposition_nested(sub)
+            assert_same_bits(pos, want_pos)
+            assert repr(val) == repr(want_val)
+
+    @pytest.mark.parametrize("n", [*range(3, 10), TRIPLES_KEPT + 1])
+    def test_triples_in_combinations_order(self, n):
+        table = list(_triples(n))
+        assert [t[3:] for t in table] == list(combinations(range(n), 3))
+        assert [t[:3] for t in table] == [
+            (j * n + l, l * n + i, i * n + j) for i, j, l in combinations(range(n), 3)
+        ]
+        # kept once built, up to TRIPLES_KEPT elements
+        assert (_triples(n) is _triples(n)) == (n <= TRIPLES_KEPT)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_hybrid_workload_seeds(self, monkeypatch, seed):
+        warped = hybrid_seed_warp(seed)
+        got, cavities = self.visited(monkeypatch, warped)
+        assert got[1:] == (13, "SUCCESS") and len(cavities) == 13 * 360
+        self.assert_same_run(got, untangle_nested(warped))
+        self.assert_same_cavities(cavities)
+
+    def test_cell_out_of_sweeps(self, annulus_mid):
+        # the theta = 2.5 hybrid cell of TestHybrid: 50 sweeps, not untangled
+        w = build_weights(annulus_mid, "FEM")
+        target = annulus_rotation_motion(annulus_mid, 2.5).evaluate(1.0)
+        warped = femwarp_step(annulus_mid, w, target)[0]
+        got = untangle(warped)
+        assert got[1:] == (50, "MAX_SWEEPS")
+        self.assert_same_run(got, untangle_nested(warped))
+
+    def test_point_reflection_fixture(self, annulus_14_64, reflection_untangle_result):
+        want = untangle_nested(point_reflected(annulus_14_64))
+        self.assert_same_run(reflection_untangle_result, want)
+
+    def test_cavities_of_four_to_eight_triangles(self, monkeypatch):
+        mesh = flipped_rectangle(0)
+        eids = mesh.topology.incidence[0]
+        assert {len(eids[v]) for v in mesh.interior_ids} == {4, 5, 6, 7, 8}
+        assert count_reversals(mesh)[0] > 0
+        got, cavities = self.visited(monkeypatch, mesh)
+        assert got[2] == "SUCCESS" and got[1] > 1
+        self.assert_same_run(got, untangle_nested(mesh))
+        self.assert_same_cavities(cavities)
+
+    def test_on_move_calls(self):
+        warped = hybrid_seed_warp(1)
+        calls = {}
+        for run in (untangle, untangle_nested):
+            calls[run] = []
+            run(warped, max_sweeps=3, on_move=lambda *args: calls[run].append(args))
+        got, want = calls[untangle], calls[untangle_nested]
+        assert len(got) == 3 * 360
+        assert [tuple(map(type, c)) for c in got] == [tuple(map(type, c)) for c in want]
+        assert repr(got) == repr(want)
 
 
 class TestMaximinReposition:
