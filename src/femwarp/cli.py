@@ -14,7 +14,7 @@ import numpy as np
 from . import io
 from .analytic import AnnulusSpec, annulus_coeffs, annulus_jac_det, type1_predicate
 from .assembly import SCHEMES, build_weights
-from .errors import FemwarpError, InvalidSpecError
+from .errors import FemwarpError, InvalidSpecError, UsageError
 from .generators import gen_annulus, gen_rectangle
 from .mesh import count_reversals, quality_report
 from .untangle import hybrid_warp, untangle
@@ -241,8 +241,17 @@ def cmd_genmesh(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors (a bad option value, a missing
+    option, an unknown subcommand) raise USAGE_ERROR instead of printing
+    usage and exiting; its subparsers are of this class too."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(prog="femwarp", description=__doc__)
+    parser = _Parser(prog="femwarp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("warp", help="warp a mesh per a deformation spec")
@@ -290,12 +299,11 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
-    try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit:
+            return 0  # --help printed its text; the parser's errors raise
         return args.fn(args)
     except FemwarpError as exc:
         print(f"error code={exc.code} message={exc}", file=sys.stderr)

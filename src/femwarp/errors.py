@@ -67,3 +67,7 @@ class InvalidBoundError(FemwarpError):
 
 class ParseError(FemwarpError):
     code = "PARSE_ERROR"
+
+
+class UsageError(FemwarpError):
+    code = "USAGE_ERROR"

@@ -84,10 +84,13 @@ def gen_box_tets(nx, ny, nz, size=1.0):
     """Structured tetrahedral mesh of a cube, six tets per grid cell.
 
     Surface nodes are boundary.  Used to exercise the 3D code paths and to
-    produce .node/.ele fixtures.
+    produce .node/.ele fixtures.  ValueError unless size is positive and
+    finite.
     """
     if min(nx, ny, nz) < 2:
         raise ValueError("need at least 2 nodes per side")
+    if not 0.0 < size < np.inf:
+        raise ValueError(f"size {size} must be positive, finite")
     zyx = np.meshgrid(*(np.linspace(0.0, size, n) for n in (nz, ny, nx)), indexing="ij")
     coords = np.stack(zyx[::-1], axis=-1).reshape(-1, 3)
     return Mesh(coords, *_kuhn_grid((nx, ny, nz), _KUHN_3D))

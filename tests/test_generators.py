@@ -122,6 +122,13 @@ class TestBoxTets:
         ).any(axis=1)
         assert np.array_equal(mesh.boundary, on_surface)
 
+    @pytest.mark.parametrize("size", [-1.0, 0.0, np.nan, np.inf])
+    def test_size_positive_and_finite(self, size):
+        # size -1 used to give 48 elements on 3x3x3 nodes, all reversed, and
+        # nan nan coordinates
+        with pytest.raises(ValueError):
+            gen_box_tets(3, 3, 3, size=size)
+
 
 # sha256 of coords, elements and boundary_ids bytes, recorded from the
 # per-cell loop generators that the grid builder replaced (numpy 2, x86-64;

@@ -867,6 +867,37 @@ class TestCliErrorContract:
         assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (["genmesh", "annulus", "--rings", "abc", "--out", "OUT"], "--rings"),
+            (["oracle", "annulus", "--r", "0.5", "--s", "0.5", "--theta", "x"], "--theta"),
+            (["genmesh", "rectangle", "--nx", "1.5", "--out", "OUT"], "--nx"),
+            (["genmesh", "annulus", "--rings", "8"], "--out"),
+            (["genmesh", "rectangle", "--out"], "--out"),
+            (["bogus", "--out", "OUT"], "'bogus'"),
+            ([], "command"),
+        ],
+        ids=["rings_abc", "theta_x", "nx_1.5", "missing_out", "out_without_value",
+             "unknown_subcommand", "no_subcommand"],
+    )
+    def test_usage_error(self, tmp_path, capsys, argv, names):
+        # each used to print argparse's usage block and its error line
+        out = str(tmp_path / "g")
+        assert main([out if a == "OUT" else a for a in argv]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and captured.out == ""
+        assert lines[0].startswith("error code=USAGE_ERROR message=femwarp")
+        assert names in lines[0]
+        assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["genmesh", "annulus", "-h"]])
+    def test_help_exits_zero(self, capsys, argv):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: femwarp") and captured.err == ""
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["annulus", "--sectors", "4"],
