@@ -180,8 +180,11 @@ def _param_grid(text):
         raise InvalidSpecError(f"bad --param-grid {text!r}; want a:b:step")
     if not (np.isfinite([start, stop, step]).all() and step > 0):
         raise InvalidSpecError("param-grid values must be finite, step positive")
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
-    return [start + k * step for k in range(max(count, 0))]
+    # the span or the ratio may overflow, as in 0:1e308:1e-308
+    count = np.floor((stop - start) / step + 1e-9) + 1
+    if not np.isfinite(count):
+        raise InvalidSpecError(f"--param-grid {text!r} has no finite point count")
+    return [start + k * step for k in range(max(int(count), 0))]
 
 
 def cmd_sweep(args):

@@ -4,7 +4,8 @@ Node, element and frame files share one error rule.  A valid file is parsed
 in one call.  Otherwise the first short, malformed or non-finite record is a
 PARSE_ERROR naming its line; once every record parses, the first record
 citing a node id out of range, or repeating an earlier node record's id, is
-a BAD_INDEX naming its line.
+a BAD_INDEX naming its line.  Every file is read as UTF-8: one that is not
+(a spec file too) is a PARSE_ERROR naming its first line that is not.
 """
 
 import warnings
@@ -16,26 +17,45 @@ from .errors import BadIndexError, ParseError
 from .mesh import Mesh, signed_measures
 
 
+def _not_utf8(path):
+    """The PARSE_ERROR of a file that is not UTF-8 text, naming its first
+    line that is not (``bytes.splitlines`` ends lines where text mode does)."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError:
+            return ParseError(f"{path}:{lineno}: not UTF-8 text", line=lineno)
+    return ParseError(f"{path}: not UTF-8 text")
+
+
 def _data_lines(path):
     """(line_number, text) for non-comment, non-blank lines, comments cut."""
     out = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                out.append((lineno, line))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.split("#", 1)[0].strip()
+                if line:
+                    out.append((lineno, line))
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     return out
 
 
 def _parse_header(path, expected_fields):
     """(line_number, integer fields) of the first data line of ``path``."""
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            tokens = raw.split("#", 1)[0].split()
-            if tokens:
-                break
-        else:
-            raise ParseError(f"{path}: empty file", line=0)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                tokens = raw.split("#", 1)[0].split()
+                if tokens:
+                    break
+            else:
+                raise ParseError(f"{path}: empty file", line=0)
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     try:
         values = [int(t) for t in tokens]
     except ValueError:
@@ -63,8 +83,9 @@ def _records(path, skip, dtype, usecols, n=None):
             warnings.simplefilter("error", DeprecationWarning)
             rec = np.loadtxt(
                 path, dtype=dtype, comments="#", usecols=usecols,
-                skiprows=skip, max_rows=n, ndmin=1,
+                skiprows=skip, max_rows=n, ndmin=1, encoding="utf-8",
             )
+    # a UnicodeDecodeError is a ValueError: _read_records names its line
     except (ValueError, OverflowError):
         return None
     if n is not None and len(rec) != n:

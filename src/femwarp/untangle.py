@@ -5,8 +5,10 @@ signed measure of its incident elements (Freitag & Plassmann, IJNME 2000).
 The measure of each incident element is affine in the free vertex, so the
 reposition is a tiny linear program.  In 2D its coefficients are built in
 Python floats and it is solved exactly from its dual: the optimal basis is
-a triple of measure gradients whose triangle holds the origin, and the
-primal point it yields is accepted only with a weak-duality certificate.
+a triple of measure gradients whose triangle holds the origin, found by
+straight-line code compiled once per cavity size (up to ``KERNEL_MAX``
+elements), and the primal point it yields is accepted only with a
+weak-duality certificate.
 A vertex whose cavity's box radius or measure sum is not finite (non-finite
 or overflowing geometry) stays in place.  Every other case (3D, an LP that
 only the feasibility box bounds, a failed certificate) builds its
@@ -104,7 +106,7 @@ _TRIPLES = {}
 def _triples(n):
     """The triples ``i < j < l`` of ``range(n)`` in ``combinations`` order,
     each as ``(j*n+l, l*n+i, i*n+j, i, j, l)``: the flat indices of the
-    cross products :func:`_dual_maximin_2d` reads, then the triple."""
+    cross products :func:`_search_triples` reads, then the triple."""
     table = _TRIPLES.get(n)
     if table is None:
         table = (
@@ -115,19 +117,10 @@ def _triples(n):
     return table
 
 
-def _dual_maximin_2d(grads, meas, radius):
-    """Exact step ``u`` and value of max_u min_i(G_i @ u + m_i) in 2D, from
-    the LP's dual, or None when this cannot certify the optimum.
-
-    ``grads`` and ``meas`` are lists of Python floats.  The dual is
-    min sum(l_i m_i) subject to sum(l_i G_i) = 0, sum(l_i) = 1, l >= 0; its
-    optimal basis is a triple of gradients whose triangle holds the origin,
-    with l the origin's barycentric coordinates.  The triple's three
-    constraints meet at ``u``.  It is returned only if it lies in the box
-    ``|u_j| <= radius`` and its minimum over all constraints reaches the dual
-    value within 1e-12 of the largest ``|m_i|``, which by weak duality
-    proves it optimal to that tolerance.
-    """
+def _search_triples(grads, meas):
+    """The dual's best triple ``(value, i, j, l)`` over the triples of
+    :func:`_triples`, or None when no triple's triangle holds the origin:
+    the loop that each kernel of :func:`_build_kernel` unrolls."""
     # cross[i*n+j] = G_i x G_j, so the triangle (i, j, l) has doubled signed
     # area cross[i*n+j] + cross[j*n+l] + cross[l*n+i] and the origin's
     # barycentric coordinates are (cross[j*n+l], cross[l*n+i], cross[i*n+j])
@@ -148,6 +141,72 @@ def _dual_maximin_2d(grads, meas, radius):
         value = (wi * meas[i] + wj * meas[j] + wl * meas[l]) / area
         if best is None or value < best[0]:
             best = (value, i, j, l)
+    return best
+
+
+# cavities of up to this many elements search their triples with a kernel of
+# straight-line code, built on first use for their size and kept; a kernel's
+# source and build time grow as n**3, and the cap is the largest size that
+# builds in 10 ms or less on one core of a 2-vCPU Xeon (about 6-10 ms at 9,
+# 8-14 ms at 10)
+KERNEL_MAX = 9
+_KERNELS = {}
+
+
+def _build_kernel(n):
+    """:func:`_search_triples` for cavities of ``n`` elements as one
+    straight-line function, compiled, kept in ``_KERNELS`` and returned.
+
+    The gradients, measures and the cross products the triples read are
+    locals (``cJ_L`` holds ``cross[J*n+L]``, computed by the same operations
+    on the same operands), and each triple, in ``combinations`` order, is one
+    ``if`` block making the loop's sign tests, value and first-minimum
+    update.  The source is built from integers alone.
+    """
+    triples = list(combinations(range(n), 3))
+    pairs = sorted({p for i, j, l in triples for p in ((j, l), (l, i), (i, j))})
+    lines = [
+        "def kernel(grads, meas):",
+        f"    [{', '.join(f'(x{i}, y{i})' for i in range(n))}] = grads",
+        f"    [{', '.join(f'm{i}' for i in range(n))}] = meas",
+        *(f"    c{a}_{b} = x{a} * y{b} - y{a} * x{b}" for a, b in pairs),
+        "    best = None",
+    ]
+    for i, j, l in triples:
+        wi, wj, wl = f"c{j}_{l}", f"c{l}_{i}", f"c{i}_{j}"
+        lines += [
+            f"    area = {wi} + {wj} + {wl}",
+            f"    if (area > 0.0 and not ({wi} < 0.0 or {wj} < 0.0 or {wl} < 0.0)"
+            f" or area < 0.0 and not ({wi} > 0.0 or {wj} > 0.0 or {wl} > 0.0)):",
+            f"        value = ({wi} * m{i} + {wj} * m{j} + {wl} * m{l}) / area",
+            "        if best is None or value < best[0]:",
+            f"            best = (value, {i}, {j}, {l})",
+        ]
+    lines.append("    return best")
+    namespace = {}
+    exec(compile("\n".join(lines), f"<maximin kernel n={n}>", "exec"), namespace)
+    kernel = _KERNELS[n] = namespace["kernel"]
+    return kernel
+
+
+def _dual_maximin_2d(grads, meas, radius):
+    """Exact step ``u`` and value of max_u min_i(G_i @ u + m_i) in 2D, from
+    the LP's dual, or None when this cannot certify the optimum.
+
+    ``grads`` and ``meas`` are lists of Python floats.  The dual is
+    min sum(l_i m_i) subject to sum(l_i G_i) = 0, sum(l_i) = 1, l >= 0; its
+    optimal basis is a triple of gradients whose triangle holds the origin,
+    with l the origin's barycentric coordinates.  The triple's three
+    constraints meet at ``u``.  It is returned only if it lies in the box
+    ``|u_j| <= radius`` and its minimum over all constraints reaches the dual
+    value within 1e-12 of the largest ``|m_i|``, which by weak duality
+    proves it optimal to that tolerance.
+    """
+    n = len(grads)
+    if n <= KERNEL_MAX:
+        best = (_KERNELS.get(n) or _build_kernel(n))(grads, meas)
+    else:
+        best = _search_triples(grads, meas)
     if best is None:
         return None  # the gradients do not surround the origin
     value, i, j, l = best

@@ -3,6 +3,7 @@
 import os
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -559,6 +560,12 @@ class TestCli:
             with pytest.raises(InvalidSpecError):
                 _param_grid(bad)
 
+    @pytest.mark.parametrize("grid", ["0:1e308:1e-308", "-1e308:1e308:1"])
+    def test_param_grid_refuses_an_overflowing_count(self, grid):
+        # the point count is inf; int() of it used to raise OverflowError
+        with pytest.raises(InvalidSpecError, match="finite point count"):
+            _param_grid(grid)
+
     def test_quality_command(self, annulus_on_disk, capsys):
         base, _ = annulus_on_disk
         assert main(["quality", "--mesh", base]) == 0
@@ -707,6 +714,59 @@ class TestCliErrorContract:
             assert err.startswith("error code=INVALID_SPEC message=")
             assert "\n" not in err and captured.out == ""
         assert not os.path.exists(out + ".node")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("grid", ["0:1e308:1e-308", "-1e308:1e308:1"])
+    def test_overflowing_param_grid(self, tmp_path, annulus_on_disk, capsys, grid):
+        # the point count overflows to inf: this used to end in a traceback
+        base, _ = annulus_on_disk
+        spec = tmp_path / "id.spec"
+        spec.write_text("motion = affine\nl = 1,0;0,1\n")
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--mesh", base, "--spec", str(spec), "--out", str(out)]
+        assert main(argv + [f"--param-grid={grid}"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and captured.out == ""
+        assert lines[0].startswith("error code=INVALID_SPEC message=")
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("file", ["spec", "node_header", "node_tail", "ele_tail", "frame"])
+    def test_file_not_utf8(self, tmp_path, annulus_on_disk, capsys, file):
+        # each used to end in a UnicodeDecodeError traceback
+        base, mesh = annulus_on_disk
+        bad = str(tmp_path / "bad")
+        io.write_mesh(mesh, bad + ".node", bad + ".ele")
+        spec = tmp_path / "t.spec"
+        spec.write_text("motion = affine\nl = 1,0;0,1\n")
+        tail = {"node": mesh.n_nodes + 2, "ele": mesh.n_elements + 2}
+        if file == "spec":
+            spec.write_bytes(b"motion = affine\nl = 1,0;0,1\n\xff\xfe = 1\n")
+            name, lineno = spec, 3
+        elif file == "node_header":
+            path = Path(bad + ".node")
+            path.write_bytes(b"# \xff\n" + path.read_bytes())
+            name, lineno = path, 1
+        else:
+            ext = ".ele" if file == "ele_tail" else ".node"
+            with open(bad + ext, "ab") as fh:
+                fh.write(b"\xff\xfe")
+            name, lineno = bad + ext, tail[ext[1:]]
+        if file == "frame":
+            spec.write_text(f"motion = tabulated\nframes = {bad}.node\n")
+        mesh_base = base if file in ("spec", "frame") else bad
+        out = str(tmp_path / "o")
+        runs = [["warp", "--mesh", mesh_base, "--spec", str(spec), "--out", out]]
+        if file in ("node_header", "node_tail", "ele_tail"):
+            runs.append(["quality", "--mesh", mesh_base])
+        for argv in runs:
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            lines = captured.err.strip().splitlines()
+            assert len(lines) == 1 and captured.out == ""
+            assert lines[0] == f"error code=PARSE_ERROR message={name}:{lineno}: not UTF-8 text"
+        assert not any(os.path.exists(out + ext) for ext in (".node", ".ele", ".report"))
 
     def test_sweep_refuses_tabulated(self, tmp_path, annulus_on_disk, capsys):
         # a tabulated motion has no parameter, so every row would claim the

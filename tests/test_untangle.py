@@ -1,8 +1,13 @@
 """Maximin LP repositioning, sweeps, and the warp/untangle hybrid."""
 
+import math
+import os
+import subprocess
+import sys
 import warnings
 from importlib import import_module
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,11 +27,13 @@ from femwarp.cli import run_algorithm
 from femwarp.mesh import count_reversals, quality_report, signed_measures
 from femwarp.untangle import (
     BOX_FACTOR,
+    KERNEL_MAX,
     TRIPLES_KEPT,
     LocalSubmesh,
     _dual_maximin_2d,
     _float_terms_2d,
     _measure_terms,
+    _search_triples,
     _simplex_reposition,
     _triples,
     hybrid_warp,
@@ -440,6 +447,109 @@ class TestSweepMatchesNested:
         assert len(got) == 3 * 360
         assert [tuple(map(type, c)) for c in got] == [tuple(map(type, c)) for c in want]
         assert repr(got) == repr(want)
+
+
+# gradient entries that make duplicate and collinear gradients, zero and -0.0
+# cross products common, and an inf or nan entry frequent
+TIE_ENTRIES = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5]
+NON_FINITE = [math.inf, -math.inf, math.nan]
+
+
+def tied_terms(rng, n):
+    """``n`` gradients and measures in Python floats, a few of the gradients
+    repeating or scaling an earlier one, and the box radius."""
+
+    def entry():
+        r = rng.random()
+        if r < 0.04:
+            return NON_FINITE[rng.integers(len(NON_FINITE))]
+        if r < 0.6:
+            return TIE_ENTRIES[rng.integers(len(TIE_ENTRIES))]
+        return float(rng.uniform(-3.0, 3.0))
+
+    grads = []
+    for _ in range(n):
+        r = rng.random()
+        if grads and r < 0.2:
+            grads.append(grads[rng.integers(len(grads))])
+        elif grads and r < 0.4:
+            gx, gy = grads[rng.integers(len(grads))]
+            scale = (-1.0, 0.5, 2.0)[rng.integers(3)]
+            grads.append((scale * gx, scale * gy))
+        else:
+            grads.append((entry(), entry()))
+    meas = [entry() for _ in range(n)]
+    radius = (math.inf, 1e3, 1.0)[rng.integers(3)]
+    return grads, meas, radius
+
+
+class TestTripleKernels:
+    """The per-size kernels of the 2D dual's triple search reproduce the
+    loop (:func:`untangle._search_triples`) and the nested-list dual of
+    :func:`oracles.nested_dual_maximin_2d`, and are built lazily."""
+
+    @pytest.mark.parametrize("n", range(3, KERNEL_MAX + 1))
+    def test_matches_loop_and_nested_dual(self, n):
+        rng = np.random.default_rng(2000 + n)
+        found = 0
+        for _ in range(400):
+            grads, meas, radius = tied_terms(rng, n)
+            got = _dual_maximin_2d(grads, meas, radius)
+            # repr tells -0.0 from 0.0 and nan from None
+            assert repr(got) == repr(nested_dual_maximin_2d(grads, meas, radius))
+            best = untangle_module._KERNELS[n](grads, meas)
+            assert repr(best) == repr(_search_triples(grads, meas))
+            found += best is not None
+        assert found >= 40
+
+    def test_first_minimum_among_ties(self):
+        # the four axis gradients: every triple holds the origin on an edge,
+        # where a zero (some -0.0) cross product is its barycentric
+        # coordinate, and every value is 1.0
+        grads = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
+        kernel = untangle_module._build_kernel(4)
+        assert repr(kernel(grads, [1.0] * 4)) == "(1.0, 0, 1, 2)"
+        assert repr(_search_triples(grads, [1.0] * 4)) == "(1.0, 0, 1, 2)"
+
+    @pytest.mark.parametrize("n", [12, 25])
+    def test_fans_above_the_cap_match_nested(self, n):
+        # 25 triangles also pass the triple tables kept per size
+        assert n > KERNEL_MAX and (n > TRIPLES_KEPT) == (n == 25)
+        cavities = [star_cavity(seed, n, spread) for seed in range(6) for spread in (0.3, 2.0)]
+        TestSweepMatchesNested.assert_same_cavities(cavities)
+        assert any(_dual_maximin_2d(*float_terms(sub)) is not None for sub in cavities)
+        assert n not in untangle_module._KERNELS
+
+    def test_import_builds_no_kernel(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = "import sys, femwarp; print(sys.modules['femwarp.untangle']._KERNELS)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "{}\n"
+
+    def test_built_once_per_size_up_to_the_cap(self, monkeypatch):
+        monkeypatch.setattr(untangle_module, "_KERNELS", {})
+        build = untangle_module._build_kernel
+        built = []
+
+        def counting(n):
+            built.append(n)
+            return build(n)
+
+        monkeypatch.setattr(untangle_module, "_build_kernel", counting)
+        for n in [*range(1, KERNEL_MAX + 3)] * 2:
+            angles = [2 * math.pi * k / n for k in range(n)]
+            grads = [(math.cos(a), math.sin(a)) for a in angles]
+            _dual_maximin_2d(grads, [1.0] * n, 10.0)
+        assert built == list(range(1, KERNEL_MAX + 1))
+        assert sorted(untangle_module._KERNELS) == built
 
 
 class TestMaximinReposition:
