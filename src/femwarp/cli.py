@@ -171,9 +171,16 @@ def cmd_warp(args):
     return 0 if report.success else 2
 
 
+# the most points a --param-grid may hold; each point is a warp, and the
+# grid is built in full before the first one runs
+MAX_GRID_POINTS = 100_000
+
+
 def _param_grid(text):
     """The values ``start + k*step`` of a ``start:stop:step`` grid, up to
-    ``stop`` inclusive; indexing avoids the drift of repeated addition."""
+    ``stop`` inclusive; indexing avoids the drift of repeated addition.  A
+    grid of more than ``MAX_GRID_POINTS`` points is refused before any is
+    built."""
     try:
         start, stop, step = (float(v) for v in text.split(":"))
     except ValueError:
@@ -184,6 +191,10 @@ def _param_grid(text):
     count = np.floor((stop - start) / step + 1e-9) + 1
     if not np.isfinite(count):
         raise InvalidSpecError(f"--param-grid {text!r} has no finite point count")
+    if count > MAX_GRID_POINTS:
+        raise InvalidSpecError(
+            f"--param-grid {text!r} has {count:.6g} points, more than {MAX_GRID_POINTS}"
+        )
     return [start + k * step for k in range(max(int(count), 0))]
 
 
@@ -266,7 +277,9 @@ def build_parser():
     p = sub.add_parser("sweep", help="sweep the motion parameter, emit CSV")
     p.add_argument("--mesh", required=True)
     p.add_argument("--spec", required=True)
-    p.add_argument("--param-grid", required=True, help="start:stop:step")
+    p.add_argument(
+        "--param-grid", required=True, help=f"start:stop:step, at most {MAX_GRID_POINTS} points"
+    )
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
     p.set_defaults(fn=cmd_sweep)
 

@@ -9,12 +9,11 @@ a BAD_INDEX naming its line.  Every file is read as UTF-8: one that is not
 """
 
 import warnings
-from itertools import combinations
 
 import numpy as np
 
 from .errors import BadIndexError, ParseError
-from .mesh import Mesh, signed_measures
+from .mesh import Mesh, _boundary_facet_nodes, signed_measures
 
 
 def _not_utf8(path):
@@ -191,7 +190,7 @@ def read_mesh(node_path, ele_path, reorient=True):
     if n_markers:
         boundary = np.flatnonzero(markers != 0)
     else:
-        boundary = _infer_boundary(elements, dim)
+        boundary = _boundary_facet_nodes(elements)
     mesh = Mesh(coords, elements, boundary)
     if reorient:
         meas = signed_measures(mesh)
@@ -205,14 +204,6 @@ def read_mesh(node_path, ele_path, reorient=True):
             elements[flipped, :2] = elements[flipped, 1::-1]
             mesh = Mesh(coords, elements, boundary)
     return mesh
-
-
-def _infer_boundary(elements, dim):
-    """Nodes on faces shared by exactly one element."""
-    corners = np.array(list(combinations(range(dim + 1), dim)))
-    faces = np.sort(elements[:, corners].reshape(-1, dim), axis=1)
-    faces, counts = np.unique(faces, axis=0, return_counts=True)
-    return np.unique(faces[counts == 1])
 
 
 def write_mesh(mesh, node_path, ele_path):

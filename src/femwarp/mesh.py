@@ -47,8 +47,10 @@ class Mesh:
         Node coordinates; node ids are dense 0..n-1.
     elements : (ne, dim+1) int array
         Simplex connectivity; each id must lie in [0, n).
-    boundary : iterable of int
-        Node ids marked as boundary; each must lie in [0, n).
+    boundary : iterable of int, or boolean mask
+        Node ids marked as boundary, each in [0, n); or a boolean array of
+        length n, such as another mesh's ``boundary``, read as the mask
+        itself.  Any other boolean input is refused with BAD_INDEX.
     """
 
     coords: np.ndarray
@@ -67,11 +69,22 @@ class Mesh:
             eid = np.argmax(((elements < 0) | (elements >= n)).any(axis=1))
             raise BadIndexError(f"element {eid} cites a node id outside [0, {n})")
         mask = np.zeros(n, dtype=bool)
-        if self.boundary is not None:
-            ids = np.fromiter(self.boundary, dtype=np.int64, count=-1)
-            if ids.size and (ids.min() < 0 or ids.max() >= n):
-                raise BadIndexError(f"boundary node id outside [0, {n})")
-            mask[ids] = True
+        marks = self.boundary
+        if marks is not None:
+            if not isinstance(marks, (np.ndarray, bool, np.bool_)):
+                marks = list(marks)  # any iterable, a generator included
+            marks = np.asarray(marks)
+            if marks.dtype == bool:
+                if marks.shape != (n,):
+                    raise BadIndexError(
+                        f"a boolean boundary mask must have shape ({n},), not {marks.shape}"
+                    )
+                mask = marks
+            else:
+                ids = np.fromiter(marks, dtype=np.int64, count=-1)
+                if ids.size and (ids.min() < 0 or ids.max() >= n):
+                    raise BadIndexError(f"boundary node id outside [0, {n})")
+                mask[ids] = True
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "boundary", _readonly(mask))
@@ -424,6 +437,15 @@ def max_edge_length(mesh):
     return _geometry(_columns(mesh), quality=True)[1].max()
 
 
+def _boundary_facet_nodes(elements):
+    """Ascending ids of the nodes on a facet of exactly one element."""
+    d1 = elements.shape[1]
+    corners = np.array(list(combinations(range(d1), d1 - 1)))
+    facets = np.sort(elements[:, corners].reshape(-1, d1 - 1), axis=1)
+    facets, counts = np.unique(facets, axis=0, return_counts=True)
+    return np.unique(facets[counts == 1])
+
+
 @dataclass(frozen=True)
 class Violation:
     code: str
@@ -432,8 +454,11 @@ class Violation:
 
 
 def validate(mesh):
-    """Check Mesh invariants; returns a list of Violation records.  Node ids
-    out of range never get here: the Mesh constructor refuses them."""
+    """Check Mesh invariants; returns a list of Violation records: repeated
+    node ids in an element, nodes in no element, reversed elements, and
+    nodes on a facet of exactly one element that are not marked boundary.
+    Node ids out of range never get here: the Mesh constructor refuses
+    them."""
     violations = []
     ids = np.sort(mesh.elements, axis=1)
     for eid in np.flatnonzero((ids[:, 1:] == ids[:, :-1]).any(axis=1)):
@@ -444,6 +469,12 @@ def validate(mesh):
     used[mesh.elements] = True
     for nid in np.flatnonzero(~used):
         violations.append(Violation("UNUSED_NODE", int(nid), "node in no element"))
+    # FEMWARP prescribes every boundary node, so one left free is an error
+    on_facet = _boundary_facet_nodes(mesh.elements)
+    for nid in on_facet[~mesh.boundary[on_facet]]:
+        violations.append(
+            Violation("UNMARKED_BOUNDARY", int(nid), "node on a boundary facet not marked boundary")
+        )
     meas = signed_measures(mesh)
     for eid in np.flatnonzero(_reversed(meas)):
         violations.append(

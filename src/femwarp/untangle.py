@@ -5,15 +5,16 @@ signed measure of its incident elements (Freitag & Plassmann, IJNME 2000).
 The measure of each incident element is affine in the free vertex, so the
 reposition is a tiny linear program.  In 2D its coefficients are built in
 Python floats and it is solved exactly from its dual: the optimal basis is
-a triple of measure gradients whose triangle holds the origin, found by
-straight-line code compiled once per cavity size (up to ``KERNEL_MAX``
-elements), and the primal point it yields is accepted only with a
-weak-duality certificate.
-A vertex whose cavity's box radius or measure sum is not finite (non-finite
-or overflowing geometry) stays in place.  Every other case (3D, an LP that
-only the feasibility box bounds, a failed certificate) builds its
-coefficients with the batched array kernels and goes to a dense simplex
-with Bland's rule.
+a triple of measure gradients whose triangle holds the origin, and the
+primal point it yields is accepted only with a weak-duality certificate.
+For cavities of up to ``KERNEL_MAX`` elements the whole route (terms, box,
+triple search, certificate and no-worse rule) runs as straight-line code
+compiled once per cavity size; larger cavities run the same operations as
+loops.  A vertex whose cavity's box radius or measure sum is not finite
+(non-finite or overflowing geometry) stays in place.  Every other case
+(3D, an LP that only the feasibility box bounds, a failed certificate)
+builds its coefficients with the batched array kernels and goes to a dense
+simplex with Bland's rule.
 """
 
 import math
@@ -97,38 +98,19 @@ def _simplex_maximize(c, a_ub, b_ub, max_iter=10000):
     return x[:n]
 
 
-# the triple tables of cavities of up to this many elements, built once; a
-# table has n**3 / 6 rows, so a larger cavity's rows are generated per call
-TRIPLES_KEPT = 24
-_TRIPLES = {}
-
-
-def _triples(n):
-    """The triples ``i < j < l`` of ``range(n)`` in ``combinations`` order,
-    each as ``(j*n+l, l*n+i, i*n+j, i, j, l)``: the flat indices of the
-    cross products :func:`_search_triples` reads, then the triple."""
-    table = _TRIPLES.get(n)
-    if table is None:
-        table = (
-            (j * n + l, l * n + i, i * n + j, i, j, l) for i, j, l in combinations(range(n), 3)
-        )
-        if n <= TRIPLES_KEPT:
-            table = _TRIPLES[n] = tuple(table)
-    return table
-
-
 def _search_triples(grads, meas):
     """The dual's best triple ``(value, i, j, l)`` over the triples of
-    :func:`_triples`, or None when no triple's triangle holds the origin:
-    the loop that each kernel of :func:`_build_kernel` unrolls."""
+    ``combinations(range(n), 3)``, or None when no triple's triangle holds
+    the origin: the first triple of least value wins."""
     # cross[i*n+j] = G_i x G_j, so the triangle (i, j, l) has doubled signed
     # area cross[i*n+j] + cross[j*n+l] + cross[l*n+i] and the origin's
     # barycentric coordinates are (cross[j*n+l], cross[l*n+i], cross[i*n+j])
     # over it
+    n = len(grads)
     cross = [ax * by - ay * bx for ax, ay in grads for bx, by in grads]
     best = None
-    for jl, li, ij, i, j, l in _triples(len(grads)):
-        wi, wj, wl = cross[jl], cross[li], cross[ij]
+    for i, j, l in combinations(range(n), 3):
+        wi, wj, wl = cross[j * n + l], cross[l * n + i], cross[i * n + j]
         area = wi + wj + wl
         if area > 0.0:
             if wi < 0.0 or wj < 0.0 or wl < 0.0:
@@ -144,51 +126,6 @@ def _search_triples(grads, meas):
     return best
 
 
-# cavities of up to this many elements search their triples with a kernel of
-# straight-line code, built on first use for their size and kept; a kernel's
-# source and build time grow as n**3, and the cap is the largest size that
-# builds in 10 ms or less on one core of a 2-vCPU Xeon (about 6-10 ms at 9,
-# 8-14 ms at 10)
-KERNEL_MAX = 9
-_KERNELS = {}
-
-
-def _build_kernel(n):
-    """:func:`_search_triples` for cavities of ``n`` elements as one
-    straight-line function, compiled, kept in ``_KERNELS`` and returned.
-
-    The gradients, measures and the cross products the triples read are
-    locals (``cJ_L`` holds ``cross[J*n+L]``, computed by the same operations
-    on the same operands), and each triple, in ``combinations`` order, is one
-    ``if`` block making the loop's sign tests, value and first-minimum
-    update.  The source is built from integers alone.
-    """
-    triples = list(combinations(range(n), 3))
-    pairs = sorted({p for i, j, l in triples for p in ((j, l), (l, i), (i, j))})
-    lines = [
-        "def kernel(grads, meas):",
-        f"    [{', '.join(f'(x{i}, y{i})' for i in range(n))}] = grads",
-        f"    [{', '.join(f'm{i}' for i in range(n))}] = meas",
-        *(f"    c{a}_{b} = x{a} * y{b} - y{a} * x{b}" for a, b in pairs),
-        "    best = None",
-    ]
-    for i, j, l in triples:
-        wi, wj, wl = f"c{j}_{l}", f"c{l}_{i}", f"c{i}_{j}"
-        lines += [
-            f"    area = {wi} + {wj} + {wl}",
-            f"    if (area > 0.0 and not ({wi} < 0.0 or {wj} < 0.0 or {wl} < 0.0)"
-            f" or area < 0.0 and not ({wi} > 0.0 or {wj} > 0.0 or {wl} > 0.0)):",
-            f"        value = ({wi} * m{i} + {wj} * m{j} + {wl} * m{l}) / area",
-            "        if best is None or value < best[0]:",
-            f"            best = (value, {i}, {j}, {l})",
-        ]
-    lines.append("    return best")
-    namespace = {}
-    exec(compile("\n".join(lines), f"<maximin kernel n={n}>", "exec"), namespace)
-    kernel = _KERNELS[n] = namespace["kernel"]
-    return kernel
-
-
 def _dual_maximin_2d(grads, meas, radius):
     """Exact step ``u`` and value of max_u min_i(G_i @ u + m_i) in 2D, from
     the LP's dual, or None when this cannot certify the optimum.
@@ -202,11 +139,7 @@ def _dual_maximin_2d(grads, meas, radius):
     value within 1e-12 of the largest ``|m_i|``, which by weak duality
     proves it optimal to that tolerance.
     """
-    n = len(grads)
-    if n <= KERNEL_MAX:
-        best = (_KERNELS.get(n) or _build_kernel(n))(grads, meas)
-    else:
-        best = _search_triples(grads, meas)
+    best = _search_triples(grads, meas)
     if best is None:
         return None  # the gradients do not surround the origin
     value, i, j, l = best
@@ -287,38 +220,155 @@ def _float_terms_2d(flat, slots):
     return grads, meas, radius
 
 
+def _reposition_2d(flat, slots):
+    """The exact 2D route of :func:`maximin_reposition` on a cavity's
+    ``elements`` raveled to a list and its free slots as a list.
+
+    Returns ``(ux, uy, value)`` for a certified step, ``(None, None, value)``
+    when the vertex stays, and None when the dual declines (no triple holds
+    the origin, a zero ``det``, a step outside the box or a failed
+    certificate), which leaves the cavity to the simplex.
+    """
+    grads, meas, radius = _float_terms_2d(flat, slots)
+    # a nan or inf coordinate makes the measure of each triangle holding it
+    # non-finite (Python's max and min may skip a nan, so the box alone
+    # cannot tell), and so does an overflow: such a cavity stays, valued by
+    # numpy's min, which keeps a nan
+    if not (math.isfinite(radius) and math.isfinite(sum(meas))):
+        return None, None, np.min(meas)
+    exact = _dual_maximin_2d(grads, meas, radius)
+    if exact is None:
+        return None
+    (ux, uy), achieved = exact
+    # _no_worse on Python floats
+    if achieved < min(meas) - 1e-12:
+        return None, None, min(meas)
+    return ux, uy, achieved
+
+
+# cavities of up to this many elements take the exact 2D route through a
+# kernel of straight-line code, built on first use for their size and kept;
+# a kernel's source and build time grow as n**3, and the cap is the largest
+# size that builds in 10 ms or less on one core of a 2-vCPU Xeon
+KERNEL_MAX = 9
+_KERNELS = {}
+
+
+def _build_kernel(n):
+    """:func:`_reposition_2d` for cavities of ``n`` elements as one
+    straight-line function, compiled, kept in ``_KERNELS`` and returned.
+
+    The coordinates (``xE_K``, ``yE_K`` of corner K of element E), gradients
+    (``gxE``, ``gyE``), measures (``mE``) and the cross products that the
+    triples read (``cJ_L`` holds ``cross[J*n+L]``) are locals, computed by
+    the operations of :func:`_float_terms_2d`, :func:`_search_triples` and
+    :func:`_dual_maximin_2d` on the same operands in the same order; ``max``,
+    ``min`` and ``sum`` take them in the lists' order.  Each triple, in
+    ``combinations`` order, is one ``if`` block making the loop's sign
+    tests, value and first-minimum update.  The source is built from
+    integers alone.
+    """
+    els = range(n)
+    xs = ", ".join(f"x{e}_{k}" for e in els for k in range(3))
+    ys = ", ".join(f"y{e}_{k}" for e in els for k in range(3))
+    ms = ", ".join(f"m{e}" for e in els)
+    lines = [
+        "def kernel(flat, slots):",
+        f"    [{', '.join(f'x{e}_{k}, y{e}_{k}' for e in els for k in range(3))}] = flat",
+        f"    [{', '.join(f's{e}' for e in els)}] = slots",
+    ]
+    for e in els:
+        # the edge p[s+2] - p[s+1] of free slot s
+        edges = [f"x{e}_{b} - x{e}_{a}, y{e}_{b} - y{e}_{a}" for a, b in ((1, 2), (2, 0), (0, 1))]
+        lines += [
+            f"    if s{e} == 0:",
+            f"        ex, ey = {edges[0]}",
+            f"    elif s{e} == 1:",
+            f"        ex, ey = {edges[1]}",
+            "    else:",
+            f"        ex, ey = {edges[2]}",
+            f"    gx{e}, gy{e} = -0.5 * ey, 0.5 * ex",
+            f"    m{e} = 0.5 * ((x{e}_1 - x{e}_0) * (y{e}_2 - y{e}_0)"
+            f" - (y{e}_1 - y{e}_0) * (x{e}_2 - x{e}_0))",
+        ]
+    triples = list(combinations(els, 3))
+    pairs = sorted({p for i, j, l in triples for p in ((j, l), (l, i), (i, j))})
+    lines += [
+        f"    radius = BOX_FACTOR * max(max({xs}) - min({xs}), max({ys}) - min({ys}), 1e-12)",
+        f"    if not (isfinite(radius) and isfinite(sum(({ms},)))):",
+        f"        return None, None, npmin([{ms}])",
+        *(f"    c{a}_{b} = gx{a} * gy{b} - gy{a} * gx{b}" for a, b in pairs),
+        "    v = None",
+    ]
+    for i, j, l in triples:
+        wi, wj, wl = f"c{j}_{l}", f"c{l}_{i}", f"c{i}_{j}"
+        lines += [
+            f"    area = {wi} + {wj} + {wl}",
+            f"    if (area > 0.0 and not ({wi} < 0.0 or {wj} < 0.0 or {wl} < 0.0)"
+            f" or area < 0.0 and not ({wi} > 0.0 or {wj} > 0.0 or {wl} > 0.0)):",
+            f"        value = ({wi} * m{i} + {wj} * m{j} + {wl} * m{l}) / area",
+            "        if v is None or value < v:",
+            f"            v, i, j, l = value, {i}, {j}, {l}",
+        ]
+    # the tail of _dual_maximin_2d and the no-worse rule; below three
+    # elements there is no triple, and v stays None
+    lines += [
+        "    if v is None:",
+        "        return None",
+        f"    gxs, gys, ms = ({', '.join(f'gx{e}' for e in els)},),"
+        f" ({', '.join(f'gy{e}' for e in els)},), ({ms},)",
+        "    ax, ay = gxs[i] - gxs[l], gys[i] - gys[l]",
+        "    bx, by = gxs[j] - gxs[l], gys[j] - gys[l]",
+        "    ra, rb = ms[l] - ms[i], ms[l] - ms[j]",
+        "    det = ax * by - ay * bx",
+        "    if det == 0.0:",
+        "        return None",
+        "    ux = (ra * by - rb * ay) / det",
+        "    uy = (ax * rb - bx * ra) / det",
+        "    if not (abs(ux) <= radius and abs(uy) <= radius):",
+        "        return None",
+        f"    achieved = min({', '.join(f'gx{e} * ux + gy{e} * uy + m{e}' for e in els)})",
+        f"    if not achieved >= v - 1e-12 * max({', '.join(f'abs(m{e})' for e in els)}):",
+        "        return None",
+        f"    least = min({ms})",
+        "    if achieved < least - 1e-12:",
+        "        return None, None, least",
+        "    return ux, uy, achieved",
+    ]
+    namespace = {"BOX_FACTOR": BOX_FACTOR, "isfinite": math.isfinite, "npmin": np.min}
+    exec(compile("\n".join(lines), f"<maximin kernel n={n}>", "exec"), namespace)
+    kernel = _KERNELS[n] = namespace["kernel"]
+    return kernel
+
+
 def maximin_reposition(sub):
     """Optimal position for the free vertex: maximize the minimum signed
     measure over incident elements.
 
     A feasibility box of ``BOX_FACTOR`` times the cavity diameter around the
     current position keeps the LP bounded for boundary-incomplete cavities.
-    2D cavities are solved exactly from the LP's dual, on terms from
-    :func:`_float_terms_2d`, when that yields a certified optimum inside
-    the box; all others by the simplex, on terms from :func:`_measure_terms`.
+    2D cavities are solved exactly from the LP's dual by
+    :func:`_reposition_2d` (up to ``KERNEL_MAX`` elements by its kernel of
+    :func:`_build_kernel`) when that yields a certified optimum inside the
+    box; all others by the simplex, on terms from :func:`_measure_terms`.
     Never worsens: if the LP result does not beat the current minimum, the
     vertex stays in place, as it does in a cavity whose box radius or
     measure sum is not finite.
     """
     x0 = sub.position
     if x0.size == 2:
-        grads, meas, radius = _float_terms_2d(
-            sub.elements.ravel().tolist(), sub.free_slots.tolist()
-        )
-        # a nan or inf coordinate makes the measure of each triangle holding
-        # it non-finite (Python's max and min may skip a nan, so the box
-        # alone cannot tell), and so does an overflow: such a cavity stays,
-        # valued by numpy's min, which keeps a nan
-        if not (math.isfinite(radius) and math.isfinite(sum(meas))):
-            return np.array(x0), np.min(meas)
-        exact = _dual_maximin_2d(grads, meas, radius)
+        flat, slots = sub.elements.ravel().tolist(), sub.free_slots.tolist()
+        n = len(slots)
+        if n <= KERNEL_MAX:
+            exact = (_KERNELS.get(n) or _build_kernel(n))(flat, slots)
+        else:
+            exact = _reposition_2d(flat, slots)
         if exact is not None:
-            (ux, uy), achieved = exact
-            # _no_worse on Python floats
-            if achieved < min(meas) - 1e-12:
-                return np.array(x0), min(meas)
+            ux, uy, value = exact
+            if ux is None:
+                return np.array(x0), value
             px, py = x0.tolist()
-            return np.array([px + ux, py + uy]), achieved
+            return np.array([px + ux, py + uy]), value
     # the same rule on the array terms, built without warnings on the
     # non-finite or overflowing cavities that it exists to keep in place
     with np.errstate(over="ignore", invalid="ignore"):

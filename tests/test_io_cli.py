@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from femwarp import Mesh, gen_annulus, gen_box_tets, gen_rectangle
 from femwarp import io
-from femwarp.cli import _param_grid, main
+from femwarp.cli import MAX_GRID_POINTS, _param_grid, main
 from femwarp.errors import BadIndexError, InvalidSpecError, ParseError
 
 from oracles import first_bad_node_record, write_mesh_by_line
@@ -566,6 +566,14 @@ class TestCli:
         with pytest.raises(InvalidSpecError, match="finite point count"):
             _param_grid(grid)
 
+    def test_param_grid_refuses_more_points_than_the_cap(self):
+        # a finite count past the cap used to build its list until memory
+        # ran out; the refusal comes before any point is built
+        assert len(_param_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
+        for grid in (f"0:{MAX_GRID_POINTS}:1", "0:1e300:1", "0:1:1e-300"):
+            with pytest.raises(InvalidSpecError, match=f"more than {MAX_GRID_POINTS}"):
+                _param_grid(grid)
+
     def test_quality_command(self, annulus_on_disk, capsys):
         base, _ = annulus_on_disk
         assert main(["quality", "--mesh", base]) == 0
@@ -716,9 +724,10 @@ class TestCliErrorContract:
         assert not os.path.exists(out + ".node")
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("grid", ["0:1e308:1e-308", "-1e308:1e308:1"])
+    @pytest.mark.parametrize("grid", ["0:1e308:1e-308", "-1e308:1e308:1", "0:1e300:1"])
     def test_overflowing_param_grid(self, tmp_path, annulus_on_disk, capsys, grid):
-        # the point count overflows to inf: this used to end in a traceback
+        # the point count overflows to inf, which used to end in a traceback,
+        # or is finite but past the cap, which used to fill the memory
         base, _ = annulus_on_disk
         spec = tmp_path / "id.spec"
         spec.write_text("motion = affine\nl = 1,0;0,1\n")

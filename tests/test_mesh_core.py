@@ -1,5 +1,6 @@
 """Mesh container, orientation predicates and quality metrics."""
 
+import dataclasses
 import tracemalloc
 import warnings
 from itertools import combinations
@@ -295,6 +296,23 @@ class TestValidate:
     def test_clean_mesh_no_violations(self, annulus_coarse):
         assert validate(annulus_coarse) == []
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_unmarked_boundary_violation(self, dim):
+        mesh = gen_annulus(0.5, 6, 48) if dim == 2 else gen_box_tets(4, 4, 4)
+        ids = mesh.boundary_ids
+        dropped = ids[[0, len(ids) // 2, -1]].tolist()
+        bad = Mesh(mesh.coords, mesh.elements, np.setdiff1d(ids, dropped))
+        want = [
+            Violation("UNMARKED_BOUNDARY", nid, "node on a boundary facet not marked boundary")
+            for nid in dropped
+        ]
+        assert validate(bad) == want
+        assert all(type(v.where) is int for v in validate(bad))
+        # an interior node marked boundary is no violation: a caller may
+        # prescribe it
+        extra = Mesh(mesh.coords, mesh.elements, [*ids, mesh.interior_ids[0]])
+        assert validate(extra) == []
+
 
 def check_against_oracles(mesh):
     q = quality_report(mesh)
@@ -389,6 +407,38 @@ class TestMeshContainer:
         b = len(annulus_coarse.boundary_ids)
         assert m + b == annulus_coarse.n_nodes
         assert m >= 1
+
+    def test_boundary_mask_round_trips(self):
+        # the constructor and dataclasses.replace read a mesh's boolean
+        # boundary as the mask itself, not as node ids 0 and 1
+        mesh = gen_annulus(0.5, 6, 48)
+        assert len(mesh.boundary_ids) == 96
+        copies = [
+            Mesh(mesh.coords, mesh.elements, mesh.boundary),
+            dataclasses.replace(mesh, coords=mesh.coords * 2.0),
+            Mesh(mesh.coords, mesh.elements, mesh.boundary.tolist()),
+        ]
+        for copy in copies:
+            assert np.array_equal(copy.boundary, mesh.boundary)
+            assert len(copy.boundary_ids) == 96
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda b: b[:-1],
+            lambda b: np.append(b, True),
+            lambda b: b.reshape(-1, 1),
+            lambda b: [True, False],
+            lambda b: True,
+            lambda b: np.True_,
+        ],
+        ids=["short", "long", "column", "short_list", "scalar", "numpy_scalar"],
+    )
+    def test_other_boolean_boundary_refused(self, bad):
+        mesh = gen_annulus(0.5, 6, 48)
+        with pytest.raises(BadIndexError, match="boolean boundary mask") as info:
+            Mesh(mesh.coords, mesh.elements, bad(mesh.boundary))
+        assert info.value.code == "BAD_INDEX"
 
     def test_caller_array_not_frozen(self):
         coords = np.array(UNIT_RIGHT)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from importlib import import_module
 from itertools import combinations
 from pathlib import Path
@@ -28,14 +29,13 @@ from femwarp.mesh import count_reversals, quality_report, signed_measures
 from femwarp.untangle import (
     BOX_FACTOR,
     KERNEL_MAX,
-    TRIPLES_KEPT,
     LocalSubmesh,
     _dual_maximin_2d,
     _float_terms_2d,
     _measure_terms,
+    _reposition_2d,
     _search_triples,
     _simplex_reposition,
-    _triples,
     hybrid_warp,
     maximin_reposition,
     untangle,
@@ -396,15 +396,23 @@ class TestSweepMatchesNested:
             assert_same_bits(pos, want_pos)
             assert repr(val) == repr(want_val)
 
-    @pytest.mark.parametrize("n", [*range(3, 10), TRIPLES_KEPT + 1])
+    @pytest.mark.parametrize("n", [*range(3, 11), 25])
     def test_triples_in_combinations_order(self, n):
-        table = list(_triples(n))
-        assert [t[3:] for t in table] == list(combinations(range(n), 3))
-        assert [t[:3] for t in table] == [
-            (j * n + l, l * n + i, i * n + j) for i, j, l in combinations(range(n), 3)
-        ]
-        # kept once built, up to TRIPLES_KEPT elements
-        assert (_triples(n) is _triples(n)) == (n <= TRIPLES_KEPT)
+        # unit gradients at angles 2*pi*u_k/n, u_k = k*(1 + 1/(4n^2)): a
+        # triple holds the origin strictly when each of its three angular
+        # gaps is under pi (n/2 in u, which no gap equals), and with unit
+        # measures every such triple's value is exactly 1.0, so the loop must
+        # return the first of them in combinations order
+        units = [k * (1 + Fraction(1, 4 * n * n)) for k in range(n)]
+        grads = [(math.cos(2 * math.pi * u / n), math.sin(2 * math.pi * u / n)) for u in units]
+
+        def holds_origin(i, j, l):
+            gaps = (units[j] - units[i], units[l] - units[j], n - units[l] + units[i])
+            return max(gaps) < Fraction(n, 2)
+
+        holding = [t for t in combinations(range(n), 3) if holds_origin(*t)]
+        assert len(holding) > (n > 3)
+        assert _search_triples(grads, [1.0] * n) == (1.0, *holding[0])
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_hybrid_workload_seeds(self, monkeypatch, seed):
@@ -483,38 +491,158 @@ def tied_terms(rng, n):
     return grads, meas, radius
 
 
-class TestTripleKernels:
-    """The per-size kernels of the 2D dual's triple search reproduce the
-    loop (:func:`untangle._search_triples`) and the nested-list dual of
-    :func:`oracles.nested_dual_maximin_2d`, and are built lazily."""
+# coordinates on a small grid make repeated points, collinear edges, zero and
+# -0.0 differences common; the rest are uniform
+GRID = [0.0, -0.0, 1.0, -1.0, 2.0, 0.5, 3.0]
+# the values that replace one coordinate of a cavity now and then
+NON_FINITE_OR_HUGE = [math.inf, -math.inf, math.nan, 1e308, -1e308]
 
+
+def kernel_cavity(rng, n):
+    """A 2D cavity of ``n`` triangles (free, a, b), each rotated so that the
+    free vertex sits in a random slot, as a LocalSubmesh.
+
+    ``b`` is ``a`` (a degenerate triangle), a random point (either
+    orientation), or the origin-based ``t * (dx, dy)`` with ``a`` at the
+    origin, so that gradients of several triangles lie on one line through
+    the origin and a triple's ``det`` can be zero.  Some cavities are
+    scaled and shifted, so that rounding at large measures can fail the
+    certificate or the no-worse rule, and some have one coordinate replaced
+    by a non-finite or huge value."""
+
+    def point():
+        if rng.random() < 0.5:
+            return [GRID[rng.integers(len(GRID))] for _ in range(2)]
+        return rng.uniform(-2.0, 2.0, size=2).tolist()
+
+    d = rng.integers(1, 9, size=2) * rng.choice([-1, 1], size=2)
+    pairs = []
+    for _ in range(n):
+        r = rng.random()
+        if r < 0.1:
+            a = point()
+            pairs.append((a, a))
+        elif r < 0.3:
+            t = float(rng.uniform(-3.0, 3.0))
+            pairs.append(([0.0, 0.0], [t * float(d[0]), t * float(d[1])]))
+        else:
+            pairs.append((point(), point()))
+    slots = rng.integers(0, 3, size=n).tolist()
+    sub = fan_cavity(point(), pairs, slots)
+    elements = sub.elements
+    if rng.random() < 0.3:
+        elements = elements * float(rng.choice([1e-3, 1e3, 1e5])) + float(rng.choice([0.0, 1e6]))
+    if rng.random() < 0.05:
+        elements = np.array(elements)
+        elements[rng.integers(n), rng.integers(3), rng.integers(2)] = NON_FINITE_OR_HUGE[
+            rng.integers(len(NON_FINITE_OR_HUGE))
+        ]
+    return LocalSubmesh(sub.position, elements, sub.free_slots)
+
+
+def route_kind(flat, slots):
+    """Which way :func:`untangle._reposition_2d` takes a cavity: a step, a
+    stay (no-worse or non-finite), or the reason the dual declines it."""
+    out = _reposition_2d(flat, slots)
+    grads, meas, radius = _float_terms_2d(flat, slots)
+    if out is not None:
+        if out[0] is not None:
+            return "step"
+        return "stay" if math.isfinite(radius) and math.isfinite(sum(meas)) else "non-finite"
+    best = _search_triples(grads, meas)
+    if best is None:
+        return "no triple"
+    if _dual_maximin_2d(grads, meas, math.inf) is not None:
+        return "box"
+    (gx, gy), (hx, hy), (kx, ky) = (grads[t] for t in best[1:])
+    return "zero det" if (gx - kx) * (hy - ky) - (gy - ky) * (hx - kx) == 0.0 else "certificate"
+
+
+def kernel_cavities(n):
+    """The flat coordinates and slots of 400 seeded :func:`kernel_cavity`
+    draws of ``n`` triangles."""
+    rng = np.random.default_rng(3000 + n)
+    for _ in range(400):
+        sub = kernel_cavity(rng, n)
+        yield sub.elements.ravel().tolist(), sub.free_slots.tolist()
+
+
+def kernel(n):
+    return untangle_module._KERNELS.get(n) or untangle_module._build_kernel(n)
+
+
+class TestTripleKernels:
+    """The per-size kernels of :func:`untangle._build_kernel` reproduce
+    :func:`untangle._reposition_2d` (float terms, the dual's triple loop and
+    tail, the no-worse rule) bit for bit and are built lazily; the loop
+    reproduces the nested-list dual of :func:`oracles.nested_dual_maximin_2d`."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("n", range(3, KERNEL_MAX + 1))
     def test_matches_loop_and_nested_dual(self, n):
+        for flat, slots in kernel_cavities(n):
+            # repr tells -0.0 from 0.0, nan from None and a numpy float
+            assert repr(kernel(n)(flat, slots)) == repr(_reposition_2d(flat, slots))
         rng = np.random.default_rng(2000 + n)
         found = 0
         for _ in range(400):
             grads, meas, radius = tied_terms(rng, n)
             got = _dual_maximin_2d(grads, meas, radius)
-            # repr tells -0.0 from 0.0 and nan from None
             assert repr(got) == repr(nested_dual_maximin_2d(grads, meas, radius))
-            best = untangle_module._KERNELS[n](grads, meas)
-            assert repr(best) == repr(_search_triples(grads, meas))
-            found += best is not None
+            found += _search_triples(grads, meas) is not None
         assert found >= 40
 
+    def test_every_route_is_taken(self):
+        # the cavities of test_matches_loop_and_nested_dual take each way
+        # through the kernels: a step, both stays, each way the dual declines
+        kinds = {
+            route_kind(flat, slots)
+            for n in range(3, KERNEL_MAX + 1)
+            for flat, slots in kernel_cavities(n)
+        }
+        assert kinds == {
+            "step",
+            "stay",
+            "non-finite",
+            "no triple",
+            "zero det",
+            "box",
+            "certificate",
+        }
+
+    def test_every_slot_and_orientation(self):
+        # the cavity of TestFloatTerms2d: each slot with a positive, a
+        # reversed and a degenerate triangle
+        a, b = [1.1, 0.2], [0.4, 0.9]
+        kinds = {"positive": (a, b), "reversed": (b, a), "degenerate": (a, a)}
+        pairs = [pair for pair in kinds.values() for _ in range(3)]
+        for free in ([0.3, -0.7], [0.7, 0.6]):
+            sub = fan_cavity(free, pairs, [0, 1, 2] * 3)
+            flat, slots = sub.elements.ravel().tolist(), sub.free_slots.tolist()
+            assert repr(kernel(9)(flat, slots)) == repr(_reposition_2d(flat, slots))
+            pos, val = maximin_reposition(sub)
+            want_pos, want_val = maximin_reposition_nested(sub)
+            assert_same_bits(pos, want_pos)
+            assert repr(val) == repr(want_val)
+
     def test_first_minimum_among_ties(self):
-        # the four axis gradients: every triple holds the origin on an edge,
-        # where a zero (some -0.0) cross product is its barycentric
-        # coordinate, and every value is 1.0
-        grads = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
-        kernel = untangle_module._build_kernel(4)
-        assert repr(kernel(grads, [1.0] * 4)) == "(1.0, 0, 1, 2)"
-        assert repr(_search_triples(grads, [1.0] * 4)) == "(1.0, 0, 1, 2)"
+        # the four axis gradients with measures 1, 1, 5, 5: the triples
+        # (0, 1, 2) and (0, 1, 3) both reach the optimum 1.0, at the corners
+        # u = (0, -4) and (0, 4) of its optimal face; the first one wins
+        grads = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
+        flat = []
+        for (gx, gy), m in zip(grads, [1.0, 1.0, 5.0, 5.0]):
+            # (free, origin, (2*gy, -2*gx)) with slot 0 has gradient (gx, gy),
+            # and its measure is free @ (gx, gy)
+            flat += [m * gx, m * gy, 0.0, 0.0, 2.0 * gy, -2.0 * gx]
+        want = _reposition_2d(flat, [0] * 4)
+        assert repr(kernel(4)(flat, [0] * 4)) == repr(want)
+        assert want[1:] == (-4.0, 1.0)
+        assert repr(_search_triples(grads, [1.0, 1.0, 5.0, 5.0])) == "(1.0, 0, 1, 2)"
 
     @pytest.mark.parametrize("n", [12, 25])
     def test_fans_above_the_cap_match_nested(self, n):
-        # 25 triangles also pass the triple tables kept per size
-        assert n > KERNEL_MAX and (n > TRIPLES_KEPT) == (n == 25)
+        assert n > KERNEL_MAX
         cavities = [star_cavity(seed, n, spread) for seed in range(6) for spread in (0.3, 2.0)]
         TestSweepMatchesNested.assert_same_cavities(cavities)
         assert any(_dual_maximin_2d(*float_terms(sub)) is not None for sub in cavities)
@@ -545,9 +673,10 @@ class TestTripleKernels:
 
         monkeypatch.setattr(untangle_module, "_build_kernel", counting)
         for n in [*range(1, KERNEL_MAX + 3)] * 2:
-            angles = [2 * math.pi * k / n for k in range(n)]
-            grads = [(math.cos(a), math.sin(a)) for a in angles]
-            _dual_maximin_2d(grads, [1.0] * n, 10.0)
+            maximin_reposition(star_cavity(n, n, 0.5))
+        # a 3D cavity builds none
+        box = shifted_box()
+        maximin_reposition(local_submesh(box, 13, box.topology.incidence[0][13]))
         assert built == list(range(1, KERNEL_MAX + 1))
         assert sorted(untangle_module._KERNELS) == built
 
