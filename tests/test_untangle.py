@@ -411,7 +411,8 @@ class TestSweepMatchesNested:
             return max(gaps) < Fraction(n, 2)
 
         holding = [t for t in combinations(range(n), 3) if holds_origin(*t)]
-        assert len(holding) > (n > 3)
+        # from n = 4 on, at least two triples tie
+        assert len(holding) >= (2 if n > 3 else 1)
         assert _search_triples(grads, [1.0] * n) == (1.0, *holding[0])
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -500,7 +501,8 @@ NON_FINITE_OR_HUGE = [math.inf, -math.inf, math.nan, 1e308, -1e308]
 
 def kernel_cavity(rng, n):
     """A 2D cavity of ``n`` triangles (free, a, b), each rotated so that the
-    free vertex sits in a random slot, as a LocalSubmesh.
+    free vertex sits in a random slot, as its raveled coordinates and its
+    slots, both lists.
 
     ``b`` is ``a`` (a degenerate triangle), a random point (either
     orientation), or the origin-based ``t * (dx, dy)`` with ``a`` at the
@@ -537,7 +539,7 @@ def kernel_cavity(rng, n):
         elements[rng.integers(n), rng.integers(3), rng.integers(2)] = NON_FINITE_OR_HUGE[
             rng.integers(len(NON_FINITE_OR_HUGE))
         ]
-    return LocalSubmesh(sub.position, elements, sub.free_slots)
+    return elements.ravel().tolist(), slots
 
 
 def route_kind(flat, slots):
@@ -563,8 +565,7 @@ def kernel_cavities(n):
     draws of ``n`` triangles."""
     rng = np.random.default_rng(3000 + n)
     for _ in range(400):
-        sub = kernel_cavity(rng, n)
-        yield sub.elements.ravel().tolist(), sub.free_slots.tolist()
+        yield kernel_cavity(rng, n)
 
 
 def kernel(n):
