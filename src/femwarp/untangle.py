@@ -15,11 +15,17 @@ loops.  A vertex whose cavity's box radius or measure sum is not finite
 (3D, an LP that only the feasibility box bounds, a failed certificate)
 builds its coefficients with the batched array kernels and goes to a dense
 simplex with Bland's rule.
+
+A sweep keeps the coordinates as one flat list of Python floats, in 2D and
+in 3D.  Each cavity is a :class:`LocalSubmesh` over a tuple gathered from
+that list, whose arrays are built only when read, and every route of
+:func:`maximin_reposition` returns the new position as a tuple of Python
+floats, which the sweep writes back: no numpy scalar enters the list.
 """
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 
 import numpy as np
 
@@ -31,18 +37,42 @@ BOX_FACTOR = 10.0
 STALL_TOL = 1e-12
 
 
-@dataclass
 class LocalSubmesh:
-    """A free vertex and its incident elements.
+    """A free vertex and its incident elements, held in Python values.
 
-    ``position`` is the free vertex's coordinates; ``elements`` holds the
-    vertex coordinates of each incident simplex as a (n, d+1, d) array;
-    ``free_slots[i]`` identifies the free vertex's position in tuple i.
+    ``flat`` is the vertex coordinates of each incident simplex raveled in
+    (element, vertex, axis) order, a sequence of Python floats;
+    ``slots[i]`` is the free vertex's position in simplex i, and ``dim``
+    the dimension d.  The arrays are built each time they are read:
+    ``elements`` as (n, d+1, d), ``free_slots`` and ``position``, the free
+    vertex's coordinates in the first simplex.
     """
 
-    position: np.ndarray
-    elements: np.ndarray
-    free_slots: np.ndarray
+    __slots__ = ("flat", "slots", "dim")
+
+    def __init__(self, flat, slots, dim):
+        self.flat = flat
+        self.slots = slots
+        self.dim = dim
+
+    @classmethod
+    def from_arrays(cls, elements, free_slots):
+        """The submesh of an (n, d+1, d) coordinate stack and its free slots."""
+        elements = np.asarray(elements, dtype=float)
+        return cls(elements.ravel().tolist(), np.asarray(free_slots).tolist(), elements.shape[2])
+
+    @property
+    def position(self):
+        k = self.dim * self.slots[0]
+        return np.array(self.flat[k : k + self.dim])
+
+    @property
+    def elements(self):
+        return np.array(self.flat).reshape(len(self.slots), self.dim + 1, self.dim)
+
+    @property
+    def free_slots(self):
+        return np.array(self.slots, dtype=np.intp)
 
 
 def _measure_terms(sub):
@@ -343,8 +373,8 @@ def _build_kernel(n):
 
 
 def maximin_reposition(sub):
-    """Optimal position for the free vertex: maximize the minimum signed
-    measure over incident elements.
+    """Optimal position for the free vertex of the :class:`LocalSubmesh`
+    ``sub``: maximize the minimum signed measure over incident elements.
 
     A feasibility box of ``BOX_FACTOR`` times the cavity diameter around the
     current position keeps the LP bounded for boundary-incomplete cavities.
@@ -354,11 +384,12 @@ def maximin_reposition(sub):
     box; all others by the simplex, on terms from :func:`_measure_terms`.
     Never worsens: if the LP result does not beat the current minimum, the
     vertex stays in place, as it does in a cavity whose box radius or
-    measure sum is not finite.
+    measure sum is not finite.  Returns the position as a tuple of d Python
+    floats on every route, and the minimum measure there.
     """
-    x0 = sub.position
-    if x0.size == 2:
-        flat, slots = sub.elements.ravel().tolist(), sub.free_slots.tolist()
+    flat, slots, d = sub.flat, sub.slots, sub.dim
+    k = d * slots[0]
+    if d == 2:
         n = len(slots)
         if n <= KERNEL_MAX:
             exact = (_KERNELS.get(n) or _build_kernel(n))(flat, slots)
@@ -366,28 +397,24 @@ def maximin_reposition(sub):
             exact = _reposition_2d(flat, slots)
         if exact is not None:
             ux, uy, value = exact
+            px, py = flat[k], flat[k + 1]
             if ux is None:
-                return np.array(x0), value
-            px, py = x0.tolist()
-            return np.array([px + ux, py + uy]), value
+                return (px, py), value
+            return (px + ux, py + uy), value
+    x0 = tuple(flat[k : k + d])
     # the same rule on the array terms, built without warnings on the
     # non-finite or overflowing cavities that it exists to keep in place
     with np.errstate(over="ignore", invalid="ignore"):
         grads, meas = _measure_terms(sub)
-        pts = sub.elements.reshape(-1, x0.size)
+        pts = np.array(flat).reshape(-1, d)
         radius = BOX_FACTOR * max(np.ptp(pts, axis=0).max(), 1e-12)
+        current = meas.min()
         if not (math.isfinite(radius) and math.isfinite(meas.sum())):
-            return np.array(x0), meas.min()
-    x_new, achieved = _simplex_reposition(grads, meas, x0, radius)
-    return _no_worse(x0, x_new, achieved, meas.min())
-
-
-def _no_worse(x0, x_new, achieved, current_min):
-    """``(x_new, achieved)``, or ``x0`` and its value when the LP result
-    falls short of the current minimum."""
-    if achieved < current_min - 1e-12:
-        return np.array(x0), current_min
-    return x_new, achieved
+            return x0, current
+    x_new, achieved = _simplex_reposition(grads, meas, np.array(x0), radius)
+    if achieved < current - 1e-12:
+        return x0, current
+    return tuple(x_new.tolist()), achieved
 
 
 def untangle(mesh, max_sweeps=50, on_move=None):
@@ -398,18 +425,25 @@ def untangle(mesh, max_sweeps=50, on_move=None):
     nor does an interior node in no element.
     ``on_move`` (if given) is called with (vertex_id, min_before, min_after)
     after each repositioning.
+
+    The coordinates stay one flat list of Python floats for the whole run;
+    each cavity is gathered from it by an ``itemgetter`` over flat indices,
+    and each new position is written back into it.
     """
+    d = mesh.dim
     eids, slots = mesh.topology.incidence
+    # flat[e] lists the flat coordinate indices of element e's vertices
+    flat = (mesh.elements[:, :, None] * d + np.arange(d)).reshape(mesh.n_elements, -1).tolist()
     cavities = [
-        (int(vid), mesh.elements[eids[vid]], slots[vid])
-        for vid in mesh.interior_ids
+        (vid, vid * d, itemgetter(*[i for e in eids[vid].tolist() for i in flat[e]]), slots[vid].tolist())
+        for vid in mesh.interior_ids.tolist()
         if len(eids[vid])
     ]
-    coords = np.array(mesh.coords)
+    xy = mesh.coords.ravel().tolist()
     sweeps = 0
-    max_move = np.inf
+    max_move = math.inf
     while True:
-        cur = mesh.with_coords(coords)
+        cur = mesh.with_coords(np.array(xy).reshape(-1, d))
         if count_reversals(cur)[0] == 0:
             return cur, sweeps, "SUCCESS"
         if max_move <= STALL_TOL:
@@ -417,15 +451,16 @@ def untangle(mesh, max_sweeps=50, on_move=None):
         if sweeps >= max_sweeps:
             return cur, sweeps, "MAX_SWEEPS"
         max_move = 0.0
-        for vid, nodes, free_slots in cavities:
-            # the row itself: it is read before it is overwritten below
-            position = coords[vid]
-            sub = LocalSubmesh(position, coords.take(nodes, axis=0), free_slots)
+        for vid, start, gather, free_slots in cavities:
+            sub = LocalSubmesh(gather(xy), free_slots, d)
             new_pos, after = maximin_reposition(sub)
             if on_move is not None:
                 on_move(vid, _measure_terms(sub)[1].min(), after)
-            max_move = max(max_move, math.dist(new_pos.tolist(), position.tolist()))
-            coords[vid] = new_pos
+            end = start + d
+            move = math.dist(new_pos, xy[start:end])
+            if move > max_move:
+                max_move = move
+            xy[start:end] = new_pos
         sweeps += 1
 
 

@@ -21,7 +21,6 @@ from femwarp.untangle import (
     _dual_maximin_2d,
     _float_terms_2d,
     _measure_terms,
-    _no_worse,
     _simplex_reposition,
 )
 
@@ -201,12 +200,19 @@ def annulus_for_h(r, h):
     return gen_annulus(r, n_rings, n_sectors)
 
 
-def local_submesh(mesh, vertex_id, incident_eids):
-    """Fixture: the ``LocalSubmesh`` of ``vertex_id`` over the elements
-    ``incident_eids``, each free slot found by comparison."""
-    nodes = mesh.elements[np.asarray(incident_eids)]
+def cavity_arrays(coords, elements, vertex_id, incident_eids):
+    """The arrays of the ``LocalSubmesh`` of ``vertex_id`` over the elements
+    ``incident_eids``: the vertex's position, the (n, d+1, d) coordinates of
+    those elements, and each free slot, found by comparison."""
+    nodes = elements[np.asarray(incident_eids)]
     slots = np.nonzero(nodes == vertex_id)[1]
-    return LocalSubmesh(np.array(mesh.coords[vertex_id]), mesh.coords[nodes], slots)
+    return np.array(coords[vertex_id]), coords[nodes], slots
+
+
+def local_submesh(mesh, vertex_id, incident_eids):
+    """Fixture: the ``LocalSubmesh`` of :func:`cavity_arrays`."""
+    _, elements, slots = cavity_arrays(mesh.coords, mesh.elements, vertex_id, incident_eids)
+    return LocalSubmesh.from_arrays(elements, slots)
 
 
 def barrier_weights_dplus1(center, nbrs):
@@ -362,6 +368,14 @@ def first_bad_node_record(ids, n):
     return None
 
 
+def no_worse(x0, x_new, achieved, current_min):
+    """``(x_new, achieved)``, or ``x0`` and ``current_min`` when the LP result
+    falls short of the current minimum; positions as tuples of floats."""
+    if achieved < current_min - 1e-12:
+        return tuple(x0.tolist()), current_min
+    return tuple(np.asarray(x_new).tolist()), achieved
+
+
 def maximin_reposition_by_arrays(sub):
     """``untangle.maximin_reposition`` with every LP's terms built by the
     stack kernels below: measure gradients and measures of the whole
@@ -370,6 +384,7 @@ def maximin_reposition_by_arrays(sub):
     Unlike the rest of this module it reuses the library's LP solvers (the
     exact 2D dual and the simplex): it pins the float terms of the 2D path
     to the array kernels bit for bit, so it must share everything else.
+    Like the library it returns the position as a tuple of Python floats.
     """
     idx = np.arange(len(sub.elements))
     grads = stack_measure_gradients(sub.elements)[idx, sub.free_slots]
@@ -377,7 +392,7 @@ def maximin_reposition_by_arrays(sub):
     x0 = sub.position
     radius = BOX_FACTOR * max(np.ptp(sub.elements.reshape(-1, x0.size), axis=0).max(), 1e-12)
     if not np.isfinite(radius):
-        return np.array(x0), meas.min()
+        return tuple(x0.tolist()), meas.min()
     exact = None
     if x0.size == 2:
         exact = _dual_maximin_2d(grads.tolist(), meas.tolist(), radius)
@@ -386,9 +401,7 @@ def maximin_reposition_by_arrays(sub):
     else:
         u, achieved = exact
         x_new = x0 + u
-    if achieved < meas.min() - 1e-12:
-        return np.array(x0), meas.min()
-    return x_new, achieved
+    return no_worse(x0, x_new, achieved, meas.min())
 
 
 # The 2D untangle sweep as written before it indexed one flat list of cross
@@ -444,25 +457,25 @@ def maximin_reposition_nested(sub):
             sub.elements.ravel().tolist(), sub.free_slots.tolist()
         )
         if not (math.isfinite(radius) and math.isfinite(sum(meas))):
-            return np.array(x0), np.min(meas)
+            return tuple(x0.tolist()), np.min(meas)
         exact = nested_dual_maximin_2d(grads, meas, radius)
         if exact is not None:
             u, achieved = exact
-            return _no_worse(x0, x0 + u, achieved, min(meas))
+            return no_worse(x0, x0 + u, achieved, min(meas))
     with np.errstate(over="ignore", invalid="ignore"):
         grads, meas = _measure_terms(sub)
         pts = sub.elements.reshape(-1, x0.size)
         radius = BOX_FACTOR * max(np.ptp(pts, axis=0).max(), 1e-12)
         if not (math.isfinite(radius) and math.isfinite(meas.sum())):
-            return np.array(x0), meas.min()
+            return tuple(x0.tolist()), meas.min()
     x_new, achieved = _simplex_reposition(grads, meas, x0, radius)
-    return _no_worse(x0, x_new, achieved, meas.min())
+    return no_worse(x0, x_new, achieved, meas.min())
 
 
 def untangle_nested(mesh, max_sweeps=50, on_move=None):
-    """``untangle.untangle`` over :func:`maximin_reposition_nested`, each
-    cavity gathered by fancy indexing around a copy of the free vertex's
-    row and each move's norm taken from arrays."""
+    """``untangle.untangle`` over :func:`maximin_reposition_nested`, on an
+    (n, d) coordinate array: each cavity gathered by fancy indexing and
+    each move's norm taken from arrays."""
     eids, slots = mesh.topology.incidence
     cavities = [
         (vid, mesh.elements[eids[vid]], slots[vid])
@@ -482,11 +495,11 @@ def untangle_nested(mesh, max_sweeps=50, on_move=None):
             return cur, sweeps, "MAX_SWEEPS"
         max_move = 0.0
         for vid, nodes, free_slots in cavities:
-            sub = LocalSubmesh(np.array(coords[vid]), coords[nodes], free_slots)
+            sub = LocalSubmesh.from_arrays(coords[nodes], free_slots)
             new_pos, after = maximin_reposition_nested(sub)
             if on_move is not None:
                 on_move(int(vid), _measure_terms(sub)[1].min(), after)
-            move = new_pos - sub.position
+            move = np.subtract(new_pos, coords[vid])
             max_move = max(max_move, math.sqrt(move.dot(move)))
             coords[vid] = new_pos
         sweeps += 1

@@ -45,6 +45,7 @@ from femwarp.warp import AffineMotion
 from conftest import jittered
 from oracles import (
     bumped_measure_coeffs,
+    cavity_arrays,
     grid_maximin,
     local_submesh,
     maximin_reposition_by_arrays,
@@ -150,7 +151,7 @@ def fan_cavity(free, ring_pairs, slots):
     for (a, b), s in zip(ring_pairs, slots):
         tri = [free, a, b]
         tris.append(tri[-s:] + tri[:-s] if s else tri)
-    return LocalSubmesh(np.array(free, dtype=float), np.array(tris, dtype=float), np.array(slots))
+    return LocalSubmesh.from_arrays(np.array(tris, dtype=float), slots)
 
 
 @st.composite
@@ -244,7 +245,7 @@ class TestFloatTerms2d:
         sub = star_cavity(3, 6, 0.5)
         elements = np.array(sub.elements)
         elements[3, (sub.free_slots[3] + corner) % 3, axis] = bad
-        sub = LocalSubmesh(sub.position, elements, sub.free_slots)
+        sub = LocalSubmesh.from_arrays(elements, sub.free_slots)
         pos, val = maximin_reposition(sub)
         want_pos, want_val = quiet_oracle(sub)
         assert np.array_equal(pos, sub.position) and np.array_equal(want_pos, pos)
@@ -259,8 +260,7 @@ class TestFloatTerms2d:
         x, y = sub.position.tolist()
         far = [[[1e308, y], [1e308, y + 1.0]], [[-1e308, y], [-1e308, y - 1.0]]]
         outer = fan_cavity([x, y], far, [0, 0])
-        sub = LocalSubmesh(
-            sub.position,
+        sub = LocalSubmesh.from_arrays(
             np.concatenate([sub.elements, outer.elements]),
             np.concatenate([sub.free_slots, outer.free_slots]),
         )
@@ -370,9 +370,7 @@ class TestSweepMatchesNested:
         cavities = []
 
         def recording(sub):
-            # the position is the row of the sweep's coordinates, which the
-            # sweep overwrites after the call
-            cavities.append(LocalSubmesh(np.array(sub.position), sub.elements, sub.free_slots))
+            cavities.append(sub)
             return maximin_reposition(sub)
 
         monkeypatch.setattr(untangle_module, "maximin_reposition", recording)
@@ -456,6 +454,66 @@ class TestSweepMatchesNested:
         assert len(got) == 3 * 360
         assert [tuple(map(type, c)) for c in got] == [tuple(map(type, c)) for c in want]
         assert repr(got) == repr(want)
+
+
+def assert_python_floats(pos, d):
+    assert type(pos) is tuple and len(pos) == d
+    assert all(type(x) is float for x in pos)
+
+
+class TestSweepContract:
+    """``untangle`` looks ``maximin_reposition`` up through the module once
+    per vertex per sweep, on a cavity whose arrays are those of the mesh at
+    that moment, and every route of the reposition returns its position as
+    a tuple of d Python floats."""
+
+    @pytest.mark.parametrize("make", [lambda: hybrid_seed_warp(1), tangled_box])
+    def test_one_call_per_vertex_per_sweep(self, monkeypatch, make):
+        mesh = make()
+        eids = mesh.topology.incidence[0]
+        order = [vid for vid in mesh.interior_ids if len(eids[vid])]
+        coords = np.array(mesh.coords)
+        calls = []
+
+        def recording(sub):
+            vid = order[len(calls) % len(order)]
+            want = cavity_arrays(coords, mesh.elements, vid, eids[vid])
+            for got, array in zip((sub.position, sub.elements, sub.free_slots), want):
+                assert got.dtype == array.dtype and got.shape == array.shape
+                assert got.tobytes() == array.tobytes()
+            assert all(type(x) is float for x in sub.flat)
+            out = maximin_reposition(sub)
+            assert_python_floats(out[0], mesh.dim)
+            calls.append(vid)
+            coords[vid] = out[0]
+            return out
+
+        monkeypatch.setattr(untangle_module, "maximin_reposition", recording)
+        out, sweeps, outcome = untangle(mesh)
+        assert outcome == "SUCCESS" and len(calls) == sweeps * len(order)
+        if mesh.dim == 2:
+            assert (sweeps, len(calls)) == (13, 4680)
+        assert_same_bits(out.coords, coords)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_every_route_returns_python_floats(self):
+        # the kernel cavities take every 2D route: a step, the stays and each
+        # way the dual declines to the simplex; fans above the cap take the
+        # loop, and the 3D cavities the simplex or the non-finite stay
+        subs = [
+            LocalSubmesh(flat, slots, 2)
+            for n in range(3, KERNEL_MAX + 1)
+            for flat, slots in kernel_cavities(n)
+        ]
+        subs += [star_cavity(seed, n, 0.5) for seed in range(3) for n in (12, 25)]
+        box = shifted_box()
+        box_sub = local_submesh(box, 13, box.topology.incidence[0][13])
+        elements = np.array(box_sub.elements)
+        elements[0, (box_sub.free_slots[0] + 1) % 4] = np.inf
+        subs += [box_sub, LocalSubmesh.from_arrays(elements, box_sub.free_slots)]
+        for sub in subs:
+            pos, _ = maximin_reposition(sub)
+            assert_python_floats(pos, sub.dim)
 
 
 # gradient entries that make duplicate and collinear gradients, zero and -0.0
@@ -749,7 +807,7 @@ class TestMaximinReposition:
         elements = np.array(sub.elements)
         elements[0, (sub.free_slots[0] + 1) % 4] = bad
         elements[-1, (sub.free_slots[-1] + 1) % 4] = -bad
-        sub = LocalSubmesh(sub.position, elements, sub.free_slots)
+        sub = LocalSubmesh.from_arrays(elements, sub.free_slots)
         pos, val = maximin_reposition(sub)
         want_pos, want_val = quiet_oracle(sub)
         assert np.array_equal(pos, sub.position) and np.array_equal(want_pos, pos)
@@ -802,7 +860,7 @@ class TestDualMaximin:
         monkeypatch.setattr(untangle_module, "_simplex_reposition", counting)
         pos, val = maximin_reposition(sub)
         assert len(calls) == 1
-        assert pos.tolist() == want_pos and val == want_val
+        assert pos == tuple(want_pos) and val == want_val
 
 
 class TestUntangle:
