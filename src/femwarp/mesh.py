@@ -34,6 +34,23 @@ def _readonly(a):
     return a
 
 
+def _node_ids(ids, what):
+    """The array ``ids`` as int64 node ids; BAD_INDEX naming ``what`` unless
+    every entry is an integer.  Integer arrays are cast without a check."""
+    if ids.dtype.kind in "iu":
+        return ids.astype(np.int64, copy=False)
+    try:
+        values = ids.astype(float)
+    except (TypeError, ValueError, OverflowError):
+        raise BadIndexError(f"{what} must be integer node ids, not {ids.dtype}") from None
+    with np.errstate(invalid="ignore"):  # nan, inf and huge values cast to junk
+        out = values.astype(np.int64)
+    bad = np.flatnonzero(out != values)
+    if bad.size:
+        raise BadIndexError(f"{what}: {values.flat[bad[0]]} is not an integer node id")
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class Mesh:
     """Triangular (dim 2) or tetrahedral (dim 3) mesh.
@@ -59,7 +76,7 @@ class Mesh:
 
     def __post_init__(self):
         coords = _readonly(np.asarray(self.coords, dtype=float))
-        elements = _readonly(np.asarray(self.elements, dtype=np.int64))
+        elements = _readonly(_node_ids(np.asarray(self.elements), "elements"))
         if coords.ndim != 2 or coords.shape[1] not in (2, 3):
             raise ValueError("coords must be (n, 2) or (n, 3)")
         if elements.ndim != 2 or elements.shape[1] != coords.shape[1] + 1:
@@ -72,7 +89,10 @@ class Mesh:
         marks = self.boundary
         if marks is not None:
             if not isinstance(marks, (np.ndarray, bool, np.bool_)):
-                marks = list(marks)  # any iterable, a generator included
+                try:
+                    marks = list(marks)  # any iterable, a generator included
+                except TypeError:
+                    raise BadIndexError("boundary must be node ids or a boolean mask") from None
             marks = np.asarray(marks)
             if marks.dtype == bool:
                 if marks.shape != (n,):
@@ -81,7 +101,9 @@ class Mesh:
                     )
                 mask = marks
             else:
-                ids = np.fromiter(marks, dtype=np.int64, count=-1)
+                if marks.ndim != 1:
+                    raise BadIndexError("boundary must be node ids or a boolean mask")
+                ids = _node_ids(marks, "boundary")
                 if ids.size and (ids.min() < 0 or ids.max() >= n):
                     raise BadIndexError(f"boundary node id outside [0, {n})")
                 mask[ids] = True

@@ -265,6 +265,46 @@ class TestValidate:
                 Mesh(square, elements, [0, 1, 2, 3])
             assert info.value.code == "BAD_INDEX"
 
+    @pytest.mark.parametrize(
+        "elements, boundary, match",
+        [
+            ([[0, 1.7, 2.2]], [0], "elements: 1.7 "),
+            ([[0, 1, 2]], [1.5, 2.9], "boundary: 1.5 "),
+            ([[0, 1, 2]], [np.nan], "boundary: nan "),
+            ([[0, 1, 2]], [np.inf], "boundary: inf "),
+            ([[0, 1, 2]], [1e30], "boundary: 1e\\+30 "),
+            ([[0, 1, 2]], 5, "node ids or a boolean mask"),
+            ([[0, 1, 2]], np.array(5), "node ids or a boolean mask"),
+            ([[0, 1, 2]], [[1, 2]], "node ids or a boolean mask"),
+            ([[0, 1, 2]], ["a"], "integer node ids"),
+            ([[0, 1, "x"]], [0], "integer node ids"),
+        ],
+        ids=[
+            "fractional_element",
+            "fractional_boundary",
+            "nan",
+            "inf",
+            "huge",
+            "scalar",
+            "zero_d",
+            "two_d",
+            "text_boundary",
+            "text_element",
+        ],
+    )
+    def test_non_integral_ids_refused(self, elements, boundary, match):
+        # each used to be truncated, or raised an uncoded TypeError or
+        # ValueError
+        with pytest.raises(BadIndexError, match=match) as info:
+            Mesh(UNIT_RIGHT, elements, boundary)
+        assert info.value.code == "BAD_INDEX"
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint16, np.int64, float])
+    def test_integral_ids_of_any_dtype_kept(self, dtype):
+        mesh = Mesh(UNIT_RIGHT, np.array([[0, 1, 2]], dtype=dtype), np.array([1, 2], dtype=dtype))
+        assert mesh.elements.dtype == np.int64 and mesh.elements.tolist() == [[0, 1, 2]]
+        assert mesh.boundary_ids.tolist() == [1, 2]
+
     def test_duplicate_node_violation(self):
         mesh = Mesh(UNIT_RIGHT, np.array([[0, 1, 1]]), [0])
         codes = [v.code for v in validate(mesh)]
