@@ -196,15 +196,20 @@ def _dual_maximin_2d(grads, meas, radius):
 def _simplex_reposition(grads, meas, x0, radius):
     """Maximin point over the box ``|x - x0|_inf <= radius`` and its value,
     by the dense simplex; ``(grads, meas)`` as from :func:`_measure_terms`
-    at ``x0``."""
-    consts = meas - grads @ x0  # measure_i(x) = G[i] @ x + consts[i]
+    at ``x0``.  Each product with ``grads`` is written out axis by axis,
+    not as a matrix product, so its bits do not depend on the BLAS build."""
     d = x0.size
+
+    def dot(x):
+        return sum((grads[:, k] * x[k] for k in range(1, d)), grads[:, 0] * x[0])
+
+    consts = meas - dot(x0)  # measure_i(x) = G[i] @ x + consts[i]
     lo = x0 - radius
     hi = x0 + radius
     # affine functions attain extremes at box corners; anchoring the level
     # variable at the minimum over the lo corner keeps the slack basis
     # feasible without cutting off the optimum
-    t_lo = (grads @ lo + consts).min()
+    t_lo = (dot(lo) + consts).min()
 
     # variables: u = x - lo in [0, hi-lo], tv = t - t_lo >= 0
     n = len(grads)
@@ -212,14 +217,14 @@ def _simplex_reposition(grads, meas, x0, radius):
     b_ub = np.zeros(n + d)
     a_ub[:n, :d] = -grads
     a_ub[:n, d] = 1.0
-    b_ub[:n] = grads @ lo + consts - t_lo
+    b_ub[:n] = dot(lo) + consts - t_lo
     a_ub[n:, :d] = np.eye(d)
     b_ub[n:] = hi - lo
     obj = np.zeros(d + 1)
     obj[d] = 1.0
     sol = _simplex_maximize(obj, a_ub, b_ub)
     x_new = lo + sol[:d]
-    return x_new, (grads @ x_new + consts).min()
+    return x_new, (dot(x_new) + consts).min()
 
 
 def _float_terms_2d(flat, slots):
@@ -432,13 +437,13 @@ def untangle(mesh, max_sweeps=50, on_move=None):
     """
     d = mesh.dim
     eids, slots = mesh.topology.incidence
-    # flat[e] lists the flat coordinate indices of element e's vertices
-    flat = (mesh.elements[:, :, None] * d + np.arange(d)).reshape(mesh.n_elements, -1).tolist()
-    cavities = [
-        (vid, vid * d, itemgetter(*[i for e in eids[vid].tolist() for i in flat[e]]), slots[vid].tolist())
-        for vid in mesh.interior_ids.tolist()
-        if len(eids[vid])
-    ]
+    # index[e] lists the flat coordinate indices of element e's vertices
+    index = (mesh.elements[:, :, None] * d + np.arange(d)).reshape(mesh.n_elements, -1).tolist()
+    cavities = []
+    for vid in mesh.interior_ids.tolist():
+        if len(eids[vid]):
+            gather = itemgetter(*[i for e in eids[vid].tolist() for i in index[e]])
+            cavities.append((vid, vid * d, gather, slots[vid].tolist()))
     xy = mesh.coords.ravel().tolist()
     sweeps = 0
     max_move = math.inf
