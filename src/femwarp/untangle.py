@@ -411,7 +411,7 @@ def maximin_reposition(sub):
     # non-finite or overflowing cavities that it exists to keep in place
     with np.errstate(over="ignore", invalid="ignore"):
         grads, meas = _measure_terms(sub)
-        pts = np.array(flat).reshape(-1, d)
+        pts = sub.elements.reshape(-1, d)
         radius = BOX_FACTOR * max(np.ptp(pts, axis=0).max(), 1e-12)
         current = meas.min()
         if not (math.isfinite(radius) and math.isfinite(meas.sum())):
@@ -443,7 +443,7 @@ def untangle(mesh, max_sweeps=50, on_move=None):
     for vid in mesh.interior_ids.tolist():
         if len(eids[vid]):
             gather = itemgetter(*[i for e in eids[vid].tolist() for i in index[e]])
-            cavities.append((vid, vid * d, gather, slots[vid].tolist()))
+            cavities.append((vid, slice(vid * d, vid * d + d), gather, slots[vid].tolist()))
     xy = mesh.coords.ravel().tolist()
     sweeps = 0
     max_move = math.inf
@@ -456,16 +456,13 @@ def untangle(mesh, max_sweeps=50, on_move=None):
         if sweeps >= max_sweeps:
             return cur, sweeps, "MAX_SWEEPS"
         max_move = 0.0
-        for vid, start, gather, free_slots in cavities:
+        for vid, row, gather, free_slots in cavities:
             sub = LocalSubmesh(gather(xy), free_slots, d)
             new_pos, after = maximin_reposition(sub)
             if on_move is not None:
                 on_move(vid, _measure_terms(sub)[1].min(), after)
-            end = start + d
-            move = math.dist(new_pos, xy[start:end])
-            if move > max_move:
-                max_move = move
-            xy[start:end] = new_pos
+            max_move = max(max_move, math.dist(new_pos, xy[row]))
+            xy[row] = new_pos
         sweeps += 1
 
 
