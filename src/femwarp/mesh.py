@@ -39,10 +39,13 @@ def _node_ids(ids, what):
     every entry is an integer.  Integer arrays are cast without a check."""
     if ids.dtype.kind in "iu":
         return ids.astype(np.int64, copy=False)
+    refused = BadIndexError(f"{what} must be integer node ids, not {ids.dtype}")
+    if ids.dtype.kind == "c":  # a cast to float would drop the imaginary part
+        raise refused
     try:
         values = ids.astype(float)
     except (TypeError, ValueError, OverflowError):
-        raise BadIndexError(f"{what} must be integer node ids, not {ids.dtype}") from None
+        raise refused from None
     with np.errstate(invalid="ignore"):  # nan, inf and huge values cast to junk
         out = values.astype(np.int64)
     bad = np.flatnonzero(out != values)

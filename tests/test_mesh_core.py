@@ -278,6 +278,7 @@ class TestValidate:
             ([[0, 1, 2]], [[1, 2]], "node ids or a boolean mask"),
             ([[0, 1, 2]], ["a"], "integer node ids"),
             ([[0, 1, "x"]], [0], "integer node ids"),
+            ([[0, 1, 2 + 1j]], [0], "integer node ids"),
         ],
         ids=[
             "fractional_element",
@@ -290,6 +291,7 @@ class TestValidate:
             "two_d",
             "text_boundary",
             "text_element",
+            "complex_element",
         ],
     )
     def test_non_integral_ids_refused(self, elements, boundary, match):
