@@ -3,18 +3,17 @@
 Each interior vertex is repositioned at the point maximizing the minimum
 signed measure of its incident elements (Freitag & Plassmann, IJNME 2000).
 The measure of each incident element is affine in the free vertex, so the
-reposition is a tiny linear program.  In 2D its coefficients are built in
-Python floats and it is solved exactly from its dual: the optimal basis is
-a triple of measure gradients whose triangle holds the origin, and the
-primal point it yields is accepted only with a weak-duality certificate.
-For cavities of up to ``KERNEL_MAX`` elements the whole route (terms, box,
-triple search, certificate and no-worse rule) runs as straight-line code
-compiled once per cavity size; larger cavities run the same operations as
-loops.  A vertex whose cavity's box radius or measure sum is not finite
-(non-finite or overflowing geometry) stays in place.  Every other case
-(3D, an LP that only the feasibility box bounds, a failed certificate)
-builds its coefficients with the batched array kernels and goes to a dense
-simplex with Bland's rule.
+reposition is a tiny linear program.  In 2D one loop function,
+:func:`_reposition_2d`, builds its coefficients in Python floats and solves
+it exactly from its dual, accepting the primal point only with a
+weak-duality certificate; cavities of up to ``KERNEL_MAX`` elements run the
+same operations unrolled into a kernel compiled once per size.  Both return
+one shape: the new position and its minimum measure, or None when the dual
+declines.  A vertex whose cavity's box radius or measure sum is not finite
+(non-finite or overflowing geometry) stays in place.  Every case the dual
+declines (an LP that only the feasibility box bounds, a failed certificate)
+and every 3D cavity builds its coefficients with the batched array kernels
+and goes to a dense simplex with Bland's rule.
 
 A sweep keeps the coordinates as one flat list of Python floats, in 2D and
 in 3D.  Each cavity is a :class:`LocalSubmesh` over a tuple gathered from
@@ -128,71 +127,6 @@ def _simplex_maximize(c, a_ub, b_ub, max_iter=10000):
     return x[:n]
 
 
-def _search_triples(grads, meas):
-    """The dual's best triple ``(value, i, j, l)`` over the triples of
-    ``combinations(range(n), 3)``, or None when no triple's triangle holds
-    the origin: the first triple of least value wins."""
-    # cross[i*n+j] = G_i x G_j, so the triangle (i, j, l) has doubled signed
-    # area cross[i*n+j] + cross[j*n+l] + cross[l*n+i] and the origin's
-    # barycentric coordinates are (cross[j*n+l], cross[l*n+i], cross[i*n+j])
-    # over it
-    n = len(grads)
-    cross = [ax * by - ay * bx for ax, ay in grads for bx, by in grads]
-    best = None
-    for i, j, l in combinations(range(n), 3):
-        wi, wj, wl = cross[j * n + l], cross[l * n + i], cross[i * n + j]
-        area = wi + wj + wl
-        if area > 0.0:
-            if wi < 0.0 or wj < 0.0 or wl < 0.0:
-                continue
-        elif area < 0.0:
-            if wi > 0.0 or wj > 0.0 or wl > 0.0:
-                continue
-        else:
-            continue
-        value = (wi * meas[i] + wj * meas[j] + wl * meas[l]) / area
-        if best is None or value < best[0]:
-            best = (value, i, j, l)
-    return best
-
-
-def _dual_maximin_2d(grads, meas, radius):
-    """Exact step ``u`` and value of max_u min_i(G_i @ u + m_i) in 2D, from
-    the LP's dual, or None when this cannot certify the optimum.
-
-    ``grads`` and ``meas`` are lists of Python floats.  The dual is
-    min sum(l_i m_i) subject to sum(l_i G_i) = 0, sum(l_i) = 1, l >= 0; its
-    optimal basis is a triple of gradients whose triangle holds the origin,
-    with l the origin's barycentric coordinates.  The triple's three
-    constraints meet at ``u``.  It is returned only if it lies in the box
-    ``|u_j| <= radius`` and its minimum over all constraints reaches the dual
-    value within 1e-12 of the largest ``|m_i|``, which by weak duality
-    proves it optimal to that tolerance.
-    """
-    best = _search_triples(grads, meas)
-    if best is None:
-        return None  # the gradients do not surround the origin
-    value, i, j, l = best
-    (gx, gy), (hx, hy), (kx, ky) = grads[i], grads[j], grads[l]
-    # (G_i - G_l) @ u = m_l - m_i and (G_j - G_l) @ u = m_l - m_j
-    ax, ay, bx, by = gx - kx, gy - ky, hx - kx, hy - ky
-    ra, rb = meas[l] - meas[i], meas[l] - meas[j]
-    det = ax * by - ay * bx
-    if det == 0.0:
-        return None
-    ux = (ra * by - rb * ay) / det
-    uy = (ax * rb - bx * ra) / det
-    # written so that a nan (an overflow of the dual value or of u) fails
-    if not (abs(ux) <= radius and abs(uy) <= radius):
-        return None
-    achieved = min([px * ux + py * uy + m for (px, py), m in zip(grads, meas)])
-    # the optimum is a small difference of the cavity's measures, so the
-    # rounding of each G_i @ u + m_i scales with the largest |m_i|
-    if not achieved >= value - 1e-12 * max(map(abs, meas)):
-        return None
-    return (ux, uy), achieved
-
-
 def _simplex_reposition(grads, meas, x0, radius):
     """Maximin point over the box ``|x - x0|_inf <= radius`` and its value,
     by the dense simplex; ``(grads, meas)`` as from :func:`_measure_terms`
@@ -227,15 +161,30 @@ def _simplex_reposition(grads, meas, x0, radius):
     return x_new, (dot(x_new) + consts).min()
 
 
-def _float_terms_2d(flat, slots):
-    """Gradients, measures and box radius of a 2D cavity in Python floats.
+def _reposition_2d(flat, slots):
+    """The exact 2D route of :func:`maximin_reposition` on a cavity's
+    coordinates ``flat`` and free ``slots``, as in :class:`LocalSubmesh`.
 
-    ``flat`` is the cavity's ``elements`` raveled to a list and ``slots``
-    its free slots as a list.  The float operations are those of
-    :func:`_measure_terms` (the kernels ``mesh._gradients`` and
-    ``mesh._geometry``) and of the box in :func:`maximin_reposition`, in the
-    same order, so every value equals theirs to the bit.
+    The gradients and measures are built by the operations of
+    :func:`_measure_terms` and the box radius by those of
+    :func:`maximin_reposition`, in the same order, so each equals theirs to
+    the bit.  The LP's dual is min sum(l_i m_i) subject to sum(l_i G_i) = 0,
+    sum(l_i) = 1, l >= 0; its optimal basis is a triple of gradients whose
+    triangle holds the origin, with l the origin's barycentric coordinates,
+    and the first triple of least value in ``combinations`` order wins.  Its
+    three constraints meet at the step ``u``, taken only if it lies in the
+    box ``|u_j| <= radius`` and its minimum over all constraints reaches
+    the dual value within 1e-12 of the largest ``|m_i|``, which by weak
+    duality proves it optimal to that tolerance.
+
+    Returns ``(position, value)``, the position a tuple of two Python
+    floats: the moved point, or the current one when the step would worsen
+    the minimum or the cavity is not finite.  Returns None when the dual
+    declines (no triple holds the origin, a zero ``det``, a step outside the
+    box or a failed certificate), which leaves the cavity to the simplex.
     """
+    k = 2 * slots[0]
+    px, py = flat[k], flat[k + 1]
     it = iter(flat)
     grads = []
     meas = []
@@ -252,33 +201,50 @@ def _float_terms_2d(flat, slots):
         meas.append(0.5 * ((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)))
     xs, ys = flat[0::2], flat[1::2]
     radius = BOX_FACTOR * max(max(xs) - min(xs), max(ys) - min(ys), 1e-12)
-    return grads, meas, radius
-
-
-def _reposition_2d(flat, slots):
-    """The exact 2D route of :func:`maximin_reposition` on a cavity's
-    ``elements`` raveled to a list and its free slots as a list.
-
-    Returns ``(ux, uy, value)`` for a certified step, ``(None, None, value)``
-    when the vertex stays, and None when the dual declines (no triple holds
-    the origin, a zero ``det``, a step outside the box or a failed
-    certificate), which leaves the cavity to the simplex.
-    """
-    grads, meas, radius = _float_terms_2d(flat, slots)
     # a nan or inf coordinate makes the measure of each triangle holding it
     # non-finite (Python's max and min may skip a nan, so the box alone
     # cannot tell), and so does an overflow: such a cavity stays, valued by
     # numpy's min, which keeps a nan
     if not (math.isfinite(radius) and math.isfinite(sum(meas))):
-        return None, None, np.min(meas)
-    exact = _dual_maximin_2d(grads, meas, radius)
-    if exact is None:
+        return (px, py), np.min(meas)
+    # cross[i*n+j] = G_i x G_j, so the triangle (i, j, l) has doubled signed
+    # area cross[i*n+j] + cross[j*n+l] + cross[l*n+i] and the origin's
+    # barycentric coordinates are (cross[j*n+l], cross[l*n+i], cross[i*n+j])
+    # over it
+    n = len(grads)
+    cross = [ax * by - ay * bx for ax, ay in grads for bx, by in grads]
+    v = None
+    for i, j, l in combinations(range(n), 3):
+        wi, wj, wl = cross[j * n + l], cross[l * n + i], cross[i * n + j]
+        area = wi + wj + wl
+        if (area > 0.0 and not (wi < 0.0 or wj < 0.0 or wl < 0.0)
+                or area < 0.0 and not (wi > 0.0 or wj > 0.0 or wl > 0.0)):
+            value = (wi * meas[i] + wj * meas[j] + wl * meas[l]) / area
+            if v is None or value < v:
+                v, bi, bj, bl = value, i, j, l
+    if v is None:
+        return None  # the gradients do not surround the origin
+    (gx, gy), (hx, hy), (kx, ky) = grads[bi], grads[bj], grads[bl]
+    # (G_i - G_l) @ u = m_l - m_i and (G_j - G_l) @ u = m_l - m_j
+    ax, ay, bx, by = gx - kx, gy - ky, hx - kx, hy - ky
+    ra, rb = meas[bl] - meas[bi], meas[bl] - meas[bj]
+    det = ax * by - ay * bx
+    if det == 0.0:
         return None
-    (ux, uy), achieved = exact
-    # _no_worse on Python floats
-    if achieved < min(meas) - 1e-12:
-        return None, None, min(meas)
-    return ux, uy, achieved
+    ux = (ra * by - rb * ay) / det
+    uy = (ax * rb - bx * ra) / det
+    # written so that a nan (an overflow of the dual value or of u) fails
+    if not (abs(ux) <= radius and abs(uy) <= radius):
+        return None
+    achieved = min([qx * ux + qy * uy + m for (qx, qy), m in zip(grads, meas)])
+    # the optimum is a small difference of the cavity's measures, so the
+    # rounding of each G_i @ u + m_i scales with the largest |m_i|
+    if not achieved >= v - 1e-12 * max(map(abs, meas)):
+        return None
+    least = min(meas)
+    if achieved < least - 1e-12:
+        return (px, py), least
+    return (px + ux, py + uy), achieved
 
 
 # cavities of up to this many elements take the exact 2D route through a
@@ -297,9 +263,9 @@ def _build_kernel(n):
     The coordinates (``xE_K``, ``yE_K`` of corner K of element E), gradients
     (``gxE``, ``gyE``), measures (``mE``) and the cross products that the
     triples read (``cJ_L`` holds ``cross[J*n+L]``) are locals, computed by
-    the operations of :func:`_float_terms_2d`, :func:`_search_triples` and
-    :func:`_dual_maximin_2d` on the same operands in the same order; ``max``,
-    ``min`` and ``sum`` take them in the lists' order.  Each triple, in
+    the operations of :func:`_reposition_2d` on the same operands in the
+    same order, and it returns what that returns; ``max``, ``min`` and
+    ``sum`` take them in the lists' order.  Each triple, in
     ``combinations`` order, is one ``if`` block making the loop's sign
     tests, value and first-minimum update.  The source is built from
     integers alone.
@@ -312,6 +278,7 @@ def _build_kernel(n):
         "def kernel(flat, slots):",
         f"    [{', '.join(f'x{e}_{k}, y{e}_{k}' for e in els for k in range(3))}] = flat",
         f"    [{', '.join(f's{e}' for e in els)}] = slots",
+        "    px, py = flat[2 * s0], flat[2 * s0 + 1]",
     ]
     for e in els:
         # the edge p[s+2] - p[s+1] of free slot s
@@ -332,7 +299,7 @@ def _build_kernel(n):
     lines += [
         f"    radius = BOX_FACTOR * max(max({xs}) - min({xs}), max({ys}) - min({ys}), 1e-12)",
         f"    if not (isfinite(radius) and isfinite(sum(({ms},)))):",
-        f"        return None, None, npmin([{ms}])",
+        f"        return (px, py), npmin([{ms}])",
         *(f"    c{a}_{b} = gx{a} * gy{b} - gy{a} * gx{b}" for a, b in pairs),
         "    v = None",
     ]
@@ -346,8 +313,8 @@ def _build_kernel(n):
             "        if v is None or value < v:",
             f"            v, i, j, l = value, {i}, {j}, {l}",
         ]
-    # the tail of _dual_maximin_2d and the no-worse rule; below three
-    # elements there is no triple, and v stays None
+    # the loop's tail; below three elements there is no triple, and v stays
+    # None
     lines += [
         "    if v is None:",
         "        return None",
@@ -368,8 +335,8 @@ def _build_kernel(n):
         "        return None",
         f"    least = min({ms})",
         "    if achieved < least - 1e-12:",
-        "        return None, None, least",
-        "    return ux, uy, achieved",
+        "        return (px, py), least",
+        "    return (px + ux, py + uy), achieved",
     ]
     namespace = {"BOX_FACTOR": BOX_FACTOR, "isfinite": math.isfinite, "npmin": np.min}
     exec(compile("\n".join(lines), f"<maximin kernel n={n}>", "exec"), namespace)
@@ -393,7 +360,6 @@ def maximin_reposition(sub):
     floats on every route, and the minimum measure there.
     """
     flat, slots, d = sub.flat, sub.slots, sub.dim
-    k = d * slots[0]
     if d == 2:
         n = len(slots)
         if n <= KERNEL_MAX:
@@ -401,11 +367,8 @@ def maximin_reposition(sub):
         else:
             exact = _reposition_2d(flat, slots)
         if exact is not None:
-            ux, uy, value = exact
-            px, py = flat[k], flat[k + 1]
-            if ux is None:
-                return (px, py), value
-            return (px + ux, py + uy), value
+            return exact
+    k = d * slots[0]
     x0 = tuple(flat[k : k + d])
     # the same rule on the array terms, built without warnings on the
     # non-finite or overflowing cavities that it exists to keep in place

@@ -18,8 +18,6 @@ from femwarp.untangle import (
     BOX_FACTOR,
     STALL_TOL,
     LocalSubmesh,
-    _dual_maximin_2d,
-    _float_terms_2d,
     _measure_terms,
     _simplex_reposition,
 )
@@ -381,10 +379,11 @@ def maximin_reposition_by_arrays(sub):
     stack kernels below: measure gradients and measures of the whole
     cavity stack, the box from ``np.ptp``.
 
-    Unlike the rest of this module it reuses the library's LP solvers (the
-    exact 2D dual and the simplex): it pins the float terms of the 2D path
-    to the array kernels bit for bit, so it must share everything else.
-    Like the library it returns the position as a tuple of Python floats.
+    The 2D LP goes to :func:`nested_dual_maximin_2d`.  Unlike the rest of
+    this module it reuses the library's simplex: it pins the float terms of
+    the 2D route to the array kernels bit for bit, so it must share the
+    rest.  Like the library it returns the position as a tuple of Python
+    floats.
     """
     idx = np.arange(len(sub.elements))
     grads = stack_measure_gradients(sub.elements)[idx, sub.free_slots]
@@ -395,7 +394,7 @@ def maximin_reposition_by_arrays(sub):
         return tuple(x0.tolist()), meas.min()
     exact = None
     if x0.size == 2:
-        exact = _dual_maximin_2d(grads.tolist(), meas.tolist(), radius)
+        exact = nested_dual_maximin_2d(grads.tolist(), meas.tolist(), radius)
     if exact is None:
         x_new, achieved = _simplex_reposition(grads, meas, x0, radius)
     else:
@@ -405,14 +404,25 @@ def maximin_reposition_by_arrays(sub):
 
 
 # The 2D untangle sweep as written before it indexed one flat list of cross
-# products and kept the free vertex's moves in Python floats.  Like
-# maximin_reposition_by_arrays these reuse the library's other LP parts:
-# they pin the rewrite to the old code bit for bit.
+# products, kept the free vertex's moves in Python floats and built its terms
+# in Python floats.  Like maximin_reposition_by_arrays these reuse the
+# library's array terms and simplex: they pin the 2D route to the old code
+# bit for bit.
 
 
-def nested_dual_maximin_2d(grads, meas, radius):
-    """``untangle._dual_maximin_2d`` with ``cross`` as a list of rows,
-    indexed ``cross[i][j]``, over the triples of ``combinations``."""
+def array_terms(sub):
+    """``untangle._measure_terms`` of the cavity ``sub`` and the box radius
+    of ``untangle.maximin_reposition``'s array route, built without numpy
+    warnings."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ptp = np.ptp(sub.elements.reshape(-1, sub.dim), axis=0).max()
+        return (*_measure_terms(sub), BOX_FACTOR * max(ptp, 1e-12))
+
+
+def nested_best_triple(grads, meas):
+    """The dual's first triple of least value ``(value, i, j, l)`` over
+    ``combinations``, with ``cross`` as a list of rows indexed
+    ``cross[i][j]``; None when no triple's triangle holds the origin."""
     cross = [[ax * by - ay * bx for bx, by in grads] for ax, ay in grads]
     best = None
     for i, j, l in combinations(range(len(grads)), 3):
@@ -429,6 +439,14 @@ def nested_dual_maximin_2d(grads, meas, radius):
         value = (wi * meas[i] + wj * meas[j] + wl * meas[l]) / area
         if best is None or value < best[0]:
             best = (value, i, j, l)
+    return best
+
+
+def nested_dual_maximin_2d(grads, meas, radius):
+    """Step ``u`` and value of the exact 2D dual from the triple of
+    :func:`nested_best_triple`, or None when there is none, its ``det`` is
+    zero, ``u`` leaves the box or the weak-duality certificate fails."""
+    best = nested_best_triple(grads, meas)
     if best is None:
         return None
     value, i, j, l = best
@@ -448,26 +466,34 @@ def nested_dual_maximin_2d(grads, meas, radius):
     return (ux, uy), achieved
 
 
-def maximin_reposition_nested(sub):
-    """``untangle.maximin_reposition`` with :func:`nested_dual_maximin_2d`
-    and the exact 2D step added to the position as an array."""
+def nested_reposition_2d(sub):
+    """``untangle._reposition_2d`` of the 2D cavity ``sub``: its terms from
+    :func:`array_terms` (``.tolist()``), the dual of
+    :func:`nested_dual_maximin_2d` and the step added to the position as an
+    array."""
+    grads, meas, radius = array_terms(sub)
+    grads, meas = grads.tolist(), meas.tolist()
     x0 = sub.position
-    if x0.size == 2:
-        grads, meas, radius = _float_terms_2d(
-            sub.elements.ravel().tolist(), sub.free_slots.tolist()
-        )
-        if not (math.isfinite(radius) and math.isfinite(sum(meas))):
-            return tuple(x0.tolist()), np.min(meas)
-        exact = nested_dual_maximin_2d(grads, meas, radius)
+    if not (math.isfinite(radius) and math.isfinite(sum(meas))):
+        return tuple(x0.tolist()), np.min(meas)
+    exact = nested_dual_maximin_2d(grads, meas, radius)
+    if exact is None:
+        return None
+    u, achieved = exact
+    return no_worse(x0, x0 + u, achieved, min(meas))
+
+
+def maximin_reposition_nested(sub):
+    """``untangle.maximin_reposition`` with :func:`nested_reposition_2d` as
+    its 2D route."""
+    if sub.dim == 2:
+        exact = nested_reposition_2d(sub)
         if exact is not None:
-            u, achieved = exact
-            return no_worse(x0, x0 + u, achieved, min(meas))
-    with np.errstate(over="ignore", invalid="ignore"):
-        grads, meas = _measure_terms(sub)
-        pts = sub.elements.reshape(-1, x0.size)
-        radius = BOX_FACTOR * max(np.ptp(pts, axis=0).max(), 1e-12)
-        if not (math.isfinite(radius) and math.isfinite(meas.sum())):
-            return tuple(x0.tolist()), meas.min()
+            return exact
+    grads, meas, radius = array_terms(sub)
+    x0 = sub.position
+    if not (math.isfinite(radius) and math.isfinite(meas.sum())):
+        return tuple(x0.tolist()), meas.min()
     x_new, achieved = _simplex_reposition(grads, meas, x0, radius)
     return no_worse(x0, x_new, achieved, meas.min())
 

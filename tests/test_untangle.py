@@ -27,14 +27,10 @@ from femwarp.assembly import build_weights
 from femwarp.cli import run_algorithm
 from femwarp.mesh import count_reversals, quality_report, signed_measures
 from femwarp.untangle import (
-    BOX_FACTOR,
     KERNEL_MAX,
     LocalSubmesh,
-    _dual_maximin_2d,
-    _float_terms_2d,
     _measure_terms,
     _reposition_2d,
-    _search_triples,
     _simplex_reposition,
     hybrid_warp,
     maximin_reposition,
@@ -44,13 +40,16 @@ from femwarp.warp import AffineMotion
 
 from conftest import jittered
 from oracles import (
+    array_terms,
     bumped_measure_coeffs,
     cavity_arrays,
     grid_maximin,
     local_submesh,
     maximin_reposition_by_arrays,
     maximin_reposition_nested,
+    nested_best_triple,
     nested_dual_maximin_2d,
+    nested_reposition_2d,
     stack_measure_gradients,
     tri_measures,
     untangle_nested,
@@ -169,17 +168,6 @@ def random_cavities(draw):
     return fan_cavity(draw(point), pairs, slots)
 
 
-def float_terms(sub):
-    return _float_terms_2d(sub.elements.ravel().tolist(), sub.free_slots.tolist())
-
-
-def array_terms(sub):
-    """``_measure_terms`` and the box radius of ``maximin_reposition``'s
-    array path."""
-    ptp = np.ptp(sub.elements.reshape(-1, sub.position.size), axis=0).max()
-    return (*_measure_terms(sub), BOX_FACTOR * max(ptp, 1e-12))
-
-
 def quiet_oracle(sub):
     """:func:`oracles.maximin_reposition_by_arrays` with the runtime
     warnings of its array kernels ignored."""
@@ -219,21 +207,29 @@ class TestAffineMeasureCoeffs:
 
 
 class TestFloatTerms2d:
+    """The 2D route, whose terms are built in Python floats, returns what
+    :func:`oracles.nested_reposition_2d` returns on the terms of the array
+    kernels: by ``repr``, which tells -0.0 from 0.0 and a numpy float from a
+    Python one."""
+
     @settings(max_examples=300, deadline=None)
     @given(sub=random_cavities())
     def test_matches_array_kernels_bitwise(self, sub):
-        for got, want in zip(float_terms(sub), array_terms(sub)):
-            assert_same_bits(got, want)
+        want = repr(nested_reposition_2d(sub))
+        assert repr(_reposition_2d(sub.flat, sub.slots)) == want
+        assert repr(kernel(len(sub.slots))(sub.flat, sub.slots)) == want
 
     def test_every_slot_and_orientation(self):
+        # each slot with a positive, a reversed and a degenerate triangle,
+        # and the free vertex on a grid around them
         a, b = [1.1, 0.2], [0.4, 0.9]
         kinds = {"positive": (a, b), "reversed": (b, a), "degenerate": (a, a)}
         pairs = [pair for pair in kinds.values() for _ in range(3)]
         sub = fan_cavity([0.3, -0.7], pairs, [0, 1, 2] * 3)
-        grads, meas, radius = float_terms(sub)
-        assert np.sign(meas).tolist() == [1.0] * 3 + [-1.0] * 3 + [0.0] * 3
-        for got, want in zip((grads, meas, radius), array_terms(sub)):
-            assert_same_bits(got, want)
+        assert np.sign(_measure_terms(sub)[1]).tolist() == [1.0] * 3 + [-1.0] * 3 + [0.0] * 3
+        for free in [[x, y] for x in (-1.5, 0.3, 0.75, 2.0) for y in (-0.7, 0.55, 1.5)]:
+            sub = fan_cavity(free, pairs, [0, 1, 2] * 3)
+            assert repr(_reposition_2d(sub.flat, sub.slots)) == repr(nested_reposition_2d(sub))
 
     # the library stays silent; only the array oracle may warn (on inf - inf
     # and on a box past the largest float)
@@ -265,9 +261,10 @@ class TestFloatTerms2d:
             np.concatenate([sub.elements, outer.elements]),
             np.concatenate([sub.free_slots, outer.free_slots]),
         )
-        grads, meas, radius = float_terms(sub)
+        grads, meas, radius = array_terms(sub)
+        grads, meas = grads.tolist(), meas.tolist()
         assert np.isfinite(sum(meas)) and radius == np.inf
-        assert _dual_maximin_2d(grads, meas, 1e308) is not None
+        assert nested_dual_maximin_2d(grads, meas, 1e308) is not None
         pos, val = maximin_reposition(sub)
         want_pos, want_val = quiet_oracle(sub)
         assert np.array_equal(pos, sub.position) and np.array_equal(want_pos, pos)
@@ -387,32 +384,62 @@ class TestSweepMatchesNested:
     @staticmethod
     def assert_same_cavities(cavities):
         for sub in cavities:
-            terms = float_terms(sub)
             # repr tells -0.0 from 0.0 and keeps None
-            assert repr(_dual_maximin_2d(*terms)) == repr(nested_dual_maximin_2d(*terms))
-            pos, val = maximin_reposition(sub)
-            want_pos, want_val = maximin_reposition_nested(sub)
-            assert_same_bits(pos, want_pos)
-            assert repr(val) == repr(want_val)
+            want = repr(nested_reposition_2d(sub))
+            assert repr(_reposition_2d(sub.flat, sub.slots)) == want
+            assert repr(maximin_reposition(sub)) == repr(maximin_reposition_nested(sub))
 
     @pytest.mark.parametrize("n", [*range(3, 11), 25])
     def test_triples_in_combinations_order(self, n):
-        # unit gradients at angles 2*pi*u_k/n, u_k = k*(1 + 1/(4n^2)): a
-        # triple holds the origin strictly when each of its three angular
-        # gaps is under pi (n/2 in u, which no gap equals), and with unit
-        # measures every such triple's value is exactly 1.0, so the loop must
-        # return the first of them in combinations order
-        units = [k * (1 + Fraction(1, 4 * n * n)) for k in range(n)]
-        grads = [(math.cos(2 * math.pi * u / n), math.sin(2 * math.pi * u / n)) for u in units]
+        # a fan around a free vertex at the origin whose gradients are
+        # (1, 0) and (-1, 0) with measure 1, and (gx, b) with measure
+        # 1 + 4|b|, all exact in floats: the LP's optimum 1 is reached on
+        # u = (0, t), |t| <= 4, every triple (0, 1, k) holds the origin with
+        # value exactly 1 and meets at u = (0, -4) for b > 0 and (0, 4) for
+        # b < 0, and the first of them in combinations order must win
+        tilts = [(1.0, 2.0), (-1.0, -0.5), (0.5, 1.0), (0.0, -2.0), (-1.0, 0.5), (1.0, -1.0)]
+        grads = [(1.0, 0.0), (-1.0, 0.0), (0.5, 1.0)]
+        grads += [tilts[k % len(tilts)] for k in range(n - 4)] + [(0.0, -1.0)] * (n > 3)
+        meas = [1.0, 1.0] + [1.0 + 4.0 * abs(b) for _, b in grads[2:]]
+        # the triangle (0, a, a + 2 (gy, -gx)) with slot 0 has gradient
+        # (gx, gy) and measure -(gx, gy) @ a
+        anchors = [(0.0, -m / gy) if gy else (-m / gx, 0.0) for (gx, gy), m in zip(grads, meas)]
+        tris = [
+            [[0.0, 0.0], [ax, ay], [ax + 2.0 * gy, ay - 2.0 * gx]]
+            for (gx, gy), (ax, ay) in zip(grads, anchors)
+        ]
+        sub = LocalSubmesh.from_arrays(tris, [0] * n)
+        assert _measure_terms(sub)[0].tolist() == [list(g) for g in grads]
+        assert _measure_terms(sub)[1].tolist() == meas
 
-        def holds_origin(i, j, l):
-            gaps = (units[j] - units[i], units[l] - units[j], n - units[l] + units[i])
-            return max(gaps) < Fraction(n, 2)
+        # the holding triples and their values and steps, in exact arithmetic
+        g = [(Fraction(gx), Fraction(gy)) for gx, gy in grads]
+        m = [Fraction(x) for x in meas]
 
-        holding = [t for t in combinations(range(n), 3) if holds_origin(*t)]
-        # from n = 4 on, at least two triples tie
-        assert len(holding) >= (2 if n > 3 else 1)
-        assert _search_triples(grads, [1.0] * n) == (1.0, *holding[0])
+        def cross(a, b):
+            return g[a][0] * g[b][1] - g[a][1] * g[b][0]
+
+        steps = []
+        for i, j, l in combinations(range(n), 3):
+            w = (cross(j, l), cross(l, i), cross(i, j))
+            area = sum(w)
+            if area and all(x * area >= 0 for x in w):
+                ax, ay = g[i][0] - g[l][0], g[i][1] - g[l][1]
+                bx, by = g[j][0] - g[l][0], g[j][1] - g[l][1]
+                ra, rb, det = m[l] - m[i], m[l] - m[j], ax * by - ay * bx
+                u = ((ra * by - rb * ay) / det, (ax * rb - bx * ra) / det)
+                steps.append(((w[0] * m[i] + w[1] * m[j] + w[2] * m[l]) / area, u))
+        best = min(value for value, _ in steps)
+        tied = [u for value, u in steps if value == best]
+        assert best == 1
+        if n > 3:
+            # at least two tied triples with different steps
+            assert len(set(tied)) == 2 and tied[0] != tied[-1]
+        want = ((float(tied[0][0]), float(tied[0][1])), 1.0)
+        got = _reposition_2d(sub.flat, sub.slots)
+        assert got == want and repr(got) == repr(nested_reposition_2d(sub))
+        if n <= KERNEL_MAX:
+            assert repr(kernel(n)(sub.flat, sub.slots)) == repr(got)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_hybrid_workload_seeds(self, monkeypatch, seed):
@@ -517,40 +544,6 @@ class TestSweepContract:
             assert_python_floats(pos, sub.dim)
 
 
-# gradient entries that make duplicate and collinear gradients, zero and -0.0
-# cross products common, and an inf or nan entry frequent
-TIE_ENTRIES = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5]
-NON_FINITE = [math.inf, -math.inf, math.nan]
-
-
-def tied_terms(rng, n):
-    """``n`` gradients and measures in Python floats, a few of the gradients
-    repeating or scaling an earlier one, and the box radius."""
-
-    def entry():
-        r = rng.random()
-        if r < 0.04:
-            return NON_FINITE[rng.integers(len(NON_FINITE))]
-        if r < 0.6:
-            return TIE_ENTRIES[rng.integers(len(TIE_ENTRIES))]
-        return float(rng.uniform(-3.0, 3.0))
-
-    grads = []
-    for _ in range(n):
-        r = rng.random()
-        if grads and r < 0.2:
-            grads.append(grads[rng.integers(len(grads))])
-        elif grads and r < 0.4:
-            gx, gy = grads[rng.integers(len(grads))]
-            scale = (-1.0, 0.5, 2.0)[rng.integers(3)]
-            grads.append((scale * gx, scale * gy))
-        else:
-            grads.append((entry(), entry()))
-    meas = [entry() for _ in range(n)]
-    radius = (math.inf, 1e3, 1.0)[rng.integers(3)]
-    return grads, meas, radius
-
-
 # coordinates on a small grid make repeated points, collinear edges, zero and
 # -0.0 differences common; the rest are uniform
 GRID = [0.0, -0.0, 1.0, -1.0, 2.0, 0.5, 3.0]
@@ -602,18 +595,20 @@ def kernel_cavity(rng, n):
 
 
 def route_kind(flat, slots):
-    """Which way :func:`untangle._reposition_2d` takes a cavity: a step, a
-    stay (no-worse or non-finite), or the reason the dual declines it."""
-    out = _reposition_2d(flat, slots)
-    grads, meas, radius = _float_terms_2d(flat, slots)
-    if out is not None:
-        if out[0] is not None:
-            return "step"
-        return "stay" if math.isfinite(radius) and math.isfinite(sum(meas)) else "non-finite"
-    best = _search_triples(grads, meas)
+    """Which way the 2D route takes a cavity, read from the oracle's terms:
+    a step, a stay (no-worse or non-finite), or the reason the dual
+    declines it."""
+    grads, meas, radius = array_terms(LocalSubmesh(flat, slots, 2))
+    grads, meas = grads.tolist(), meas.tolist()
+    if not (math.isfinite(radius) and math.isfinite(sum(meas))):
+        return "non-finite"
+    exact = nested_dual_maximin_2d(grads, meas, radius)
+    if exact is not None:
+        return "stay" if exact[1] < min(meas) - 1e-12 else "step"
+    best = nested_best_triple(grads, meas)
     if best is None:
         return "no triple"
-    if _dual_maximin_2d(grads, meas, math.inf) is not None:
+    if nested_dual_maximin_2d(grads, meas, math.inf) is not None:
         return "box"
     (gx, gy), (hx, hy), (kx, ky) = (grads[t] for t in best[1:])
     return "zero det" if (gx - kx) * (hy - ky) - (gy - ky) * (hx - kx) == 0.0 else "certificate"
@@ -632,25 +627,19 @@ def kernel(n):
 
 
 class TestTripleKernels:
-    """The per-size kernels of :func:`untangle._build_kernel` reproduce
-    :func:`untangle._reposition_2d` (float terms, the dual's triple loop and
-    tail, the no-worse rule) bit for bit and are built lazily; the loop
-    reproduces the nested-list dual of :func:`oracles.nested_dual_maximin_2d`."""
+    """The per-size kernels of :func:`untangle._build_kernel` and the loop
+    :func:`untangle._reposition_2d` that they unroll both return what
+    :func:`oracles.nested_reposition_2d` returns, and the kernels are built
+    lazily."""
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("n", range(3, KERNEL_MAX + 1))
     def test_matches_loop_and_nested_dual(self, n):
         for flat, slots in kernel_cavities(n):
             # repr tells -0.0 from 0.0, nan from None and a numpy float
-            assert repr(kernel(n)(flat, slots)) == repr(_reposition_2d(flat, slots))
-        rng = np.random.default_rng(2000 + n)
-        found = 0
-        for _ in range(400):
-            grads, meas, radius = tied_terms(rng, n)
-            got = _dual_maximin_2d(grads, meas, radius)
-            assert repr(got) == repr(nested_dual_maximin_2d(grads, meas, radius))
-            found += _search_triples(grads, meas) is not None
-        assert found >= 40
+            want = repr(nested_reposition_2d(LocalSubmesh(flat, slots, 2)))
+            assert repr(_reposition_2d(flat, slots)) == want
+            assert repr(kernel(n)(flat, slots)) == want
 
     def test_every_route_is_taken(self):
         # the cavities of test_matches_loop_and_nested_dual take each way
@@ -678,12 +667,10 @@ class TestTripleKernels:
         pairs = [pair for pair in kinds.values() for _ in range(3)]
         for free in ([0.3, -0.7], [0.7, 0.6]):
             sub = fan_cavity(free, pairs, [0, 1, 2] * 3)
-            flat, slots = sub.elements.ravel().tolist(), sub.free_slots.tolist()
-            assert repr(kernel(9)(flat, slots)) == repr(_reposition_2d(flat, slots))
-            pos, val = maximin_reposition(sub)
-            want_pos, want_val = maximin_reposition_nested(sub)
-            assert_same_bits(pos, want_pos)
-            assert repr(val) == repr(want_val)
+            want = repr(nested_reposition_2d(sub))
+            assert repr(kernel(9)(sub.flat, sub.slots)) == want
+            assert repr(_reposition_2d(sub.flat, sub.slots)) == want
+            assert repr(maximin_reposition(sub)) == repr(maximin_reposition_nested(sub))
 
     def test_first_minimum_among_ties(self):
         # the four axis gradients with measures 1, 1, 5, 5: the triples
@@ -697,15 +684,16 @@ class TestTripleKernels:
             flat += [m * gx, m * gy, 0.0, 0.0, 2.0 * gy, -2.0 * gx]
         want = _reposition_2d(flat, [0] * 4)
         assert repr(kernel(4)(flat, [0] * 4)) == repr(want)
-        assert want[1:] == (-4.0, 1.0)
-        assert repr(_search_triples(grads, [1.0, 1.0, 5.0, 5.0])) == "(1.0, 0, 1, 2)"
+        assert repr(nested_reposition_2d(LocalSubmesh(flat, [0] * 4, 2))) == repr(want)
+        # the first triple's corner; the second's is (1.0, 4.0)
+        assert want == ((1.0, -4.0), 1.0)
 
     @pytest.mark.parametrize("n", [12, 25])
     def test_fans_above_the_cap_match_nested(self, n):
         assert n > KERNEL_MAX
         cavities = [star_cavity(seed, n, spread) for seed in range(6) for spread in (0.3, 2.0)]
         TestSweepMatchesNested.assert_same_cavities(cavities)
-        assert any(_dual_maximin_2d(*float_terms(sub)) is not None for sub in cavities)
+        assert any(route_kind(sub.flat, sub.slots) == "step" for sub in cavities)
         assert n not in untangle_module._KERNELS
 
     def test_import_builds_no_kernel(self):
@@ -826,23 +814,40 @@ class TestDualMaximin:
         sub = star_cavity(seed, n, spread)
         grads, meas, radius = array_terms(sub)
         want_x, want = _simplex_reposition(grads, meas, sub.position, radius)
-        exact = _dual_maximin_2d(grads.tolist(), meas.tolist(), radius)
+        exact = _reposition_2d(sub.flat, sub.slots)
         assert exact is not None
-        u, got = exact
+        pos, got = exact
         scale = max(abs(want), np.abs(meas).max())
         assert abs(got - want) <= 1e-9 * scale
-        assert np.abs(sub.position + u - want_x).max() <= 1e-9 * 2 * radius
-        pos, val = maximin_reposition(sub)
-        assert np.array_equal(pos, sub.position + u) and val == got
+        assert np.abs(np.subtract(pos, want_x)).max() <= 1e-9 * 2 * radius
+        assert maximin_reposition(sub) == exact
 
     def test_rejects_a_step_outside_the_box(self):
-        # nearly opposed gradients put the unboxed optimum at u = (0.50025, 500)
-        grads = [[1.0, 0.0], [-1.0, 1e-6], [-1.0, -1e-6]]
-        meas = [0.0, 1.0, 1.001]
-        assert _dual_maximin_2d(grads, meas, 10.0) is None
-        (ux, uy), val = _dual_maximin_2d(grads, meas, 1000.0)
+        # three triangles around a free vertex at the origin with the nearly
+        # opposed gradients (1, 0), (-1, 1e-6) and (-1, -1e-6) and measures
+        # 0, 1 and 1.001 put the unboxed optimum at u = (0.50025, 500); the
+        # first triangle's far corner sets the box radius, 10 times the
+        # cavity's diameter
+        def cavity(height):
+            tris = [
+                [[0.0, 0.0], [0.0, height], [0.0, height - 2.0]],
+                [[0.0, 0.0], [1.0, 0.0], [1.0 + 2e-6, 2.0]],
+                [[0.0, 0.0], [1.001, 0.0], [1.001 - 2e-6, 2.0]],
+            ]
+            return LocalSubmesh.from_arrays(tris, [0, 0, 0])
+
+        near, far = cavity(1.0), cavity(60.0)
+        grads, meas, radius = array_terms(near)
+        assert radius == 30.0
+        (ux, uy), val = nested_dual_maximin_2d(grads.tolist(), meas.tolist(), math.inf)
         assert ux == pytest.approx(0.50025) and uy == pytest.approx(500.0)
+        assert _reposition_2d(near.flat, near.slots) is None
+        assert kernel(3)(near.flat, near.slots) is None
+        assert array_terms(far)[2] == 600.0
+        (x, y), val = _reposition_2d(far.flat, far.slots)
+        assert x == pytest.approx(0.50025) and y == pytest.approx(500.0)
         assert val == pytest.approx(0.50025)
+        assert repr(kernel(3)(far.flat, far.slots)) == repr(((x, y), val))
 
     @pytest.mark.parametrize("name", SIMPLEX_CAVITIES)
     def test_simplex_cases_unchanged(self, name, monkeypatch):
@@ -850,8 +855,7 @@ class TestDualMaximin:
         mesh = make()
         sub = local_submesh(mesh, vid, mesh.topology.incidence[0][vid])
         if mesh.dim == 2:
-            grads, meas, radius = array_terms(sub)
-            assert _dual_maximin_2d(grads.tolist(), meas.tolist(), radius) is None
+            assert _reposition_2d(sub.flat, sub.slots) is None
         calls = []
 
         def counting(*args):
