@@ -104,6 +104,8 @@ def build_motion(mesh, spec, scale=1.0):
         if "frames" not in spec:
             raise InvalidSpecError("tabulated motion needs 'frames'")
         paths = [p.strip() for p in spec["frames"].split(",") if p.strip()]
+        if not paths:
+            raise InvalidSpecError("'frames' names no frame file")
         frames = [io.read_boundary_frame(mesh, p) for p in paths]
         return TabulatedMotion(mesh, frames)
 

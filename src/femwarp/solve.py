@@ -91,8 +91,9 @@ def solve_multi(f, b):
     """Solves against one factorization; an (m, k) block goes to SuperLU in
     one call.
 
-    Columns are independent: a (m, k) solve is bitwise identical to k
-    single-column solves.
+    Each column solves its own right-hand side, but its last bits may
+    differ from a single-column solve's: SuperLU takes a block through
+    other BLAS routines, whose rounding depends on the OpenBLAS kernel.
     """
     b = np.asarray(b, dtype=float)
     if b.shape[0] != f.n:

@@ -62,14 +62,17 @@ def annulus_rotation_motion(mesh, theta_outer, theta_inner=0.0, s=None):
 class TabulatedMotion(BoundaryMotion):
     """Piecewise-linear motion through explicit per-frame boundary coordinates.
 
-    ``frames`` excludes the initial configuration; t=1 lands on the last
-    frame.  A straight-line motion (``AffineMotion``, ``shear_motion``,
-    ``nonlinear3d_motion``) is one frame, the image of the boundary.
+    ``frames`` excludes the initial configuration and holds at least one
+    frame; t=1 lands on the last frame.  A straight-line motion
+    (``AffineMotion``, ``shear_motion``, ``nonlinear3d_motion``) is one
+    frame, the image of the boundary.
     """
 
     def __init__(self, mesh, frames):
         super().__init__(mesh, self._interpolate)
         self.frames = [np.asarray(f, dtype=float) for f in frames]
+        if not self.frames:
+            raise ValueError("a tabulated motion needs at least one frame")
         for f in self.frames:
             if f.shape != self.base_coords.shape:
                 raise ValueError("frame shape does not match boundary")
@@ -192,7 +195,7 @@ def small_step_femwarp(mesh, scheme, motion, min_step=DEFAULT_MIN_STEP):
     fraction t it reached.  The fixed-step baseline is ``warp_trajectory``
     over the frames ``motion.evaluate(min(k*h, 1))``.
     """
-    if min_step <= 0.0:
+    if not min_step > 0.0:
         raise ValueError("min_step must be positive")
     cur, t, nrev, nchol, steps = mesh, 0.0, 0, 0, []
     while t < 1.0 - 1e-12:

@@ -677,6 +677,7 @@ class TestCliErrorContract:
             ),
             ("motion = affine\nl = nan,0;0,1\n", "PARSE_ERROR"),
             ("motion = shear\nalpha = inf\n", "INVALID_SPEC"),
+            ("motion = tabulated\nframes = ,\n", "INVALID_SPEC"),
         ],
         ids=[
             "bad_float",
@@ -686,17 +687,20 @@ class TestCliErrorContract:
             "zero_min_step",
             "nan_matrix_entry",
             "inf_alpha",
+            "no_frames",
         ],
     )
     def test_bad_spec(self, tmp_path, annulus_on_disk, capsys, spec_text, code):
         base, _ = annulus_on_disk
         spec = tmp_path / "bad.spec"
         spec.write_text(spec_text)
-        rc = main(["warp", "--mesh", base, "--spec", str(spec), "--out", str(tmp_path / "o")])
+        out = str(tmp_path / "o")
+        rc = main(["warp", "--mesh", base, "--spec", str(spec), "--out", out])
         assert rc == 1
         err = capsys.readouterr().err.strip()
         assert err.startswith(f"error code={code} message=")
         assert "\n" not in err
+        assert not any(os.path.exists(out + ext) for ext in (".node", ".ele", ".report"))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("algorithm", ["femwarp", "small_step", "hybrid", "untangle"])

@@ -341,14 +341,17 @@ class TestSolveMulti:
         e = np.ones(2)
         assert np.allclose(solve_multi(f, SPD_2X2 @ e), e, atol=1e-10)
 
-    def test_columns_bitwise_independent(self, annulus_coarse, rng):
+    def test_columns_independent(self, annulus_coarse, rng):
+        # bitwise equal under some OpenBLAS kernels only (SkylakeX, not
+        # Haswell, Zen or Prescott, where this mesh's columns differ by up to
+        # 3 ulps of their largest entry and a 40x160 annulus's by up to 6)
         w = build_weights(annulus_coarse, "FEM")
         f = factor(w.a_ii)
         b = rng.standard_normal((len(w.interior_ids), 3))
         multi = solve_multi(f, b)
         for j in range(3):
             single = solve_multi(f, b[:, j])
-            assert np.array_equal(multi[:, j], single)
+            assert np.abs(multi[:, j] - single).max() <= 8 * np.spacing(np.abs(single).max())
 
     def test_dimension_mismatch(self):
         f = factor(SPD_2X2)

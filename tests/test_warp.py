@@ -110,6 +110,9 @@ class TestMotions:
     def test_tabulated_shape_check(self, annulus_coarse):
         with pytest.raises(ValueError):
             TabulatedMotion(annulus_coarse, [np.zeros((3, 2))])
+        # with no frame every t would give the base coordinates
+        with pytest.raises(ValueError):
+            TabulatedMotion(annulus_coarse, [])
 
 
 class TestFemwarpStep:
@@ -233,10 +236,18 @@ class TestSmallStep:
         b, _ = small_step_femwarp(annulus_coarse, "FEM", motion)
         assert np.array_equal(a.coords, b.coords)
 
-    def test_min_step_validation(self, annulus_coarse):
-        motion = annulus_rotation_motion(annulus_coarse, 1.0)
-        with pytest.raises(ValueError):
-            small_step_femwarp(annulus_coarse, "FEM", motion, min_step=0.0)
+    def test_min_step_validation(self, monkeypatch):
+        # refused before the first factorization: a nan min_step never ends
+        # the halving of a warp that reverses, as this one does
+        def factor(*args, **kwargs):
+            raise AssertionError("factor called")
+
+        monkeypatch.setattr(warp, "factor", factor)
+        mesh = gen_annulus(0.5, 4, 16)
+        motion = annulus_rotation_motion(mesh, 0.0, 0.0, s=1.5)
+        for min_step in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError):
+                small_step_femwarp(mesh, "FEM", motion, min_step=min_step)
 
     def test_composition_consistency(self, annulus_coarse, rng):
         # warping through an intermediate affine configuration equals the
