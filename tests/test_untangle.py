@@ -636,10 +636,12 @@ class TestTripleKernels:
     @pytest.mark.parametrize("n", range(3, KERNEL_MAX + 1))
     def test_matches_loop_and_nested_dual(self, n):
         for flat, slots in kernel_cavities(n):
+            sub = LocalSubmesh(flat, slots, 2)
             # repr tells -0.0 from 0.0, nan from None and a numpy float
-            want = repr(nested_reposition_2d(LocalSubmesh(flat, slots, 2)))
+            want = repr(nested_reposition_2d(sub))
             assert repr(_reposition_2d(flat, slots)) == want
             assert repr(kernel(n)(flat, slots)) == want
+            assert repr(maximin_reposition(sub)) == repr(maximin_reposition_nested(sub))
 
     def test_every_route_is_taken(self):
         # the cavities of test_matches_loop_and_nested_dual take each way
