@@ -221,13 +221,14 @@ def _reposition_2d(flat, slots):
                 or area < 0.0 and not (wi > 0.0 or wj > 0.0 or wl > 0.0)):
             value = (wi * meas[i] + wj * meas[j] + wl * meas[l]) / area
             if v is None or value < v:
-                v, bi, bj, bl = value, i, j, l
+                v, best = value, (i, j, l)
     if v is None:
         return None  # the gradients do not surround the origin
-    (gx, gy), (hx, hy), (kx, ky) = grads[bi], grads[bj], grads[bl]
+    i, j, l = best
+    (gx, gy), (hx, hy), (kx, ky) = grads[i], grads[j], grads[l]
     # (G_i - G_l) @ u = m_l - m_i and (G_j - G_l) @ u = m_l - m_j
     ax, ay, bx, by = gx - kx, gy - ky, hx - kx, hy - ky
-    ra, rb = meas[bl] - meas[bi], meas[bl] - meas[bj]
+    ra, rb = meas[l] - meas[i], meas[l] - meas[j]
     det = ax * by - ay * bx
     if det == 0.0:
         return None
