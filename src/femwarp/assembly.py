@@ -53,18 +53,9 @@ class WeightSystem:
     a_ib: sparse.csr_matrix
     interior_ids: np.ndarray
     boundary_ids: np.ndarray
-    scheme: str
-
-    @property
-    def symmetric(self):
-        return self.scheme == "FEM"
-
-    @property
-    def b(self):
-        return len(self.boundary_ids)
 
 
-def system(topology, data, scheme):
+def system(topology, data):
     """WeightSystem of ``data`` (length ``topology.nnz``) in its pattern."""
     nnz_ii = len(topology.ii_indices)
     m, b = len(topology.interior_ids), len(topology.boundary_ids)
@@ -74,18 +65,16 @@ def system(topology, data, scheme):
     a_ib = sparse.csr_matrix(
         (data[nnz_ii:], topology.ib_indices, topology.ib_indptr), shape=(m, b)
     )
-    return WeightSystem(
-        a_ii, a_ib, topology.interior_ids, topology.boundary_ids, scheme
-    )
+    return WeightSystem(a_ii, a_ib, topology.interior_ids, topology.boundary_ids)
 
 
-def row_system(topology, weights, scheme):
+def row_system(topology, weights):
     """Unit-diagonal A_I with -w_ij off the diagonal; ``weights`` lists
     every interior row's neighbor weights in adjacency order."""
     data = np.zeros(topology.nnz)
     data[topology.diag_slots] = 1.0
     data[topology.nbr_slots] = -weights
-    return system(topology, data, scheme)
+    return system(topology, data)
 
 
 def _topology(mesh):
@@ -147,7 +136,7 @@ def fem_weights(mesh):
     data = np.bincount(
         topology.scatter, weights=local.ravel(), minlength=topology.nnz + 1
     )
-    return system(topology, data[: topology.nnz], "FEM")
+    return system(topology, data[: topology.nnz])
 
 
 def _degrees(topology):
@@ -165,7 +154,7 @@ def uniform_weights(mesh):
     """Centroid-of-neighbors weights: w_ij = 1/|N(i)| for every neighbor."""
     topology = _topology(mesh)
     deg = _degrees(topology)
-    return row_system(topology, np.repeat(1.0 / deg, deg), "UNIFORM")
+    return row_system(topology, np.repeat(1.0 / deg, deg))
 
 
 def _strictly_inside_hull(center, nbr_coords, tol=1e-12):
@@ -300,7 +289,7 @@ def log_barrier_weights(mesh, tol=1e-10):
         raise SingularSystemError(
             f"barrier weights did not converge for node {nid}", node=nid
         )
-    return row_system(topology, weights, "LOG_BARRIER")
+    return row_system(topology, weights)
 
 
 def build_weights(mesh, scheme):

@@ -33,18 +33,18 @@ class Factorization:
     ``a[order][:, order]`` in natural order, pivoting on the diagonal, and
     ``solve`` undoes the permutation.  ``order`` is a symmetric
     fill-reducing order, :func:`mmd_order` of ``a``'s pattern by default;
-    the warp drivers pass ``Topology.order``.  For FEM ``A_I`` is symmetric
-    positive definite; for UNIFORM and LOG_BARRIER it is a row diagonally
-    dominant M-matrix, on which LU without pivoting is stable.  ``spd``
-    selects only the symmetry check, the pivot threshold, the
-    positive-pivot check and the error a failure raises.  SPD input pivots
-    on the diagonal always (threshold 0), must give positive pivots and
-    fails with NOT_POSITIVE_DEFINITE; other input takes an off-diagonal
-    pivot only where the diagonal is below a tenth of its column's largest
-    entry (threshold 0.1) and fails with SINGULAR_SYSTEM.
+    the warp drivers pass ``Topology.order``.  The matrix picks the rest.
+    A symmetric one (``a - a.T`` within 1e-12 of its largest entry), such
+    as FEM's positive definite ``A_I``, pivots on the diagonal always
+    (threshold 0), must give positive pivots and fails with
+    NOT_POSITIVE_DEFINITE.  Any other takes an off-diagonal pivot only
+    where the diagonal is below a tenth of its column's largest entry
+    (threshold 0.1) and fails with SINGULAR_SYSTEM.  UNIFORM's and
+    LOG_BARRIER's ``A_I``, row diagonally dominant M-matrices on which LU
+    without pivoting is stable, keep their diagonal on either path.
     """
 
-    def __init__(self, a, spd=True, order=None):
+    def __init__(self, a, order=None):
         a = sparse.csc_matrix(a)
         if a.shape[0] != a.shape[1]:
             raise ValueError("matrix must be square")
@@ -54,13 +54,11 @@ class Factorization:
         order = np.asarray(order)
         if not np.array_equal(np.sort(order), np.arange(self.n)):
             raise ValueError(f"order must be a permutation of 0..{self.n - 1}")
-        error = NotPositiveDefiniteError if spd else SingularSystemError
-        if spd:
-            diff = a - a.T
-            if diff.nnz and abs(diff).max() > 1e-12 * max(1.0, abs(a).max()):
-                raise NotPositiveDefiniteError("matrix is not symmetric")
+        diff = a - a.T
+        symmetric = not diff.nnz or abs(diff).max() <= 1e-12 * max(1.0, abs(a).max())
+        error = NotPositiveDefiniteError if symmetric else SingularSystemError
         opts = dict(
-            diag_pivot_thresh=0.0 if spd else 0.1, options=dict(SymmetricMode=True)
+            diag_pivot_thresh=0.0 if symmetric else 0.1, options=dict(SymmetricMode=True)
         )
         try:
             lu = spla.splu(a[order][:, order], permc_spec="NATURAL", **opts)
@@ -68,7 +66,7 @@ class Factorization:
             raise error(str(exc)) from exc
         # with a zero pivot threshold the diagonal of U carries the
         # LDL pivots; any nonpositive pivot disproves definiteness
-        if spd and np.any(lu.U.diagonal() <= 0.0):
+        if symmetric and np.any(lu.U.diagonal() <= 0.0):
             raise NotPositiveDefiniteError("nonpositive pivot encountered")
         self.order = order
         self._lu = lu
@@ -80,11 +78,11 @@ class Factorization:
         return x
 
 
-def factor(a, spd=True, order=None):
-    """Factor a sparse matrix; raises NOT_POSITIVE_DEFINITE for spd input
-    that is not positive definite and SINGULAR_SYSTEM for other input that
-    is singular.  ``order``: see :class:`Factorization`."""
-    return Factorization(a, spd=spd, order=order)
+def factor(a, order=None):
+    """Factor a sparse matrix; raises NOT_POSITIVE_DEFINITE for a symmetric
+    matrix that is not positive definite and SINGULAR_SYSTEM for any other
+    matrix that is singular.  ``order``: see :class:`Factorization`."""
+    return Factorization(a, order=order)
 
 
 def solve_multi(f, b):

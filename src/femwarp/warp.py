@@ -172,9 +172,9 @@ def femwarp_step(mesh, weights, target_boundary):
     to do with it.
     """
     target_boundary = np.asarray(target_boundary, dtype=float)
-    if target_boundary.shape != (weights.b, mesh.dim):
+    if target_boundary.shape != (len(weights.boundary_ids), mesh.dim):
         raise ValueError("target must cover every boundary node")
-    f = factor(weights.a_ii, spd=weights.symmetric, order=mesh.topology.order)
+    f = factor(weights.a_ii, order=mesh.topology.order)
     x_i = solve_multi(f, -(weights.a_ib @ target_boundary))
     del f  # free the LU before the reversal count and the quality report
     warped, nrev = _place(mesh, weights, x_i, target_boundary)
@@ -201,7 +201,7 @@ def small_step_femwarp(mesh, scheme, motion, min_step=DEFAULT_MIN_STEP):
     while t < 1.0 - 1e-12:
         f = None  # release the old factors before computing the next ones
         weights = build_weights(cur, scheme)
-        f = factor(weights.a_ii, spd=weights.symmetric, order=mesh.topology.order)
+        f = factor(weights.a_ii, order=mesh.topology.order)
         nchol += 1
         dt = 1.0 - t
         while True:

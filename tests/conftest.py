@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from femwarp import (
+    Mesh,
     TabulatedMotion,
     Topology,
     gen_annulus,
@@ -135,3 +136,22 @@ def fixed_step_trajectory(mesh, motion, h):
     count = int(np.ceil(1.0 / h - 1e-9))
     frames = [motion.evaluate(min(k * h, 1.0)) for k in range(1, count + 1)]
     return warp_trajectory(mesh, "FEM", TabulatedMotion(mesh, frames))
+
+
+def flipped_rectangle(seed):
+    """``gen_rectangle(2, 1, 11, 7)``'s nodes with each cell split along a
+    random diagonal, so that interior cavities hold 4 to 8 triangles, and
+    interior nodes jittered by up to two cells, which reverses dozens."""
+    nx, ny = 11, 7
+    base = gen_rectangle(2.0, 1.0, nx, ny)
+    rng = np.random.default_rng(seed)
+    elements = []
+    for j in range(ny - 1):
+        for i in range(nx - 1):
+            a, b = j * nx + i, j * nx + i + 1
+            c, d = b + nx, a + nx
+            elements += [[a, b, c], [a, c, d]] if rng.random() < 0.5 else [[a, b, d], [b, c, d]]
+    coords = np.array(base.coords)
+    ii = base.interior_ids
+    coords[ii] += rng.uniform(-2.0 / (ny - 1), 2.0 / (ny - 1), size=(len(ii), 2))
+    return Mesh(coords, np.array(elements), base.boundary_ids)

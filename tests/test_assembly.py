@@ -8,6 +8,7 @@ from femwarp.assembly import (
     _solve_stack,
     assemble_stiffness,
     build_weights,
+    fem_weights,
     local_stiffness,
     log_barrier_weights,
     row_system,
@@ -161,7 +162,7 @@ class TestPartition:
         boundary = sorted(set(mesh.boundary_ids.tolist()) | set(mid))
         split = Mesh(mesh.coords, mesh.elements, boundary)
         w = build_weights(split, "FEM")
-        factor(w.a_ii, spd=True)  # must not raise
+        factor(w.a_ii)  # must not raise
 
     def test_no_interior_error(self):
         mesh = gen_annulus(0.5, 2, 8)
@@ -171,7 +172,7 @@ class TestPartition:
     def test_spd_factorizes_everywhere(self, annulus_mid, rect_mesh, box_mesh):
         for mesh in (annulus_mid, rect_mesh, box_mesh):
             w = build_weights(mesh, "FEM")
-            factor(w.a_ii, spd=True)
+            factor(w.a_ii)
 
 
 class TestUniformWeights:
@@ -199,7 +200,7 @@ class TestUniformWeights:
 
     def test_ones_identity(self, annulus_coarse):
         w = uniform_weights(annulus_coarse)
-        rowsum = w.a_ii @ np.ones(len(w.interior_ids)) + w.a_ib @ np.ones(w.b)
+        rowsum = w.a_ii @ np.ones(len(w.interior_ids)) + w.a_ib @ np.ones(len(w.boundary_ids))
         # exact up to the rounding of 1/|N(i)| summed |N(i)| times
         assert np.abs(rowsum).max() < 1e-14
 
@@ -252,7 +253,7 @@ class TestLogBarrierWeights:
     def test_kkt_constraints_hold(self, annulus_coarse):
         w = log_barrier_weights(annulus_coarse)
         # weights sum to 1 per row and reproduce the node coordinates
-        ones = w.a_ii @ np.ones(len(w.interior_ids)) + w.a_ib @ np.ones(w.b)
+        ones = w.a_ii @ np.ones(len(w.interior_ids)) + w.a_ib @ np.ones(len(w.boundary_ids))
         assert np.abs(ones).max() < 1e-9
         res = weight_residual(w, annulus_coarse.coords)
         assert res.max() < 1e-9
@@ -274,11 +275,13 @@ class TestLogBarrierWeights:
 
 
 class TestBuildWeights:
-    def test_dispatch_and_tags(self, annulus_coarse):
-        for scheme in ("FEM", "UNIFORM", "LOG_BARRIER"):
-            w = build_weights(annulus_coarse, scheme)
-            assert w.scheme == scheme
-            assert w.symmetric == (scheme == "FEM")
+    def test_dispatch(self, annulus_coarse):
+        # the scheme name is case-insensitive
+        builders = (fem_weights, uniform_weights, log_barrier_weights)
+        for scheme, build in zip(("fem", "Uniform", "LOG_BARRIER"), builders):
+            got, want = build_weights(annulus_coarse, scheme), build(annulus_coarse)
+            for a, b in ((got.a_ii, want.a_ii), (got.a_ib, want.a_ib)):
+                assert np.array_equal(a.data, b.data)
 
     def test_unknown_scheme(self, annulus_coarse):
         with pytest.raises(ValueError):
@@ -366,7 +369,7 @@ class TestBatchedBarrier:
             for i in topology.interior_ids
         ]
         assert sorted({len(r) for r in rows}) == degrees
-        expected = row_system(topology, np.concatenate(rows), "LOG_BARRIER")
+        expected = row_system(topology, np.concatenate(rows))
         got = log_barrier_weights(mesh)
         for a, b in ((got.a_ii, expected.a_ii), (got.a_ib, expected.a_ib)):
             assert np.array_equal(a.indices, b.indices)
@@ -383,7 +386,7 @@ class TestBatchedBarrier:
             )
             for i in topology.interior_ids
         ]
-        expected = row_system(topology, np.concatenate(rows), "LOG_BARRIER")
+        expected = row_system(topology, np.concatenate(rows))
         got = log_barrier_weights(mesh, tol=1e-3)
         tight = log_barrier_weights(mesh)
         assert np.abs(got.a_ib.data - tight.a_ib.data).max() > 1e-6

@@ -8,7 +8,7 @@ import pytest
 from scipy import sparse
 from scipy.sparse import linalg as spla
 
-from femwarp import cli, gen_annulus, gen_box_tets, io, warp
+from femwarp import cli, gen_annulus, gen_box_tets, gen_rectangle, io, warp
 from femwarp import mesh as mesh_module
 from femwarp.assembly import SCHEMES, build_weights
 from femwarp.errors import (
@@ -18,7 +18,11 @@ from femwarp.errors import (
 )
 from femwarp.solve import factor, gauss_seidel, mmd_order, solve_multi
 
+from conftest import flipped_rectangle
+
 SPD_2X2 = sparse.csc_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+# the flipped rectangle's connectivity on its unjittered grid nodes
+IRREGULAR_GRID = flipped_rectangle(0).with_coords(gen_rectangle(2.0, 1.0, 11, 7).coords)
 
 
 def jittered(mesh, rng, amount=0.02):
@@ -40,11 +44,12 @@ class TestFactor:
         with pytest.raises(NotPositiveDefiniteError):
             factor(a)
 
-    def test_nonsymmetric_rejected_in_spd_mode(self):
-        a = sparse.csc_matrix(np.array([[2.0, -1.0], [0.0, 2.0]]))
+    def test_nonsymmetric_takes_lu_path(self):
+        # a negative pivot refutes only a symmetric matrix's definiteness
+        a = sparse.csc_matrix(np.array([[-2.0, 1.0], [0.0, 2.0]]))
+        assert np.array_equal(factor(a).solve(np.array([0.0, 4.0])), [1.0, 2.0])
         with pytest.raises(NotPositiveDefiniteError):
-            factor(a, spd=True)
-        factor(a, spd=False)  # general LU path accepts it
+            factor(a + a.T)
 
     def test_annulus_residual(self, annulus_coarse, rng):
         w = build_weights(annulus_coarse, "FEM")
@@ -92,21 +97,21 @@ class TestFactor:
         for bad in (fresh.order[:-1], np.append(fresh.order, len(w.interior_ids)), repeated):
             with pytest.raises(ValueError):
                 factor(w.a_ii, order=bad)
-        # the nonsymmetric schemes take the same path, so an order serves
-        # them too
-        general = factor(w.a_ii, spd=False, order=fresh.order)
-        assert np.abs(general.solve(b) - x).max() <= 1e-12 * np.abs(x).max()
 
     @pytest.mark.parametrize("scheme", ["UNIFORM", "LOG_BARRIER"])
     @pytest.mark.parametrize(
-        "mesh", [gen_annulus(0.5, 6, 24), gen_box_tets(5, 5, 5)], ids=["annulus", "box"]
+        "mesh",
+        [gen_annulus(0.5, 6, 24), gen_box_tets(5, 5, 5), IRREGULAR_GRID],
+        ids=["annulus", "box", "irregular"],
     )
     def test_nonsymmetric_schemes_pivot_on_the_diagonal(self, mesh, scheme, rng):
-        # A_I = I - W_II is a row diagonally dominant M-matrix, so the
-        # symmetric-mode threshold never takes an off-diagonal pivot
+        # A_I = I - W_II is a row diagonally dominant M-matrix, so neither
+        # path takes an off-diagonal pivot.  UNIFORM's A_I is symmetric on
+        # the annulus and the box; node degrees of 4 to 8 make it take LU.
         w = build_weights(jittered(mesh, rng), scheme)
-        assert not w.symmetric
-        f = factor(w.a_ii, spd=w.symmetric)
+        if mesh is IRREGULAR_GRID:
+            assert abs(w.a_ii - w.a_ii.T).max() > 0.1
+        f = factor(w.a_ii)
         assert np.array_equal(f._lu.perm_r, f._lu.perm_c)
         b = rng.standard_normal(len(w.interior_ids))
         x = f.solve(b)
@@ -119,12 +124,12 @@ class TestFactor:
             np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 1.0], [1.0, 3.0, 1.0]])
         )
         with pytest.raises(SingularSystemError):
-            factor(a, spd=False, order=order)
+            factor(a, order=order)
 
     def test_zero_diagonal_pivots_off_it(self):
-        a = sparse.csc_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        f = factor(a, spd=False)
-        assert np.array_equal(f.solve(np.array([2.0, 3.0])), [3.0, 2.0])
+        a = sparse.csc_matrix(np.array([[0.0, 1.0], [2.0, 0.0]]))
+        f = factor(a)
+        assert np.array_equal(f.solve(np.array([2.0, 3.0])), [1.5, 2.0])
 
     def test_log_barrier_small_step_reuses_order(self, annulus_coarse, monkeypatch):
         # every factorization receives the topology's order, and the warp
@@ -134,9 +139,9 @@ class TestFactor:
         for reuse in (True, False):
             orders = []
 
-            def recording(a, spd=True, order=None):
+            def recording(a, order=None):
                 orders.append(order)
-                return factor(a, spd=spd, order=order if reuse else None)
+                return factor(a, order=order if reuse else None)
 
             monkeypatch.setattr(warp, "factor", recording)
             _, report = warp.small_step_femwarp(annulus_coarse, "LOG_BARRIER", motion)
@@ -199,9 +204,9 @@ def factor_orders(monkeypatch):
     """The ``order`` of every ``factor`` call the warp drivers make."""
     orders = []
 
-    def recording(a, spd=True, order=None):
+    def recording(a, order=None):
         orders.append(order)
-        return factor(a, spd=spd, order=order)
+        return factor(a, order=order)
 
     monkeypatch.setattr(warp, "factor", recording)
     return orders
@@ -284,8 +289,8 @@ class TestNestedDissectionOrder:
         # box); from 14^3 on the dissection wins
         mesh = jittered(gen_box_tets(14, 14, 14), rng, amount=0.01)
         w = build_weights(mesh, scheme)
-        nd = factor(w.a_ii, spd=w.symmetric, order=mesh.topology.order)
-        mmd = factor(w.a_ii, spd=w.symmetric)
+        nd = factor(w.a_ii, order=mesh.topology.order)
+        mmd = factor(w.a_ii)
         assert nd._lu.nnz < 0.95 * mmd._lu.nnz
 
     @pytest.mark.parametrize("scheme", ["FEM", "LOG_BARRIER"])
@@ -295,7 +300,7 @@ class TestNestedDissectionOrder:
         target = warp.nonlinear3d_motion(mesh, 4.0).evaluate(1.0)
         nd, _ = warp.femwarp_step(mesh, w, target)
         assert len(factor_orders) == 1 and factor_orders[0] is mesh.topology.order
-        monkeypatch.setattr(warp, "factor", lambda a, spd, order: factor(a, spd))
+        monkeypatch.setattr(warp, "factor", lambda a, order: factor(a))
         mmd, _ = warp.femwarp_step(mesh, w, target)
         ii = mesh.interior_ids
         scale = np.abs(mmd.coords[ii]).max()

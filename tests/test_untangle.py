@@ -21,7 +21,6 @@ from femwarp import (
     femwarp_step,
     gen_annulus,
     gen_box_tets,
-    gen_rectangle,
 )
 from femwarp.assembly import build_weights
 from femwarp.cli import run_algorithm
@@ -38,7 +37,7 @@ from femwarp.untangle import (
 )
 from femwarp.warp import AffineMotion
 
-from conftest import jittered
+from conftest import flipped_rectangle, jittered
 from oracles import (
     array_terms,
     bumped_measure_coeffs,
@@ -330,25 +329,6 @@ def hybrid_seed_warp(seed):
     mesh = jittered(gen_annulus(0.5, 8, 60), np.random.default_rng(seed), frac=1e-10)
     target = annulus_rotation_motion(mesh, 0.75 * np.pi, 0.25 * np.pi).evaluate(1.0)
     return femwarp_step(mesh, build_weights(mesh, "FEM"), target)[0]
-
-
-def flipped_rectangle(seed):
-    """``gen_rectangle(2, 1, 11, 7)``'s nodes with each cell split along a
-    random diagonal, so that interior cavities hold 4 to 8 triangles, and
-    interior nodes jittered by up to two cells, which reverses dozens."""
-    nx, ny = 11, 7
-    base = gen_rectangle(2.0, 1.0, nx, ny)
-    rng = np.random.default_rng(seed)
-    elements = []
-    for j in range(ny - 1):
-        for i in range(nx - 1):
-            a, b = j * nx + i, j * nx + i + 1
-            c, d = b + nx, a + nx
-            elements += [[a, b, c], [a, c, d]] if rng.random() < 0.5 else [[a, b, d], [b, c, d]]
-    coords = np.array(base.coords)
-    ii = base.interior_ids
-    coords[ii] += rng.uniform(-2.0 / (ny - 1), 2.0 / (ny - 1), size=(len(ii), 2))
-    return Mesh(coords, np.array(elements), base.boundary_ids)
 
 
 def point_reflected(mesh):
