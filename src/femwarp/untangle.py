@@ -29,7 +29,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import UnboundedLPError
-from .mesh import _geometry, _gradients, count_reversals
+from .mesh import _dot, _geometry, _gradients, count_reversals
 from .warp import femwarp_step, warp_report
 
 BOX_FACTOR = 10.0
@@ -133,17 +133,13 @@ def _simplex_reposition(grads, meas, x0, radius):
     at ``x0``.  Each product with ``grads`` is written out axis by axis,
     not as a matrix product, so its bits do not depend on the BLAS build."""
     d = x0.size
-
-    def dot(x):
-        return sum((grads[:, k] * x[k] for k in range(1, d)), grads[:, 0] * x[0])
-
-    consts = meas - dot(x0)  # measure_i(x) = G[i] @ x + consts[i]
+    consts = meas - _dot(grads.T, x0)  # measure_i(x) = G[i] @ x + consts[i]
     lo = x0 - radius
     hi = x0 + radius
     # affine functions attain extremes at box corners; anchoring the level
     # variable at the minimum over the lo corner keeps the slack basis
     # feasible without cutting off the optimum
-    t_lo = (dot(lo) + consts).min()
+    t_lo = (_dot(grads.T, lo) + consts).min()
 
     # variables: u = x - lo in [0, hi-lo], tv = t - t_lo >= 0
     n = len(grads)
@@ -151,14 +147,14 @@ def _simplex_reposition(grads, meas, x0, radius):
     b_ub = np.zeros(n + d)
     a_ub[:n, :d] = -grads
     a_ub[:n, d] = 1.0
-    b_ub[:n] = dot(lo) + consts - t_lo
+    b_ub[:n] = _dot(grads.T, lo) + consts - t_lo
     a_ub[n:, :d] = np.eye(d)
     b_ub[n:] = hi - lo
     obj = np.zeros(d + 1)
     obj[d] = 1.0
     sol = _simplex_maximize(obj, a_ub, b_ub)
     x_new = lo + sol[:d]
-    return x_new, (dot(x_new) + consts).min()
+    return x_new, (_dot(grads.T, x_new) + consts).min()
 
 
 def _reposition_2d(flat, slots):
