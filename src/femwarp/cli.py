@@ -91,15 +91,18 @@ def build_motion(mesh, spec, scale=1.0):
             matrix = eye + scale * (matrix - eye)
             shift = scale * shift
         return AffineMotion(mesh, matrix, shift)
-    if kind == "annulus":
-        theta_outer = scale * _spec_number(spec, "theta_outer", 0.0)
-        theta_inner = scale * _spec_number(spec, "theta_inner", 0.0)
-        s = _spec_number(spec, "s", None)
-        return annulus_rotation_motion(mesh, theta_outer, theta_inner, s=s)
     if kind == "shear":
         return shear_motion(mesh, scale * _spec_number(spec, "alpha", 0.0))
-    if kind == "nonlinear3d":
-        return nonlinear3d_motion(mesh, scale * _spec_number(spec, "alpha", 0.0))
+    try:  # a motion of the wrong dimension
+        if kind == "annulus":
+            theta_outer = scale * _spec_number(spec, "theta_outer", 0.0)
+            theta_inner = scale * _spec_number(spec, "theta_inner", 0.0)
+            s = _spec_number(spec, "s", None)
+            return annulus_rotation_motion(mesh, theta_outer, theta_inner, s=s)
+        if kind == "nonlinear3d":
+            return nonlinear3d_motion(mesh, scale * _spec_number(spec, "alpha", 0.0))
+    except ValueError as exc:
+        raise InvalidSpecError(str(exc)) from exc
     if kind == "tabulated":
         if "frames" not in spec:
             raise InvalidSpecError("tabulated motion needs 'frames'")

@@ -2,6 +2,7 @@
 halving, and multi-frame trajectory replay.
 """
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -9,7 +10,7 @@ import numpy as np
 
 from . import analytic
 from .assembly import build_weights
-from .mesh import count_reversals, quality_report
+from .mesh import _dot, count_reversals, quality_report
 from .solve import factor, solve_multi
 
 DEFAULT_MIN_STEP = 1.0 / 128.0
@@ -32,6 +33,12 @@ class BoundaryMotion:
         return self._fn(self.base_coords, t)
 
 
+def _apply(matrix, base):
+    """``base @ matrix.T`` written axis by axis, not as a matrix product, so
+    its bits do not depend on the BLAS build."""
+    return _dot(np.asarray(matrix, dtype=float).T[..., None], base.T[:, None]).T
+
+
 def annulus_rotation_motion(mesh, theta_outer, theta_inner=0.0, s=None):
     """Rotate the outer boundary by theta_outer and the inner by theta_inner,
     optionally moving the inner radius r (the smallest boundary radius) to
@@ -39,8 +46,11 @@ def annulus_rotation_motion(mesh, theta_outer, theta_inner=0.0, s=None):
 
     Boundary nodes are classified inner/outer by radius against the midpoint
     of the two boundary radii; ``np.hypot`` takes the radii without squaring
-    the coordinates, so the split holds at any scale.
+    the coordinates, so the split holds at any scale.  A mesh that is not 2D
+    raises ValueError.
     """
+    if mesh.dim != 2:
+        raise ValueError(f"an annulus rotation needs a 2D mesh, not {mesh.dim}D")
     radii = np.hypot(*mesh.coords[mesh.boundary_ids].T)
     r = radii.min()
     inner = radii < 0.5 * (r + radii.max())
@@ -48,9 +58,8 @@ def annulus_rotation_motion(mesh, theta_outer, theta_inner=0.0, s=None):
     def fn(base, t):
         out = np.empty_like(base)
         for mask, theta in ((inner, theta_inner), (~inner, theta_outer)):
-            a = t * theta
-            rot = np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
-            out[mask] = base[mask] @ rot.T
+            c, sn = math.cos(t * theta), math.sin(t * theta)
+            out[mask] = _apply([[c, -sn], [sn, c]], base[mask])
         if s is not None and s != r:
             scale = (r + t * (s - r)) / r
             out[inner] *= scale
@@ -98,9 +107,10 @@ class AffineMotion(TabulatedMotion):
     intermediate configuration is itself affine."""
 
     def __init__(self, mesh, matrix, shift):
-        matrix = np.asarray(matrix, dtype=float)
+        if np.shape(matrix) != (mesh.dim, mesh.dim):
+            raise ValueError(f"matrix must be {mesh.dim}x{mesh.dim}")
         shift = np.asarray(shift, dtype=float)
-        super().__init__(mesh, _image(mesh, lambda base: base @ matrix.T + shift))
+        super().__init__(mesh, _image(mesh, lambda base: _apply(matrix, base) + shift))
 
 
 def shear_motion(mesh, alpha):
@@ -112,7 +122,10 @@ def shear_motion(mesh, alpha):
 
 def nonlinear3d_motion(mesh, alpha):
     """The straight line toward the 3D stress deformation
-    ``analytic.nonlinear3d_map(alpha, .)`` of the boundary."""
+    ``analytic.nonlinear3d_map(alpha, .)`` of the boundary.  A mesh that is
+    not 3D raises ValueError."""
+    if mesh.dim != 3:
+        raise ValueError(f"a nonlinear3d motion needs a 3D mesh, not {mesh.dim}D")
     frames = _image(mesh, partial(analytic.nonlinear3d_map, alpha))
     return TabulatedMotion(mesh, frames)
 

@@ -663,11 +663,27 @@ def stack_quality_report(mesh):
     )
 
 
+def affine_by_point(base, matrix, shift):
+    """L x + v of each row of ``base``, one point at a time in Python floats,
+    each sum over the axes in axis order: no BLAS call."""
+    matrix = np.asarray(matrix, dtype=float).tolist()
+    shift = np.asarray(shift, dtype=float).tolist()
+    out = []
+    for p in np.asarray(base, dtype=float).tolist():
+        row = []
+        for m, v in zip(matrix, shift):
+            acc = m[0] * p[0]
+            for mk, pk in zip(m[1:], p[1:]):
+                acc += mk * pk
+            row.append(acc + v)
+        out.append(row)
+    return np.array(out)
+
+
 def affine_blend(base, matrix, shift, t):
     """The affine motion as blended before it was a one-frame tabulated
-    motion: (1-t) x + t (L x + v)."""
-    target = base @ matrix.T + shift
-    return (1.0 - t) * base + t * target
+    motion: (1-t) x + t (L x + v), with L x + v from :func:`affine_by_point`."""
+    return (1.0 - t) * base + t * affine_by_point(base, matrix, shift)
 
 
 def shear_blend(base, alpha, t):

@@ -727,6 +727,28 @@ class TestCliErrorContract:
             assert "\n" not in err and captured.out == ""
         assert not os.path.exists(out + ".node")
 
+    @pytest.mark.parametrize(
+        "make, spec_text",
+        [
+            (lambda: gen_box_tets(4, 4, 4), "motion = annulus\ntheta_outer = 0.5\n"),
+            (lambda: gen_annulus(0.5, 4, 16), "motion = nonlinear3d\nalpha = 1\n"),
+        ],
+        ids=["annulus_on_box", "nonlinear3d_on_annulus"],
+    )
+    def test_motion_of_the_wrong_dimension(self, tmp_path, capsys, make, spec_text):
+        # these used to end in a ValueError and an IndexError traceback
+        base = str(tmp_path / "m")
+        io.write_mesh(make(), base + ".node", base + ".ele")
+        spec = tmp_path / "dim.spec"
+        spec.write_text(spec_text)
+        out = str(tmp_path / "o")
+        assert main(["warp", "--mesh", base, "--spec", str(spec), "--out", out]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and captured.out == ""
+        assert lines[0].startswith("error code=INVALID_SPEC message=")
+        assert not any(os.path.exists(out + ext) for ext in (".node", ".ele", ".report"))
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("grid", ["0:1e308:1e-308", "-1e308:1e308:1", "0:1e300:1"])
     def test_overflowing_param_grid(self, tmp_path, annulus_on_disk, capsys, grid):

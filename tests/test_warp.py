@@ -1,5 +1,7 @@
 """One-shot warping, small-step homotopy and trajectory replay."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,13 @@ from femwarp.assembly import build_weights
 from femwarp.mesh import count_reversals, quality_report
 
 from conftest import fixed_step_trajectory, random_affine
-from oracles import affine_blend, annulus_for_h, nonlinear3d_blend, shear_blend
+from oracles import (
+    affine_blend,
+    affine_by_point,
+    annulus_for_h,
+    nonlinear3d_blend,
+    shear_blend,
+)
 
 
 def reflection(mesh):
@@ -83,14 +91,15 @@ class TestMotions:
         assert np.allclose(motion.evaluate(0.75), base + 2.0)
         assert np.allclose(motion.evaluate(1.0), base + 3.0)
 
-    @pytest.mark.parametrize("kind", ["affine", "shear", "nonlinear3d"])
+    @pytest.mark.parametrize("kind", ["affine", "affine3d", "shear", "nonlinear3d"])
     def test_straight_lines_match_blends(self, kind, request, rng):
         # each straight-line motion is one tabulated frame, the image of the
         # boundary; it equals the blend it replaced bit for bit at t = 0 and
-        # 1 (affine: at every t), and within rounding in between
-        if kind == "affine":
-            mesh = request.getfixturevalue("annulus_coarse")
-            l, v = random_affine(rng, 2)
+        # 1 (affine: at every t), and within rounding in between.  No blend
+        # makes a BLAS call, so this holds under every OpenBLAS kernel.
+        if kind.startswith("affine"):
+            mesh = request.getfixturevalue("box_mesh" if kind == "affine3d" else "annulus_coarse")
+            l, v = random_affine(rng, mesh.dim)
             motion, blend, args = AffineMotion(mesh, l, v), affine_blend, (l, v)
         elif kind == "shear":
             mesh = request.getfixturevalue("rect_mesh")
@@ -102,10 +111,36 @@ class TestMotions:
         base = mesh.coords[mesh.boundary_ids]
         for t in (0.0, 0.3, 0.5, 1.0):
             got, want = motion.evaluate(t), blend(base, *args, t)
-            if kind == "affine" or t in (0.0, 1.0):
+            if kind.startswith("affine") or t in (0.0, 1.0):
                 assert np.array_equal(got, want)
             else:
                 assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_annulus_rotation_by_point(self, annulus_coarse):
+        # no BLAS call: each target equals a per-point evaluation in Python
+        # floats bit for bit, whatever the OpenBLAS kernel
+        base = annulus_coarse.coords[annulus_coarse.boundary_ids]
+        radii = np.hypot(*base.T)
+        r = float(radii.min())
+        inner = radii < 0.5 * (r + radii.max())
+        motion = annulus_rotation_motion(annulus_coarse, 0.7, -0.4, s=0.6)
+        for t in (0.3, 1.0):
+            want = []
+            for (x, y), is_inner in zip(base.tolist(), inner):
+                a = t * (-0.4 if is_inner else 0.7)
+                c, sn = math.cos(a), math.sin(a)
+                p = [c * x - sn * y, sn * x + c * y]
+                scale = (r + t * (0.6 - r)) / r if is_inner else 1.0
+                want.append([q * scale for q in p] if is_inner else p)
+            assert motion.evaluate(t).tobytes() == np.array(want).tobytes()
+
+    def test_motion_of_the_wrong_dimension(self, annulus_coarse, box_mesh):
+        with pytest.raises(ValueError):
+            annulus_rotation_motion(box_mesh, 0.5)
+        with pytest.raises(ValueError):
+            nonlinear3d_motion(annulus_coarse, 1.0)
+        with pytest.raises(ValueError):
+            AffineMotion(annulus_coarse, np.eye(3)[:2], np.zeros(2))
 
     def test_tabulated_shape_check(self, annulus_coarse):
         with pytest.raises(ValueError):
