@@ -107,7 +107,8 @@ class TestFactor:
     def test_nonsymmetric_schemes_pivot_on_the_diagonal(self, mesh, scheme, rng):
         # A_I = I - W_II is a row diagonally dominant M-matrix, so neither
         # path takes an off-diagonal pivot.  UNIFORM's A_I is symmetric on
-        # the annulus and the box; node degrees of 4 to 8 make it take LU.
+        # the annulus and the box; the irregular grid's node degrees of 4 to
+        # 8 make it nonsymmetric, so it takes LU there.
         w = build_weights(jittered(mesh, rng), scheme)
         if mesh is IRREGULAR_GRID:
             assert abs(w.a_ii - w.a_ii.T).max() > 0.1

@@ -130,8 +130,10 @@ class TestMotions:
                 a = t * (-0.4 if is_inner else 0.7)
                 c, sn = math.cos(a), math.sin(a)
                 p = [c * x - sn * y, sn * x + c * y]
-                scale = (r + t * (0.6 - r)) / r if is_inner else 1.0
-                want.append([q * scale for q in p] if is_inner else p)
+                if is_inner:
+                    scale = (r + t * (0.6 - r)) / r
+                    p = [q * scale for q in p]
+                want.append(p)
             assert motion.evaluate(t).tobytes() == np.array(want).tobytes()
 
     def test_motion_of_the_wrong_dimension(self, annulus_coarse, box_mesh):
