@@ -3,17 +3,16 @@
 Each interior vertex is repositioned at the point maximizing the minimum
 signed measure of its incident elements (Freitag & Plassmann, IJNME 2000).
 The measure of each incident element is affine in the free vertex, so the
-reposition is a tiny linear program.  In 2D one loop function,
-:func:`_reposition_2d`, builds its coefficients in Python floats and solves
-it exactly from its dual, accepting the primal point only with a
-weak-duality certificate; cavities of up to ``KERNEL_MAX`` elements run the
-same operations unrolled into a kernel compiled once per size.  Both return
-one shape: the new position and its minimum measure, or None when the dual
-declines.  A vertex whose cavity's box radius or measure sum is not finite
-(non-finite or overflowing geometry) stays in place.  Every case the dual
-declines (an LP that only the feasibility box bounds, a failed certificate)
-and every 3D cavity builds its coefficients with the batched array kernels
-and goes to a dense simplex with Bland's rule.
+reposition is a tiny linear program, which takes one of two routes.  A 2D
+cavity of up to ``KERNEL_MAX`` elements runs a kernel of straight-line code,
+compiled once per size, that builds the coefficients in Python floats and
+solves the LP exactly from its dual, accepting the primal point only with a
+weak-duality certificate.  Every other cavity, 3D or larger, and every one
+the dual declines (an LP that only the feasibility box bounds, a failed
+certificate) builds its coefficients with the batched array kernels and
+goes to a dense simplex with Bland's rule.  On both routes a vertex whose
+cavity's box radius or measure sum is not finite (non-finite or overflowing
+geometry) stays in place.
 
 A sweep keeps the coordinates as one flat list of Python floats, in 2D and
 in 3D.  Each cavity is a :class:`LocalSubmesh` over a tuple gathered from
@@ -74,16 +73,16 @@ class LocalSubmesh:
         return np.array(self.slots, dtype=np.intp)
 
 
-def _measure_terms(sub):
-    """Gradients G and measures m of the cavity's elements at the current
-    position, so that measure_i(position + u) = G[i] @ u + m[i].
+def _measure_terms(elements, slots):
+    """Gradients G and measures m of a cavity's (n, d+1, d) coordinate stack
+    ``elements`` whose free vertex sits in slot ``slots[i]`` of element i,
+    so that measure_i(position + u) = G[i] @ u + m[i].
 
     Exact by linearity: the gradient with respect to the free vertex is that
     vertex's row of the measure gradients, which does not depend on it.
     """
-    cols = np.moveaxis(sub.elements, 2, 0)
-    idx = np.arange(len(sub.elements))
-    grads = np.moveaxis(_gradients(cols), 0, 2)[idx, sub.free_slots]
+    cols = np.moveaxis(elements, 2, 0)
+    grads = np.moveaxis(_gradients(cols), 0, 2)[np.arange(len(elements)), slots]
     return grads, _geometry(cols)[0]
 
 
@@ -157,115 +156,47 @@ def _simplex_reposition(grads, meas, x0, radius):
     return x_new, (_dot(grads.T, x_new) + consts).min()
 
 
-def _reposition_2d(flat, slots):
-    """The exact 2D route of :func:`maximin_reposition` on a cavity's
-    coordinates ``flat`` and free ``slots``, as in :class:`LocalSubmesh`.
-
-    The gradients and measures are built by the operations of
-    :func:`_measure_terms` and the box radius by those of
-    :func:`maximin_reposition`, in the same order, so each equals theirs to
-    the bit.  The LP's dual is min sum(l_i m_i) subject to sum(l_i G_i) = 0,
-    sum(l_i) = 1, l >= 0; its optimal basis is a triple of gradients whose
-    triangle holds the origin, with l the origin's barycentric coordinates,
-    and the first triple of least value in ``combinations`` order wins.  Its
-    three constraints meet at the step ``u``, taken only if it lies in the
-    box ``|u_j| <= radius`` and its minimum over all constraints reaches
-    the dual value within 1e-12 of the largest ``|m_i|``, which by weak
-    duality proves it optimal to that tolerance.
-
-    Returns ``(position, value)``, the position a tuple of two Python
-    floats: the moved point, or the current one when the step would worsen
-    the minimum or the cavity is not finite.  Returns None when the dual
-    declines (no triple holds the origin, a zero ``det``, a step outside the
-    box or a failed certificate), which leaves the cavity to the simplex.
-    """
-    k = 2 * slots[0]
-    px, py = flat[k], flat[k + 1]
-    it = iter(flat)
-    grads = []
-    meas = []
-    for (x0, y0, x1, y1, x2, y2), s in zip(zip(it, it, it, it, it, it), slots):
-        # row s of the measure gradients: the edge p[s+2] - p[s+1] (indices
-        # mod 3) rotated by +90 degrees and halved
-        if s == 0:
-            ex, ey = x2 - x1, y2 - y1
-        elif s == 1:
-            ex, ey = x0 - x2, y0 - y2
-        else:
-            ex, ey = x1 - x0, y1 - y0
-        grads.append((-0.5 * ey, 0.5 * ex))
-        meas.append(0.5 * ((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)))
-    xs, ys = flat[0::2], flat[1::2]
-    radius = BOX_FACTOR * max(max(xs) - min(xs), max(ys) - min(ys), 1e-12)
-    # a nan or inf coordinate makes the measure of each triangle holding it
-    # non-finite (Python's max and min may skip a nan, so the box alone
-    # cannot tell), and so does an overflow: such a cavity stays, valued by
-    # numpy's min, which keeps a nan
-    if not (math.isfinite(radius) and math.isfinite(sum(meas))):
-        return (px, py), np.min(meas)
-    # cross[i*n+j] = G_i x G_j, so the triangle (i, j, l) has doubled signed
-    # area cross[i*n+j] + cross[j*n+l] + cross[l*n+i] and the origin's
-    # barycentric coordinates are (cross[j*n+l], cross[l*n+i], cross[i*n+j])
-    # over it
-    n = len(grads)
-    cross = [ax * by - ay * bx for ax, ay in grads for bx, by in grads]
-    v = None
-    for i, j, l in combinations(range(n), 3):
-        wi, wj, wl = cross[j * n + l], cross[l * n + i], cross[i * n + j]
-        area = wi + wj + wl
-        if (area > 0.0 and not (wi < 0.0 or wj < 0.0 or wl < 0.0)
-                or area < 0.0 and not (wi > 0.0 or wj > 0.0 or wl > 0.0)):
-            value = (wi * meas[i] + wj * meas[j] + wl * meas[l]) / area
-            if v is None or value < v:
-                v, best = value, (i, j, l)
-    if v is None:
-        return None  # the gradients do not surround the origin
-    i, j, l = best
-    (gx, gy), (hx, hy), (kx, ky) = grads[i], grads[j], grads[l]
-    # (G_i - G_l) @ u = m_l - m_i and (G_j - G_l) @ u = m_l - m_j
-    ax, ay, bx, by = gx - kx, gy - ky, hx - kx, hy - ky
-    ra, rb = meas[l] - meas[i], meas[l] - meas[j]
-    det = ax * by - ay * bx
-    if det == 0.0:
-        return None
-    ux = (ra * by - rb * ay) / det
-    uy = (ax * rb - bx * ra) / det
-    # written so that a nan (an overflow of the dual value or of u) fails
-    if not (abs(ux) <= radius and abs(uy) <= radius):
-        return None
-    achieved = min([qx * ux + qy * uy + m for (qx, qy), m in zip(grads, meas)])
-    # the optimum is a small difference of the cavity's measures, so the
-    # rounding of each G_i @ u + m_i scales with the largest |m_i|
-    if not achieved >= v - 1e-12 * max(map(abs, meas)):
-        return None
-    least = min(meas)
-    if achieved < least - 1e-12:
-        return (px, py), least
-    return (px + ux, py + uy), achieved
-
-
-# cavities of up to this many elements take the exact 2D route through a
-# kernel of straight-line code, built on first use for their size and kept;
-# a kernel's source and build time grow as n**3, and the cap is the largest
-# size that builds in 10 ms or less on one core of a 2-vCPU Xeon (about
-# 6.5-7 ms at 9, 9-10 ms at 10)
+# the two routes of maximin_reposition: a 2D cavity of up to this many
+# elements runs its kernel of straight-line code, built on first use for its
+# size and kept, and every other cavity the simplex; a kernel's source and
+# build time grow as n**3, and the cap is the largest size that builds in
+# 10 ms or less on one core of a 2-vCPU Xeon (about 6.5-7 ms at 9, 9-10 ms
+# at 10)
 KERNEL_MAX = 9
 _KERNELS = {}
 
 
 def _build_kernel(n):
-    """:func:`_reposition_2d` for cavities of ``n`` elements as one
-    straight-line function, compiled, kept in ``_KERNELS`` and returned.
+    """The exact 2D route of :func:`maximin_reposition` for cavities of
+    ``n`` elements, as one straight-line function ``kernel(flat, slots)`` of
+    a cavity's coordinates and free slots (as in :class:`LocalSubmesh`),
+    compiled, kept in ``_KERNELS`` and returned.
+
+    Its gradients and measures are built by the operations of
+    :func:`_measure_terms` and its box radius by those of the simplex route,
+    in the same order, so each equals theirs to the bit.  The LP's dual is
+    min sum(l_i m_i) subject to sum(l_i G_i) = 0, sum(l_i) = 1, l >= 0; its
+    optimal basis is a triple of gradients whose triangle holds the origin,
+    with l the origin's barycentric coordinates, and the first triple of
+    least value in ``combinations`` order wins.  Its three constraints meet
+    at the step ``u``, taken only if it lies in the box ``|u_j| <= radius``
+    and its minimum over all constraints reaches the dual value within
+    1e-12 of the largest ``|m_i|``, which by weak duality proves it optimal
+    to that tolerance.
+
+    The kernel returns ``(position, value)``, the position a tuple of two
+    Python floats: the moved point, or the current one when the step would
+    worsen the minimum or the cavity is not finite.  It returns None when
+    the dual declines (no triple holds the origin, a zero ``det``, a step
+    outside the box or a failed certificate), which leaves the cavity to
+    the simplex.
 
     The coordinates (``xE_K``, ``yE_K`` of corner K of element E), gradients
     (``gxE``, ``gyE``), measures (``mE``) and the cross products that the
-    triples read (``cJ_L`` holds ``cross[J*n+L]``) are locals, computed by
-    the operations of :func:`_reposition_2d` on the same operands in the
-    same order, and it returns what that returns; ``max``, ``min`` and
-    ``sum`` take them in the lists' order.  Each triple, in
-    ``combinations`` order, is one ``if`` block making the loop's sign
-    tests, value and first-minimum update.  The source is built from
-    integers alone.
+    triples read (``cJ_L`` holds G_J x G_L) are locals; ``max``, ``min`` and
+    ``sum`` take them in element order.  Each triple, in ``combinations``
+    order, is one ``if`` block making the sign tests, value and
+    first-minimum update.  The source is built from integers alone.
     """
     els = range(n)
     xs = ", ".join(f"x{e}_{k}" for e in els for k in range(3))
@@ -278,7 +209,8 @@ def _build_kernel(n):
         "    px, py = flat[2 * s0], flat[2 * s0 + 1]",
     ]
     for e in els:
-        # the edge p[s+2] - p[s+1] of free slot s
+        # row s of the measure gradients: the edge p[s+2] - p[s+1] (indices
+        # mod 3) rotated by +90 degrees and halved
         edges = [f"x{e}_{b} - x{e}_{a}, y{e}_{b} - y{e}_{a}" for a, b in ((1, 2), (2, 0), (0, 1))]
         lines += [
             f"    if s{e} == 0:",
@@ -293,6 +225,10 @@ def _build_kernel(n):
         ]
     triples = list(combinations(els, 3))
     pairs = sorted({p for i, j, l in triples for p in ((j, l), (l, i), (i, j))})
+    # a nan or inf coordinate makes the measure of each triangle holding it
+    # non-finite (Python's max and min may skip a nan, so the box alone cannot
+    # tell), and so does an overflow: such a cavity stays, valued by numpy's
+    # min, which keeps a nan
     lines += [
         f"    radius = BOX_FACTOR * max(max({xs}) - min({xs}), max({ys}) - min({ys}), 1e-12)",
         f"    if not (isfinite(radius) and isfinite(sum(({ms},)))):",
@@ -300,6 +236,8 @@ def _build_kernel(n):
         *(f"    c{a}_{b} = gx{a} * gy{b} - gy{a} * gx{b}" for a, b in pairs),
         "    v = None",
     ]
+    # the triangle (i, j, l) has doubled signed area cJ_L + cL_I + cI_J, and
+    # the origin's barycentric coordinates are (cJ_L, cL_I, cI_J) over it
     for i, j, l in triples:
         wi, wj, wl = f"c{j}_{l}", f"c{l}_{i}", f"c{i}_{j}"
         lines += [
@@ -310,8 +248,10 @@ def _build_kernel(n):
             "        if v is None or value < v:",
             f"            v, i, j, l = value, {i}, {j}, {l}",
         ]
-    # the loop's tail; below three elements there is no triple, and v stays
-    # None
+    # below three elements there is no triple, and v stays None; the step
+    # solves (G_i - G_l) @ u = m_l - m_i and (G_j - G_l) @ u = m_l - m_j, and
+    # since the optimum is a small difference of the cavity's measures, the
+    # rounding of each G_e @ u + m_e scales with the largest |m_e|
     lines += [
         "    if v is None:",
         "        return None",
@@ -347,22 +287,17 @@ def maximin_reposition(sub):
 
     A feasibility box of ``BOX_FACTOR`` times the cavity diameter around the
     current position keeps the LP bounded for boundary-incomplete cavities.
-    2D cavities are solved exactly from the LP's dual by
-    :func:`_reposition_2d` (up to ``KERNEL_MAX`` elements by its kernel of
-    :func:`_build_kernel`) when that yields a certified optimum inside the
-    box; all others by the simplex, on terms from :func:`_measure_terms`.
-    Never worsens: if the LP result does not beat the current minimum, the
-    vertex stays in place, as it does in a cavity whose box radius or
-    measure sum is not finite.  Returns the position as a tuple of d Python
-    floats on every route, and the minimum measure there.
+    Two routes: a 2D cavity of up to ``KERNEL_MAX`` elements runs its
+    kernel of :func:`_build_kernel`, the exact dual; every other cavity, and
+    every one the kernel declines, goes to the simplex on the terms of
+    :func:`_measure_terms`.  Never worsens: if the LP result does not beat
+    the current minimum, the vertex stays in place, as it does in a cavity
+    whose box radius or measure sum is not finite.  Returns the position as
+    a tuple of d Python floats on every route, and the minimum measure there.
     """
     flat, slots, d = sub.flat, sub.slots, sub.dim
-    if d == 2:
-        n = len(slots)
-        if n <= KERNEL_MAX:
-            exact = (_KERNELS.get(n) or _build_kernel(n))(flat, slots)
-        else:
-            exact = _reposition_2d(flat, slots)
+    if d == 2 and (n := len(slots)) <= KERNEL_MAX:
+        exact = (_KERNELS.get(n) or _build_kernel(n))(flat, slots)
         if exact is not None:
             return exact
     k = d * slots[0]
@@ -370,9 +305,9 @@ def maximin_reposition(sub):
     # the same rule on the array terms, built without warnings on the
     # non-finite or overflowing cavities that it exists to keep in place
     with np.errstate(over="ignore", invalid="ignore"):
-        grads, meas = _measure_terms(sub)
-        pts = sub.elements.reshape(-1, d)
-        radius = BOX_FACTOR * max(np.ptp(pts, axis=0).max(), 1e-12)
+        elements = sub.elements
+        grads, meas = _measure_terms(elements, slots)
+        radius = BOX_FACTOR * max(np.ptp(elements.reshape(-1, d), axis=0).max(), 1e-12)
         current = meas.min()
         if not (math.isfinite(radius) and math.isfinite(meas.sum())):
             return x0, current
@@ -420,7 +355,7 @@ def untangle(mesh, max_sweeps=50, on_move=None):
             sub = LocalSubmesh(gather(xy), free_slots, d)
             new_pos, after = maximin_reposition(sub)
             if on_move is not None:
-                on_move(vid, _measure_terms(sub)[1].min(), after)
+                on_move(vid, _measure_terms(sub.elements, free_slots)[1].min(), after)
             max_move = max(max_move, math.dist(new_pos, xy[row]))
             xy[row] = new_pos
         sweeps += 1

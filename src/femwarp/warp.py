@@ -46,13 +46,15 @@ def annulus_rotation_motion(mesh, theta_outer, theta_inner=0.0, s=None):
 
     Boundary nodes are classified inner/outer by radius against the midpoint
     of the two boundary radii; ``np.hypot`` takes the radii without squaring
-    the coordinates, so the split holds at any scale.  A mesh that is not 2D
-    raises ValueError.
+    the coordinates, so the split holds at any scale.  A mesh that is not 2D,
+    or a given ``s`` with ``r`` not positive, raises ValueError.
     """
     if mesh.dim != 2:
         raise ValueError(f"an annulus rotation needs a 2D mesh, not {mesh.dim}D")
     radii = np.hypot(*mesh.coords[mesh.boundary_ids].T)
     r = radii.min()
+    if s is not None and not r > 0.0:
+        raise ValueError(f"moving the inner radius to s needs a positive radius, not {r}")
     inner = radii < 0.5 * (r + radii.max())
 
     def fn(base, t):

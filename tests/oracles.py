@@ -16,6 +16,7 @@ from femwarp.generators import gen_annulus
 from femwarp.mesh import count_reversals
 from femwarp.untangle import (
     BOX_FACTOR,
+    KERNEL_MAX,
     STALL_TOL,
     LocalSubmesh,
     _measure_terms,
@@ -379,7 +380,8 @@ def maximin_reposition_by_arrays(sub):
     stack kernels below: measure gradients and measures of the whole
     cavity stack, the box from ``np.ptp``.
 
-    The 2D LP goes to :func:`nested_dual_maximin_2d`.  Unlike the rest of
+    The 2D LP of up to ``KERNEL_MAX`` elements goes to
+    :func:`nested_dual_maximin_2d`.  Unlike the rest of
     this module it reuses the library's simplex: it pins the float terms of
     the 2D route to the array kernels bit for bit, so it must share the
     rest.  Like the library it returns the position as a tuple of Python
@@ -393,7 +395,7 @@ def maximin_reposition_by_arrays(sub):
     if not np.isfinite(radius):
         return tuple(x0.tolist()), meas.min()
     exact = None
-    if x0.size == 2:
+    if x0.size == 2 and len(grads) <= KERNEL_MAX:
         exact = nested_dual_maximin_2d(grads.tolist(), meas.tolist(), radius)
     if exact is None:
         x_new, achieved = _simplex_reposition(grads, meas, x0, radius)
@@ -415,8 +417,9 @@ def array_terms(sub):
     of ``untangle.maximin_reposition``'s array route, built without numpy
     warnings."""
     with np.errstate(over="ignore", invalid="ignore"):
-        ptp = np.ptp(sub.elements.reshape(-1, sub.dim), axis=0).max()
-        return (*_measure_terms(sub), BOX_FACTOR * max(ptp, 1e-12))
+        elements = sub.elements
+        ptp = np.ptp(elements.reshape(-1, sub.dim), axis=0).max()
+        return (*_measure_terms(elements, sub.slots), BOX_FACTOR * max(ptp, 1e-12))
 
 
 def nested_best_triple(grads, meas):
@@ -467,8 +470,8 @@ def nested_dual_maximin_2d(grads, meas, radius):
 
 
 def nested_reposition_2d(sub):
-    """``untangle._reposition_2d`` of the 2D cavity ``sub``: its terms from
-    :func:`array_terms` (``.tolist()``), the dual of
+    """A kernel of ``untangle._build_kernel`` on the 2D cavity ``sub``: its
+    terms from :func:`array_terms` (``.tolist()``), the dual of
     :func:`nested_dual_maximin_2d` and the step added to the position as an
     array."""
     grads, meas, radius = array_terms(sub)
@@ -485,8 +488,8 @@ def nested_reposition_2d(sub):
 
 def maximin_reposition_nested(sub):
     """``untangle.maximin_reposition`` with :func:`nested_reposition_2d` as
-    its 2D route."""
-    if sub.dim == 2:
+    its route for 2D cavities of up to ``KERNEL_MAX`` elements."""
+    if sub.dim == 2 and len(sub.slots) <= KERNEL_MAX:
         exact = nested_reposition_2d(sub)
         if exact is not None:
             return exact
@@ -524,7 +527,7 @@ def untangle_nested(mesh, max_sweeps=50, on_move=None):
             sub = LocalSubmesh.from_arrays(coords[nodes], free_slots)
             new_pos, after = maximin_reposition_nested(sub)
             if on_move is not None:
-                on_move(int(vid), _measure_terms(sub)[1].min(), after)
+                on_move(int(vid), _measure_terms(sub.elements, sub.slots)[1].min(), after)
             move = np.subtract(new_pos, coords[vid])
             max_move = max(max_move, math.sqrt(move.dot(move)))
             coords[vid] = new_pos

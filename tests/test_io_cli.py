@@ -727,6 +727,27 @@ class TestCliErrorContract:
             assert "\n" not in err and captured.out == ""
         assert not os.path.exists(out + ".node")
 
+    @pytest.mark.filterwarnings("error")
+    def test_annulus_radius_change_on_a_boundary_through_the_origin(self, tmp_path, capsys):
+        # s rescales the inner boundary by s / r, and the rectangle's corner
+        # (0, 0) makes its smallest boundary radius r zero
+        base = str(tmp_path / "rect")
+        io.write_mesh(gen_rectangle(2.0, 1.0, 5, 4), base + ".node", base + ".ele")
+        spec = tmp_path / "s.spec"
+        spec.write_text("motion = annulus\ntheta_outer = 0.5\ns = 0.6\n")
+        out = str(tmp_path / "o")
+        args = ["--mesh", base, "--spec", str(spec), "--out", out]
+        for argv, outputs in (
+            (["warp", *args], (".node", ".ele", ".report")),
+            (["sweep", *args, "--param-grid", "1:1:1"], ("",)),
+        ):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error code=INVALID_SPEC message=")
+            assert captured.out == ""
+            assert not any(os.path.exists(out + ext) for ext in outputs)
+
     @pytest.mark.parametrize(
         "make, spec_text",
         [

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from femwarp import (
@@ -29,7 +29,6 @@ from femwarp.untangle import (
     KERNEL_MAX,
     LocalSubmesh,
     _measure_terms,
-    _reposition_2d,
     _simplex_reposition,
     hybrid_warp,
     maximin_reposition,
@@ -196,7 +195,7 @@ class TestAffineMeasureCoeffs:
         incident, _ = mesh.topology.incidence
         for vid in range(mesh.n_nodes):
             sub = local_submesh(mesh, vid, incident[vid])
-            grads, meas = _measure_terms(sub)
+            grads, meas = _measure_terms(sub.elements, sub.slots)
             consts = meas - grads @ sub.position
             want_g, want_c = bumped_measure_coeffs(sub)
             assert np.abs(grads - want_g).max() <= 1e-12 * np.abs(want_g).max()
@@ -206,7 +205,7 @@ class TestAffineMeasureCoeffs:
 
 
 class TestFloatTerms2d:
-    """The 2D route, whose terms are built in Python floats, returns what
+    """The 2D kernels, whose terms are built in Python floats, return what
     :func:`oracles.nested_reposition_2d` returns on the terms of the array
     kernels: by ``repr``, which tells -0.0 from 0.0 and a numpy float from a
     Python one."""
@@ -215,7 +214,6 @@ class TestFloatTerms2d:
     @given(sub=random_cavities())
     def test_matches_array_kernels_bitwise(self, sub):
         want = repr(nested_reposition_2d(sub))
-        assert repr(_reposition_2d(sub.flat, sub.slots)) == want
         assert repr(kernel(len(sub.slots))(sub.flat, sub.slots)) == want
 
     def test_every_slot_and_orientation(self):
@@ -225,10 +223,11 @@ class TestFloatTerms2d:
         kinds = {"positive": (a, b), "reversed": (b, a), "degenerate": (a, a)}
         pairs = [pair for pair in kinds.values() for _ in range(3)]
         sub = fan_cavity([0.3, -0.7], pairs, [0, 1, 2] * 3)
-        assert np.sign(_measure_terms(sub)[1]).tolist() == [1.0] * 3 + [-1.0] * 3 + [0.0] * 3
+        signs = np.sign(_measure_terms(sub.elements, sub.slots)[1]).tolist()
+        assert signs == [1.0] * 3 + [-1.0] * 3 + [0.0] * 3
         for free in [[x, y] for x in (-1.5, 0.3, 0.75, 2.0) for y in (-0.7, 0.55, 1.5)]:
             sub = fan_cavity(free, pairs, [0, 1, 2] * 3)
-            assert repr(_reposition_2d(sub.flat, sub.slots)) == repr(nested_reposition_2d(sub))
+            assert repr(kernel(9)(sub.flat, sub.slots)) == repr(nested_reposition_2d(sub))
 
     # the library stays silent; only the array oracle may warn (on inf - inf
     # and on a box past the largest float)
@@ -365,8 +364,9 @@ class TestSweepMatchesNested:
     def assert_same_cavities(cavities):
         for sub in cavities:
             # repr tells -0.0 from 0.0 and keeps None
-            want = repr(nested_reposition_2d(sub))
-            assert repr(_reposition_2d(sub.flat, sub.slots)) == want
+            n = len(sub.slots)
+            if n <= KERNEL_MAX:
+                assert repr(kernel(n)(sub.flat, sub.slots)) == repr(nested_reposition_2d(sub))
             assert repr(maximin_reposition(sub)) == repr(maximin_reposition_nested(sub))
 
     @pytest.mark.parametrize("n", [*range(3, 11), 25])
@@ -389,8 +389,8 @@ class TestSweepMatchesNested:
             for (gx, gy), (ax, ay) in zip(grads, anchors)
         ]
         sub = LocalSubmesh.from_arrays(tris, [0] * n)
-        assert _measure_terms(sub)[0].tolist() == [list(g) for g in grads]
-        assert _measure_terms(sub)[1].tolist() == meas
+        terms = _measure_terms(sub.elements, sub.slots)
+        assert terms[0].tolist() == [list(g) for g in grads] and terms[1].tolist() == meas
 
         # the holding triples and their values and steps, in exact arithmetic
         g = [(Fraction(gx), Fraction(gy)) for gx, gy in grads]
@@ -415,11 +415,17 @@ class TestSweepMatchesNested:
         if n > 3:
             # at least two tied triples with different steps
             assert len(set(tied)) == 2 and tied[0] != tied[-1]
-        want = ((float(tied[0][0]), float(tied[0][1])), 1.0)
-        got = _reposition_2d(sub.flat, sub.slots)
-        assert got == want and repr(got) == repr(nested_reposition_2d(sub))
         if n <= KERNEL_MAX:
-            assert repr(kernel(n)(sub.flat, sub.slots)) == repr(got)
+            want = ((float(tied[0][0]), float(tied[0][1])), 1.0)
+            got = kernel(n)(sub.flat, sub.slots)
+            assert got == want and repr(got) == repr(nested_reposition_2d(sub))
+        else:
+            # the simplex takes the cavity: the optimum 1 at a point of the
+            # optimal face, the free vertex being at the origin
+            (ux, uy), val = maximin_reposition(sub)
+            tol = 1e-9 * max(meas)
+            assert abs(val - 1.0) <= tol
+            assert abs(ux) <= tol and abs(uy) <= 4.0 + tol
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_hybrid_workload_seeds(self, monkeypatch, seed):
@@ -507,7 +513,7 @@ class TestSweepContract:
     def test_every_route_returns_python_floats(self):
         # the kernel cavities take every 2D route: a step, the stays and each
         # way the dual declines to the simplex; fans above the cap take the
-        # loop, and the 3D cavities the simplex or the non-finite stay
+        # simplex, and the 3D cavities the simplex or the non-finite stay
         subs = [
             LocalSubmesh(flat, slots, 2)
             for n in range(3, KERNEL_MAX + 1)
@@ -607,10 +613,9 @@ def kernel(n):
 
 
 class TestTripleKernels:
-    """The per-size kernels of :func:`untangle._build_kernel` and the loop
-    :func:`untangle._reposition_2d` that they unroll both return what
-    :func:`oracles.nested_reposition_2d` returns, and the kernels are built
-    lazily."""
+    """The per-size kernels of :func:`untangle._build_kernel` return what
+    :func:`oracles.nested_reposition_2d` returns, they are built lazily, and
+    cavities above ``KERNEL_MAX`` take the simplex."""
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("n", range(3, KERNEL_MAX + 1))
@@ -619,7 +624,6 @@ class TestTripleKernels:
             sub = LocalSubmesh(flat, slots, 2)
             # repr tells -0.0 from 0.0, nan from None and a numpy float
             want = repr(nested_reposition_2d(sub))
-            assert repr(_reposition_2d(flat, slots)) == want
             assert repr(kernel(n)(flat, slots)) == want
             assert repr(maximin_reposition(sub)) == repr(maximin_reposition_nested(sub))
 
@@ -651,7 +655,6 @@ class TestTripleKernels:
             sub = fan_cavity(free, pairs, [0, 1, 2] * 3)
             want = repr(nested_reposition_2d(sub))
             assert repr(kernel(9)(sub.flat, sub.slots)) == want
-            assert repr(_reposition_2d(sub.flat, sub.slots)) == want
             assert repr(maximin_reposition(sub)) == repr(maximin_reposition_nested(sub))
 
     def test_first_minimum_among_ties(self):
@@ -664,19 +667,48 @@ class TestTripleKernels:
             # (free, origin, (2*gy, -2*gx)) with slot 0 has gradient (gx, gy),
             # and its measure is free @ (gx, gy)
             flat += [m * gx, m * gy, 0.0, 0.0, 2.0 * gy, -2.0 * gx]
-        want = _reposition_2d(flat, [0] * 4)
-        assert repr(kernel(4)(flat, [0] * 4)) == repr(want)
+        want = kernel(4)(flat, [0] * 4)
         assert repr(nested_reposition_2d(LocalSubmesh(flat, [0] * 4, 2))) == repr(want)
         # the first triple's corner; the second's is (1.0, 4.0)
         assert want == ((1.0, -4.0), 1.0)
 
     @pytest.mark.parametrize("n", [12, 25])
     def test_fans_above_the_cap_match_nested(self, n):
+        # the simplex reaches the optimum that the nested dual certifies
         assert n > KERNEL_MAX
         cavities = [star_cavity(seed, n, spread) for seed in range(6) for spread in (0.3, 2.0)]
         TestSweepMatchesNested.assert_same_cavities(cavities)
         assert any(route_kind(sub.flat, sub.slots) == "step" for sub in cavities)
+        for sub in cavities:
+            grads, meas, radius = array_terms(sub)
+            _, want = nested_dual_maximin_2d(grads.tolist(), meas.tolist(), radius)
+            _, got = maximin_reposition(sub)
+            assert abs(got - want) <= 1e-9 * max(abs(want), np.abs(meas).max())
         assert n not in untangle_module._KERNELS
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(KERNEL_MAX + 1, 16),
+        spread=st.floats(0.0, 2.0),
+    )
+    @example(seed=7, n=200, spread=0.5)
+    def test_fans_above_the_cap_take_the_simplex(self, seed, n, spread):
+        sub = star_cavity(seed, n, spread)
+        grads, meas, radius = array_terms(sub)
+
+        def refuse(size):
+            raise AssertionError(f"a kernel built for {size} elements")
+
+        built = set(untangle_module._KERNELS)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(untangle_module, "_build_kernel", refuse)
+            _, got = maximin_reposition(sub)
+        assert set(untangle_module._KERNELS) == built
+        assert got >= meas.min()
+        exact = nested_dual_maximin_2d(grads.tolist(), meas.tolist(), radius)
+        if exact is not None:
+            assert abs(got - exact[1]) <= 1e-9 * np.abs(meas).max()
 
     def test_import_builds_no_kernel(self):
         src = str(Path(__file__).resolve().parent.parent / "src")
@@ -793,16 +825,22 @@ class TestDualMaximin:
         spread=st.floats(0.0, 2.0),
     )
     def test_matches_simplex(self, seed, n, spread):
+        # the exact dual and the simplex agree; up to the cap the library
+        # takes the dual's kernel, above it the simplex
         sub = star_cavity(seed, n, spread)
         grads, meas, radius = array_terms(sub)
         want_x, want = _simplex_reposition(grads, meas, sub.position, radius)
-        exact = _reposition_2d(sub.flat, sub.slots)
+        exact = nested_reposition_2d(sub)
         assert exact is not None
         pos, got = exact
         scale = max(abs(want), np.abs(meas).max())
         assert abs(got - want) <= 1e-9 * scale
         assert np.abs(np.subtract(pos, want_x)).max() <= 1e-9 * 2 * radius
-        assert maximin_reposition(sub) == exact
+        if n <= KERNEL_MAX:
+            assert repr(kernel(n)(sub.flat, sub.slots)) == repr(exact)
+            assert maximin_reposition(sub) == exact
+        else:
+            assert maximin_reposition(sub) == (tuple(want_x.tolist()), want)
 
     def test_rejects_a_step_outside_the_box(self):
         # three triangles around a free vertex at the origin with the nearly
@@ -823,13 +861,12 @@ class TestDualMaximin:
         assert radius == 30.0
         (ux, uy), val = nested_dual_maximin_2d(grads.tolist(), meas.tolist(), math.inf)
         assert ux == pytest.approx(0.50025) and uy == pytest.approx(500.0)
-        assert _reposition_2d(near.flat, near.slots) is None
         assert kernel(3)(near.flat, near.slots) is None
         assert array_terms(far)[2] == 600.0
-        (x, y), val = _reposition_2d(far.flat, far.slots)
+        (x, y), val = kernel(3)(far.flat, far.slots)
         assert x == pytest.approx(0.50025) and y == pytest.approx(500.0)
         assert val == pytest.approx(0.50025)
-        assert repr(kernel(3)(far.flat, far.slots)) == repr(((x, y), val))
+        assert repr(nested_reposition_2d(far)) == repr(((x, y), val))
 
     @pytest.mark.parametrize("name", SIMPLEX_CAVITIES)
     def test_simplex_cases_unchanged(self, name, monkeypatch):
@@ -837,7 +874,7 @@ class TestDualMaximin:
         mesh = make()
         sub = local_submesh(mesh, vid, mesh.topology.incidence[0][vid])
         if mesh.dim == 2:
-            assert _reposition_2d(sub.flat, sub.slots) is None
+            assert kernel(len(sub.slots))(sub.flat, sub.slots) is None
         calls = []
 
         def counting(*args):
