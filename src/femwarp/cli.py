@@ -8,6 +8,7 @@ stderr: ``error code=<CODE> message=<text>``.
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -138,8 +139,9 @@ def run_algorithm(mesh, spec, motion):
     coords[mesh.boundary_ids] = target
     # built on ``mesh`` before the copy, so one sweep's runs share it
     mesh.topology
-    fixed, _, _ = untangle(mesh.with_coords(coords), max_sweeps=max_sweeps)
-    return fixed, warp_report(fixed, count_reversals(fixed)[0], 0, ())
+    fixed, sweeps, outcome = untangle(mesh.with_coords(coords), max_sweeps=max_sweeps)
+    report = warp_report(fixed, count_reversals(fixed)[0], 0, ())
+    return fixed, replace(report, untangle_outcome=outcome, untangle_sweeps=sweeps)
 
 
 def _finite_target(motion):
@@ -158,7 +160,11 @@ def _report_lines(report):
         f"outcome = {report.outcome}",
         f"reversals = {report.reversals}",
         f"n_factorizations = {report.n_factorizations}",
+        f"t_reached = {report.t_reached:.17g}",
     ]
+    if report.untangle_outcome is not None:
+        lines.append(f"untangle_outcome = {report.untangle_outcome}")
+        lines.append(f"untangle_sweeps = {report.untangle_sweeps}")
     for key, val in report.quality.as_dict().items():
         lines.append(f"quality_{key} = {val:.17g}")
     return lines

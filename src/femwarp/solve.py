@@ -55,7 +55,7 @@ class Factorization:
         if not np.array_equal(np.sort(order), np.arange(self.n)):
             raise ValueError(f"order must be a permutation of 0..{self.n - 1}")
         diff = a - a.T
-        symmetric = not diff.nnz or abs(diff).max() <= 1e-12 * max(1.0, abs(a).max())
+        symmetric = not diff.nnz or abs(diff).max() <= 1e-12 * abs(a).max()
         error = NotPositiveDefiniteError if symmetric else SingularSystemError
         opts = dict(
             diag_pivot_thresh=0.0 if symmetric else 0.1, options=dict(SymmetricMode=True)

@@ -22,6 +22,7 @@ floats, which the sweep writes back: no numpy scalar enters the list.
 """
 
 import math
+from dataclasses import replace
 from itertools import combinations
 from operator import itemgetter
 
@@ -184,12 +185,12 @@ def _build_kernel(n):
     1e-12 of the largest ``|m_i|``, which by weak duality proves it optimal
     to that tolerance.
 
-    The kernel returns ``(position, value)``, the position a tuple of two
-    Python floats: the moved point, or the current one when the step would
-    worsen the minimum or the cavity is not finite.  It returns None when
-    the dual declines (no triple holds the origin, a zero ``det``, a step
-    outside the box or a failed certificate), which leaves the cavity to
-    the simplex.
+    The kernel returns ``(position, value, start)``: the moved point as a
+    tuple of two Python floats and the minimum measure there and at the
+    current point, or the current point when the cavity is not finite; the
+    caller applies the never-worsen rule.  It returns None when the dual
+    declines (no triple holds the origin, a zero ``det``, a step outside
+    the box or a failed certificate), which leaves the cavity to the simplex.
 
     The coordinates (``xE_K``, ``yE_K`` of corner K of element E), gradients
     (``gxE``, ``gyE``), measures (``mE``) and the cross products that the
@@ -232,7 +233,8 @@ def _build_kernel(n):
     lines += [
         f"    radius = BOX_FACTOR * max(max({xs}) - min({xs}), max({ys}) - min({ys}), 1e-12)",
         f"    if not (isfinite(radius) and isfinite(sum(({ms},)))):",
-        f"        return (px, py), npmin([{ms}])",
+        f"        least = npmin([{ms}])",
+        "        return (px, py), least, least",
         *(f"    c{a}_{b} = gx{a} * gy{b} - gy{a} * gx{b}" for a, b in pairs),
         "    v = None",
     ]
@@ -270,10 +272,7 @@ def _build_kernel(n):
         f"    achieved = min({', '.join(f'gx{e} * ux + gy{e} * uy + m{e}' for e in els)})",
         f"    if not achieved >= v - 1e-12 * max({', '.join(f'abs(m{e})' for e in els)}):",
         "        return None",
-        f"    least = min({ms})",
-        "    if achieved < least - 1e-12:",
-        "        return (px, py), least",
-        "    return (px + ux, py + uy), achieved",
+        f"    return (px + ux, py + uy), achieved, min({ms})",
     ]
     namespace = {"BOX_FACTOR": BOX_FACTOR, "isfinite": math.isfinite, "npmin": np.min}
     exec(compile("\n".join(lines), f"<maximin kernel n={n}>", "exec"), namespace)
@@ -290,31 +289,33 @@ def maximin_reposition(sub):
     Two routes: a 2D cavity of up to ``KERNEL_MAX`` elements runs its
     kernel of :func:`_build_kernel`, the exact dual; every other cavity, and
     every one the kernel declines, goes to the simplex on the terms of
-    :func:`_measure_terms`.  Never worsens: if the LP result does not beat
-    the current minimum, the vertex stays in place, as it does in a cavity
-    whose box radius or measure sum is not finite.  Returns the position as
-    a tuple of d Python floats on every route, and the minimum measure there.
+    :func:`_measure_terms`.  Both give ``(position, value, start)``, the
+    minimum measure at the position and at the current point, and one
+    never-worsen rule follows: a value more than 1e-12 below ``start``
+    keeps the vertex in place, as does a cavity whose box radius or measure
+    sum is not finite.  Returns that triple, the position a tuple of d floats.
     """
     flat, slots, d = sub.flat, sub.slots, sub.dim
-    if d == 2 and (n := len(slots)) <= KERNEL_MAX:
-        exact = (_KERNELS.get(n) or _build_kernel(n))(flat, slots)
-        if exact is not None:
-            return exact
     k = d * slots[0]
     x0 = tuple(flat[k : k + d])
-    # the same rule on the array terms, built without warnings on the
-    # non-finite or overflowing cavities that it exists to keep in place
-    with np.errstate(over="ignore", invalid="ignore"):
-        elements = sub.elements
-        grads, meas = _measure_terms(elements, slots)
-        radius = BOX_FACTOR * max(np.ptp(elements.reshape(-1, d), axis=0).max(), 1e-12)
-        current = meas.min()
-        if not (math.isfinite(radius) and math.isfinite(meas.sum())):
-            return x0, current
-    x_new, achieved = _simplex_reposition(grads, meas, np.array(x0), radius)
-    if achieved < current - 1e-12:
-        return x0, current
-    return tuple(x_new.tolist()), achieved
+    out = None
+    if d == 2 and (n := len(slots)) <= KERNEL_MAX:
+        out = (_KERNELS.get(n) or _build_kernel(n))(flat, slots)
+    if out is None:
+        # built without warnings on the non-finite cavities that stay in place
+        with np.errstate(over="ignore", invalid="ignore"):
+            elements = sub.elements
+            grads, meas = _measure_terms(elements, slots)
+            radius = BOX_FACTOR * max(np.ptp(elements.reshape(-1, d), axis=0).max(), 1e-12)
+            start = meas.min()
+            if not (math.isfinite(radius) and math.isfinite(meas.sum())):
+                return x0, start, start
+        x_new, value = _simplex_reposition(grads, meas, np.array(x0), radius)
+        out = tuple(x_new.tolist()), value, start
+    _, value, start = out
+    if value < start - 1e-12:
+        return x0, start, start
+    return out
 
 
 def untangle(mesh, max_sweeps=50, on_move=None):
@@ -323,8 +324,8 @@ def untangle(mesh, max_sweeps=50, on_move=None):
     Stops with SUCCESS when no reversals remain, STALLED when a whole sweep
     moves nothing beyond 1e-12, or MAX_SWEEPS.  Boundary nodes never move,
     nor does an interior node in no element.
-    ``on_move`` (if given) is called with (vertex_id, min_before, min_after)
-    after each repositioning.
+    ``on_move`` (if given) is called with (vertex_id, min_before, min_after),
+    as :func:`maximin_reposition` returns them, after each repositioning.
 
     The coordinates stay one flat list of Python floats for the whole run;
     each cavity is gathered from it by an ``itemgetter`` over flat indices,
@@ -352,10 +353,9 @@ def untangle(mesh, max_sweeps=50, on_move=None):
             return cur, sweeps, "MAX_SWEEPS"
         max_move = 0.0
         for vid, row, gather, free_slots in cavities:
-            sub = LocalSubmesh(gather(xy), free_slots, d)
-            new_pos, after = maximin_reposition(sub)
+            new_pos, after, before = maximin_reposition(LocalSubmesh(gather(xy), free_slots, d))
             if on_move is not None:
-                on_move(vid, _measure_terms(sub.elements, free_slots)[1].min(), after)
+                on_move(vid, before, after)
             max_move = max(max_move, math.dist(new_pos, xy[row]))
             xy[row] = new_pos
         sweeps += 1
@@ -368,9 +368,9 @@ def hybrid_warp(mesh, weights, target_boundary, max_sweeps=50):
     warped, report = femwarp_step(mesh, weights, target_boundary)
     if report.success:
         return warped, report
-    fixed, _, outcome = untangle(warped, max_sweeps=max_sweeps)
+    fixed, sweeps, outcome = untangle(warped, max_sweeps=max_sweeps)
     # untangle's exit check has just counted a SUCCESS mesh's reversals: 0
     nrev = 0 if outcome == "SUCCESS" else count_reversals(fixed)[0]
-    if nrev > report.reversals:
-        return warped, report
-    return fixed, warp_report(fixed, nrev, report.n_factorizations, report.steps)
+    if nrev <= report.reversals:
+        warped, report = fixed, warp_report(fixed, nrev, report.n_factorizations, report.steps)
+    return warped, replace(report, untangle_outcome=outcome, untangle_sweeps=sweeps)

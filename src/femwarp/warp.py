@@ -143,7 +143,8 @@ class StepRecord:
 @dataclass(frozen=True)
 class WarpReport:
     """Outcome of a warp: reversal status, step history, solver cost and the
-    quality of the returned mesh."""
+    quality of the returned mesh, and the outcome and sweep count of the
+    untangle run that followed it, None when none ran."""
 
     outcome: str  # SUCCESS | REVERSED
     reversals: int
@@ -151,6 +152,8 @@ class WarpReport:
     steps: tuple
     t_reached: float
     quality: object
+    untangle_outcome: str | None = None  # SUCCESS | STALLED | MAX_SWEEPS
+    untangle_sweeps: int | None = None
 
     @property
     def success(self):

@@ -367,12 +367,13 @@ def first_bad_node_record(ids, n):
     return None
 
 
-def no_worse(x0, x_new, achieved, current_min):
-    """``(x_new, achieved)``, or ``x0`` and ``current_min`` when the LP result
-    falls short of the current minimum; positions as tuples of floats."""
-    if achieved < current_min - 1e-12:
-        return tuple(x0.tolist()), current_min
-    return tuple(np.asarray(x_new).tolist()), achieved
+def no_worse(x0, position, value, start):
+    """``(position, value, start)``, or ``x0`` with ``start`` twice when the
+    LP's value falls short of the current minimum ``start``; positions as
+    tuples of floats."""
+    if value < start - 1e-12:
+        return tuple(x0.tolist()), start, start
+    return tuple(np.asarray(position).tolist()), value, start
 
 
 def maximin_reposition_by_arrays(sub):
@@ -385,7 +386,7 @@ def maximin_reposition_by_arrays(sub):
     this module it reuses the library's simplex: it pins the float terms of
     the 2D route to the array kernels bit for bit, so it must share the
     rest.  Like the library it returns the position as a tuple of Python
-    floats.
+    floats, with the minimum measure there and at the current position.
     """
     idx = np.arange(len(sub.elements))
     grads = stack_measure_gradients(sub.elements)[idx, sub.free_slots]
@@ -393,7 +394,7 @@ def maximin_reposition_by_arrays(sub):
     x0 = sub.position
     radius = BOX_FACTOR * max(np.ptp(sub.elements.reshape(-1, x0.size), axis=0).max(), 1e-12)
     if not np.isfinite(radius):
-        return tuple(x0.tolist()), meas.min()
+        return tuple(x0.tolist()), meas.min(), meas.min()
     exact = None
     if x0.size == 2 and len(grads) <= KERNEL_MAX:
         exact = nested_dual_maximin_2d(grads.tolist(), meas.tolist(), radius)
@@ -473,32 +474,34 @@ def nested_reposition_2d(sub):
     """A kernel of ``untangle._build_kernel`` on the 2D cavity ``sub``: its
     terms from :func:`array_terms` (``.tolist()``), the dual of
     :func:`nested_dual_maximin_2d` and the step added to the position as an
-    array."""
+    array.  Like the kernel it returns the LP's point, value and the
+    current minimum without the never-worsen rule."""
     grads, meas, radius = array_terms(sub)
     grads, meas = grads.tolist(), meas.tolist()
     x0 = sub.position
     if not (math.isfinite(radius) and math.isfinite(sum(meas))):
-        return tuple(x0.tolist()), np.min(meas)
+        return tuple(x0.tolist()), np.min(meas), np.min(meas)
     exact = nested_dual_maximin_2d(grads, meas, radius)
     if exact is None:
         return None
     u, achieved = exact
-    return no_worse(x0, x0 + u, achieved, min(meas))
+    return tuple((x0 + u).tolist()), achieved, min(meas)
 
 
 def maximin_reposition_nested(sub):
     """``untangle.maximin_reposition`` with :func:`nested_reposition_2d` as
-    its route for 2D cavities of up to ``KERNEL_MAX`` elements."""
-    if sub.dim == 2 and len(sub.slots) <= KERNEL_MAX:
-        exact = nested_reposition_2d(sub)
-        if exact is not None:
-            return exact
-    grads, meas, radius = array_terms(sub)
+    its route for 2D cavities of up to ``KERNEL_MAX`` elements, and the
+    never-worsen rule of :func:`no_worse` after either route."""
     x0 = sub.position
-    if not (math.isfinite(radius) and math.isfinite(meas.sum())):
-        return tuple(x0.tolist()), meas.min()
-    x_new, achieved = _simplex_reposition(grads, meas, x0, radius)
-    return no_worse(x0, x_new, achieved, meas.min())
+    out = None
+    if sub.dim == 2 and len(sub.slots) <= KERNEL_MAX:
+        out = nested_reposition_2d(sub)
+    if out is None:
+        grads, meas, radius = array_terms(sub)
+        if not (math.isfinite(radius) and math.isfinite(meas.sum())):
+            return tuple(x0.tolist()), meas.min(), meas.min()
+        out = (*_simplex_reposition(grads, meas, x0, radius), meas.min())
+    return no_worse(x0, *out)
 
 
 def untangle_nested(mesh, max_sweeps=50, on_move=None):
@@ -525,7 +528,7 @@ def untangle_nested(mesh, max_sweeps=50, on_move=None):
         max_move = 0.0
         for vid, nodes, free_slots in cavities:
             sub = LocalSubmesh.from_arrays(coords[nodes], free_slots)
-            new_pos, after = maximin_reposition_nested(sub)
+            new_pos, after, _ = maximin_reposition_nested(sub)
             if on_move is not None:
                 on_move(int(vid), _measure_terms(sub.elements, sub.slots)[1].min(), after)
             move = np.subtract(new_pos, coords[vid])

@@ -313,7 +313,7 @@ class TestCriterion07UntanglerLp:
             elements = np.array([[i, (i + 1) % n, n] for i in range(n)])
             mesh = Mesh(coords, elements, list(range(n)))
             sub = local_submesh(mesh, n, list(range(n)))
-            _, lp_val = maximin_reposition(sub)
+            _, lp_val, _ = maximin_reposition(sub)
             _, grid_val = grid_maximin(others, slots, [0.0, 0.0], 3.2)
             worst = max(worst, abs(lp_val - grid_val))
         ok = worst <= 1e-4

@@ -503,6 +503,35 @@ class TestCli:
         for key in ("outcome", "reversals", "n_factorizations", "quality_min_imr"):
             assert key in report
 
+    @staticmethod
+    def warp_report_file(tmp_path, base, spec_text):
+        spec = tmp_path / "w.spec"
+        spec.write_text(spec_text)
+        out = str(tmp_path / "out")
+        rc = main(["warp", "--mesh", base, "--spec", str(spec), "--out", out])
+        with open(out + ".report") as fh:
+            return rc, dict(line.split(" = ") for line in fh.read().splitlines())
+
+    def test_report_names_t_reached_and_the_untangle_run(self, tmp_path, annulus_on_disk):
+        base, _ = annulus_on_disk
+        # a small-step warp toward a reflection ends REVERSED before t = 1
+        flip = "motion = affine\nl = 1,0;0,-1\nalgorithm = small_step\n"
+        rc, report = self.warp_report_file(tmp_path, base, flip)
+        assert rc == 2 and report["outcome"] == "REVERSED"
+        assert 0.0 < float(report["t_reached"]) < 1.0
+        assert "untangle_outcome" not in report and "untangle_sweeps" not in report
+        # turning the inner boundary a quarter reverses the one-shot warp,
+        # and the untangler mends it
+        turn = "motion = annulus\ntheta_outer = 0.0\ntheta_inner = 1.5707963\n"
+        for algorithm, sweeps in (("femwarp", None), ("hybrid", "5"), ("untangle", "6")):
+            rc, report = self.warp_report_file(tmp_path, base, f"{turn}algorithm = {algorithm}\n")
+            assert report["t_reached"] == "1"
+            if sweeps is None:
+                assert rc == 2 and "untangle_outcome" not in report
+            else:
+                assert rc == 0
+                assert (report["untangle_outcome"], report["untangle_sweeps"]) == ("SUCCESS", sweeps)
+
     def test_sweep_csv_deterministic(self, tmp_path, annulus_on_disk):
         base, _ = annulus_on_disk
         spec = tmp_path / "rot.spec"

@@ -51,6 +51,14 @@ class TestFactor:
         with pytest.raises(NotPositiveDefiniteError):
             factor(a + a.T)
 
+    @pytest.mark.parametrize("k", [-60, -40, 0, 40])
+    def test_symmetry_test_is_relative(self, k):
+        # the asymmetry is half the largest entry at every scale: the
+        # matrix is not symmetric, and its negative pivot refutes nothing
+        a = sparse.csc_matrix(2.0**k * np.array([[-1.0, 1.0], [2.0, 1.0]]))
+        x = factor(a).solve(a @ np.array([1.0, -1.0]))
+        assert np.array_equal(x, [1.0, -1.0])
+
     def test_annulus_residual(self, annulus_coarse, rng):
         w = build_weights(annulus_coarse, "FEM")
         f = factor(w.a_ii)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 from importlib import import_module
 from itertools import combinations
@@ -48,6 +49,7 @@ from oracles import (
     nested_best_triple,
     nested_dual_maximin_2d,
     nested_reposition_2d,
+    no_worse,
     stack_measure_gradients,
     tri_measures,
     untangle_nested,
@@ -241,10 +243,11 @@ class TestFloatTerms2d:
         elements = np.array(sub.elements)
         elements[3, (sub.free_slots[3] + corner) % 3, axis] = bad
         sub = LocalSubmesh.from_arrays(elements, sub.free_slots)
-        pos, val = maximin_reposition(sub)
-        want_pos, want_val = quiet_oracle(sub)
+        pos, val, start = maximin_reposition(sub)
+        want_pos, want_val, want_start = quiet_oracle(sub)
         assert np.array_equal(pos, sub.position) and np.array_equal(want_pos, pos)
         assert_same_bits(val, want_val)
+        assert_same_bits(start, want_start)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_box_stays(self):
@@ -263,10 +266,10 @@ class TestFloatTerms2d:
         grads, meas = grads.tolist(), meas.tolist()
         assert np.isfinite(sum(meas)) and radius == np.inf
         assert nested_dual_maximin_2d(grads, meas, 1e308) is not None
-        pos, val = maximin_reposition(sub)
-        want_pos, want_val = quiet_oracle(sub)
+        pos, val, start = maximin_reposition(sub)
+        want_pos, want_val, want_start = quiet_oracle(sub)
         assert np.array_equal(pos, sub.position) and np.array_equal(want_pos, pos)
-        assert val == want_val == min(meas)
+        assert val == want_val == start == want_start == min(meas)
 
 
 def tangled_box():
@@ -416,13 +419,13 @@ class TestSweepMatchesNested:
             # at least two tied triples with different steps
             assert len(set(tied)) == 2 and tied[0] != tied[-1]
         if n <= KERNEL_MAX:
-            want = ((float(tied[0][0]), float(tied[0][1])), 1.0)
+            want = ((float(tied[0][0]), float(tied[0][1])), 1.0, 1.0)
             got = kernel(n)(sub.flat, sub.slots)
             assert got == want and repr(got) == repr(nested_reposition_2d(sub))
         else:
             # the simplex takes the cavity: the optimum 1 at a point of the
             # optimal face, the free vertex being at the origin
-            (ux, uy), val = maximin_reposition(sub)
+            (ux, uy), val, _ = maximin_reposition(sub)
             tol = 1e-9 * max(meas)
             assert abs(val - 1.0) <= tol
             assert abs(ux) <= tol and abs(uy) <= 4.0 + tol
@@ -459,6 +462,9 @@ class TestSweepMatchesNested:
         self.assert_same_cavities(cavities)
 
     def test_on_move_calls(self):
+        # untangle_nested measures each cavity again from arrays for
+        # min_before: the independent reference for the minimum that the
+        # reposition returns with its move
         warped = hybrid_seed_warp(1)
         calls = {}
         for run in (untangle, untangle_nested):
@@ -466,8 +472,13 @@ class TestSweepMatchesNested:
             run(warped, max_sweeps=3, on_move=lambda *args: calls[run].append(args))
         got, want = calls[untangle], calls[untangle_nested]
         assert len(got) == 3 * 360
-        assert [tuple(map(type, c)) for c in got] == [tuple(map(type, c)) for c in want]
-        assert repr(got) == repr(want)
+        assert all(type(vid) is int for vid, _, _ in got)
+
+        def as_floats(calls):
+            # repr tells -0.0 from 0.0
+            return repr([(vid, float(before), float(after)) for vid, before, after in calls])
+
+        assert as_floats(got) == as_floats(want)
 
 
 def assert_python_floats(pos, d):
@@ -480,6 +491,25 @@ class TestSweepContract:
     per vertex per sweep, on a cavity whose arrays are those of the mesh at
     that moment, and every route of the reposition returns its position as
     a tuple of d Python floats."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: hybrid_seed_warp(1), lambda: flipped_rectangle(0)],
+        ids=["hybrid_seed_1", "flipped_rectangle_0"],
+    )
+    def test_on_move_measures_no_cavity_again(self, monkeypatch, make):
+        # every cavity of these meshes takes its kernel, which returns the
+        # minimum before the move with the move
+        mesh = make()
+        calls, moves = [], []
+
+        def counting(*args):
+            calls.append(args)
+            return _measure_terms(*args)
+
+        monkeypatch.setattr(untangle_module, "_measure_terms", counting)
+        untangle(mesh, max_sweeps=3, on_move=lambda *args: moves.append(args))
+        assert moves and not calls
 
     @pytest.mark.parametrize("make", [lambda: hybrid_seed_warp(1), tangled_box])
     def test_one_call_per_vertex_per_sweep(self, monkeypatch, make):
@@ -526,8 +556,75 @@ class TestSweepContract:
         elements[0, (box_sub.free_slots[0] + 1) % 4] = np.inf
         subs += [box_sub, LocalSubmesh.from_arrays(elements, box_sub.free_slots)]
         for sub in subs:
-            pos, _ = maximin_reposition(sub)
+            pos, _, _ = maximin_reposition(sub)
             assert_python_floats(pos, sub.dim)
+
+
+def box_cavity():
+    """The cavity of the one interior node of :func:`shifted_box`."""
+    box = shifted_box()
+    return local_submesh(box, 13, box.topology.incidence[0][13])
+
+
+def with_nan(sub):
+    """``sub`` with the first coordinate of a ring corner of its first
+    element replaced by nan."""
+    elements = np.array(sub.elements)
+    elements[0, (sub.free_slots[0] + 1) % (sub.dim + 1), 0] = np.nan
+    return LocalSubmesh.from_arrays(elements, sub.free_slots)
+
+
+# name -> the cavities of one route that is not a kernel's, all taking the
+# simplex but the nan ones, which stay
+START_CAVITIES = {
+    "above_the_cap": lambda: [star_cavity(seed, n, 0.5) for seed in range(3) for n in (12, 25)],
+    "3d": lambda: [box_cavity()],
+    "nan_2d": lambda: [with_nan(star_cavity(3, 6, 0.5))],
+    "nan_3d": lambda: [with_nan(box_cavity())],
+}
+
+
+class TestStartValue:
+    """The third value of :func:`maximin_reposition`, the cavity's minimum
+    measure at the current position, equals the minimum of
+    :func:`oracles.array_terms` on every route, and is nan where that is."""
+
+    @staticmethod
+    def start(sub):
+        got = maximin_reposition(sub)[2]
+        want = array_terms(sub)[1].min()
+        # equal floats are the same bits but for zero: the kernels take
+        # Python's min, which keeps the first of 0.0 and -0.0, and numpy's
+        # min may pick the other
+        assert got == want or math.isnan(got) and math.isnan(want)
+        return got
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_kernel_routes(self):
+        # a step, a stay, each way the dual declines to the simplex, and a
+        # cavity that is not finite
+        starts = {}
+        for n in range(3, KERNEL_MAX + 1):
+            for flat, slots in kernel_cavities(n):
+                start = self.start(LocalSubmesh(flat, slots, 2))
+                starts.setdefault(route_kind(flat, slots), []).append(start)
+        assert set(starts) == {
+            "step",
+            "stay",
+            "non-finite",
+            "no triple",
+            "zero det",
+            "box",
+            "certificate",
+        }
+        assert any(math.isnan(x) for x in starts["non-finite"])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("name", START_CAVITIES)
+    def test_other_routes(self, name):
+        for sub in START_CAVITIES[name]():
+            start = self.start(sub)
+            assert math.isnan(start) == name.startswith("nan")
 
 
 # coordinates on a small grid make repeated points, collinear edges, zero and
@@ -670,7 +767,7 @@ class TestTripleKernels:
         want = kernel(4)(flat, [0] * 4)
         assert repr(nested_reposition_2d(LocalSubmesh(flat, [0] * 4, 2))) == repr(want)
         # the first triple's corner; the second's is (1.0, 4.0)
-        assert want == ((1.0, -4.0), 1.0)
+        assert want == ((1.0, -4.0), 1.0, 1.0)
 
     @pytest.mark.parametrize("n", [12, 25])
     def test_fans_above_the_cap_match_nested(self, n):
@@ -682,7 +779,7 @@ class TestTripleKernels:
         for sub in cavities:
             grads, meas, radius = array_terms(sub)
             _, want = nested_dual_maximin_2d(grads.tolist(), meas.tolist(), radius)
-            _, got = maximin_reposition(sub)
+            _, got, _ = maximin_reposition(sub)
             assert abs(got - want) <= 1e-9 * max(abs(want), np.abs(meas).max())
         assert n not in untangle_module._KERNELS
 
@@ -703,7 +800,7 @@ class TestTripleKernels:
         built = set(untangle_module._KERNELS)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(untangle_module, "_build_kernel", refuse)
-            _, got = maximin_reposition(sub)
+            _, got, _ = maximin_reposition(sub)
         assert set(untangle_module._KERNELS) == built
         assert got >= meas.min()
         exact = nested_dual_maximin_2d(grads.tolist(), meas.tolist(), radius)
@@ -747,7 +844,7 @@ class TestMaximinReposition:
     def test_square_cavity_optimum(self):
         mesh = square_cavity([0.3, -0.2])
         sub = local_submesh(mesh, 4, [0, 1, 2, 3])
-        pos, val = maximin_reposition(sub)
+        pos, val, _ = maximin_reposition(sub)
         assert np.allclose(pos, [0.0, 0.0], atol=1e-9)
         assert val == pytest.approx(1.0, abs=1e-9)
 
@@ -757,13 +854,13 @@ class TestMaximinReposition:
         slots = np.full(4, 2)
         _, oracle_val = grid_maximin(others, slots, [0.0, 0.0], 2.5)
         sub = local_submesh(mesh, 4, [0, 1, 2, 3])
-        _, val = maximin_reposition(sub)
+        _, val, _ = maximin_reposition(sub)
         assert val == pytest.approx(oracle_val, abs=1e-4)
 
     def test_idempotent_at_optimum(self):
         mesh = square_cavity([0.0, 0.0])
         sub = local_submesh(mesh, 4, [0, 1, 2, 3])
-        pos, val = maximin_reposition(sub)
+        pos, val, _ = maximin_reposition(sub)
         assert np.allclose(pos, [0.0, 0.0], atol=1e-12)
         assert val == pytest.approx(1.0, abs=1e-12)
 
@@ -771,7 +868,7 @@ class TestMaximinReposition:
         mesh = reflected_cavity()
         assert count_reversals(mesh)[0] == 1
         sub = local_submesh(mesh, 4, [0, 1, 2, 3])
-        pos, val = maximin_reposition(sub)
+        pos, val, _ = maximin_reposition(sub)
         assert val > 0.0
         moved = np.array(mesh.coords)
         moved[4] = pos
@@ -784,13 +881,13 @@ class TestMaximinReposition:
             before = tri_measures(
                 sub.position, sub.elements, sub.free_slots
             ).min()
-            _, after = maximin_reposition(sub)
+            _, after, _ = maximin_reposition(sub)
             assert after >= before - 1e-12
 
     def test_first_order_optimality(self):
         mesh = square_cavity([0.4, 0.1])
         sub = local_submesh(mesh, 4, [0, 1, 2, 3])
-        pos, val = maximin_reposition(sub)
+        pos, val, _ = maximin_reposition(sub)
         h = 2.0
         for step in np.array(
             [[1, 0], [-1, 0], [0, 1], [0, -1]], dtype=float
@@ -811,10 +908,11 @@ class TestMaximinReposition:
         elements[0, (sub.free_slots[0] + 1) % 4] = bad
         elements[-1, (sub.free_slots[-1] + 1) % 4] = -bad
         sub = LocalSubmesh.from_arrays(elements, sub.free_slots)
-        pos, val = maximin_reposition(sub)
-        want_pos, want_val = quiet_oracle(sub)
+        pos, val, start = maximin_reposition(sub)
+        want_pos, want_val, want_start = quiet_oracle(sub)
         assert np.array_equal(pos, sub.position) and np.array_equal(want_pos, pos)
         assert_same_bits(val, want_val)
+        assert_same_bits(start, want_start)
 
 
 class TestDualMaximin:
@@ -832,15 +930,16 @@ class TestDualMaximin:
         want_x, want = _simplex_reposition(grads, meas, sub.position, radius)
         exact = nested_reposition_2d(sub)
         assert exact is not None
-        pos, got = exact
+        ruled = no_worse(sub.position, *exact)
+        pos, got, _ = ruled
         scale = max(abs(want), np.abs(meas).max())
         assert abs(got - want) <= 1e-9 * scale
         assert np.abs(np.subtract(pos, want_x)).max() <= 1e-9 * 2 * radius
         if n <= KERNEL_MAX:
             assert repr(kernel(n)(sub.flat, sub.slots)) == repr(exact)
-            assert maximin_reposition(sub) == exact
+            assert maximin_reposition(sub) == ruled
         else:
-            assert maximin_reposition(sub) == (tuple(want_x.tolist()), want)
+            assert maximin_reposition(sub) == (tuple(want_x.tolist()), want, meas.min())
 
     def test_rejects_a_step_outside_the_box(self):
         # three triangles around a free vertex at the origin with the nearly
@@ -863,10 +962,11 @@ class TestDualMaximin:
         assert ux == pytest.approx(0.50025) and uy == pytest.approx(500.0)
         assert kernel(3)(near.flat, near.slots) is None
         assert array_terms(far)[2] == 600.0
-        (x, y), val = kernel(3)(far.flat, far.slots)
+        got = kernel(3)(far.flat, far.slots)
+        (x, y), val, _ = got
         assert x == pytest.approx(0.50025) and y == pytest.approx(500.0)
         assert val == pytest.approx(0.50025)
-        assert repr(nested_reposition_2d(far)) == repr(((x, y), val))
+        assert repr(nested_reposition_2d(far)) == repr(got)
 
     @pytest.mark.parametrize("name", SIMPLEX_CAVITIES)
     def test_simplex_cases_unchanged(self, name, monkeypatch):
@@ -882,7 +982,7 @@ class TestDualMaximin:
             return _simplex_reposition(*args)
 
         monkeypatch.setattr(untangle_module, "_simplex_reposition", counting)
-        pos, val = maximin_reposition(sub)
+        pos, val, _ = maximin_reposition(sub)
         assert len(calls) == 1
         assert pos == tuple(want_pos) and val == want_val
 
@@ -976,6 +1076,7 @@ class TestUntangle:
         fixed, rep = run_algorithm(mesh, {"algorithm": "untangle"}, identity)
         assert rep.success and rep.n_factorizations == 0
         assert rep.quality == quality_report(fixed)
+        assert (rep.untangle_outcome, rep.untangle_sweeps) == ("SUCCESS", 1)
 
 
 class TestHybrid:
@@ -987,6 +1088,14 @@ class TestHybrid:
         hybrid, hrep = hybrid_warp(annulus_coarse, w, target)
         assert drep.success and hrep.success
         assert np.array_equal(direct.coords, hybrid.coords)
+        # no untangle ran
+        assert hrep.untangle_outcome is None and hrep.untangle_sweeps is None
+
+    def test_reports_the_untangle_run(self):
+        mesh = jittered(gen_annulus(0.5, 8, 60), np.random.default_rng(1), frac=1e-10)
+        target = annulus_rotation_motion(mesh, 0.75 * np.pi, 0.25 * np.pi).evaluate(1.0)
+        _, hrep = hybrid_warp(mesh, build_weights(mesh, "FEM"), target)
+        assert hrep.success and (hrep.untangle_outcome, hrep.untangle_sweeps) == ("SUCCESS", 13)
 
     def test_succeeds_where_femwarp_fails(self, annulus_mid):
         w = build_weights(annulus_mid, "FEM")
@@ -1045,6 +1154,9 @@ class TestHybrid:
         out, hrep = hybrid_warp(annulus_mid, w, target)
         assert hrep.reversals <= 216
         assert hrep.reversals == count_reversals(out)[0]
+        # the one-shot mesh and report, naming the untangle run
+        assert np.array_equal(out.coords, warped.coords)
+        assert hrep == replace(drep, untangle_outcome="MAX_SWEEPS", untangle_sweeps=50)
 
     def test_reports_failure_honestly(self, annulus_coarse):
         w = build_weights(annulus_coarse, "FEM")
