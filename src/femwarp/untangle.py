@@ -12,7 +12,7 @@ the dual declines (an LP that only the feasibility box bounds, a failed
 certificate) builds its coefficients with the batched array kernels and
 goes to a dense simplex with Bland's rule.  On both routes a vertex whose
 cavity's box radius or measure sum is not finite (non-finite or overflowing
-geometry) stays in place.
+geometry) stays in place, as does one whose simplex overflows.
 
 A sweep keeps the coordinates as one flat list of Python floats, in 2D and
 in 3D.  Each cavity is a :class:`LocalSubmesh` over a tuple gathered from
@@ -42,9 +42,10 @@ class LocalSubmesh:
     ``flat`` is the vertex coordinates of each incident simplex raveled in
     (element, vertex, axis) order, a sequence of Python floats;
     ``slots[i]`` is the free vertex's position in simplex i, and ``dim``
-    the dimension d.  The arrays are built each time they are read:
-    ``elements`` as (n, d+1, d), ``free_slots`` and ``position``, the free
-    vertex's coordinates in the first simplex.
+    the dimension d.  ``point`` is the free vertex's coordinates in the
+    first simplex, a tuple of d floats.  The arrays are built each time
+    they are read: ``elements`` as (n, d+1, d), ``free_slots`` and
+    ``position``, ``point`` as an array.
     """
 
     __slots__ = ("flat", "slots", "dim")
@@ -61,9 +62,13 @@ class LocalSubmesh:
         return cls(elements.ravel().tolist(), np.asarray(free_slots).tolist(), elements.shape[2])
 
     @property
-    def position(self):
+    def point(self):
         k = self.dim * self.slots[0]
-        return np.array(self.flat[k : k + self.dim])
+        return tuple(self.flat[k : k + self.dim])
+
+    @property
+    def position(self):
+        return np.array(self.point)
 
     @property
     def elements(self):
@@ -91,7 +96,8 @@ def _simplex_maximize(c, a_ub, b_ub, max_iter=10000):
     """max c@x s.t. a_ub@x <= b_ub, x >= 0, with b_ub >= 0.
 
     Dense tableau simplex with Bland's rule (deterministic, cycle-free).
-    Returns the optimal x.
+    Returns the optimal x, or None when a ratio test finds no finite least
+    ratio: the tableau has overflowed.
     """
     m, n = a_ub.shape
     tableau = np.zeros((m + 1, n + m + 1))
@@ -113,6 +119,8 @@ def _simplex_maximize(c, a_ub, b_ub, max_iter=10000):
         ratios = np.full(m, np.inf)
         ratios[mask] = tableau[:m, -1][mask] / col[mask]
         best = ratios.min()
+        if not np.isfinite(best):
+            return None
         ties = np.flatnonzero(ratios <= best + 1e-15)
         leave = int(min(ties, key=lambda i: basis[i]))  # Bland tie-break
         pivot = tableau[leave, entering]
@@ -131,7 +139,9 @@ def _simplex_reposition(grads, meas, x0, radius):
     """Maximin point over the box ``|x - x0|_inf <= radius`` and its value,
     by the dense simplex; ``(grads, meas)`` as from :func:`_measure_terms`
     at ``x0``.  Each product with ``grads`` is written out axis by axis,
-    not as a matrix product, so its bits do not depend on the BLAS build."""
+    not as a matrix product, so its bits do not depend on the BLAS build.
+    None when the LP overflows (its tableau, or the value at its point):
+    its terms may overflow where the cavity's are finite."""
     d = x0.size
     consts = meas - _dot(grads.T, x0)  # measure_i(x) = G[i] @ x + consts[i]
     lo = x0 - radius
@@ -153,8 +163,11 @@ def _simplex_reposition(grads, meas, x0, radius):
     obj = np.zeros(d + 1)
     obj[d] = 1.0
     sol = _simplex_maximize(obj, a_ub, b_ub)
+    if sol is None:
+        return None
     x_new = lo + sol[:d]
-    return x_new, (_dot(grads.T, x_new) + consts).min()
+    value = (_dot(grads.T, x_new) + consts).min()
+    return (x_new, value) if math.isfinite(value) else None
 
 
 # the two routes of maximin_reposition: a 2D cavity of up to this many
@@ -174,8 +187,8 @@ def _build_kernel(n):
     compiled, kept in ``_KERNELS`` and returned.
 
     Its gradients and measures are built by the operations of
-    :func:`_measure_terms` and its box radius by those of the simplex route,
-    in the same order, so each equals theirs to the bit.  The LP's dual is
+    :func:`_measure_terms`, in the same order, so each equals theirs to the
+    bit.  The LP's dual is
     min sum(l_i m_i) subject to sum(l_i G_i) = 0, sum(l_i) = 1, l >= 0; its
     optimal basis is a triple of gradients whose triangle holds the origin,
     with l the origin's barycentric coordinates, and the first triple of
@@ -185,6 +198,18 @@ def _build_kernel(n):
     1e-12 of the largest ``|m_i|``, which by weak duality proves it optimal
     to that tolerance.
 
+    The box radius is that of the simplex route, but the kernel scans the
+    coordinates for it only where a bound cannot decide.  A nan or inf
+    coordinate makes the measure of each triangle holding it non-finite, so
+    a finite measure sum shows every coordinate finite, and then
+    ``hypot(*flat) <= 8e306`` bounds each |coordinate| by 8e306, the
+    extent by 1.6e307 and so the radius, 10 times it, below the largest
+    float.  The step is first compared with ``lb``, ``BOX_FACTOR`` times the
+    larger component of element 0's opposite edge (or 1e-12): each component
+    is a difference of two cavity coordinates, and rounding is monotone, so
+    ``lb`` is never above the radius, and a step inside ``lb`` is inside
+    the box.
+
     The kernel returns ``(position, value, start)``: the moved point as a
     tuple of two Python floats and the minimum measure there and at the
     current point, or the current point when the cavity is not finite; the
@@ -192,17 +217,19 @@ def _build_kernel(n):
     declines (no triple holds the origin, a zero ``det``, a step outside
     the box or a failed certificate), which leaves the cavity to the simplex.
 
-    The coordinates (``xE_K``, ``yE_K`` of corner K of element E), gradients
-    (``gxE``, ``gyE``), measures (``mE``) and the cross products that the
-    triples read (``cJ_L`` holds G_J x G_L) are locals; ``max``, ``min`` and
-    ``sum`` take them in element order.  Each triple, in ``combinations``
-    order, is one ``if`` block making the sign tests, value and
-    first-minimum update.  The source is built from integers alone.
+    The coordinates (``xE_K``, ``yE_K`` of corner K of element E), opposite
+    edges (``exE``, ``eyE``), gradients (``gxE``, ``gyE``), measures
+    (``mE``) and the cross products that the triples read (``cJ_L`` holds
+    G_J x G_L) are locals; ``max``, ``min`` and ``sum`` take them in element
+    order.  Each triple, in ``combinations`` order, is one ``if`` block
+    making the sign tests, value and first-minimum update.  The source is
+    built from integers alone.
     """
     els = range(n)
     xs = ", ".join(f"x{e}_{k}" for e in els for k in range(3))
     ys = ", ".join(f"y{e}_{k}" for e in els for k in range(3))
     ms = ", ".join(f"m{e}" for e in els)
+    radius = f"BOX_FACTOR * max(max({xs}) - min({xs}), max({ys}) - min({ys}), 1e-12)"
     lines = [
         "def kernel(flat, slots):",
         f"    [{', '.join(f'x{e}_{k}, y{e}_{k}' for e in els for k in range(3))}] = flat",
@@ -215,24 +242,22 @@ def _build_kernel(n):
         edges = [f"x{e}_{b} - x{e}_{a}, y{e}_{b} - y{e}_{a}" for a, b in ((1, 2), (2, 0), (0, 1))]
         lines += [
             f"    if s{e} == 0:",
-            f"        ex, ey = {edges[0]}",
+            f"        ex{e}, ey{e} = {edges[0]}",
             f"    elif s{e} == 1:",
-            f"        ex, ey = {edges[1]}",
+            f"        ex{e}, ey{e} = {edges[1]}",
             "    else:",
-            f"        ex, ey = {edges[2]}",
-            f"    gx{e}, gy{e} = -0.5 * ey, 0.5 * ex",
+            f"        ex{e}, ey{e} = {edges[2]}",
+            f"    gx{e}, gy{e} = -0.5 * ey{e}, 0.5 * ex{e}",
             f"    m{e} = 0.5 * ((x{e}_1 - x{e}_0) * (y{e}_2 - y{e}_0)"
             f" - (y{e}_1 - y{e}_0) * (x{e}_2 - x{e}_0))",
         ]
     triples = list(combinations(els, 3))
     pairs = sorted({p for i, j, l in triples for p in ((j, l), (l, i), (i, j))})
-    # a nan or inf coordinate makes the measure of each triangle holding it
-    # non-finite (Python's max and min may skip a nan, so the box alone cannot
-    # tell), and so does an overflow: such a cavity stays, valued by numpy's
-    # min, which keeps a nan
+    # a cavity that is not finite (Python's max and min may skip a nan, so
+    # the box alone cannot tell) stays, valued by numpy's min, which keeps a
+    # nan
     lines += [
-        f"    radius = BOX_FACTOR * max(max({xs}) - min({xs}), max({ys}) - min({ys}), 1e-12)",
-        f"    if not (isfinite(radius) and isfinite(sum(({ms},)))):",
+        f"    if not (isfinite(sum(({ms},))) and (hypot(*flat) <= 8e306 or isfinite({radius}))):",
         f"        least = npmin([{ms}])",
         "        return (px, py), least, least",
         *(f"    c{a}_{b} = gx{a} * gy{b} - gy{a} * gx{b}" for a, b in pairs),
@@ -267,14 +292,23 @@ def _build_kernel(n):
         "        return None",
         "    ux = (ra * by - rb * ay) / det",
         "    uy = (ax * rb - bx * ra) / det",
-        "    if not (abs(ux) <= radius and abs(uy) <= radius):",
-        "        return None",
+        "    lb = BOX_FACTOR * max(abs(ex0), abs(ey0), 1e-12)",
+        "    if not (abs(ux) <= lb and abs(uy) <= lb):",
+        f"        radius = {radius}",
+        "        if not (abs(ux) <= radius and abs(uy) <= radius):",
+        "            return None",
         f"    achieved = min({', '.join(f'gx{e} * ux + gy{e} * uy + m{e}' for e in els)})",
-        f"    if not achieved >= v - 1e-12 * max({', '.join(f'abs(m{e})' for e in els)}):",
+        "    least = min(ms)",
+        "    if not achieved >= v - 1e-12 * max(max(ms), -least):",
         "        return None",
-        f"    return (px + ux, py + uy), achieved, min({ms})",
+        "    return (px + ux, py + uy), achieved, least",
     ]
-    namespace = {"BOX_FACTOR": BOX_FACTOR, "isfinite": math.isfinite, "npmin": np.min}
+    namespace = {
+        "BOX_FACTOR": BOX_FACTOR,
+        "hypot": math.hypot,
+        "isfinite": math.isfinite,
+        "npmin": np.min,
+    }
     exec(compile("\n".join(lines), f"<maximin kernel n={n}>", "exec"), namespace)
     kernel = _KERNELS[n] = namespace["kernel"]
     return kernel
@@ -293,28 +327,30 @@ def maximin_reposition(sub):
     minimum measure at the position and at the current point, and one
     never-worsen rule follows: a value more than 1e-12 below ``start``
     keeps the vertex in place, as does a cavity whose box radius or measure
-    sum is not finite.  Returns that triple, the position a tuple of d floats.
+    sum is not finite or whose simplex overflows.  Returns that triple, the
+    position a tuple of d floats.
     """
     flat, slots, d = sub.flat, sub.slots, sub.dim
-    k = d * slots[0]
-    x0 = tuple(flat[k : k + d])
     out = None
     if d == 2 and (n := len(slots)) <= KERNEL_MAX:
         out = (_KERNELS.get(n) or _build_kernel(n))(flat, slots)
     if out is None:
-        # built without warnings on the non-finite cavities that stay in place
+        # built without warnings on the cavities that stay in place: those
+        # that are not finite, and those whose LP overflows
         with np.errstate(over="ignore", invalid="ignore"):
             elements = sub.elements
             grads, meas = _measure_terms(elements, slots)
             radius = BOX_FACTOR * max(np.ptp(elements.reshape(-1, d), axis=0).max(), 1e-12)
             start = meas.min()
-            if not (math.isfinite(radius) and math.isfinite(meas.sum())):
-                return x0, start, start
-        x_new, value = _simplex_reposition(grads, meas, np.array(x0), radius)
-        out = tuple(x_new.tolist()), value, start
+            lp = None
+            if math.isfinite(radius) and math.isfinite(meas.sum()):
+                lp = _simplex_reposition(grads, meas, np.array(sub.point), radius)
+        if lp is None:
+            return sub.point, start, start
+        out = tuple(lp[0].tolist()), lp[1], start
     _, value, start = out
     if value < start - 1e-12:
-        return x0, start, start
+        return sub.point, start, start
     return out
 
 
@@ -356,7 +392,9 @@ def untangle(mesh, max_sweeps=50, on_move=None):
             new_pos, after, before = maximin_reposition(LocalSubmesh(gather(xy), free_slots, d))
             if on_move is not None:
                 on_move(vid, before, after)
-            max_move = max(max_move, math.dist(new_pos, xy[row]))
+            move = math.dist(new_pos, xy[row])
+            if move > max_move:
+                max_move = move
             xy[row] = new_pos
         sweeps += 1
 

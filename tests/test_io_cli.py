@@ -688,6 +688,25 @@ class TestCli:
         warped = io.read_mesh(out + ".node", out + ".ele", reorient=False)
         assert np.array_equal(warped.coords[16], [0.5, 0.5])
 
+    @pytest.mark.parametrize("k", [160, 200, 300])
+    def test_untangle_with_an_overflowing_cavity(self, tmp_path, capsys, k):
+        # outer boundary node 183 pushed out by 10**k and the boundary
+        # point-reflected: the simplex terms of the cavities next to it
+        # overflow, and those cavities stay
+        mesh = gen_annulus(0.5, 6, 36)
+        coords = np.array(mesh.coords)
+        coords[183] *= 10.0**k
+        base = str(tmp_path / "far")
+        io.write_mesh(mesh.with_coords(coords), base + ".node", base + ".ele")
+        spec = tmp_path / "reflect.spec"
+        spec.write_text("motion = affine\nl = -1,0;0,-1\nalgorithm = untangle\nmax_sweeps = 5\n")
+        out = str(tmp_path / "o")
+        rc = main(["warp", "--mesh", base, "--spec", str(spec), "--out", out])
+        assert rc in (0, 2)
+        assert "Traceback" not in capsys.readouterr().err
+        report = Path(out + ".report").read_text()
+        assert "untangle_sweeps = 5" in report
+
 
 class TestCliErrorContract:
     """Bad specs and frame files end in one ``error code=...`` line, exit 1."""

@@ -27,6 +27,7 @@ from femwarp.assembly import build_weights
 from femwarp.cli import run_algorithm
 from femwarp.mesh import count_reversals, quality_report, signed_measures
 from femwarp.untangle import (
+    BOX_FACTOR,
     KERNEL_MAX,
     LocalSubmesh,
     _measure_terms,
@@ -840,6 +841,105 @@ class TestTripleKernels:
         assert sorted(untangle_module._KERNELS) == built
 
 
+def opposed_cavity(top, delta):
+    """Three triangles around a free vertex at the origin with the nearly
+    opposed gradients (1, 0), (-1, 1e-6) and (-1, -1e-6) and measures 0, 1
+    and 1 + ``delta``: the unboxed optimum is u = (0.5 + delta/4,
+    delta/2e-6).  The first triangle's opposite edge runs from (0, top) to
+    (0, top - 2), so the kernel's lower bound on the box radius is 20."""
+    tris = [
+        [[0.0, 0.0], [0.0, top], [0.0, top - 2.0]],
+        [[0.0, 0.0], [1.0, 0.0], [1.0 + 2e-6, 2.0]],
+        [[0.0, 0.0], [1.0 + delta, 0.0], [1.0 + delta - 2e-6, 2.0]],
+    ]
+    return LocalSubmesh.from_arrays(tris, [0, 0, 0])
+
+
+def far_reflected_cavity():
+    """The cavity of :func:`reflected_cavity` with x scaled by 2**968 and
+    translated by 2**1020 and y scaled by 2**-960, all exact: its
+    coordinates reach past 8e306, its box radius (20 * 2**968) and its
+    dual's terms stay finite."""
+    mesh = reflected_cavity()
+    elements = np.array(mesh.coords[mesh.elements])
+    elements[..., 0] = elements[..., 0] * 2.0**968 + 2.0**1020
+    elements[..., 1] *= 2.0**-960
+    return LocalSubmesh.from_arrays(elements, [2] * 4)
+
+
+def overflowing_extent_cavity():
+    """A star cavity and two triangles with finite coordinates and measures
+    at x = 1e308 and -1e308, which take the box diameter past the largest
+    float."""
+    sub = star_cavity(3, 6, 0.5)
+    x, y = sub.point
+    far = [[[1e308, y], [1e308, y + 1.0]], [[-1e308, y], [-1e308, y - 1.0]]]
+    outer = fan_cavity([x, y], far, [0, 0])
+    return LocalSubmesh.from_arrays(
+        np.concatenate([sub.elements, outer.elements]),
+        np.concatenate([sub.free_slots, outer.free_slots]),
+    )
+
+
+def box_lower_bound(sub):
+    """``BOX_FACTOR`` times the larger component of the first element's
+    edge opposite the free vertex, or 1e-12: the kernels' lower bound on the
+    box radius."""
+    a, b = np.delete(sub.elements[0], sub.free_slots[0], axis=0)
+    return BOX_FACTOR * max(np.abs(b - a).max(), 1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestBoxBound:
+    """The kernels test the step against a lower bound on the box radius and
+    bound the radius through ``hypot``, and scan the cavity for the radius
+    only when those cannot decide.  Each way returns what the array route
+    returns, by ``repr``."""
+
+    @staticmethod
+    def assert_same_as_arrays(sub):
+        got = kernel(len(sub.slots))(sub.flat, sub.slots)
+        assert repr(got) == repr(nested_reposition_2d(sub))
+        assert repr(maximin_reposition(sub)) == repr(maximin_reposition_nested(sub))
+        return got
+
+    @staticmethod
+    def unboxed_step(sub):
+        grads, meas, _ = array_terms(sub)
+        u, _ = nested_dual_maximin_2d(grads.tolist(), meas.tolist(), math.inf)
+        return max(map(abs, u))
+
+    def test_step_beyond_the_bound_inside_the_box(self):
+        sub = opposed_cavity(3.0, 4.2e-5)
+        radius = array_terms(sub)[2]
+        assert box_lower_bound(sub) == 20.0 < self.unboxed_step(sub) <= radius == 30.0
+        (x, y), _, _ = self.assert_same_as_arrays(sub)
+        assert x == pytest.approx(0.5000105) and y == pytest.approx(21.0)
+
+    def test_step_beyond_the_box(self):
+        # the bound equals the radius here, and the step passes both by 5 %
+        sub = opposed_cavity(2.0, 4.2e-5)
+        radius = array_terms(sub)[2]
+        assert box_lower_bound(sub) == radius == 20.0 < self.unboxed_step(sub)
+        assert self.assert_same_as_arrays(sub) is None
+        (_, y), _, _ = maximin_reposition(sub)
+        assert y == 20.0
+
+    def test_far_cavity_with_a_finite_box(self):
+        sub = far_reflected_cavity()
+        radius = array_terms(sub)[2]
+        assert math.hypot(*sub.flat) > 8e306 and radius == 20.0 * 2.0**968
+        got = self.assert_same_as_arrays(sub)
+        assert got[1] > 0.0 > got[2]
+
+    def test_overflowing_extent_stays(self):
+        sub = overflowing_extent_cavity()
+        _, meas, radius = array_terms(sub)
+        assert math.isfinite(meas.sum()) and radius == math.inf
+        assert math.hypot(*sub.flat) > 8e306
+        assert self.assert_same_as_arrays(sub) == (sub.point, min(meas), min(meas))
+
+
 class TestMaximinReposition:
     def test_square_cavity_optimum(self):
         mesh = square_cavity([0.3, -0.2])
@@ -942,20 +1042,9 @@ class TestDualMaximin:
             assert maximin_reposition(sub) == (tuple(want_x.tolist()), want, meas.min())
 
     def test_rejects_a_step_outside_the_box(self):
-        # three triangles around a free vertex at the origin with the nearly
-        # opposed gradients (1, 0), (-1, 1e-6) and (-1, -1e-6) and measures
-        # 0, 1 and 1.001 put the unboxed optimum at u = (0.50025, 500); the
-        # first triangle's far corner sets the box radius, 10 times the
-        # cavity's diameter
-        def cavity(height):
-            tris = [
-                [[0.0, 0.0], [0.0, height], [0.0, height - 2.0]],
-                [[0.0, 0.0], [1.0, 0.0], [1.0 + 2e-6, 2.0]],
-                [[0.0, 0.0], [1.001, 0.0], [1.001 - 2e-6, 2.0]],
-            ]
-            return LocalSubmesh.from_arrays(tris, [0, 0, 0])
-
-        near, far = cavity(1.0), cavity(60.0)
+        # the unboxed optimum is u = (0.50025, 500); the first triangle's
+        # far corner sets the box radius, 10 times the cavity's diameter
+        near, far = opposed_cavity(1.0, 1e-3), opposed_cavity(60.0, 1e-3)
         grads, meas, radius = array_terms(near)
         assert radius == 30.0
         (ux, uy), val = nested_dual_maximin_2d(grads.tolist(), meas.tolist(), math.inf)
@@ -1166,3 +1255,77 @@ class TestHybrid:
         _, hrep = hybrid_warp(annulus_coarse, w, motion.evaluate(1.0))
         assert hrep.outcome == "REVERSED"
         assert hrep.reversals > 0
+
+
+def far_point_reflection(k):
+    """The 6x36 annulus with outer boundary node 183 pushed out by 10**k and
+    the boundary point-reflected: the cavities next to that node have
+    finite measures and a finite box, but their simplex terms overflow
+    from k = 155 on."""
+    mesh = gen_annulus(0.5, 6, 36)
+    coords = np.array(mesh.coords)
+    coords[183] *= 10.0**k
+    coords[mesh.boundary_ids] *= -1.0
+    return mesh.with_coords(coords)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestOverflowingSimplex:
+    """A cavity whose simplex tableau overflows stays in place, as a cavity
+    that is not finite does, without a numpy warning."""
+
+    @pytest.mark.parametrize("k", [155, 160, 200, 300])
+    def test_untangle_stays_finite(self, k):
+        mesh = far_point_reflection(k)
+        out, sweeps, outcome = untangle(mesh, max_sweeps=5)
+        assert np.isfinite(out.coords).all()
+        assert (sweeps, outcome) == (5, "MAX_SWEEPS")
+
+    def test_overflowing_cavity_stays(self):
+        mesh = far_point_reflection(300)
+        eids, _ = mesh.topology.incidence
+        vid = next(v for v in mesh.interior_ids.tolist() if 183 in mesh.elements[eids[v]])
+        sub = local_submesh(mesh, vid, eids[vid])
+        _, meas, radius = array_terms(sub)
+        assert math.isfinite(radius) and math.isfinite(meas.sum())
+        assert maximin_reposition(sub) == (sub.point, meas.min(), meas.min())
+
+
+class TestBlasKernels:
+    def test_untangler_bits_under_each_openblas_kernel(self):
+        # the point-reflection fixture needs no SuperLU solve; each child
+        # prints the sha1 of its coordinates, its outcome and its sweeps
+        code = (
+            "import hashlib, numpy as np\n"
+            "from femwarp import gen_annulus\n"
+            "from femwarp.untangle import untangle\n"
+            "mesh = gen_annulus(0.5, 14, 64)\n"
+            "coords = np.array(mesh.coords)\n"
+            "coords[mesh.boundary_ids] *= -1.0\n"
+            "out, sweeps, outcome = untangle(mesh.with_coords(coords))\n"
+            "print(hashlib.sha1(out.coords.tobytes()).hexdigest(), outcome, sweeps)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        children = []
+        for core in (None, "Haswell", "Sandybridge", "Prescott"):
+            env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+            env.pop("OPENBLAS_CORETYPE", None)
+            if core is not None:
+                env["OPENBLAS_CORETYPE"] = core
+            children.append(
+                subprocess.Popen(
+                    [sys.executable, "-c", code],
+                    env=env,
+                    stdout=subprocess.PIPE,
+                    stderr=subprocess.PIPE,
+                    text=True,
+                )
+            )
+        outputs = []
+        for child in children:
+            out, err = child.communicate(timeout=120)
+            assert child.returncode == 0, err
+            outputs.append(out)
+        assert len(set(outputs)) == 1, outputs
+        assert len(outputs[0].split()) == 3
