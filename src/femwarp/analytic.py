@@ -29,6 +29,8 @@ class AnnulusSpec:
             raise InvalidSpecError(f"inner radius must lie in (0,1), got {self.r}")
         if not (self.r <= self.s < 1.0):
             raise InvalidSpecError(f"deformed radius must lie in [r,1), got {self.s}")
+        if not np.isfinite(self.theta):
+            raise InvalidSpecError(f"rotation angle must be finite, got {self.theta}")
 
 
 def annulus_coeffs(spec):

@@ -36,6 +36,7 @@ from .errors import (
     SingularSystemError,
 )
 from .mesh import _columns, _dot, _geometry, _gradients, _reversed
+from .solve import _simplex_maximize
 
 SCHEMES = ("FEM", "UNIFORM", "LOG_BARRIER")
 
@@ -157,27 +158,24 @@ def uniform_weights(mesh):
     return row_system(topology, np.repeat(1.0 / deg, deg))
 
 
-def _strictly_inside_hull(center, nbr_coords, tol=1e-12):
-    """Feasibility check: does a strictly positive convex combination exist?"""
-    from scipy.optimize import linprog
-
-    n = len(nbr_coords)
-    rel = nbr_coords - center
-    # max t  s.t.  sum w = 1, sum w*rel = 0, w_j >= t  -> variables (w, t)
-    a_eq = np.hstack([np.vstack([np.ones(n), rel.T]), np.zeros((rel.shape[1] + 1, 1))])
-    b_eq = np.zeros(rel.shape[1] + 1)
-    b_eq[0] = 1.0
-    a_ub = np.hstack([-np.eye(n), np.ones((n, 1))])
-    res = linprog(
-        c=np.append(np.zeros(n), -1.0),
-        A_ub=a_ub,
-        b_ub=np.zeros(n),
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=[(None, None)] * n + [(None, None)],
-        method="highs",
-    )
-    return res.status == 0 and res.x is not None and res.x[-1] > tol
+def _strictly_inside_hull(center, nbr_coords):
+    """Is ``center`` a strictly positive convex combination of its neighbors?
+    By Stiemke's lemma, yes unless some u has ``rel @ u >= 0`` for every
+    neighbor and ``> 0`` for one (``rel = nbr_coords - center``); the simplex
+    maximizes ``sum(rel @ u)`` over such u in the box ``|u| <= 1``, and the
+    node is strictly inside iff the optimum is at most 1e-12.  ``rel`` is
+    first scaled exactly by the power of two of its largest entry, so units
+    do not matter, and a non-finite ``rel`` is not inside."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        rel = nbr_coords - center
+    if not np.isfinite(rel).all():
+        return False
+    rel = np.ldexp(rel, -np.frexp(np.abs(rel).max())[1])
+    s = rel.sum(axis=0)  # sum(rel @ u) = s @ u, with u = u+ - u- and u+, u- in [0, 1]
+    a_ub = np.vstack([np.hstack([-rel, rel]), np.eye(2 * len(s))])
+    b_ub = np.concatenate([np.zeros(len(rel)), np.ones(2 * len(s))])
+    x = _simplex_maximize(np.concatenate([s, -s]), a_ub, b_ub)
+    return x is not None and s @ np.subtract(*x.reshape(2, -1)) <= 1e-12
 
 
 def _barrier_newton(c, tol, max_iter=100):

@@ -89,8 +89,10 @@ def build_motion(mesh, spec, scale=1.0):
         )
         if scale != 1.0:
             eye = np.eye(mesh.dim)
-            matrix = eye + scale * (matrix - eye)
-            shift = scale * shift
+            # an overflow is refused with the target (``_finite_target``)
+            with np.errstate(over="ignore", invalid="ignore"):
+                matrix = eye + scale * (matrix - eye)
+                shift = scale * shift
         return AffineMotion(mesh, matrix, shift)
     if kind == "shear":
         return shear_motion(mesh, scale * _spec_number(spec, "alpha", 0.0))

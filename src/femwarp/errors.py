@@ -49,10 +49,6 @@ class DivergedError(FemwarpError):
     code = "DIVERGED"
 
 
-class UnboundedLPError(FemwarpError):
-    code = "UNBOUNDED"
-
-
 class DomainError(FemwarpError):
     code = "DOMAIN_ERROR"
 

@@ -1,6 +1,6 @@
 """Linear-system backends: one sparse direct factorization for every
 weight scheme, which takes a fill-reducing order that matrices of one
-sparsity pattern share, and Gauss-Seidel sweeps.
+sparsity pattern share, Gauss-Seidel sweeps and the package's LP solver.
 """
 
 import numpy as np
@@ -97,6 +97,47 @@ def solve_multi(f, b):
     if b.shape[0] != f.n:
         raise ValueError(f"rhs has {b.shape[0]} rows, expected {f.n}")
     return f.solve(b)
+
+
+def _simplex_maximize(c, a_ub, b_ub, max_iter=10000):
+    """max c@x s.t. a_ub@x <= b_ub, x >= 0, with b_ub >= 0.
+
+    Dense tableau simplex with Bland's rule (deterministic, cycle-free).
+    Returns the optimal x, or None when a ratio test finds no finite least
+    ratio: every LP here is box-bounded, so the tableau has overflowed.
+    """
+    m, n = a_ub.shape
+    tableau = np.zeros((m + 1, n + m + 1))
+    tableau[:m, :n] = a_ub
+    tableau[:m, n : n + m] = np.eye(m)
+    tableau[:m, -1] = b_ub
+    tableau[m, :n] = -np.asarray(c, dtype=float)
+    basis = list(range(n, n + m))
+    for _ in range(max_iter):
+        row = tableau[m, : n + m]
+        neg = np.flatnonzero(row < -1e-12)
+        if not len(neg):
+            break
+        entering = int(neg[0])  # Bland: smallest improving index
+        col = tableau[:m, entering]
+        mask = col > 1e-12
+        ratios = np.full(m, np.inf)
+        ratios[mask] = tableau[:m, -1][mask] / col[mask]
+        best = ratios.min()
+        if not np.isfinite(best):
+            return None
+        ties = np.flatnonzero(ratios <= best + 1e-15)
+        leave = int(min(ties, key=lambda i: basis[i]))  # Bland tie-break
+        pivot = tableau[leave, entering]
+        tableau[leave] /= pivot
+        colvals = tableau[:, entering].copy()
+        colvals[leave] = 0.0
+        tableau -= np.outer(colvals, tableau[leave])
+        basis[leave] = entering
+    x = np.zeros(n + m)
+    for i, bv in enumerate(basis):
+        x[bv] = tableau[i, -1]
+    return x[:n]
 
 
 def gauss_seidel(a_ii, a_ib, boundary_coords, initial, tol=1e-10, max_sweeps=None):

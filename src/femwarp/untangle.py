@@ -28,8 +28,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import UnboundedLPError
 from .mesh import _dot, _geometry, _gradients, count_reversals
+from .solve import _simplex_maximize
 from .warp import femwarp_step, warp_report
 
 BOX_FACTOR = 10.0
@@ -90,49 +90,6 @@ def _measure_terms(elements, slots):
     cols = np.moveaxis(elements, 2, 0)
     grads = np.moveaxis(_gradients(cols), 0, 2)[np.arange(len(elements)), slots]
     return grads, _geometry(cols)[0]
-
-
-def _simplex_maximize(c, a_ub, b_ub, max_iter=10000):
-    """max c@x s.t. a_ub@x <= b_ub, x >= 0, with b_ub >= 0.
-
-    Dense tableau simplex with Bland's rule (deterministic, cycle-free).
-    Returns the optimal x, or None when a ratio test finds no finite least
-    ratio: the tableau has overflowed.
-    """
-    m, n = a_ub.shape
-    tableau = np.zeros((m + 1, n + m + 1))
-    tableau[:m, :n] = a_ub
-    tableau[:m, n : n + m] = np.eye(m)
-    tableau[:m, -1] = b_ub
-    tableau[m, :n] = -np.asarray(c, dtype=float)
-    basis = list(range(n, n + m))
-    for _ in range(max_iter):
-        row = tableau[m, : n + m]
-        neg = np.flatnonzero(row < -1e-12)
-        if not len(neg):
-            break
-        entering = int(neg[0])  # Bland: smallest improving index
-        col = tableau[:m, entering]
-        mask = col > 1e-12
-        if not mask.any():
-            raise UnboundedLPError("LP is unbounded")
-        ratios = np.full(m, np.inf)
-        ratios[mask] = tableau[:m, -1][mask] / col[mask]
-        best = ratios.min()
-        if not np.isfinite(best):
-            return None
-        ties = np.flatnonzero(ratios <= best + 1e-15)
-        leave = int(min(ties, key=lambda i: basis[i]))  # Bland tie-break
-        pivot = tableau[leave, entering]
-        tableau[leave] /= pivot
-        colvals = tableau[:, entering].copy()
-        colvals[leave] = 0.0
-        tableau -= np.outer(colvals, tableau[leave])
-        basis[leave] = entering
-    x = np.zeros(n + m)
-    for i, bv in enumerate(basis):
-        x[bv] = tableau[i, -1]
-    return x[:n]
 
 
 def _simplex_reposition(grads, meas, x0, radius):

@@ -47,10 +47,13 @@ def annulus_rotation_motion(mesh, theta_outer, theta_inner=0.0, s=None):
     Boundary nodes are classified inner/outer by radius against the midpoint
     of the two boundary radii; ``np.hypot`` takes the radii without squaring
     the coordinates, so the split holds at any scale.  A mesh that is not 2D,
-    or a given ``s`` with ``r`` not positive, raises ValueError.
+    a non-finite angle, or a given ``s`` with ``r`` not positive, raises
+    ValueError.
     """
     if mesh.dim != 2:
         raise ValueError(f"an annulus rotation needs a 2D mesh, not {mesh.dim}D")
+    if not (math.isfinite(theta_outer) and math.isfinite(theta_inner)):
+        raise ValueError(f"rotation angles must be finite, not {theta_outer}, {theta_inner}")
     radii = np.hypot(*mesh.coords[mesh.boundary_ids].T)
     r = radii.min()
     if s is not None and not r > 0.0:

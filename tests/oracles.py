@@ -337,6 +337,51 @@ def barrier_node_weights(center, nbr_coords, tol=1e-10, max_iter=100):
     return None
 
 
+def strictly_inside_hull_highs(center, nbr_coords, tol=1e-12):
+    """Does a strictly positive convex combination of ``nbr_coords`` equal
+    ``center``?  The primal LP max t s.t. sum w = 1, sum w*(x_j - x_i) = 0,
+    w_j >= t, solved by HiGHS; its tolerances are absolute, so the verdict
+    holds only for coordinates of order one."""
+    from scipy.optimize import linprog
+
+    n = len(nbr_coords)
+    rel = nbr_coords - center
+    a_eq = np.hstack([np.vstack([np.ones(n), rel.T]), np.zeros((rel.shape[1] + 1, 1))])
+    b_eq = np.zeros(rel.shape[1] + 1)
+    b_eq[0] = 1.0
+    a_ub = np.hstack([-np.eye(n), np.ones((n, 1))])
+    res = linprog(
+        c=np.append(np.zeros(n), -1.0),
+        A_ub=a_ub,
+        b_ub=np.zeros(n),
+        A_eq=a_eq,
+        b_eq=b_eq,
+        bounds=[(None, None)] * n + [(None, None)],
+        method="highs",
+    )
+    return res.status == 0 and res.x is not None and res.x[-1] > tol
+
+
+def random_star(rng, dim, n, kind):
+    """A node and ``n`` neighbors in ``dim`` dimensions, drawn by ``rng``.
+    The node is a strictly positive convex combination of them
+    (``"inside"``), a draw from a box twice the neighbors' (``"outside"``,
+    mostly outside their hull), one of them (``"vertex"``) or a point on
+    the segment between two of them (``"edge"``)."""
+    nbrs = rng.uniform(-1.0, 1.0, (n, dim))
+    if kind == "inside":
+        center = rng.dirichlet(np.ones(n)) @ nbrs
+    elif kind == "outside":
+        center = rng.uniform(-2.0, 2.0, dim)
+    elif kind == "vertex":
+        center = nbrs[rng.integers(n)].copy()
+    else:
+        i, j = rng.choice(n, 2, replace=False)
+        a = rng.uniform()
+        center = a * nbrs[i] + (1.0 - a) * nbrs[j]
+    return center, nbrs
+
+
 def write_mesh_by_line(mesh, node_path, ele_path):
     """.node/.ele writer formatting one record at a time with repr(float)."""
     with open(node_path, "w") as fh:

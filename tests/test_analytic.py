@@ -55,6 +55,12 @@ class TestAnnulusCoeffs:
         with pytest.raises(InvalidSpecError):
             AnnulusSpec(0.5, 0.4, 0.0)
 
+    @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+    def test_non_finite_angle_refused(self, theta):
+        # its coefficients were nan, with reversal_predicate false
+        with pytest.raises(InvalidSpecError):
+            AnnulusSpec(0.5, 0.5, theta)
+
 
 class TestAnnulusMap:
     def test_identity_everywhere(self, rng):

@@ -1,11 +1,17 @@
 """Stiffness assembly and the three weight schemes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from femwarp import Mesh, gen_annulus, gen_box_tets, gen_rectangle
 from femwarp.assembly import (
     _solve_stack,
+    _strictly_inside_hull,
     assemble_stiffness,
     build_weights,
     fem_weights,
@@ -31,6 +37,8 @@ from oracles import (
     cotangent_stiffness,
     inverse_stiffness,
     node_neighbors,
+    random_star,
+    strictly_inside_hull_highs,
     weight_residual,
 )
 
@@ -421,3 +429,71 @@ class TestBatchedBarrier:
         x, singular = _solve_stack(a, b)
         assert singular.tolist() == [False, True, False]
         assert np.array_equal(x[[0, 2]], [b[0], b[2] / 2.0])
+
+
+class TestHullDiagnosis:
+    """A failed LOG_BARRIER node is told NODE_NOT_INTERIOR from
+    SINGULAR_SYSTEM by the package's simplex, in any units."""
+
+    def test_matches_highs_at_unit_scale_and_is_scale_free(self):
+        rng = np.random.default_rng(2929)
+        seen = set()
+        for dim in (2, 3):
+            for kind in ("inside", "outside", "vertex", "edge"):
+                for _ in range(150):
+                    center, nbrs = random_star(rng, dim, int(rng.integers(2, 14)), kind)
+                    want = strictly_inside_hull_highs(center, nbrs)
+                    assert _strictly_inside_hull(center, nbrs) == want
+                    for k in (-60, -40, 40, 60):
+                        scaled = np.ldexp(center, k), np.ldexp(nbrs, k)
+                        assert _strictly_inside_hull(*scaled) == want
+                    seen.add((kind, bool(want)))
+        # every kind but "inside" draws both verdicts
+        assert len(seen) == 7
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_neighbor_is_not_interior(self, bad):
+        mesh = gen_annulus(0.5, 3, 12)
+        coords = np.array(mesh.coords)
+        coords[0, 0] = bad
+        first = min(i for i in mesh.interior_ids if 0 in mesh.topology.neighbors(i))
+        with pytest.raises(NodeNotInteriorError) as err:
+            log_barrier_weights(mesh.with_coords(coords))
+        assert err.value.context["node"] == first
+
+    def test_scaled_annulus_is_a_newton_failure(self):
+        # node 60 is strictly inside its neighbors' hull at every scale; at
+        # 2^60 the Newton's absolute stop test fails it
+        mesh = gen_annulus(0.5, 8, 60)
+        coords = np.ldexp(mesh.coords, 60)
+        assert _strictly_inside_hull(coords[60], coords[mesh.topology.neighbors(60)])
+        with pytest.raises(SingularSystemError) as err:
+            log_barrier_weights(mesh.with_coords(coords))
+        assert err.value.context["node"] == 60
+
+    def test_diagnosis_imports_no_optimizer(self):
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from femwarp import Mesh\n"
+            "from femwarp.assembly import log_barrier_weights\n"
+            "from femwarp.errors import NodeNotInteriorError\n"
+            "coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])\n"
+            "mesh = Mesh(coords, np.array([[0, 1, 3], [1, 2, 3], [2, 0, 3]]), [0, 1, 2])\n"
+            "try:\n"
+            "    log_barrier_weights(mesh)\n"
+            "except NodeNotInteriorError:\n"
+            "    print('scipy.optimize' in sys.modules)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["False"]

@@ -796,6 +796,38 @@ class TestCliErrorContract:
             assert captured.out == ""
             assert not any(os.path.exists(out + ext) for ext in outputs)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "spec_text",
+        ["motion = annulus\ntheta_outer = 1e308\n", "motion = affine\nl = 1e308,0;0,1\n"],
+        ids=["annulus_angle", "affine_matrix"],
+    )
+    def test_sweep_scales_a_parameter_past_the_float_range(self, tmp_path, capsys, spec_text):
+        # grid point 2 doubles 1e308 to inf: the angle ended in a math domain
+        # error traceback, the matrix in a numpy overflow warning
+        base = str(tmp_path / "ann")
+        io.write_mesh(gen_annulus(0.5, 3, 12), base + ".node", base + ".ele")
+        spec = tmp_path / "big.spec"
+        spec.write_text(spec_text)
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--mesh", base, "--spec", str(spec), "--out", str(out)]
+        assert main(argv + ["--param-grid", "0:2:1"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error code=INVALID_SPEC message=")
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+    def test_oracle_refuses_a_non_finite_angle(self, capsys, theta):
+        # it printed nan coefficients and exited 0
+        assert main(["oracle", "annulus", "--r", "0.5", "--s", "0.5", f"--theta={theta}"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error code=INVALID_SPEC message=")
+        assert captured.out == ""
+
     @pytest.mark.parametrize(
         "make, spec_text",
         [

@@ -1292,21 +1292,44 @@ class TestOverflowingSimplex:
 
 
 class TestBlasKernels:
-    def test_untangler_bits_under_each_openblas_kernel(self):
-        # the point-reflection fixture needs no SuperLU solve; each child
-        # prints the sha1 of its coordinates, its outcome and its sweeps
+    def test_bits_under_each_openblas_kernel(self):
+        # each child prints one line per item: the sha1 of the untangler's
+        # coordinates on the point-reflection fixture (which needs no
+        # SuperLU solve) with its outcome and sweeps, of two motions'
+        # targets on a jittered 8x60 annulus and two on a jittered 6^3 box,
+        # and of the FEM and UNIFORM weights on both meshes
         code = (
             "import hashlib, numpy as np\n"
-            "from femwarp import gen_annulus\n"
+            "from conftest import jittered\n"
+            "from femwarp import gen_annulus, gen_box_tets\n"
+            "from femwarp.analytic import nonlinear3d_map\n"
+            "from femwarp.assembly import build_weights\n"
             "from femwarp.untangle import untangle\n"
+            "from femwarp.warp import AffineMotion, annulus_rotation_motion, nonlinear3d_motion\n"
+            "def sha(a):\n"
+            "    return hashlib.sha1(np.ascontiguousarray(a).tobytes()).hexdigest()\n"
             "mesh = gen_annulus(0.5, 14, 64)\n"
             "coords = np.array(mesh.coords)\n"
             "coords[mesh.boundary_ids] *= -1.0\n"
             "out, sweeps, outcome = untangle(mesh.with_coords(coords))\n"
-            "print(hashlib.sha1(out.coords.tobytes()).hexdigest(), outcome, sweeps)\n"
+            "print('untangle', sha(out.coords), outcome, sweeps)\n"
+            "ann = jittered(gen_annulus(0.5, 8, 60), 29)\n"
+            "box = jittered(gen_box_tets(6, 6, 6), 29)\n"
+            "rotation = annulus_rotation_motion(ann, 0.9, -0.3, s=0.6)\n"
+            "print('annulus_motion', sha(rotation.evaluate(0.7)))\n"
+            "affine = AffineMotion(ann, [[1.1, 0.3], [-0.2, 0.9]], [0.05, -0.1])\n"
+            "print('affine_motion', sha(affine.evaluate(0.7)))\n"
+            "print('nonlinear3d_motion', sha(nonlinear3d_motion(box, 1.3).evaluate(0.7)))\n"
+            "print('nonlinear3d_map', sha(nonlinear3d_map(1.3, box.coords)))\n"
+            "for name, m in (('annulus', ann), ('box', box)):\n"
+            "    for scheme in ('FEM', 'UNIFORM'):\n"
+            "        w = build_weights(m, scheme)\n"
+            "        print(f'{scheme}_{name}', sha(w.a_ii.data), sha(w.a_ib.data))\n"
         )
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        here = Path(__file__).resolve().parent
+        path = os.pathsep.join(
+            filter(None, [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")])
+        )
         children = []
         for core in (None, "Haswell", "Sandybridge", "Prescott"):
             env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
@@ -1322,10 +1345,12 @@ class TestBlasKernels:
                     text=True,
                 )
             )
-        outputs = []
+        items = []
         for child in children:
             out, err = child.communicate(timeout=120)
             assert child.returncode == 0, err
-            outputs.append(out)
-        assert len(set(outputs)) == 1, outputs
-        assert len(outputs[0].split()) == 3
+            items.append(dict(line.split(" ", 1) for line in out.splitlines()))
+        assert len(items[0]) == 9
+        assert len(items[0]["untangle"].split()) == 3
+        for item, value in items[0].items():
+            assert [kernel[item] for kernel in items] == [value] * 4, item

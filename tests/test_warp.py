@@ -144,6 +144,13 @@ class TestMotions:
         with pytest.raises(ValueError):
             AffineMotion(annulus_coarse, np.eye(3)[:2], np.zeros(2))
 
+    @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+    def test_non_finite_angle_refused(self, annulus_coarse, theta):
+        # math.cos of an infinite angle raised a bare math domain error
+        for args in ((theta,), (0.5, theta)):
+            with pytest.raises(ValueError, match="finite"):
+                annulus_rotation_motion(annulus_coarse, *args)
+
     def test_tabulated_shape_check(self, annulus_coarse):
         with pytest.raises(ValueError):
             TabulatedMotion(annulus_coarse, [np.zeros((3, 2))])
