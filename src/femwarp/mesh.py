@@ -24,6 +24,12 @@ ORIENTATION_TOL = 0.0
 
 NEAR_DEGENERATE_FACTOR = 1e-12
 
+# quality_report squares edge components, in 3D their cross products too,
+# and forms h**d; while every nonzero per-axis extent of the coordinates lies
+# in [2**-QUALITY_SPAN, 2**QUALITY_SPAN] none of these overflows, and the
+# report computes on the coordinates as they are
+QUALITY_SPAN = 100
+
 # Parts of at most this many interior nodes end the nested dissection.
 ND_LEAF_SIZE = 16
 
@@ -529,6 +535,25 @@ class QualityReport:
         return asdict(self)
 
 
+def _quality_exponent(coords):
+    """The k for which :func:`quality_report` computes on ``coords * 2**-k``:
+    0 while every nonzero per-axis extent lies in ``2**±QUALITY_SPAN`` or
+    one is not finite; else the mean of the largest and the smallest
+    extent's exponents, rounded down, which centres the scaled extents on 1,
+    but never so low that a coordinate scales past the largest float."""
+    if not coords.size:
+        return 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        extents = np.array([axis.max() - axis.min() for axis in coords.T])
+    if not np.isfinite(extents).all():
+        return 0
+    exps = np.frexp(extents[extents > 0.0])[1]
+    if not exps.size or -QUALITY_SPAN <= exps.min() and exps.max() <= QUALITY_SPAN:
+        return 0
+    k = (int(exps.min()) + int(exps.max())) // 2
+    return max(k, int(np.frexp(np.abs(coords).max())[1]) - 1024)
+
+
 def quality_report(mesh):
     """Per-mesh quality summary.
 
@@ -536,8 +561,19 @@ def quality_report(mesh):
     reversed elements rather than raising, so tangled intermediate meshes
     can still be summarized; the inverse-mean-ratio fields are nan when no
     element is positively oriented.
+
+    Aspects, inverse mean ratios, ``h`` and the near-degenerate count come
+    from the coordinates scaled by the power of two of
+    :func:`_quality_exponent`, which is exact, and ``h`` is scaled back: so
+    a valid mesh whose squared edges overflow reports a finite ``h``,
+    aspects and ratios, and a mesh and its copies scaled by powers of two
+    past ``2**±QUALITY_SPAN`` report the same values.  The measure fields
+    and the reversal count are those of :func:`signed_measures`.
     """
-    meas, longest, aspects, imrs = _geometry(_columns(mesh), quality=True)
+    cols = _columns(mesh)
+    k = _quality_exponent(mesh.coords)
+    scaled, longest, aspects, imrs = _geometry(np.ldexp(cols, -k) if k else cols, quality=True)
+    meas = _geometry(cols)[0] if k else scaled
     imrs = imrs[~np.isnan(imrs)]
     h = longest.max()
     # the means and h^d of overflowing geometry are inf or nan, silently
@@ -548,9 +584,10 @@ def quality_report(mesh):
             for f in (np.min, np.max, np.mean)
         ]
         tiny = NEAR_DEGENERATE_FACTOR * h**mesh.dim
+        h = np.ldexp(h, k)
     return QualityReport(
         *stats,
         reversal_count=int(_reversed(meas).sum()),
-        near_degenerate_count=int(((meas > ORIENTATION_TOL) & (meas < tiny)).sum()),
+        near_degenerate_count=int(((scaled > ORIENTATION_TOL) & (scaled < tiny)).sum()),
         h=float(h),
     )

@@ -15,8 +15,9 @@ cavity's box radius or measure sum is not finite (non-finite or overflowing
 geometry) stays in place, as does one whose simplex overflows.
 
 A sweep keeps the coordinates as one flat list of Python floats, in 2D and
-in 3D.  Each cavity is a :class:`LocalSubmesh` over a tuple gathered from
-that list, whose arrays are built only when read, and every route of
+in 3D.  Each cavity is one :class:`LocalSubmesh` per call of
+:func:`untangle`, whose ``flat`` is a tuple gathered from that list anew
+each sweep and whose arrays are built only when read, and every route of
 :func:`maximin_reposition` returns the new position as a tuple of Python
 floats, which the sweep writes back: no numpy scalar enters the list.
 """
@@ -46,6 +47,11 @@ class LocalSubmesh:
     first simplex, a tuple of d floats.  The arrays are built each time
     they are read: ``elements`` as (n, d+1, d), ``free_slots`` and
     ``position``, ``point`` as an array.
+
+    :func:`untangle` builds one per cavity per call and assigns each
+    sweep's coordinates to ``flat`` before it repositions the vertex, so a
+    caller that must keep a cavity's coordinates past that call copies
+    ``flat``; the object itself is not to be kept across calls.
     """
 
     __slots__ = ("flat", "slots", "dim")
@@ -131,8 +137,8 @@ def _simplex_reposition(grads, meas, x0, radius):
 # elements runs its kernel of straight-line code, built on first use for its
 # size and kept, and every other cavity the simplex; a kernel's source and
 # build time grow as n**3, and the cap is the largest size that builds in
-# 10 ms or less on one core of a 2-vCPU Xeon (about 6.5-7 ms at 9, 9-10 ms
-# at 10)
+# 10 ms or less on one core of a 2-vCPU Xeon (medians of 5 builds, Python
+# 3.11: about 2.5 ms at 6, 7.8-7.9 ms at 9, 10.7-11.0 ms at 10)
 KERNEL_MAX = 9
 _KERNELS = {}
 
@@ -177,16 +183,25 @@ def _build_kernel(n):
     The coordinates (``xE_K``, ``yE_K`` of corner K of element E), opposite
     edges (``exE``, ``eyE``), gradients (``gxE``, ``gyE``), measures
     (``mE``) and the cross products that the triples read (``cJ_L`` holds
-    G_J x G_L) are locals; ``max``, ``min`` and ``sum`` take them in element
-    order.  Each triple, in ``combinations`` order, is one ``if`` block
-    making the sign tests, value and first-minimum update.  The source is
-    built from integers alone.
+    G_J x G_L) are locals; ``max``, ``min`` and ``sum`` take them, or the
+    x and y slices of ``flat`` for the box, in element order.  Each triple,
+    in ``combinations`` order, is one ``if`` block.  It tests the signs
+    first: the origin's three barycentric weights all ``>= 0`` or all
+    ``<= 0``, and then their sum, the doubled area, not zero.  That accepts
+    the triples that a test of the area's sign followed by a test for a
+    weight of the other sign accepts: weights that are not nan and share a
+    sign sum to that sign, and to zero only when all are zero, while a nan
+    weight fails every comparison and would make the area nan.  The block
+    then forms the value by the same operations in the same order, and an
+    improving triple records the value and its three gradients and measures
+    as one tuple ``best``, which the tail unpacks once; ties keep the first
+    triple.  The source is built from integers alone.
     """
     els = range(n)
-    xs = ", ".join(f"x{e}_{k}" for e in els for k in range(3))
-    ys = ", ".join(f"y{e}_{k}" for e in els for k in range(3))
     ms = ", ".join(f"m{e}" for e in els)
-    radius = f"BOX_FACTOR * max(max({xs}) - min({xs}), max({ys}) - min({ys}), 1e-12)"
+    # the x coordinates are flat[::2] and the y coordinates flat[1::2]
+    extents = "max(flat[::2]) - min(flat[::2]), max(flat[1::2]) - min(flat[1::2])"
+    radius = f"BOX_FACTOR * max({extents}, 1e-12)"
     lines = [
         "def kernel(flat, slots):",
         f"    [{', '.join(f'x{e}_{k}, y{e}_{k}' for e in els for k in range(3))}] = flat",
@@ -208,6 +223,7 @@ def _build_kernel(n):
             f"    m{e} = 0.5 * ((x{e}_1 - x{e}_0) * (y{e}_2 - y{e}_0)"
             f" - (y{e}_1 - y{e}_0) * (x{e}_2 - x{e}_0))",
         ]
+    terms = [f"gx{e}, gy{e}, m{e}" for e in els]
     triples = list(combinations(els, 3))
     pairs = sorted({p for i, j, l in triples for p in ((j, l), (l, i), (i, j))})
     # a cavity that is not finite (Python's max and min may skip a nan, so
@@ -225,12 +241,12 @@ def _build_kernel(n):
     for i, j, l in triples:
         wi, wj, wl = f"c{j}_{l}", f"c{l}_{i}", f"c{i}_{j}"
         lines += [
-            f"    area = {wi} + {wj} + {wl}",
-            f"    if (area > 0.0 and not ({wi} < 0.0 or {wj} < 0.0 or {wl} < 0.0)"
-            f" or area < 0.0 and not ({wi} > 0.0 or {wj} > 0.0 or {wl} > 0.0)):",
+            f"    if ({wi} >= 0.0 and {wj} >= 0.0 and {wl} >= 0.0"
+            f" or {wi} <= 0.0 and {wj} <= 0.0 and {wl} <= 0.0)"
+            f" and (area := {wi} + {wj} + {wl}) != 0.0:",
             f"        value = ({wi} * m{i} + {wj} * m{j} + {wl} * m{l}) / area",
             "        if v is None or value < v:",
-            f"            v, i, j, l = value, {i}, {j}, {l}",
+            f"            v, best = value, ({terms[i]}, {terms[j]}, {terms[l]})",
         ]
     # below three elements there is no triple, and v stays None; the step
     # solves (G_i - G_l) @ u = m_l - m_i and (G_j - G_l) @ u = m_l - m_j, and
@@ -239,24 +255,23 @@ def _build_kernel(n):
     lines += [
         "    if v is None:",
         "        return None",
-        f"    gxs, gys, ms = ({', '.join(f'gx{e}' for e in els)},),"
-        f" ({', '.join(f'gy{e}' for e in els)},), ({ms},)",
-        "    ax, ay = gxs[i] - gxs[l], gys[i] - gys[l]",
-        "    bx, by = gxs[j] - gxs[l], gys[j] - gys[l]",
-        "    ra, rb = ms[l] - ms[i], ms[l] - ms[j]",
+        "    gxi, gyi, mi, gxj, gyj, mj, gxl, gyl, ml = best",
+        "    ax, ay = gxi - gxl, gyi - gyl",
+        "    bx, by = gxj - gxl, gyj - gyl",
+        "    ra, rb = ml - mi, ml - mj",
         "    det = ax * by - ay * bx",
         "    if det == 0.0:",
         "        return None",
         "    ux = (ra * by - rb * ay) / det",
         "    uy = (ax * rb - bx * ra) / det",
-        "    lb = BOX_FACTOR * max(abs(ex0), abs(ey0), 1e-12)",
+        "    lb = BOX_FACTOR * max(ex0, -ex0, ey0, -ey0, 1e-12)",
         "    if not (abs(ux) <= lb and abs(uy) <= lb):",
         f"        radius = {radius}",
         "        if not (abs(ux) <= radius and abs(uy) <= radius):",
         "            return None",
         f"    achieved = min({', '.join(f'gx{e} * ux + gy{e} * uy + m{e}' for e in els)})",
-        "    least = min(ms)",
-        "    if not achieved >= v - 1e-12 * max(max(ms), -least):",
+        f"    least = min({ms})",
+        f"    if not achieved >= v - 1e-12 * max({ms}, -least):",
         "        return None",
         "    return (px + ux, py + uy), achieved, least",
     ]
@@ -321,8 +336,11 @@ def untangle(mesh, max_sweeps=50, on_move=None):
     as :func:`maximin_reposition` returns them, after each repositioning.
 
     The coordinates stay one flat list of Python floats for the whole run;
-    each cavity is gathered from it by an ``itemgetter`` over flat indices,
-    and each new position is written back into it.
+    each cavity is one :class:`LocalSubmesh`, built once per call, whose
+    ``flat`` is gathered from that list by an ``itemgetter`` over flat
+    indices before each reposition, and each new position is written back
+    into the list.  A wrapper of :func:`maximin_reposition` therefore sees
+    the same object in every sweep, and copies ``sub.flat`` to keep it.
     """
     d = mesh.dim
     eids, slots = mesh.topology.incidence
@@ -332,7 +350,8 @@ def untangle(mesh, max_sweeps=50, on_move=None):
     for vid in mesh.interior_ids.tolist():
         if len(eids[vid]):
             gather = itemgetter(*[i for e in eids[vid].tolist() for i in index[e]])
-            cavities.append((vid, slice(vid * d, vid * d + d), gather, slots[vid].tolist()))
+            sub = LocalSubmesh(None, slots[vid].tolist(), d)
+            cavities.append((vid, slice(vid * d, vid * d + d), gather, sub))
     xy = mesh.coords.ravel().tolist()
     sweeps = 0
     max_move = math.inf
@@ -345,8 +364,9 @@ def untangle(mesh, max_sweeps=50, on_move=None):
         if sweeps >= max_sweeps:
             return cur, sweeps, "MAX_SWEEPS"
         max_move = 0.0
-        for vid, row, gather, free_slots in cavities:
-            new_pos, after, before = maximin_reposition(LocalSubmesh(gather(xy), free_slots, d))
+        for vid, row, gather, sub in cavities:
+            sub.flat = gather(xy)
+            new_pos, after, before = maximin_reposition(sub)
             if on_move is not None:
                 on_move(vid, before, after)
             move = math.dist(new_pos, xy[row])

@@ -1,5 +1,6 @@
 """Triangle/TetGen file parsing, spec parsing and the CLI drivers."""
 
+import math
 import os
 import tempfile
 import warnings
@@ -14,6 +15,7 @@ from femwarp import Mesh, gen_annulus, gen_box_tets, gen_rectangle
 from femwarp import io
 from femwarp.cli import MAX_GRID_POINTS, _param_grid, main
 from femwarp.errors import BadIndexError, InvalidSpecError, ParseError
+from femwarp.mesh import quality_report
 
 from oracles import first_bad_node_record, write_mesh_by_line
 
@@ -624,6 +626,37 @@ class TestCli:
         capsys.readouterr()
         assert main(["quality", "--mesh", out]) == 0
         assert f"reversal_count = {report['reversals']}\n" in capsys.readouterr().out
+
+    @pytest.mark.filterwarnings("error")
+    def test_stretched_rectangle_report_is_finite(self, tmp_path, capsys):
+        # every measure is a finite 8.33e198, but squared edges overflow;
+        # the report must equal that of the output scaled by 2**-600, with
+        # h scaled back, and the closed forms of these right triangles with
+        # legs a = 2e200 / 4 and b = 1 / 3
+        base = str(tmp_path / "r")
+        argv = ["genmesh", "rectangle", "--nx", "5", "--ny", "4", "--out", base]
+        assert main(argv) == 0
+        spec = tmp_path / "stretch.spec"
+        spec.write_text("motion = affine\nl = 1e200,0;0,1\n")
+        out = str(tmp_path / "out")
+        assert main(["warp", "--mesh", base, "--spec", str(spec), "--out", out]) == 0
+        with open(out + ".report") as fh:
+            report = dict(line.split(" = ") for line in fh.read().splitlines())
+        assert report["outcome"] == "SUCCESS"
+        mesh = io.read_mesh(out + ".node", out + ".ele")
+        copy = quality_report(mesh.with_coords(np.ldexp(mesh.coords, -600)))
+        for key, value in copy.as_dict().items():
+            got = float(report[f"quality_{key}"])
+            if key == "h":
+                assert got == np.ldexp(value, 600)
+            elif "aspect" in key or "imr" in key or key == "near_degenerate_count":
+                assert np.isfinite(got) and got == value, key
+        a, b = 0.5e200, 1.0 / 3.0
+        assert math.isclose(float(report["quality_h"]), a, rel_tol=1e-15)
+        assert math.isclose(float(report["quality_max_aspect"]), 3.0 * a, rel_tol=1e-14)
+        imr = a / (math.sqrt(3.0) * b)
+        assert math.isclose(float(report["quality_min_imr"]), imr, rel_tol=1e-14)
+        assert int(report["quality_near_degenerate_count"]) == mesh.n_elements == 24
 
     def test_genmesh_annulus(self, tmp_path, capsys):
         out = str(tmp_path / "g")

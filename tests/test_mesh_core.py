@@ -1,6 +1,7 @@
 """Mesh container, orientation predicates and quality metrics."""
 
 import dataclasses
+import math
 import tracemalloc
 import warnings
 from itertools import combinations
@@ -375,6 +376,18 @@ def check_against_oracles(mesh):
     assert q.h == max_edge_length(mesh)
 
 
+def assert_same_scale_free_fields(got, want, k):
+    """``got`` reports ``want``'s mesh scaled by 2**k: ``h`` times 2**k,
+    and the aspects, inverse mean ratios and near-degenerate count bit-equal,
+    all finite."""
+    fields = ["min_aspect", "max_aspect", "mean_aspect", "min_imr", "max_imr", "mean_imr"]
+    values = [getattr(got, f) for f in fields]
+    assert np.isfinite([got.h, *values]).all()
+    assert got.h == np.ldexp(want.h, k)
+    assert repr(values) == repr([getattr(want, f) for f in fields])
+    assert got.near_degenerate_count == want.near_degenerate_count
+
+
 class TestQualityReport:
     def test_matches_per_element_metrics(self, annulus_coarse):
         check_against_oracles(annulus_coarse)
@@ -405,6 +418,40 @@ class TestQualityReport:
         q = quality_report(box_mesh)
         assert q.reversal_count == 0
         assert q.min_imr >= 1.0 - 1e-12
+
+    @pytest.mark.filterwarnings("error")
+    def test_stretched_box_matches_scaled_copy(self):
+        # finite measures near 2e198, but squared edges and cross products
+        # past the largest float: the report scales by a power of two
+        box = gen_box_tets(3, 3, 3)
+        stretched = box.with_coords(box.coords * [1e200, 1.0, 1.0])
+        got = quality_report(stretched)
+        copy = quality_report(stretched.with_coords(np.ldexp(stretched.coords, -600)))
+        assert_same_scale_free_fields(got, copy, 600)
+        assert got.reversal_count == 0 and got.min_measure > 0.0
+        # the longest edge is the x edge of a cell, 1e200 / 2
+        assert math.isclose(got.h, 0.5e200, rel_tol=1e-15)
+        assert got.near_degenerate_count == stretched.n_elements
+
+    @pytest.mark.filterwarnings("error")
+    def test_far_degenerate_line_scales_within_range(self):
+        # every node at x = 1e300 with y spread over 2**-200: only the y
+        # extent is nonzero, and scaling it to 1 would take x past the
+        # largest float, so the scale stops short of that
+        rect = gen_rectangle(2.0, 1.0, 3, 3)
+        y = np.ldexp(rect.coords[:, 1], -200)
+        line = rect.with_coords(np.column_stack([np.full(rect.n_nodes, 1e300), y]))
+        q = quality_report(line)
+        assert q.reversal_count == line.n_elements and q.h == np.ldexp(0.5, -200)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [-520, 520])
+    def test_far_scaled_annulus_matches_unit_scale(self, annulus_coarse, k):
+        # in 2D every operation of the report is exact under a power of two
+        # as long as nothing over- or underflows, so the scaled report
+        # equals the unit-scale one
+        scaled = annulus_coarse.with_coords(np.ldexp(annulus_coarse.coords, k))
+        assert_same_scale_free_fields(quality_report(scaled), quality_report(annulus_coarse), k)
 
 
 class TestMeshContainer:

@@ -38,6 +38,7 @@ from femwarp.untangle import (
 )
 from femwarp.warp import AffineMotion
 
+import oracles
 from conftest import flipped_rectangle, jittered
 from oracles import (
     array_terms,
@@ -540,6 +541,49 @@ class TestSweepContract:
             assert (sweeps, len(calls)) == (13, 4680)
         assert_same_bits(out.coords, coords)
 
+    @pytest.mark.parametrize("make", [lambda: hybrid_seed_warp(1), tangled_box])
+    def test_one_submesh_per_cavity(self, monkeypatch, make):
+        mesh = make()
+        built = []
+
+        class Counting(LocalSubmesh):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(untangle_module, "LocalSubmesh", Counting)
+        _, sweeps, outcome = untangle(mesh)
+        assert outcome == "SUCCESS" and sweeps > 1
+        assert 0 < len(built) <= len(mesh.interior_ids)
+
+    def test_each_call_sees_its_sweeps_coordinates(self, monkeypatch):
+        # the cavity object is kept across sweeps, so a copy of its flat
+        # coordinates is taken inside each call and compared with the
+        # cavities that untangle_nested builds afresh from its arrays
+        warped = hybrid_seed_warp(1)
+        seen = {}
+
+        def recording(name, solve):
+            seen[name] = []
+
+            def wrapper(sub):
+                seen[name].append((tuple(sub.flat), tuple(sub.slots)))
+                return solve(sub)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            untangle_module, "maximin_reposition", recording("sweep", maximin_reposition)
+        )
+        monkeypatch.setattr(
+            oracles, "maximin_reposition_nested", recording("nested", maximin_reposition_nested)
+        )
+        untangle(warped)
+        untangle_nested(warped)
+        assert len(seen["sweep"]) == 13 * 360
+        # repr tells -0.0 from 0.0
+        assert repr(seen["sweep"]) == repr(seen["nested"])
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_every_route_returns_python_floats(self):
         # the kernel cavities take every 2D route: a step, the stays and each
@@ -839,6 +883,107 @@ class TestTripleKernels:
         maximin_reposition(local_submesh(box, 13, box.topology.incidence[0][13]))
         assert built == list(range(1, KERNEL_MAX + 1))
         assert sorted(untangle_module._KERNELS) == built
+
+
+def gradient_fan(grads, meas, slots):
+    """The cavity around a free vertex at the origin whose triangle k, with
+    the free vertex in slot ``slots[k]``, has the measure gradient
+    ``grads[k]`` and the measure ``meas[k]``: the triangle (0, a, a + 2 (gy,
+    -gx)) with ``a`` on an axis, exact for these small or power-of-ten
+    values."""
+    pairs = []
+    for (gx, gy), m in zip(grads, meas):
+        ax, ay = (0.0, -m / gy) if gy else (-m / gx, 0.0)
+        pairs.append(([ax, ay], [ax + 2.0 * gy, ay - 2.0 * gx]))
+    return fan_cavity([0.0, 0.0], pairs, slots)
+
+
+def zero_weight_cavity(n, side):
+    """A cavity of ``n`` triangles whose first triple (0, 1, 2) holds the
+    origin on its edge from G_0 = (1, 0) to G_1 = (-1, 0): its weight
+    G_0 x G_1 is exactly 0.0 and the other two are -1 (``side`` -1, G_2 =
+    (0, 1)) or 1 (``side`` 1, G_2 = (0, -1)).  The triple's value 2 is the
+    optimum, reached at u = (1, 0); each further triangle's gradient (0,
+    2 side) makes another such triple, tied and later."""
+    grads = [(1.0, 0.0), (-1.0, 0.0), (0.0, -side)] + [(0.0, -2.0 * side)] * (n - 3)
+    meas = [1.0, 3.0, 2.0] + [5.0 + k for k in range(n - 3)]
+    return gradient_fan(grads, meas, [k % 3 for k in range(n)])
+
+
+def all_zero_weight_cavity(n):
+    """A cavity of ``n`` triangles whose first triple has the gradients (1,
+    0), (-1, 0) and (2, 0) on one line through the origin, so all three of
+    its weights are 0.0; the further triangles' gradients (0, 1), (0, -1),
+    ... make triples that hold the origin."""
+    grads = [(1.0, 0.0), (-1.0, 0.0), (2.0, 0.0)]
+    grads += [(0.0, (1.0 + k // 2) * (-1.0) ** k) for k in range(n - 3)]
+    meas = [1.0, 3.0, 2.0] + [4.0 + k for k in range(n - 3)]
+    return gradient_fan(grads, meas, [(2 * k) % 3 for k in range(n)])
+
+
+def nan_cross_cavity(n):
+    """A cavity of ``n`` triangles with finite coordinates and measures whose
+    first two gradients (5e199, -5e199) and (5e199, -1e200) have the cross
+    product -inf + inf = nan, so every triple holding both has a nan weight
+    and comes first; with G_2 = (1, -1.5) the first one's other two weights
+    are positive.  From six triangles on, the optimum 2 is at the free
+    vertex, where (1, 0), (-1, 3) and (-1, -1) hold the origin with measure
+    2 each; no two gradients are parallel, and every other triple's value
+    is above 2.  The long triangles keep the free vertex in slot 0, where
+    their measures are finite."""
+    grads = [(0.5e200, -0.5e200), (0.5e200, -1e200), (1.0, -1.5)]
+    grads += [(1.0, 0.0), (-1.0, 3.0), (-1.0, -1.0), (0.0, 1.0), (2.0, 1.0), (-2.0, 1.0)]
+    meas = [1e200, 1e200, 3.0, 2.0, 2.0, 2.0, 4.0, 5.0, 6.0]
+    return gradient_fan(grads[:n], meas[:n], [0, 0] + [k % 3 for k in range(n - 2)])
+
+
+class TestSignFirstTriples:
+    """The kernels test each triple's weights' signs before its area: a zero
+    weight is accepted beside two of one sign, three zero weights are not,
+    and a nan weight never is; pinned against
+    :func:`oracles.nested_reposition_2d` for every size up to the cap."""
+
+    @staticmethod
+    def pinned(sub):
+        n = len(sub.slots)
+        got = kernel(n)(sub.flat, sub.slots)
+        assert repr(got) == repr(nested_reposition_2d(sub))
+        grads, meas, _ = array_terms(sub)
+        return got, nested_best_triple(grads.tolist(), meas.tolist())
+
+    @pytest.mark.parametrize("side", [-1, 1], ids=["negative", "positive"])
+    @pytest.mark.parametrize("n", range(3, KERNEL_MAX + 1))
+    def test_zero_weight_accepted(self, n, side):
+        sub = zero_weight_cavity(n, side)
+        grads = array_terms(sub)[0].tolist()
+        (gx, gy), (hx, hy), (kx, ky) = grads[:3]
+        weights = (hx * ky - hy * kx, kx * gy - ky * gx, gx * hy - gy * hx)
+        assert weights == (side, side, 0.0)
+        got, best = self.pinned(sub)
+        assert best == (2.0, 0, 1, 2)
+        assert got == ((1.0, 0.0), 2.0, 1.0) == maximin_reposition(sub)
+
+    @pytest.mark.parametrize("n", range(3, KERNEL_MAX + 1))
+    def test_all_zero_weights_rejected(self, n):
+        got, best = self.pinned(all_zero_weight_cavity(n))
+        if n == 3:
+            assert got is None and best is None
+        else:
+            assert best is not None and best[1:] != (0, 1, 2)
+
+    @pytest.mark.parametrize("n", range(3, KERNEL_MAX + 1))
+    def test_nan_weight_rejected(self, n):
+        sub = nan_cross_cavity(n)
+        grads, meas, _ = array_terms(sub)
+        assert np.isfinite(sub.elements).all() and np.isfinite(meas).all()
+        (gx, gy), (hx, hy), (kx, ky) = grads[:3].tolist()
+        assert math.isnan(gx * hy - gy * hx)
+        assert hx * ky - hy * kx > 0.0 and kx * gy - ky * gx > 0.0
+        got, best = self.pinned(sub)
+        if n < 6:
+            assert got is None and best is None
+        else:
+            assert best == (2.0, 3, 4, 5) and got[1:] == (2.0, 2.0)
 
 
 def opposed_cavity(top, delta):
@@ -1297,17 +1442,25 @@ class TestBlasKernels:
         # coordinates on the point-reflection fixture (which needs no
         # SuperLU solve) with its outcome and sweeps, of two motions'
         # targets on a jittered 8x60 annulus and two on a jittered 6^3 box,
-        # and of the FEM and UNIFORM weights on both meshes
+        # of the FEM and UNIFORM weights on both meshes, and the counts of
+        # smoke-size copies of the three benchmark workloads: a 12x64
+        # small-step, a 6x36 hybrid and a 5^3 LOG_BARRIER box (their
+        # coordinates go through SuperLU, whose bits may differ)
         code = (
             "import hashlib, numpy as np\n"
             "from conftest import jittered\n"
             "from femwarp import gen_annulus, gen_box_tets\n"
             "from femwarp.analytic import nonlinear3d_map\n"
             "from femwarp.assembly import build_weights\n"
-            "from femwarp.untangle import untangle\n"
-            "from femwarp.warp import AffineMotion, annulus_rotation_motion, nonlinear3d_motion\n"
+            "from femwarp.untangle import hybrid_warp, untangle\n"
+            "from femwarp.warp import AffineMotion, annulus_rotation_motion, femwarp_step\n"
+            "from femwarp.warp import nonlinear3d_motion, small_step_femwarp\n"
             "def sha(a):\n"
             "    return hashlib.sha1(np.ascontiguousarray(a).tobytes()).hexdigest()\n"
+            "def counts(name, report):\n"
+            "    accepted = sum(step.accepted for step in report.steps)\n"
+            "    print(name, report.outcome, report.reversals, report.n_factorizations,\n"
+            "          len(report.steps), accepted, report.untangle_sweeps)\n"
             "mesh = gen_annulus(0.5, 14, 64)\n"
             "coords = np.array(mesh.coords)\n"
             "coords[mesh.boundary_ids] *= -1.0\n"
@@ -1325,6 +1478,16 @@ class TestBlasKernels:
             "    for scheme in ('FEM', 'UNIFORM'):\n"
             "        w = build_weights(m, scheme)\n"
             "        print(f'{scheme}_{name}', sha(w.a_ii.data), sha(w.a_ib.data))\n"
+            "small = jittered(gen_annulus(0.5, 12, 64), 1, 1e-2)\n"
+            "motion = annulus_rotation_motion(small, 2.0)\n"
+            "counts('smallstep_workload', small_step_femwarp(small, 'FEM', motion)[1])\n"
+            "hyb = jittered(gen_annulus(0.5, 6, 36), 1, 1e-10)\n"
+            "target = annulus_rotation_motion(hyb, 0.75 * np.pi, 0.25 * np.pi).evaluate(1.0)\n"
+            "counts('hybrid_workload', hybrid_warp(hyb, build_weights(hyb, 'FEM'), target)[1])\n"
+            "cube = jittered(gen_box_tets(5, 5, 5, size=3.0), 1, 1e-2)\n"
+            "target = nonlinear3d_motion(cube, 4.0).evaluate(1.0)\n"
+            "weights = build_weights(cube, 'LOG_BARRIER')\n"
+            "counts('box_workload', femwarp_step(cube, weights, target)[1])\n"
         )
         here = Path(__file__).resolve().parent
         path = os.pathsep.join(
@@ -1350,7 +1513,10 @@ class TestBlasKernels:
             out, err = child.communicate(timeout=120)
             assert child.returncode == 0, err
             items.append(dict(line.split(" ", 1) for line in out.splitlines()))
-        assert len(items[0]) == 9
+        assert len(items[0]) == 12
         assert len(items[0]["untangle"].split()) == 3
+        assert items[0]["hybrid_workload"].split()[0] == "SUCCESS"
+        for workload in ("smallstep", "hybrid", "box"):
+            assert len(items[0][f"{workload}_workload"].split()) == 6
         for item, value in items[0].items():
             assert [kernel[item] for kernel in items] == [value] * 4, item
