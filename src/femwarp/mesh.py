@@ -541,8 +541,6 @@ def _quality_exponent(coords):
     one is not finite; else the mean of the largest and the smallest
     extent's exponents, rounded down, which centres the scaled extents on 1,
     but never so low that a coordinate scales past the largest float."""
-    if not coords.size:
-        return 0
     with np.errstate(over="ignore", invalid="ignore"):
         extents = np.array([axis.max() - axis.min() for axis in coords.T])
     if not np.isfinite(extents).all():
