@@ -30,6 +30,7 @@ from scipy import sparse
 
 from .errors import (
     DegenerateElementError,
+    InvalidSpecError,
     NoInteriorError,
     NodeNotInteriorError,
     NoNeighborsError,
@@ -300,4 +301,4 @@ def build_weights(mesh, scheme):
         return uniform_weights(mesh)
     if scheme == "LOG_BARRIER":
         return log_barrier_weights(mesh)
-    raise ValueError(f"unknown scheme {scheme!r}")
+    raise InvalidSpecError(f"unknown scheme {scheme!r}")

@@ -1,11 +1,8 @@
-"""Exception hierarchy.
-
-Every error carries a stable machine-readable ``code`` so the CLI can
-emit single-line diagnostics.
-"""
+"""Exception hierarchy.  Every error is a ``ValueError``, as numpy's ``LinAlgError``
+is, with a stable ``code`` chosen where it is raised; the CLI prints that code."""
 
 
-class FemwarpError(Exception):
+class FemwarpError(ValueError):
     code = "ERROR"
 
     def __init__(self, message, **context):
@@ -23,6 +20,10 @@ class ReversedElementError(FemwarpError):
 
 class BadIndexError(FemwarpError):
     code = "BAD_INDEX"
+
+
+class ShapeError(FemwarpError):
+    code = "BAD_SHAPE"
 
 
 class NoInteriorError(FemwarpError):

@@ -8,6 +8,7 @@ triangulation of a tensor grid, built by :func:`_kuhn_grid`.
 
 import numpy as np
 
+from .errors import InvalidSpecError
 from .mesh import Mesh
 
 # Kuhn splits of the unit square and cube into positively oriented
@@ -50,11 +51,11 @@ def gen_annulus(r, n_rings, n_sectors):
     boundary.
     """
     if not (0.0 < r < 1.0):
-        raise ValueError(f"inner radius must lie in (0,1), got {r}")
+        raise InvalidSpecError(f"inner radius must lie in (0,1), got {r}")
     if n_rings < 2:
-        raise ValueError("need at least 2 rings")
+        raise InvalidSpecError("need at least 2 rings")
     if n_sectors < 8:
-        raise ValueError("need at least 8 sectors")
+        raise InvalidSpecError("need at least 8 sectors")
     radii = np.linspace(r, 1.0, n_rings)[:, None]
     angles = 2.0 * np.pi * np.arange(n_sectors) / n_sectors
     coords = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=-1)
@@ -69,13 +70,13 @@ def gen_rectangle(width, height, nx, ny):
     """Structured triangular mesh of [0, width] x [0, height].
 
     nx, ny are node counts per side; each grid cell is split along one
-    diagonal.  Perimeter nodes are boundary.  ValueError unless width and
-    height are positive and finite.
+    diagonal.  Perimeter nodes are boundary.  INVALID_SPEC unless nx and
+    ny are at least 2 and width and height are positive and finite.
     """
     if nx < 2 or ny < 2:
-        raise ValueError("need at least 2 nodes per side")
+        raise InvalidSpecError("need at least 2 nodes per side")
     if not (0.0 < width < np.inf and 0.0 < height < np.inf):
-        raise ValueError(f"width {width} and height {height} must be positive, finite")
+        raise InvalidSpecError(f"width {width} and height {height} must be positive, finite")
     grid = np.meshgrid(np.linspace(0.0, width, nx), np.linspace(0.0, height, ny))
     return Mesh(np.stack(grid, axis=-1).reshape(-1, 2), *_kuhn_grid((nx, ny), _KUHN_2D))
 
@@ -84,13 +85,13 @@ def gen_box_tets(nx, ny, nz, size=1.0):
     """Structured tetrahedral mesh of a cube, six tets per grid cell.
 
     Surface nodes are boundary.  Used to exercise the 3D code paths and to
-    produce .node/.ele fixtures.  ValueError unless size is positive and
-    finite.
+    produce .node/.ele fixtures.  INVALID_SPEC unless every count is at
+    least 2 and size is positive and finite.
     """
     if min(nx, ny, nz) < 2:
-        raise ValueError("need at least 2 nodes per side")
+        raise InvalidSpecError("need at least 2 nodes per side")
     if not 0.0 < size < np.inf:
-        raise ValueError(f"size {size} must be positive, finite")
+        raise InvalidSpecError(f"size {size} must be positive, finite")
     zyx = np.meshgrid(*(np.linspace(0.0, size, n) for n in (nz, ny, nx)), indexing="ij")
     coords = np.stack(zyx[::-1], axis=-1).reshape(-1, 3)
     return Mesh(coords, *_kuhn_grid((nx, ny, nz), _KUHN_3D))

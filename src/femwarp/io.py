@@ -56,7 +56,7 @@ def _parse_header(path, expected_fields):
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
     try:
-        values = [int(t) for t in tokens]
+        values = list(map(number(int), tokens))
     except ValueError:
         raise ParseError(f"{path}:{lineno}: malformed header", line=lineno)
     if len(values) < expected_fields:
@@ -284,9 +284,20 @@ def parse_vector(text, dim):
     return np.array(_floats(vals))
 
 
+def number(kind):
+    """A parser of ``kind`` (float or int) that, unlike ``kind`` itself,
+    refuses ``1_0`` and ``٥``: a ValueError, for the caller to code."""
+    def parse(token):
+        if not token.isascii() or "_" in token:
+            raise ValueError(f"{token!r} is not an ASCII {kind.__name__} without '_'")
+        return kind(token)
+    parse.__name__ = kind.__name__  # argparse names a bad option value's type by it
+    return parse
+
+
 def _floats(tokens):
     try:
-        values = [float(v) for v in tokens]
+        values = list(map(number(float), tokens))
     except ValueError as exc:
         raise ParseError(f"malformed number: {exc}")
     if not np.isfinite(values).all():

@@ -14,7 +14,7 @@ from math import factorial
 
 import numpy as np
 
-from .errors import BadIndexError, ReversedElementError
+from .errors import BadIndexError, ReversedElementError, ShapeError
 from .solve import mmd_order
 
 # Reversal threshold: an element is reversed iff its signed measure is <= 0.
@@ -87,9 +87,9 @@ class Mesh:
         coords = _readonly(np.asarray(self.coords, dtype=float))
         elements = _readonly(_node_ids(np.asarray(self.elements), "elements"))
         if coords.ndim != 2 or coords.shape[1] not in (2, 3):
-            raise ValueError("coords must be (n, 2) or (n, 3)")
+            raise ShapeError("coords must be (n, 2) or (n, 3)")
         if elements.ndim != 2 or elements.shape[1] != coords.shape[1] + 1:
-            raise ValueError("elements must be (ne, dim+1)")
+            raise ShapeError("elements must be (ne, dim+1)")
         n = coords.shape[0]
         if elements.size and (elements.min() < 0 or elements.max() >= n):
             eid = np.argmax(((elements < 0) | (elements >= n)).any(axis=1))
@@ -147,10 +147,10 @@ class Mesh:
 
     def with_coords(self, coords):
         """New mesh at ``coords`` sharing ``elements``, ``boundary`` and, once
-        built, ``topology``; ValueError unless ``coords`` keeps the shape."""
+        built, ``topology``; BAD_SHAPE unless ``coords`` keeps the shape."""
         coords = _readonly(np.asarray(coords, dtype=float))
         if coords.shape != self.coords.shape:
-            raise ValueError(f"coords must have the shape {self.coords.shape}")
+            raise ShapeError(f"coords must have the shape {self.coords.shape}")
         moved = copy.copy(self)
         object.__setattr__(moved, "coords", coords)
         return moved

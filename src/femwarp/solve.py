@@ -7,7 +7,13 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as spla
 
-from .errors import DivergedError, NotPositiveDefiniteError, SingularSystemError
+from .errors import (
+    BadIndexError,
+    DivergedError,
+    NotPositiveDefiniteError,
+    ShapeError,
+    SingularSystemError,
+)
 
 
 def mmd_order(indptr, indices):
@@ -47,13 +53,13 @@ class Factorization:
     def __init__(self, a, order=None):
         a = sparse.csc_matrix(a)
         if a.shape[0] != a.shape[1]:
-            raise ValueError("matrix must be square")
+            raise ShapeError("matrix must be square")
         self.n = a.shape[0]
         if order is None:
             order = mmd_order(a.indptr, a.indices)
         order = np.asarray(order)
         if not np.array_equal(np.sort(order), np.arange(self.n)):
-            raise ValueError(f"order must be a permutation of 0..{self.n - 1}")
+            raise BadIndexError(f"order must be a permutation of 0..{self.n - 1}")
         diff = a - a.T
         symmetric = not diff.nnz or abs(diff).max() <= 1e-12 * abs(a).max()
         error = NotPositiveDefiniteError if symmetric else SingularSystemError
@@ -95,7 +101,7 @@ def solve_multi(f, b):
     """
     b = np.asarray(b, dtype=float)
     if b.shape[0] != f.n:
-        raise ValueError(f"rhs has {b.shape[0]} rows, expected {f.n}")
+        raise ShapeError(f"rhs has {b.shape[0]} rows, expected {f.n}")
     return f.solve(b)
 
 

@@ -10,6 +10,7 @@ import numpy as np
 
 from . import analytic
 from .assembly import build_weights
+from .errors import InvalidSpecError, ShapeError
 from .mesh import _dot, count_reversals, quality_report
 from .solve import factor, solve_multi
 
@@ -48,16 +49,16 @@ def annulus_rotation_motion(mesh, theta_outer, theta_inner=0.0, s=None):
     of the two boundary radii; ``np.hypot`` takes the radii without squaring
     the coordinates, so the split holds at any scale.  A mesh that is not 2D,
     a non-finite angle, or a given ``s`` with ``r`` not positive, raises
-    ValueError.
+    INVALID_SPEC.
     """
     if mesh.dim != 2:
-        raise ValueError(f"an annulus rotation needs a 2D mesh, not {mesh.dim}D")
+        raise InvalidSpecError(f"an annulus rotation needs a 2D mesh, not {mesh.dim}D")
     if not (math.isfinite(theta_outer) and math.isfinite(theta_inner)):
-        raise ValueError(f"rotation angles must be finite, not {theta_outer}, {theta_inner}")
+        raise InvalidSpecError(f"rotation angles must be finite, not {theta_outer}, {theta_inner}")
     radii = np.hypot(*mesh.coords[mesh.boundary_ids].T)
     r = radii.min()
     if s is not None and not r > 0.0:
-        raise ValueError(f"moving the inner radius to s needs a positive radius, not {r}")
+        raise InvalidSpecError(f"moving the inner radius to s needs a positive radius, not {r}")
     inner = radii < 0.5 * (r + radii.max())
 
     def fn(base, t):
@@ -86,10 +87,9 @@ class TabulatedMotion(BoundaryMotion):
         super().__init__(mesh, self._interpolate)
         self.frames = [np.asarray(f, dtype=float) for f in frames]
         if not self.frames:
-            raise ValueError("a tabulated motion needs at least one frame")
-        for f in self.frames:
-            if f.shape != self.base_coords.shape:
-                raise ValueError("frame shape does not match boundary")
+            raise InvalidSpecError("a tabulated motion needs at least one frame")
+        if any(f.shape != self.base_coords.shape for f in self.frames):
+            raise ShapeError("frame shape does not match boundary")
 
     def _interpolate(self, base, t):
         pts = [base] + self.frames
@@ -113,7 +113,7 @@ class AffineMotion(TabulatedMotion):
 
     def __init__(self, mesh, matrix, shift):
         if np.shape(matrix) != (mesh.dim, mesh.dim):
-            raise ValueError(f"matrix must be {mesh.dim}x{mesh.dim}")
+            raise ShapeError(f"matrix must be {mesh.dim}x{mesh.dim}")
         shift = np.asarray(shift, dtype=float)
         super().__init__(mesh, _image(mesh, lambda base: _apply(matrix, base) + shift))
 
@@ -128,9 +128,9 @@ def shear_motion(mesh, alpha):
 def nonlinear3d_motion(mesh, alpha):
     """The straight line toward the 3D stress deformation
     ``analytic.nonlinear3d_map(alpha, .)`` of the boundary.  A mesh that is
-    not 3D raises ValueError."""
+    not 3D raises INVALID_SPEC."""
     if mesh.dim != 3:
-        raise ValueError(f"a nonlinear3d motion needs a 3D mesh, not {mesh.dim}D")
+        raise InvalidSpecError(f"a nonlinear3d motion needs a 3D mesh, not {mesh.dim}D")
     frames = _image(mesh, partial(analytic.nonlinear3d_map, alpha))
     return TabulatedMotion(mesh, frames)
 
@@ -194,7 +194,7 @@ def femwarp_step(mesh, weights, target_boundary):
     """
     target_boundary = np.asarray(target_boundary, dtype=float)
     if target_boundary.shape != (len(weights.boundary_ids), mesh.dim):
-        raise ValueError("target must cover every boundary node")
+        raise ShapeError("target must cover every boundary node")
     f = factor(weights.a_ii, order=mesh.topology.order)
     x_i = solve_multi(f, -(weights.a_ib @ target_boundary))
     del f  # free the LU before the reversal count and the quality report
@@ -217,7 +217,7 @@ def small_step_femwarp(mesh, scheme, motion, min_step=DEFAULT_MIN_STEP):
     over the frames ``motion.evaluate(min(k*h, 1))``.
     """
     if not min_step > 0.0:
-        raise ValueError("min_step must be positive")
+        raise InvalidSpecError("min_step must be positive")
     cur, t, nrev, nchol, steps = mesh, 0.0, 0, 0, []
     while t < 1.0 - 1e-12:
         f = None  # release the old factors before computing the next ones

@@ -4,6 +4,8 @@ The tetrahedral mesh is round-tripped through .node/.ele files so the 3D
 code paths always exercise the file-ingestion route.
 """
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,15 @@ def topology_builds(monkeypatch):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+@contextmanager
+def raises_coded(cls, code, match=None):
+    """``pytest.raises(cls, match=match)`` that also checks the error's
+    ``code``, the one the CLI prints."""
+    with pytest.raises(cls, match=match) as info:
+        yield info
+    assert info.value.code == code
 
 
 def jittered_rectangle(nx, ny, seed=7):

@@ -536,16 +536,22 @@ def nested_reposition_2d(sub):
 def maximin_reposition_nested(sub):
     """``untangle.maximin_reposition`` with :func:`nested_reposition_2d` as
     its route for 2D cavities of up to ``KERNEL_MAX`` elements, and the
-    never-worsen rule of :func:`no_worse` after either route."""
+    never-worsen rule of :func:`no_worse` after either route; as in the
+    library, a cavity that is not finite or whose simplex overflows keeps
+    its vertex."""
     x0 = sub.position
     out = None
     if sub.dim == 2 and len(sub.slots) <= KERNEL_MAX:
         out = nested_reposition_2d(sub)
     if out is None:
         grads, meas, radius = array_terms(sub)
-        if not (math.isfinite(radius) and math.isfinite(meas.sum())):
+        lp = None
+        if math.isfinite(radius) and math.isfinite(meas.sum()):
+            with np.errstate(over="ignore", invalid="ignore"):
+                lp = _simplex_reposition(grads, meas, x0, radius)
+        if lp is None:
             return tuple(x0.tolist()), meas.min(), meas.min()
-        out = (*_simplex_reposition(grads, meas, x0, radius), meas.min())
+        out = (*lp, meas.min())
     return no_worse(x0, *out)
 
 

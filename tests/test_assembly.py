@@ -23,13 +23,14 @@ from femwarp.assembly import (
 from femwarp.errors import (
     BadIndexError,
     DegenerateElementError,
+    InvalidSpecError,
     NodeNotInteriorError,
     NoInteriorError,
     SingularSystemError,
 )
 from femwarp.solve import factor
 
-from conftest import jittered
+from conftest import jittered, raises_coded
 from oracles import (
     assembled_blocks,
     barrier_node_weights,
@@ -292,7 +293,7 @@ class TestBuildWeights:
                 assert np.array_equal(a.data, b.data)
 
     def test_unknown_scheme(self, annulus_coarse):
-        with pytest.raises(ValueError):
+        with raises_coded(InvalidSpecError, "INVALID_SPEC"):
             build_weights(annulus_coarse, "SPRING")
 
     def test_scaled_unscaled_same_solution(self):

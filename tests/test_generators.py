@@ -7,8 +7,10 @@ import pytest
 
 from femwarp import gen_annulus, gen_box_tets, gen_rectangle
 from femwarp.assembly import build_weights
-from femwarp.errors import NoInteriorError
+from femwarp.errors import InvalidSpecError, NoInteriorError
 from femwarp.mesh import count_reversals, max_edge_length, validate
+
+from conftest import raises_coded
 
 
 def interior_edge_counts(mesh):
@@ -59,11 +61,11 @@ class TestAnnulus:
         assert set(faces.values()) <= {1, 2}
 
     def test_parameter_bounds(self):
-        with pytest.raises(ValueError):
+        with raises_coded(InvalidSpecError, "INVALID_SPEC"):
             gen_annulus(1.5, 4, 12)
-        with pytest.raises(ValueError):
+        with raises_coded(InvalidSpecError, "INVALID_SPEC"):
             gen_annulus(0.5, 1, 12)
-        with pytest.raises(ValueError):
+        with raises_coded(InvalidSpecError, "INVALID_SPEC"):
             gen_annulus(0.5, 4, 4)
 
 
@@ -84,7 +86,7 @@ class TestRectangle:
         assert set(interior_edge_counts(mesh).values()) <= {1, 2}
 
     def test_parameter_bounds(self):
-        with pytest.raises(ValueError):
+        with raises_coded(InvalidSpecError, "INVALID_SPEC"):
             gen_rectangle(1.0, 1.0, 1, 5)
 
     @pytest.mark.parametrize(
@@ -93,7 +95,7 @@ class TestRectangle:
     def test_extent_positive_and_finite(self, width, height):
         # a negative width used to give only reversed triangles, nan or inf
         # nan coordinates
-        with pytest.raises(ValueError):
+        with raises_coded(InvalidSpecError, "INVALID_SPEC"):
             gen_rectangle(width, height, 5, 4)
 
 
@@ -126,7 +128,7 @@ class TestBoxTets:
     def test_size_positive_and_finite(self, size):
         # size -1 used to give 48 elements on 3x3x3 nodes, all reversed, and
         # nan nan coordinates
-        with pytest.raises(ValueError):
+        with raises_coded(InvalidSpecError, "INVALID_SPEC"):
             gen_box_tets(3, 3, 3, size=size)
 
 

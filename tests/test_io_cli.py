@@ -1,5 +1,6 @@
 """Triangle/TetGen file parsing, spec parsing and the CLI drivers."""
 
+import inspect
 import math
 import os
 import tempfile
@@ -12,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from femwarp import Mesh, gen_annulus, gen_box_tets, gen_rectangle
-from femwarp import io
+from femwarp import errors, io
 from femwarp.cli import MAX_GRID_POINTS, _param_grid, main
 from femwarp.errors import BadIndexError, InvalidSpecError, ParseError
 from femwarp.mesh import quality_report
@@ -68,9 +69,11 @@ class TestReadMesh:
             io.read_mesh(node, ele)
 
     def test_malformed_header(self, tmp_path):
-        node, ele = write_pair(tmp_path, "bogus header\n", SINGLE_ELE)
-        with pytest.raises(ParseError):
-            io.read_mesh(node, ele)
+        # int() reads "0_1" as 1
+        for header in ("bogus header", "3 2 0 0_1"):
+            node, ele = write_pair(tmp_path, SINGLE_NODE.replace("3 2 0 1", header), SINGLE_ELE)
+            with pytest.raises(ParseError, match="malformed header"):
+                io.read_mesh(node, ele)
 
     def test_markerless_boundary_inferred(self, tmp_path):
         node_text = "3 2 0 0\n0 0.0 0.0\n1 1.0 0.0\n2 0.0 1.0\n"
@@ -587,7 +590,7 @@ class TestCli:
         assert grid[1234] == 1234 * 0.01
         assert _param_grid("0:1.2:0.3") == [0.0, 0.3, 0.6, 3 * 0.3, 1.2]
         assert _param_grid("1:0:0.5") == []
-        for bad in ("0:1", "0:1:0", "0:inf:1", "0:nan:1", "a:b:c"):
+        for bad in ("0:1", "0:1:0", "0:inf:1", "0:nan:1", "a:b:c", "0:1_0:1", "0:\u0665:1"):
             with pytest.raises(InvalidSpecError):
                 _param_grid(bad)
 
@@ -759,6 +762,13 @@ class TestCliErrorContract:
             ("motion = affine\nl = nan,0;0,1\n", "PARSE_ERROR"),
             ("motion = shear\nalpha = inf\n", "INVALID_SPEC"),
             ("motion = tabulated\nframes = ,\n", "INVALID_SPEC"),
+            ("motion = tabulated\n", "INVALID_SPEC"),
+            # Python's float and int read these as 25, 10, 50 and 5
+            ("motion = annulus\ntheta_outer = 2_5\n", "INVALID_SPEC"),
+            ("motion = affine\nl = 1_0,0;0,1\n", "PARSE_ERROR"),
+            ("motion = shear\nalpha = 0.1\nalgorithm = untangle\nmax_sweeps = 5_0\n",
+             "INVALID_SPEC"),
+            ("motion = annulus\ntheta_outer = \u0665\n", "INVALID_SPEC"),
         ],
         ids=[
             "bad_float",
@@ -769,12 +779,17 @@ class TestCliErrorContract:
             "nan_matrix_entry",
             "inf_alpha",
             "no_frames",
+            "frames_missing",
+            "underscore_float",
+            "underscore_matrix_entry",
+            "underscore_int",
+            "arabic_indic_digit",
         ],
     )
     def test_bad_spec(self, tmp_path, annulus_on_disk, capsys, spec_text, code):
         base, _ = annulus_on_disk
         spec = tmp_path / "bad.spec"
-        spec.write_text(spec_text)
+        spec.write_text(spec_text, encoding="utf-8")
         out = str(tmp_path / "o")
         rc = main(["warp", "--mesh", base, "--spec", str(spec), "--out", out])
         assert rc == 1
@@ -1101,13 +1116,15 @@ class TestCliErrorContract:
             (["genmesh", "annulus", "--rings", "abc", "--out", "OUT"], "--rings"),
             (["oracle", "annulus", "--r", "0.5", "--s", "0.5", "--theta", "x"], "--theta"),
             (["genmesh", "rectangle", "--nx", "1.5", "--out", "OUT"], "--nx"),
+            (["genmesh", "annulus", "--rings", "1_0", "--out", "OUT"], "--rings"),
+            (["oracle", "annulus", "--r", "0.5", "--s", "0.5", "--theta", "\u0665"], "--theta"),
             (["genmesh", "annulus", "--rings", "8"], "--out"),
             (["genmesh", "rectangle", "--out"], "--out"),
             (["bogus", "--out", "OUT"], "'bogus'"),
             ([], "command"),
         ],
-        ids=["rings_abc", "theta_x", "nx_1.5", "missing_out", "out_without_value",
-             "unknown_subcommand", "no_subcommand"],
+        ids=["rings_abc", "theta_x", "nx_1.5", "rings_underscore", "theta_arabic_indic",
+             "missing_out", "out_without_value", "unknown_subcommand", "no_subcommand"],
     )
     def test_usage_error(self, tmp_path, capsys, argv, names):
         # each used to print argparse's usage block and its error line
@@ -1119,6 +1136,17 @@ class TestCliErrorContract:
         assert lines[0].startswith("error code=USAGE_ERROR message=femwarp")
         assert names in lines[0]
         assert not os.listdir(tmp_path)
+
+    def test_every_error_is_a_coded_value_error(self):
+        # the library raises the code the CLI prints, and ``except ValueError``
+        # catches every refusal
+        classes = [
+            cls for _, cls in inspect.getmembers(errors, inspect.isclass)
+            if cls.__module__ == errors.__name__
+        ]
+        assert errors.ShapeError in classes
+        assert all(issubclass(cls, ValueError) for cls in classes)
+        assert len({cls.code for cls in classes}) == len(classes)
 
     @pytest.mark.parametrize("argv", [["--help"], ["genmesh", "annulus", "-h"]])
     def test_help_exits_zero(self, capsys, argv):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from femwarp import Mesh, gen_annulus, gen_box_tets, gen_rectangle
 from femwarp.assembly import _stiffness
-from femwarp.errors import BadIndexError, DegenerateElementError, ReversedElementError
+from femwarp.errors import BadIndexError, DegenerateElementError, ReversedElementError, ShapeError
 from femwarp.mesh import (
     _columns,
     _geometry,
@@ -31,7 +31,7 @@ from femwarp.mesh import (
 )
 from femwarp.untangle import untangle
 
-from conftest import jittered
+from conftest import jittered, raises_coded
 from oracles import (
     det_measures,
     face_loop_aspect_ratio,
@@ -488,7 +488,7 @@ class TestMeshContainer:
     @pytest.mark.parametrize("rows, cols", [(1, 0), (-1, 0), (0, 1)])
     def test_with_coords_refuses_another_shape(self, annulus_coarse, rows, cols):
         n, d = annulus_coarse.coords.shape
-        with pytest.raises(ValueError, match="shape"):
+        with raises_coded(ShapeError, "BAD_SHAPE", match="shape"):
             annulus_coarse.with_coords(np.zeros((n + rows, d + cols)))
 
     def test_counts_partition(self, annulus_coarse):

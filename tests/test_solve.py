@@ -12,13 +12,15 @@ from femwarp import cli, gen_annulus, gen_box_tets, gen_rectangle, io, warp
 from femwarp import mesh as mesh_module
 from femwarp.assembly import SCHEMES, build_weights
 from femwarp.errors import (
+    BadIndexError,
     DivergedError,
     NotPositiveDefiniteError,
+    ShapeError,
     SingularSystemError,
 )
 from femwarp.solve import factor, gauss_seidel, mmd_order, solve_multi
 
-from conftest import flipped_rectangle
+from conftest import flipped_rectangle, raises_coded
 
 SPD_2X2 = sparse.csc_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
 # the flipped rectangle's connectivity on its unjittered grid nodes
@@ -103,7 +105,7 @@ class TestFactor:
         repeated = np.array(shuffled)
         repeated[0] = repeated[1]
         for bad in (fresh.order[:-1], np.append(fresh.order, len(w.interior_ids)), repeated):
-            with pytest.raises(ValueError):
+            with raises_coded(BadIndexError, "BAD_INDEX"):
                 factor(w.a_ii, order=bad)
 
     @pytest.mark.parametrize("scheme", ["UNIFORM", "LOG_BARRIER"])
@@ -369,7 +371,7 @@ class TestSolveMulti:
 
     def test_dimension_mismatch(self):
         f = factor(SPD_2X2)
-        with pytest.raises(ValueError):
+        with raises_coded(ShapeError, "BAD_SHAPE"):
             solve_multi(f, np.ones((5, 2)))
 
 

@@ -941,7 +941,9 @@ class TestSignFirstTriples:
     """The kernels test each triple's weights' signs before its area: a zero
     weight is accepted beside two of one sign, three zero weights are not,
     and a nan weight never is; pinned against
-    :func:`oracles.nested_reposition_2d` for every size up to the cap."""
+    :func:`oracles.nested_reposition_2d` for every size up to the cap, and
+    ``maximin_reposition`` against :func:`oracles.maximin_reposition_nested`
+    on the nan-weight cavity."""
 
     @staticmethod
     def pinned(sub):
@@ -984,6 +986,17 @@ class TestSignFirstTriples:
             assert got is None and best is None
         else:
             assert best == (2.0, 3, 4, 5) and got[1:] == (2.0, 2.0)
+
+    @pytest.mark.parametrize("n", range(3, KERNEL_MAX + 1))
+    def test_nan_weight_cavity_matches_nested(self, n):
+        # below six triangles the kernel declines and the simplex on terms
+        # near 1e200 overflows, so the library and the oracle keep the
+        # vertex in place without a numpy warning; from six on it is the
+        # optimum
+        sub = nan_cross_cavity(n)
+        got = maximin_reposition(sub)
+        assert repr(got) == repr(maximin_reposition_nested(sub))
+        assert got[0] == sub.point
 
 
 def opposed_cavity(top, delta):

@@ -18,9 +18,10 @@ from femwarp import (
 )
 from femwarp import warp
 from femwarp.assembly import build_weights
+from femwarp.errors import InvalidSpecError, ShapeError
 from femwarp.mesh import count_reversals, quality_report
 
-from conftest import fixed_step_trajectory, random_affine
+from conftest import fixed_step_trajectory, random_affine, raises_coded
 from oracles import (
     affine_blend,
     affine_by_point,
@@ -137,25 +138,25 @@ class TestMotions:
             assert motion.evaluate(t).tobytes() == np.array(want).tobytes()
 
     def test_motion_of_the_wrong_dimension(self, annulus_coarse, box_mesh):
-        with pytest.raises(ValueError):
+        with raises_coded(InvalidSpecError, "INVALID_SPEC"):
             annulus_rotation_motion(box_mesh, 0.5)
-        with pytest.raises(ValueError):
+        with raises_coded(InvalidSpecError, "INVALID_SPEC"):
             nonlinear3d_motion(annulus_coarse, 1.0)
-        with pytest.raises(ValueError):
+        with raises_coded(ShapeError, "BAD_SHAPE"):
             AffineMotion(annulus_coarse, np.eye(3)[:2], np.zeros(2))
 
     @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
     def test_non_finite_angle_refused(self, annulus_coarse, theta):
         # math.cos of an infinite angle raised a bare math domain error
         for args in ((theta,), (0.5, theta)):
-            with pytest.raises(ValueError, match="finite"):
+            with raises_coded(InvalidSpecError, "INVALID_SPEC", match="finite"):
                 annulus_rotation_motion(annulus_coarse, *args)
 
     def test_tabulated_shape_check(self, annulus_coarse):
-        with pytest.raises(ValueError):
+        with raises_coded(ShapeError, "BAD_SHAPE"):
             TabulatedMotion(annulus_coarse, [np.zeros((3, 2))])
         # with no frame every t would give the base coordinates
-        with pytest.raises(ValueError):
+        with raises_coded(InvalidSpecError, "INVALID_SPEC"):
             TabulatedMotion(annulus_coarse, [])
 
 
@@ -209,7 +210,7 @@ class TestFemwarpStep:
 
     def test_target_shape_checked(self, annulus_coarse):
         w = build_weights(annulus_coarse, "FEM")
-        with pytest.raises(ValueError):
+        with raises_coded(ShapeError, "BAD_SHAPE"):
             femwarp_step(annulus_coarse, w, np.zeros((3, 2)))
 
 
@@ -290,7 +291,7 @@ class TestSmallStep:
         mesh = gen_annulus(0.5, 4, 16)
         motion = annulus_rotation_motion(mesh, 0.0, 0.0, s=1.5)
         for min_step in (0.0, -1.0, np.nan):
-            with pytest.raises(ValueError):
+            with raises_coded(InvalidSpecError, "INVALID_SPEC"):
                 small_step_femwarp(mesh, "FEM", motion, min_step=min_step)
 
     def test_composition_consistency(self, annulus_coarse, rng):
