@@ -329,6 +329,9 @@ def main(argv=None):
     except OSError as exc:
         print(f"error code=IO_ERROR message={exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"error code=OUT_OF_MEMORY message={str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import Phase, settings
 
 from femwarp import (
     Mesh,
@@ -19,6 +20,19 @@ from femwarp import (
     warp_trajectory,
 )
 from femwarp import io
+
+# every property test draws the same examples on every run and reads no
+# example database, so tier-1 and the mutation check (tests/mutants.py) give
+# the same verdict each time; a failure reports the first failing example
+# unshrunk, since the mutation check fails tests on purpose and shrinking
+# takes up to five minutes a test.  The modules' own @settings inherit this.
+settings.register_profile(
+    "femwarp",
+    derandomize=True,
+    database=None,
+    phases=[Phase.explicit, Phase.generate, Phase.target],
+)
+settings.load_profile("femwarp")
 
 
 @pytest.fixture(scope="session")

@@ -558,7 +558,9 @@ def maximin_reposition_nested(sub):
 def untangle_nested(mesh, max_sweeps=50, on_move=None):
     """``untangle.untangle`` over :func:`maximin_reposition_nested`, on an
     (n, d) coordinate array: each cavity gathered by fancy indexing and
-    each move's norm taken from arrays."""
+    each move's norm taken from arrays.  ``on_move`` gets the cavity's
+    least measure before the move from :func:`stack_measures`, not from
+    the reposition."""
     eids, slots = mesh.topology.incidence
     cavities = [
         (vid, mesh.elements[eids[vid]], slots[vid])
@@ -581,7 +583,7 @@ def untangle_nested(mesh, max_sweeps=50, on_move=None):
             sub = LocalSubmesh.from_arrays(coords[nodes], free_slots)
             new_pos, after, _ = maximin_reposition_nested(sub)
             if on_move is not None:
-                on_move(int(vid), _measure_terms(sub.elements, sub.slots)[1].min(), after)
+                on_move(int(vid), stack_measures(sub.elements).min(), after)
             move = np.subtract(new_pos, coords[vid])
             max_move = max(max_move, math.sqrt(move.dot(move)))
             coords[vid] = new_pos

@@ -1,6 +1,6 @@
-"""Every module of the package uses each name it imports, and every
+"""Every module of the package uses each name it imports, every
 module-level definition the package does not re-export is read somewhere
-in it."""
+in it, and the mutation check's list matches the source."""
 
 import ast
 from pathlib import Path
@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 
 import femwarp
+import mutants
 
 PACKAGE = Path(femwarp.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def unused_imports(source):
@@ -83,3 +85,22 @@ def test_detects_an_unread_definition():
 def test_no_unread_definition():
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unread_definitions(sources, set(femwarp.__all__)) == []
+
+
+def test_detects_a_stale_mutant(monkeypatch):
+    monkeypatch.setattr(
+        mutants,
+        "MUTANTS",
+        {
+            "gone": ("src/femwarp/untangle.py", "no such text", "x", ("tests/no_such_test.py",)),
+            "same": ("src/femwarp/untangle.py", "import math\n", "import math\n", ()),
+        },
+    )
+    assert [name for name, _ in mutants.stale(ROOT)] == ["gone", "gone", "same"]
+
+
+def test_mutants_match_the_source():
+    # each mutant of tests/mutants.py replaces a text that occurs once in its
+    # file by another and names test files that exist, so the mutation
+    # check does not go stale as src changes
+    assert len(mutants.MUTANTS) >= 20 and mutants.stale(ROOT) == []

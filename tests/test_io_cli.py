@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from femwarp import Mesh, gen_annulus, gen_box_tets, gen_rectangle
-from femwarp import errors, io
+from femwarp import cli, errors, io
 from femwarp.cli import MAX_GRID_POINTS, _param_grid, main
 from femwarp.errors import BadIndexError, InvalidSpecError, ParseError
 from femwarp.mesh import quality_report
@@ -525,11 +525,21 @@ class TestCli:
         assert rc == 2 and report["outcome"] == "REVERSED"
         assert 0.0 < float(report["t_reached"]) < 1.0
         assert "untangle_outcome" not in report and "untangle_sweeps" not in report
-        # turning the inner boundary a quarter reverses the one-shot warp,
-        # and the untangler mends it
-        turn = "motion = annulus\ntheta_outer = 0.0\ntheta_inner = 1.5707963\n"
-        for algorithm, sweeps in (("femwarp", None), ("hybrid", "5"), ("untangle", "6")):
-            rc, report = self.warp_report_file(tmp_path, base, f"{turn}algorithm = {algorithm}\n")
+        # turning the inner boundary a quarter, or the outer one by 1.5 on
+        # genmesh's default annulus, reverses the one-shot warp, and the
+        # untangler mends it
+        default = str(tmp_path / "default")
+        io.write_mesh(gen_annulus(0.5, 6, 48), default + ".node", default + ".ele")
+        inner = "motion = annulus\ntheta_outer = 0.0\ntheta_inner = 1.5707963\n"
+        outer = "motion = annulus\ntheta_outer = 1.5\n"
+        for mesh, turn, algorithm, sweeps in (
+            (base, inner, "femwarp", None),
+            (base, inner, "hybrid", "5"),
+            (base, inner, "untangle", "6"),
+            (default, outer, "femwarp", None),
+            (default, outer, "hybrid", "28"),
+        ):
+            rc, report = self.warp_report_file(tmp_path, mesh, f"{turn}algorithm = {algorithm}\n")
             assert report["t_reached"] == "1"
             if sweeps is None:
                 assert rc == 2 and "untangle_outcome" not in report
@@ -1177,4 +1187,25 @@ class TestCliErrorContract:
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1 and captured.out == ""
         assert lines[0].startswith("error code=INVALID_SPEC message=")
+        assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize(
+        "exc, message",
+        [(MemoryError("Unable to allocate 7.28 TiB"), "Unable to allocate 7.28 TiB"),
+         (MemoryError(), "out of memory")],
+        ids=["numpy_message", "bare"],
+    )
+    def test_out_of_memory_is_one_line(self, tmp_path, capsys, monkeypatch, exc, message):
+        # a huge annulus used to print numpy's _ArrayMemoryError traceback;
+        # the generator is stubbed to raise, so the test allocates nothing
+        def refuse(*args):
+            raise exc
+
+        monkeypatch.setattr(cli, "gen_annulus", refuse)
+        out = str(tmp_path / "g")
+        argv = ["genmesh", "annulus", "--rings", "1000000", "--sectors", "1000000", "--out", out]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error code=OUT_OF_MEMORY message={message}"]
         assert not os.listdir(tmp_path)

@@ -1,14 +1,30 @@
-"""Maximin LP repositioning, sweeps, and the warp/untangle hybrid."""
+"""Maximin LP repositioning, sweeps, and the warp/untangle hybrid.
+
+The 2D kernels and both routes of ``maximin_reposition`` are pinned by three
+properties; ``python tests/mutants.py`` shows the changes they catch.
+
+(a) :func:`pin`, on every cavity of one corpus: the seeded
+    :func:`kernel_cavity` draws, the :func:`random_cavities` strategy and
+    the constructed cavities of the tests below, each with its own
+    expectation.  The kernel returns what ``oracles.nested_reposition_2d``
+    returns, ``maximin_reposition`` what
+    ``oracles.maximin_reposition_nested`` returns, both by ``repr``, and the
+    start value is the least measure of ``oracles.array_terms``.
+(b) ``TestTripleKernels.test_every_route_is_taken``: the draws take all
+    seven routes.
+(c) :func:`assert_same_run`: ``untangle`` equals ``oracles.untangle_nested``
+    bit for bit with the same ``on_move`` records, and every cavity it
+    visits is pinned as in (a).
+"""
 
 import math
 import os
 import subprocess
 import sys
 import warnings
+from array import array
 from dataclasses import replace
-from fractions import Fraction
 from importlib import import_module
-from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -208,34 +224,248 @@ class TestAffineMeasureCoeffs:
             assert np.array_equal(stack_measure_gradients(sub.elements)[slots], grads)
 
 
+
+def kernel(n):
+    return untangle_module._KERNELS.get(n) or untangle_module._build_kernel(n)
+
+
+def pin(sub):
+    """Property (a) on the cavity ``sub``: ``maximin_reposition`` returns
+    what :func:`oracles.maximin_reposition_nested` returns, and a 2D
+    cavity's kernel what :func:`oracles.nested_reposition_2d` returns, by
+    ``repr``, which tells -0.0 from 0.0, nan from None and a numpy float
+    from a Python one; the start value is the least measure of
+    :func:`oracles.array_terms`; no kernel is built above ``KERNEL_MAX``.
+    Returns the reposition, the kernel's result (None where no kernel runs)
+    and the array terms ``(grads, meas, radius)``."""
+    got = maximin_reposition(sub)
+    assert repr(got) == repr(maximin_reposition_nested(sub))
+    terms = array_terms(sub)
+    least = terms[1].min()
+    # equal floats are the same bits but for zero: the kernels take Python's
+    # min, which keeps the first of 0.0 and -0.0, and numpy's may pick the
+    # other
+    assert got[2] == least or math.isnan(got[2]) and math.isnan(least)
+    n = len(sub.slots)
+    out = None
+    if sub.dim == 2 and n <= KERNEL_MAX:
+        out = kernel(n)(sub.flat, sub.slots)
+        assert repr(out) == repr(nested_reposition_2d(sub))
+    elif sub.dim == 2:
+        assert n not in untangle_module._KERNELS
+    return got, out, terms
+
+
+def best_triple(terms):
+    """:func:`oracles.nested_best_triple` of array terms."""
+    return nested_best_triple(terms[0].tolist(), terms[1].tolist())
+
+
+# coordinates on a small grid make repeated points, collinear edges, zero and
+# -0.0 differences common; the rest are uniform
+GRID = [0.0, -0.0, 1.0, -1.0, 2.0, 0.5, 3.0]
+# the values that replace one coordinate of a cavity now and then
+NON_FINITE_OR_HUGE = [math.inf, -math.inf, math.nan, 1e308, -1e308]
+
+
+def kernel_cavity(rng, n):
+    """A 2D cavity of ``n`` triangles (free, a, b), each rotated so that the
+    free vertex sits in a random slot, as its raveled coordinates and its
+    slots, both lists.
+
+    ``b`` is ``a`` (a degenerate triangle), a random point (either
+    orientation), or the origin-based ``t * (dx, dy)`` with ``a`` at the
+    origin, so that gradients of several triangles lie on one line through
+    the origin and a triple's ``det`` can be zero.  Some cavities are
+    scaled and shifted, so that rounding at large measures can fail the
+    certificate or the no-worse rule, and some have one coordinate replaced
+    by a non-finite or huge value."""
+
+    def point():
+        if rng.random() < 0.5:
+            return [GRID[rng.integers(len(GRID))] for _ in range(2)]
+        return rng.uniform(-2.0, 2.0, size=2).tolist()
+
+    d = rng.integers(1, 9, size=2) * rng.choice([-1, 1], size=2)
+    pairs = []
+    for _ in range(n):
+        r = rng.random()
+        if r < 0.1:
+            a = point()
+            pairs.append((a, a))
+        elif r < 0.3:
+            t = float(rng.uniform(-3.0, 3.0))
+            pairs.append(([0.0, 0.0], [t * float(d[0]), t * float(d[1])]))
+        else:
+            pairs.append((point(), point()))
+    slots = rng.integers(0, 3, size=n).tolist()
+    sub = fan_cavity(point(), pairs, slots)
+    elements = sub.elements
+    if rng.random() < 0.3:
+        elements = elements * float(rng.choice([1e-3, 1e3, 1e5])) + float(rng.choice([0.0, 1e6]))
+    if rng.random() < 0.05:
+        elements = np.array(elements)
+        elements[rng.integers(n), rng.integers(3), rng.integers(2)] = NON_FINITE_OR_HUGE[
+            rng.integers(len(NON_FINITE_OR_HUGE))
+        ]
+    return elements.ravel().tolist(), slots
+
+
+def route_kind(flat, slots):
+    """Which way the 2D route takes a cavity, read from the oracle's terms:
+    a step, a stay (no-worse or non-finite), or the reason the dual
+    declines it."""
+    grads, meas, radius = array_terms(LocalSubmesh(flat, slots, 2))
+    grads, meas = grads.tolist(), meas.tolist()
+    if not (math.isfinite(radius) and math.isfinite(sum(meas))):
+        return "non-finite"
+    exact = nested_dual_maximin_2d(grads, meas, radius)
+    if exact is not None:
+        return "stay" if exact[1] < min(meas) - 1e-12 else "step"
+    best = nested_best_triple(grads, meas)
+    if best is None:
+        return "no triple"
+    if nested_dual_maximin_2d(grads, meas, math.inf) is not None:
+        return "box"
+    (gx, gy), (hx, hy), (kx, ky) = (grads[t] for t in best[1:])
+    return "zero det" if (gx - kx) * (hy - ky) - (gy - ky) * (hx - kx) == 0.0 else "certificate"
+
+
+def kernel_cavities(n):
+    """The flat coordinates and slots of 400 seeded :func:`kernel_cavity`
+    draws of ``n`` triangles."""
+    rng = np.random.default_rng(3000 + n)
+    for _ in range(400):
+        yield kernel_cavity(rng, n)
+
+
+class TestTripleKernels:
+    """Properties (a) and (b) on the seeded draws, the first of tied
+    minima, fans above the cap, and how the per-size kernels are built."""
+
+    @pytest.mark.parametrize("n", range(3, KERNEL_MAX + 1))
+    def test_matches_loop_and_nested_dual(self, n):
+        for flat, slots in kernel_cavities(n):
+            pin(LocalSubmesh(flat, slots, 2))
+
+    def test_every_route_is_taken(self):
+        # a step, both stays, each way the dual declines to the simplex
+        kinds = {
+            route_kind(flat, slots)
+            for n in range(3, KERNEL_MAX + 1)
+            for flat, slots in kernel_cavities(n)
+        }
+        assert kinds == {"step", "stay", "non-finite", "no triple", "zero det", "box", "certificate"}
+
+    def test_first_minimum_among_ties(self):
+        # the four axis gradients with measures 1, 1, 5, 5: the triples
+        # (0, 1, 2) and (0, 1, 3) both reach the optimum 1.0, at the corners
+        # u = (0, -4) and (0, 4) of its optimal face; the first one wins
+        grads = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
+        flat = []
+        for (gx, gy), m in zip(grads, [1.0, 1.0, 5.0, 5.0]):
+            # (free, origin, (2*gy, -2*gx)) with slot 0 has gradient (gx, gy),
+            # and its measure is free @ (gx, gy)
+            flat += [m * gx, m * gy, 0.0, 0.0, 2.0 * gy, -2.0 * gx]
+        # the first triple's corner; the second's is (1.0, 4.0)
+        assert pin(LocalSubmesh(flat, [0] * 4, 2))[1] == ((1.0, -4.0), 1.0, 1.0)
+
+    @pytest.mark.parametrize("n", [12, 25])
+    def test_fans_above_the_cap_match_nested(self, n):
+        # the simplex reaches the optimum that the nested dual certifies
+        cavities = [star_cavity(seed, n, spread) for seed in range(6) for spread in (0.3, 2.0)]
+        assert any(route_kind(sub.flat, sub.slots) == "step" for sub in cavities)
+        for sub in cavities:
+            (_, got, _), _, (grads, meas, radius) = pin(sub)
+            _, want = nested_dual_maximin_2d(grads.tolist(), meas.tolist(), radius)
+            assert abs(got - want) <= 1e-9 * max(abs(want), np.abs(meas).max())
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(KERNEL_MAX + 1, 16),
+        spread=st.floats(0.0, 2.0),
+    )
+    @example(seed=7, n=200, spread=0.5)
+    def test_fans_above_the_cap_take_the_simplex(self, seed, n, spread):
+        def refuse(size):
+            raise AssertionError(f"a kernel built for {size} elements")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(untangle_module, "_build_kernel", refuse)
+            (_, got, _), _, (grads, meas, radius) = pin(star_cavity(seed, n, spread))
+        assert got >= meas.min()
+        exact = nested_dual_maximin_2d(grads.tolist(), meas.tolist(), radius)
+        if exact is not None:
+            assert abs(got - exact[1]) <= 1e-9 * np.abs(meas).max()
+
+    def test_import_builds_no_kernel(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = "import sys, femwarp; print(sys.modules['femwarp.untangle']._KERNELS)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "{}\n"
+
+    def test_built_once_per_size_up_to_the_cap(self, monkeypatch):
+        monkeypatch.setattr(untangle_module, "_KERNELS", {})
+        build = untangle_module._build_kernel
+        built = []
+
+        def counting(n):
+            built.append(n)
+            return build(n)
+
+        monkeypatch.setattr(untangle_module, "_build_kernel", counting)
+        for n in [*range(1, KERNEL_MAX + 3)] * 2:
+            maximin_reposition(star_cavity(n, n, 0.5))
+        # a 3D cavity builds none
+        maximin_reposition(box_cavity())
+        assert built == list(range(1, KERNEL_MAX + 1))
+        assert sorted(untangle_module._KERNELS) == built
+
+
+def overflowing_extent_cavity():
+    """A star cavity whose LP the dual certifies, and two triangles with
+    finite coordinates and measures at x = 1e308 and -1e308, which take the
+    box diameter past the largest float."""
+    sub = star_cavity(3, 6, 0.5)
+    x, y = sub.point
+    far = [[[1e308, y], [1e308, y + 1.0]], [[-1e308, y], [-1e308, y - 1.0]]]
+    outer = fan_cavity([x, y], far, [0, 0])
+    return LocalSubmesh.from_arrays(
+        np.concatenate([sub.elements, outer.elements]),
+        np.concatenate([sub.free_slots, outer.free_slots]),
+    )
+
+
 class TestFloatTerms2d:
-    """The 2D kernels, whose terms are built in Python floats, return what
-    :func:`oracles.nested_reposition_2d` returns on the terms of the array
-    kernels: by ``repr``, which tells -0.0 from 0.0 and a numpy float from a
-    Python one."""
+    """Property (a) on the drawn cavities, on every slot and orientation,
+    and on cavities that are not finite or whose box overflows, which stay;
+    the library stays silent where the array oracle may warn."""
 
     @settings(max_examples=300, deadline=None)
     @given(sub=random_cavities())
     def test_matches_array_kernels_bitwise(self, sub):
-        want = repr(nested_reposition_2d(sub))
-        assert repr(kernel(len(sub.slots))(sub.flat, sub.slots)) == want
+        pin(sub)
 
     def test_every_slot_and_orientation(self):
         # each slot with a positive, a reversed and a degenerate triangle,
         # and the free vertex on a grid around them
         a, b = [1.1, 0.2], [0.4, 0.9]
-        kinds = {"positive": (a, b), "reversed": (b, a), "degenerate": (a, a)}
-        pairs = [pair for pair in kinds.values() for _ in range(3)]
-        sub = fan_cavity([0.3, -0.7], pairs, [0, 1, 2] * 3)
-        signs = np.sign(_measure_terms(sub.elements, sub.slots)[1]).tolist()
-        assert signs == [1.0] * 3 + [-1.0] * 3 + [0.0] * 3
-        for free in [[x, y] for x in (-1.5, 0.3, 0.75, 2.0) for y in (-0.7, 0.55, 1.5)]:
-            sub = fan_cavity(free, pairs, [0, 1, 2] * 3)
-            assert repr(kernel(9)(sub.flat, sub.slots)) == repr(nested_reposition_2d(sub))
+        pairs = [pair for pair in ((a, b), (b, a), (a, a)) for _ in range(3)]
+        frees = [[x, y] for x in (-1.5, 0.3, 0.75, 2.0) for y in (-0.7, 0.55, 1.5)]
+        for free in [*frees, [0.7, 0.6]]:
+            _, _, (_, meas, _) = pin(fan_cavity(free, pairs, [0, 1, 2] * 3))
+            if free == [0.3, -0.7]:
+                assert np.sign(meas).tolist() == [1.0] * 3 + [-1.0] * 3 + [0.0] * 3
 
-    # the library stays silent; only the array oracle may warn (on inf - inf
-    # and on a box past the largest float)
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("corner, axis", [(1, 0), (2, 0), (1, 1)])
     def test_non_finite_cavity_stays(self, bad, corner, axis):
@@ -245,33 +475,358 @@ class TestFloatTerms2d:
         elements = np.array(sub.elements)
         elements[3, (sub.free_slots[3] + corner) % 3, axis] = bad
         sub = LocalSubmesh.from_arrays(elements, sub.free_slots)
+        got, _, _ = pin(sub)
+        want = quiet_oracle(sub)
+        assert got[0] == sub.point == want[0]
+        assert_same_bits(got[1:], want[1:])
+
+    def test_overflowing_box_stays(self):
+        sub = overflowing_extent_cavity()
+        got, _, (grads, meas, radius) = pin(sub)
+        assert np.isfinite(meas.sum()) and radius == np.inf
+        assert nested_dual_maximin_2d(grads.tolist(), meas.tolist(), 1e308) is not None
+        want = quiet_oracle(sub)
+        assert got[0] == sub.point == want[0]
+        assert got[1] == want[1] == got[2] == want[2] == meas.min()
+
+
+def gradient_fan(grads, meas, slots):
+    """The cavity around a free vertex at the origin whose triangle k, with
+    the free vertex in slot ``slots[k]``, has the measure gradient
+    ``grads[k]`` and the measure ``meas[k]``: the triangle (0, a, a + 2 (gy,
+    -gx)) with ``a`` on an axis, exact for these small or power-of-ten
+    values."""
+    pairs = []
+    for (gx, gy), m in zip(grads, meas):
+        ax, ay = (0.0, -m / gy) if gy else (-m / gx, 0.0)
+        pairs.append(([ax, ay], [ax + 2.0 * gy, ay - 2.0 * gx]))
+    return fan_cavity([0.0, 0.0], pairs, slots)
+
+
+def zero_weight_cavity(n, side):
+    """A cavity of ``n`` triangles whose first triple (0, 1, 2) holds the
+    origin on its edge from G_0 = (1, 0) to G_1 = (-1, 0): its weight
+    G_0 x G_1 is exactly 0.0 and the other two are -1 (``side`` -1, G_2 =
+    (0, 1)) or 1 (``side`` 1, G_2 = (0, -1)).  The triple's value 2 is the
+    optimum, reached at u = (1, 0); each further triangle's gradient (0,
+    2 side) makes another such triple, tied and later."""
+    grads = [(1.0, 0.0), (-1.0, 0.0), (0.0, -side)] + [(0.0, -2.0 * side)] * (n - 3)
+    meas = [1.0, 3.0, 2.0] + [5.0 + k for k in range(n - 3)]
+    return gradient_fan(grads, meas, [k % 3 for k in range(n)])
+
+
+def all_zero_weight_cavity(n):
+    """A cavity of ``n`` triangles whose first triple has the gradients (1,
+    0), (-1, 0) and (2, 0) on one line through the origin, so all three of
+    its weights are 0.0; the further triangles' gradients (0, 1), (0, -1),
+    ... make triples that hold the origin."""
+    grads = [(1.0, 0.0), (-1.0, 0.0), (2.0, 0.0)]
+    grads += [(0.0, (1.0 + k // 2) * (-1.0) ** k) for k in range(n - 3)]
+    meas = [1.0, 3.0, 2.0] + [4.0 + k for k in range(n - 3)]
+    return gradient_fan(grads, meas, [(2 * k) % 3 for k in range(n)])
+
+
+def nan_cross_cavity(n):
+    """A cavity of ``n`` triangles with finite coordinates and measures whose
+    first two gradients (5e199, -5e199) and (5e199, -1e200) have the cross
+    product -inf + inf = nan, so every triple holding both has a nan weight
+    and comes first; with G_2 = (1, -1.5) the first one's other two weights
+    are positive.  From six triangles on, the optimum 2 is at the free
+    vertex, where (1, 0), (-1, 3) and (-1, -1) hold the origin with measure
+    2 each; no two gradients are parallel, and every other triple's value
+    is above 2.  The long triangles keep the free vertex in slot 0, where
+    their measures are finite."""
+    grads = [(0.5e200, -0.5e200), (0.5e200, -1e200), (1.0, -1.5)]
+    grads += [(1.0, 0.0), (-1.0, 3.0), (-1.0, -1.0), (0.0, 1.0), (2.0, 1.0), (-2.0, 1.0)]
+    meas = [1e200, 1e200, 3.0, 2.0, 2.0, 2.0, 4.0, 5.0, 6.0]
+    return gradient_fan(grads[:n], meas[:n], [0, 0] + [k % 3 for k in range(n - 2)])
+
+
+class TestSignFirstTriples:
+    """Property (a) on cavities whose first triple has a zero weight beside
+    two of one sign (accepted), three zero weights (not accepted) or a nan
+    weight (never accepted): the kernels test each triple's weights' signs
+    before its area."""
+
+    @pytest.mark.parametrize("side", [-1, 1], ids=["negative", "positive"])
+    @pytest.mark.parametrize("n", range(3, KERNEL_MAX + 1))
+    def test_zero_weight_accepted(self, n, side):
+        sub = zero_weight_cavity(n, side)
+        got, out, terms = pin(sub)
+        (gx, gy), (hx, hy), (kx, ky) = terms[0][:3].tolist()
+        assert (hx * ky - hy * kx, kx * gy - ky * gx, gx * hy - gy * hx) == (side, side, 0.0)
+        assert best_triple(terms) == (2.0, 0, 1, 2)
+        assert out == ((1.0, 0.0), 2.0, 1.0) == got
+
+    @pytest.mark.parametrize("n", range(3, KERNEL_MAX + 1))
+    def test_all_zero_weights_rejected(self, n):
+        _, out, terms = pin(all_zero_weight_cavity(n))
+        best = best_triple(terms)
+        if n == 3:
+            assert out is None and best is None
+        else:
+            assert best is not None and best[1:] != (0, 1, 2)
+
+    @pytest.mark.parametrize("n", range(3, KERNEL_MAX + 1))
+    def test_nan_weight_rejected(self, n):
+        sub = nan_cross_cavity(n)
+        _, out, terms = pin(sub)
+        assert np.isfinite(sub.elements).all() and np.isfinite(terms[1]).all()
+        (gx, gy), (hx, hy), (kx, ky) = terms[0][:3].tolist()
+        assert math.isnan(gx * hy - gy * hx)
+        assert hx * ky - hy * kx > 0.0 and kx * gy - ky * gx > 0.0
+        if n < 6:
+            assert out is None and best_triple(terms) is None
+        else:
+            assert best_triple(terms) == (2.0, 3, 4, 5) and out[1:] == (2.0, 2.0)
+
+    @pytest.mark.parametrize("n", range(3, KERNEL_MAX + 1))
+    def test_nan_weight_cavity_matches_nested(self, n):
+        # below six triangles the kernel declines and the simplex on terms
+        # near 1e200 overflows, so the vertex stays without a numpy warning;
+        # from six on the optimum is the free vertex
+        sub = nan_cross_cavity(n)
+        assert pin(sub)[0][0] == sub.point
+
+
+def opposed_cavity(top, delta):
+    """Three triangles around a free vertex at the origin with the nearly
+    opposed gradients (1, 0), (-1, 1e-6) and (-1, -1e-6) and measures 0, 1
+    and 1 + ``delta``: the unboxed optimum is u = (0.5 + delta/4,
+    delta/2e-6).  The first triangle's opposite edge runs from (0, top) to
+    (0, top - 2), so the kernel's lower bound on the box radius is 20."""
+    tris = [
+        [[0.0, 0.0], [0.0, top], [0.0, top - 2.0]],
+        [[0.0, 0.0], [1.0, 0.0], [1.0 + 2e-6, 2.0]],
+        [[0.0, 0.0], [1.0 + delta, 0.0], [1.0 + delta - 2e-6, 2.0]],
+    ]
+    return LocalSubmesh.from_arrays(tris, [0, 0, 0])
+
+
+def far_reflected_cavity():
+    """The cavity of :func:`reflected_cavity` with x scaled by 2**968 and
+    translated by 2**1020 and y scaled by 2**-960, all exact: its
+    coordinates reach past 8e306, its box radius (20 * 2**968) and its
+    dual's terms stay finite."""
+    mesh = reflected_cavity()
+    elements = np.array(mesh.coords[mesh.elements])
+    elements[..., 0] = elements[..., 0] * 2.0**968 + 2.0**1020
+    elements[..., 1] *= 2.0**-960
+    return LocalSubmesh.from_arrays(elements, [2] * 4)
+
+
+def box_lower_bound(sub):
+    """``BOX_FACTOR`` times the larger component of the first element's
+    edge opposite the free vertex, or 1e-12: the kernels' lower bound on the
+    box radius."""
+    a, b = np.delete(sub.elements[0], sub.free_slots[0], axis=0)
+    return BOX_FACTOR * max(np.abs(b - a).max(), 1e-12)
+
+
+def unboxed_step(terms):
+    """The largest component of the exact dual's step without a box."""
+    u, _ = nested_dual_maximin_2d(terms[0].tolist(), terms[1].tolist(), math.inf)
+    return max(map(abs, u))
+
+
+class TestBoxBound:
+    """Property (a) on each way the kernels test the step against the box:
+    against a lower bound on its radius, through ``hypot`` bounding the
+    radius, and by scanning the cavity only when those cannot decide."""
+
+    def test_step_beyond_the_bound_inside_the_box(self):
+        sub = opposed_cavity(3.0, 4.2e-5)
+        _, ((x, y), _, _), terms = pin(sub)
+        assert box_lower_bound(sub) == 20.0 < unboxed_step(terms) <= terms[2] == 30.0
+        assert x == pytest.approx(0.5000105) and y == pytest.approx(21.0)
+
+    def test_step_beyond_the_box(self):
+        # the bound equals the radius here, and the step passes both by 5 %
+        sub = opposed_cavity(2.0, 4.2e-5)
+        got, out, terms = pin(sub)
+        assert box_lower_bound(sub) == terms[2] == 20.0 < unboxed_step(terms)
+        assert out is None and got[0][1] == 20.0
+
+    def test_far_cavity_with_a_finite_box(self):
+        sub = far_reflected_cavity()
+        _, out, terms = pin(sub)
+        assert math.hypot(*sub.flat) > 8e306 and terms[2] == 20.0 * 2.0**968
+        assert out[1] > 0.0 > out[2]
+
+    def test_overflowing_extent_stays(self):
+        sub = overflowing_extent_cavity()
+        _, out, (_, meas, radius) = pin(sub)
+        assert math.isfinite(meas.sum()) and radius == math.inf
+        assert math.hypot(*sub.flat) > 8e306
+        assert out == (sub.point, min(meas), min(meas))
+
+
+def box_cavity():
+    """The cavity of the one interior node of :func:`shifted_box`."""
+    box = shifted_box()
+    return local_submesh(box, 13, box.topology.incidence[0][13])
+
+
+def with_nan(sub):
+    """``sub`` with the first coordinate of a ring corner of its first
+    element replaced by nan."""
+    elements = np.array(sub.elements)
+    elements[0, (sub.free_slots[0] + 1) % (sub.dim + 1), 0] = np.nan
+    return LocalSubmesh.from_arrays(elements, sub.free_slots)
+
+
+# name -> the cavities of one route that is not a kernel's, all taking the
+# simplex but the nan ones, which stay
+START_CAVITIES = {
+    "above_the_cap": lambda: [star_cavity(seed, n, 0.5) for seed in range(3) for n in (12, 25)],
+    "3d": lambda: [box_cavity()],
+    "nan_2d": lambda: [with_nan(star_cavity(3, 6, 0.5))],
+    "nan_3d": lambda: [with_nan(box_cavity())],
+}
+
+
+class TestStartValue:
+    """Property (a) on the routes that are not a kernel's: the start value
+    is the least array measure, and nan where that is."""
+
+    @pytest.mark.parametrize("name", START_CAVITIES)
+    def test_other_routes(self, name):
+        for sub in START_CAVITIES[name]():
+            assert math.isnan(pin(sub)[0][2]) == name.startswith("nan")
+
+
+class TestDualMaximin:
+    """Property (a) where the exact dual and the simplex must agree, on a
+    step outside the box, and on cavities that must keep taking the
+    simplex."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 12),
+        spread=st.floats(0.0, 2.0),
+    )
+    def test_matches_simplex(self, seed, n, spread):
+        # up to the cap the library takes the dual's kernel, above it the
+        # simplex
+        sub = star_cavity(seed, n, spread)
+        got, _, (grads, meas, radius) = pin(sub)
+        want_x, want = _simplex_reposition(grads, meas, sub.position, radius)
+        exact = nested_reposition_2d(sub)
+        assert exact is not None
+        ruled = no_worse(sub.position, *exact)
+        pos, val, _ = ruled
+        assert abs(val - want) <= 1e-9 * max(abs(want), np.abs(meas).max())
+        assert np.abs(np.subtract(pos, want_x)).max() <= 1e-9 * 2 * radius
+        if n <= KERNEL_MAX:
+            assert got == ruled
+        else:
+            assert got == (tuple(want_x.tolist()), want, meas.min())
+
+    def test_rejects_a_step_outside_the_box(self):
+        # the unboxed optimum is u = (0.50025, 500); the first triangle's
+        # far corner sets the box radius, 10 times the cavity's diameter
+        _, near, terms = pin(opposed_cavity(1.0, 1e-3))
+        assert terms[2] == 30.0 and near is None
+        (ux, uy), _ = nested_dual_maximin_2d(terms[0].tolist(), terms[1].tolist(), math.inf)
+        assert ux == pytest.approx(0.50025) and uy == pytest.approx(500.0)
+        _, ((x, y), val, _), terms = pin(opposed_cavity(60.0, 1e-3))
+        assert terms[2] == 600.0
+        assert x == pytest.approx(0.50025) and y == pytest.approx(500.0)
+        assert val == pytest.approx(0.50025)
+
+    @pytest.mark.parametrize("name", SIMPLEX_CAVITIES)
+    def test_simplex_cases_unchanged(self, name, monkeypatch):
+        make, vid, want_pos, want_val = SIMPLEX_CAVITIES[name]
+        mesh = make()
+        sub = local_submesh(mesh, vid, mesh.topology.incidence[0][vid])
+        got, out, _ = pin(sub)
+        assert out is None and got[:2] == (tuple(want_pos), want_val)
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return _simplex_reposition(*args)
+
+        monkeypatch.setattr(untangle_module, "_simplex_reposition", counting)
+        maximin_reposition(sub)
+        assert len(calls) == 1
+
+
+class TestMaximinReposition:
+    def test_square_cavity_optimum(self):
+        mesh = square_cavity([0.3, -0.2])
+        sub = local_submesh(mesh, 4, [0, 1, 2, 3])
+        pos, val, _ = maximin_reposition(sub)
+        assert np.allclose(pos, [0.0, 0.0], atol=1e-9)
+        assert val == pytest.approx(1.0, abs=1e-9)
+
+    def test_matches_grid_oracle(self):
+        mesh = square_cavity([0.3, -0.2])
+        others = mesh.coords[mesh.elements]
+        slots = np.full(4, 2)
+        _, oracle_val = grid_maximin(others, slots, [0.0, 0.0], 2.5)
+        sub = local_submesh(mesh, 4, [0, 1, 2, 3])
+        _, val, _ = maximin_reposition(sub)
+        assert val == pytest.approx(oracle_val, abs=1e-4)
+
+    def test_idempotent_at_optimum(self):
+        mesh = square_cavity([0.0, 0.0])
+        sub = local_submesh(mesh, 4, [0, 1, 2, 3])
+        pos, val, _ = maximin_reposition(sub)
+        assert np.allclose(pos, [0.0, 0.0], atol=1e-12)
+        assert val == pytest.approx(1.0, abs=1e-12)
+
+    def test_recovers_reflected_vertex(self):
+        mesh = reflected_cavity()
+        assert count_reversals(mesh)[0] == 1
+        sub = local_submesh(mesh, 4, [0, 1, 2, 3])
+        pos, val, _ = maximin_reposition(sub)
+        assert val > 0.0
+        moved = np.array(mesh.coords)
+        moved[4] = pos
+        assert count_reversals(mesh.with_coords(moved))[0] == 0
+
+    def test_never_worsens(self, rng):
+        for _ in range(25):
+            mesh = square_cavity(rng.uniform(-1.5, 1.5, size=2))
+            sub = local_submesh(mesh, 4, [0, 1, 2, 3])
+            before = tri_measures(
+                sub.position, sub.elements, sub.free_slots
+            ).min()
+            _, after, _ = maximin_reposition(sub)
+            assert after >= before - 1e-12
+
+    def test_first_order_optimality(self):
+        mesh = square_cavity([0.4, 0.1])
+        sub = local_submesh(mesh, 4, [0, 1, 2, 3])
+        pos, val, _ = maximin_reposition(sub)
+        h = 2.0
+        for step in np.array(
+            [[1, 0], [-1, 0], [0, 1], [0, -1]], dtype=float
+        ) * (1e-6 * h):
+            perturbed = tri_measures(pos + step, sub.elements, sub.free_slots).min()
+            assert perturbed <= val + 1e-9
+
+    # the library stays silent on the array path too; only the oracle warns
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e308])
+    def test_non_finite_or_overflowing_3d_cavity_stays(self, bad):
+        # a ring corner of the first tet moved to +bad and one of the last
+        # to -bad: non-finite coordinates, or a box past the largest float
+        mesh = gen_box_tets(4, 4, 4)
+        vid = mesh.interior_ids[0]
+        sub = local_submesh(mesh, vid, mesh.topology.incidence[0][vid])
+        elements = np.array(sub.elements)
+        elements[0, (sub.free_slots[0] + 1) % 4] = bad
+        elements[-1, (sub.free_slots[-1] + 1) % 4] = -bad
+        sub = LocalSubmesh.from_arrays(elements, sub.free_slots)
         pos, val, start = maximin_reposition(sub)
         want_pos, want_val, want_start = quiet_oracle(sub)
         assert np.array_equal(pos, sub.position) and np.array_equal(want_pos, pos)
         assert_same_bits(val, want_val)
         assert_same_bits(start, want_start)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_overflowing_box_stays(self):
-        # a star cavity whose LP the dual certifies, and two triangles with
-        # finite coordinates and measures that take the box diameter past
-        # the largest float
-        sub = star_cavity(3, 6, 0.5)
-        x, y = sub.position.tolist()
-        far = [[[1e308, y], [1e308, y + 1.0]], [[-1e308, y], [-1e308, y - 1.0]]]
-        outer = fan_cavity([x, y], far, [0, 0])
-        sub = LocalSubmesh.from_arrays(
-            np.concatenate([sub.elements, outer.elements]),
-            np.concatenate([sub.free_slots, outer.free_slots]),
-        )
-        grads, meas, radius = array_terms(sub)
-        grads, meas = grads.tolist(), meas.tolist()
-        assert np.isfinite(sum(meas)) and radius == np.inf
-        assert nested_dual_maximin_2d(grads, meas, 1e308) is not None
-        pos, val, start = maximin_reposition(sub)
-        want_pos, want_val, want_start = quiet_oracle(sub)
-        assert np.array_equal(pos, sub.position) and np.array_equal(want_pos, pos)
-        assert val == want_val == start == want_start == min(meas)
 
 
 def tangled_box():
@@ -281,50 +836,6 @@ def tangled_box():
     vid = mesh.interior_ids[5]
     coords[vid] += [0.5, 0.4, -0.45]
     return mesh.with_coords(coords)
-
-
-class TestFloatPathMatchesArrays:
-    """The untangler with the 2D float terms moves every vertex exactly as
-    it does with :func:`oracles.maximin_reposition_by_arrays`."""
-
-    @staticmethod
-    def runs(monkeypatch, call):
-        """``call()`` under each reposition, with the exits of the
-        ``untangle`` runs it makes."""
-        results = []
-        for reposition in (maximin_reposition, maximin_reposition_by_arrays):
-            exits = []
-
-            def recording(*args, **kwargs):
-                out = untangle(*args, **kwargs)
-                exits.append(out[1:])
-                return out
-
-            monkeypatch.setattr(untangle_module, "maximin_reposition", reposition)
-            monkeypatch.setattr(untangle_module, "untangle", recording)
-            results.append((call(), exits))
-        return results
-
-    def test_hybrid_workload_seeds(self, monkeypatch):
-        # the benchmark's hybrid_annulus8x60 cell and motion, seeds 1-20
-        base = gen_annulus(0.5, 8, 60)
-        for seed in range(1, 21):
-            mesh = jittered(base, np.random.default_rng(seed), frac=1e-10)
-            target = annulus_rotation_motion(mesh, 0.75 * np.pi, 0.25 * np.pi).evaluate(1.0)
-            weights = build_weights(mesh, "FEM")
-            (got, got_exits), (want, want_exits) = self.runs(
-                monkeypatch, lambda: hybrid_warp(mesh, weights, target)
-            )
-            assert len(got_exits) == 1 and got_exits == want_exits
-            assert_same_bits(got[0].coords, want[0].coords)
-            assert got[1] == want[1]
-
-    def test_3d_untangle(self, monkeypatch):
-        mesh = tangled_box()
-        assert count_reversals(mesh)[0] > 0
-        (got, _), (want, _) = self.runs(monkeypatch, lambda: untangle(mesh))
-        assert got[1:] == want[1:] and got[2] == "SUCCESS"
-        assert_same_bits(got[0].coords, want[0].coords)
 
 
 def hybrid_seed_warp(seed):
@@ -341,146 +852,123 @@ def point_reflected(mesh):
     return mesh.with_coords(coords)
 
 
+def tie_fan(n):
+    """A fan around a free vertex at the origin whose gradients are (1, 0)
+    and (-1, 0) with measure 1, and (gx, b) with measure 1 + 4|b|, all exact
+    in floats, with its gradients and measures: the LP's optimum 1 is
+    reached on u = (0, t), |t| <= 4, every triple (0, 1, k) holds the origin
+    with value exactly 1 and meets at u = (0, -4) for b > 0 and (0, 4) for
+    b < 0, and the first of them in combinations order, (0, 1, 2) with
+    b = 1, must win."""
+    tilts = [(1.0, 2.0), (-1.0, -0.5), (0.5, 1.0), (0.0, -2.0), (-1.0, 0.5), (1.0, -1.0)]
+    grads = [(1.0, 0.0), (-1.0, 0.0), (0.5, 1.0)]
+    grads += [tilts[k % len(tilts)] for k in range(n - 4)] + [(0.0, -1.0)] * (n > 3)
+    meas = [1.0, 1.0] + [1.0 + 4.0 * abs(b) for _, b in grads[2:]]
+    return gradient_fan(grads, meas, [0] * n), grads, meas
+
+
+def assert_same_run(mesh, max_sweeps=50):
+    """Property (c): ``untangle(mesh)`` and :func:`oracles.untangle_nested`
+    end with the same coordinates to the bit, sweeps and outcome, and make
+    the same ``on_move`` records, the nested run measuring each cavity
+    again.  Every cavity is pinned as in :func:`pin`: both runs solve the
+    same cavities, their coordinates to the bit, with results equal by
+    ``repr``, each kernel's result equals that of
+    :func:`oracles.nested_reposition_2d` by ``repr``, and so the start value
+    is the nested one, the least measure of :func:`oracles.array_terms`.
+    Returns the result of ``untangle`` and the number of cavities solved."""
+    # cavities, kernel results and on_move records of each run
+    sweep, nested = ([], [], []), ([], [], [])
+
+    def recording(log, solve):
+        def wrapper(*args):
+            out = solve(*args)
+            log.append(repr(out))
+            return out
+
+        return wrapper
+
+    def cavity(log, solve):
+        def wrapper(sub):
+            out = solve(sub)
+            log.append((array("d", sub.flat).tobytes(), list(sub.slots), repr(out)))
+            return out
+
+        return wrapper
+
+    kernels = {n: recording(sweep[1], kernel(n)) for n in range(1, KERNEL_MAX + 1)}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(untangle_module, "_KERNELS", kernels)
+        patch.setattr(untangle_module, "maximin_reposition", cavity(sweep[0], maximin_reposition))
+        patch.setattr(oracles, "nested_reposition_2d", recording(nested[1], nested_reposition_2d))
+        patch.setattr(
+            oracles, "maximin_reposition_nested", cavity(nested[0], maximin_reposition_nested)
+        )
+        got = untangle(mesh, max_sweeps, on_move=lambda *args: sweep[2].append(args))
+        want = untangle_nested(mesh, max_sweeps, on_move=lambda *args: nested[2].append(args))
+    assert got[1:] == want[1:]
+    assert_same_bits(got[0].coords, want[0].coords)
+    assert sweep[0] == nested[0] and sweep[1] == nested[1]
+    assert all(type(vid) is int for vid, _, _ in sweep[2])
+
+    def as_floats(calls):
+        # repr tells -0.0 from 0.0
+        return repr([(vid, float(before), float(after)) for vid, before, after in calls])
+
+    assert as_floats(sweep[2]) == as_floats(nested[2])
+    return got, len(sweep[0])
+
+
 class TestSweepMatchesNested:
-    """The flat-index dual and the sweep that keeps moves in Python floats
-    reproduce :func:`oracles.untangle_nested` (the nested-list dual, row
-    copies and array steps) bit for bit."""
-
-    @staticmethod
-    def visited(monkeypatch, mesh):
-        """``untangle(mesh)`` and a copy of every cavity it solved."""
-        cavities = []
-
-        def recording(sub):
-            cavities.append(sub)
-            return maximin_reposition(sub)
-
-        monkeypatch.setattr(untangle_module, "maximin_reposition", recording)
-        out = untangle(mesh)
-        monkeypatch.undo()
-        return out, cavities
-
-    @staticmethod
-    def assert_same_run(got, want):
-        assert got[1:] == want[1:]
-        assert_same_bits(got[0].coords, want[0].coords)
-
-    @staticmethod
-    def assert_same_cavities(cavities):
-        for sub in cavities:
-            # repr tells -0.0 from 0.0 and keeps None
-            n = len(sub.slots)
-            if n <= KERNEL_MAX:
-                assert repr(kernel(n)(sub.flat, sub.slots)) == repr(nested_reposition_2d(sub))
-            assert repr(maximin_reposition(sub)) == repr(maximin_reposition_nested(sub))
+    """Property (c) on the benchmark's hybrid cell (seeds 1-3), the theta =
+    2.5 cell, the point reflection, cavities of four to eight triangles and
+    the tangled box; and property (a) on fans of tied triples."""
 
     @pytest.mark.parametrize("n", [*range(3, 11), 25])
     def test_triples_in_combinations_order(self, n):
-        # a fan around a free vertex at the origin whose gradients are
-        # (1, 0) and (-1, 0) with measure 1, and (gx, b) with measure
-        # 1 + 4|b|, all exact in floats: the LP's optimum 1 is reached on
-        # u = (0, t), |t| <= 4, every triple (0, 1, k) holds the origin with
-        # value exactly 1 and meets at u = (0, -4) for b > 0 and (0, 4) for
-        # b < 0, and the first of them in combinations order must win
-        tilts = [(1.0, 2.0), (-1.0, -0.5), (0.5, 1.0), (0.0, -2.0), (-1.0, 0.5), (1.0, -1.0)]
-        grads = [(1.0, 0.0), (-1.0, 0.0), (0.5, 1.0)]
-        grads += [tilts[k % len(tilts)] for k in range(n - 4)] + [(0.0, -1.0)] * (n > 3)
-        meas = [1.0, 1.0] + [1.0 + 4.0 * abs(b) for _, b in grads[2:]]
-        # the triangle (0, a, a + 2 (gy, -gx)) with slot 0 has gradient
-        # (gx, gy) and measure -(gx, gy) @ a
-        anchors = [(0.0, -m / gy) if gy else (-m / gx, 0.0) for (gx, gy), m in zip(grads, meas)]
-        tris = [
-            [[0.0, 0.0], [ax, ay], [ax + 2.0 * gy, ay - 2.0 * gx]]
-            for (gx, gy), (ax, ay) in zip(grads, anchors)
-        ]
-        sub = LocalSubmesh.from_arrays(tris, [0] * n)
-        terms = _measure_terms(sub.elements, sub.slots)
+        sub, grads, meas = tie_fan(n)
+        got, out, terms = pin(sub)
         assert terms[0].tolist() == [list(g) for g in grads] and terms[1].tolist() == meas
-
-        # the holding triples and their values and steps, in exact arithmetic
-        g = [(Fraction(gx), Fraction(gy)) for gx, gy in grads]
-        m = [Fraction(x) for x in meas]
-
-        def cross(a, b):
-            return g[a][0] * g[b][1] - g[a][1] * g[b][0]
-
-        steps = []
-        for i, j, l in combinations(range(n), 3):
-            w = (cross(j, l), cross(l, i), cross(i, j))
-            area = sum(w)
-            if area and all(x * area >= 0 for x in w):
-                ax, ay = g[i][0] - g[l][0], g[i][1] - g[l][1]
-                bx, by = g[j][0] - g[l][0], g[j][1] - g[l][1]
-                ra, rb, det = m[l] - m[i], m[l] - m[j], ax * by - ay * bx
-                u = ((ra * by - rb * ay) / det, (ax * rb - bx * ra) / det)
-                steps.append(((w[0] * m[i] + w[1] * m[j] + w[2] * m[l]) / area, u))
-        best = min(value for value, _ in steps)
-        tied = [u for value, u in steps if value == best]
-        assert best == 1
-        if n > 3:
-            # at least two tied triples with different steps
-            assert len(set(tied)) == 2 and tied[0] != tied[-1]
         if n <= KERNEL_MAX:
-            want = ((float(tied[0][0]), float(tied[0][1])), 1.0, 1.0)
-            got = kernel(n)(sub.flat, sub.slots)
-            assert got == want and repr(got) == repr(nested_reposition_2d(sub))
+            assert out == ((0.0, -4.0), 1.0, 1.0)
         else:
             # the simplex takes the cavity: the optimum 1 at a point of the
             # optimal face, the free vertex being at the origin
-            (ux, uy), val, _ = maximin_reposition(sub)
+            (ux, uy), val, _ = got
             tol = 1e-9 * max(meas)
-            assert abs(val - 1.0) <= tol
-            assert abs(ux) <= tol and abs(uy) <= 4.0 + tol
+            assert abs(val - 1.0) <= tol and abs(ux) <= tol and abs(uy) <= 4.0 + tol
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_hybrid_workload_seeds(self, monkeypatch, seed):
-        warped = hybrid_seed_warp(seed)
-        got, cavities = self.visited(monkeypatch, warped)
-        assert got[1:] == (13, "SUCCESS") and len(cavities) == 13 * 360
-        self.assert_same_run(got, untangle_nested(warped))
-        self.assert_same_cavities(cavities)
+    def test_hybrid_workload_seeds(self, seed):
+        got, visits = assert_same_run(hybrid_seed_warp(seed))
+        assert got[1:] == (13, "SUCCESS") and visits == 13 * 360
 
     def test_cell_out_of_sweeps(self, annulus_mid):
         # the theta = 2.5 hybrid cell of TestHybrid: 50 sweeps, not untangled
-        w = build_weights(annulus_mid, "FEM")
         target = annulus_rotation_motion(annulus_mid, 2.5).evaluate(1.0)
-        warped = femwarp_step(annulus_mid, w, target)[0]
-        got = untangle(warped)
-        assert got[1:] == (50, "MAX_SWEEPS")
-        self.assert_same_run(got, untangle_nested(warped))
+        warped = femwarp_step(annulus_mid, build_weights(annulus_mid, "FEM"), target)[0]
+        assert assert_same_run(warped)[0][1:] == (50, "MAX_SWEEPS")
 
     def test_point_reflection_fixture(self, annulus_14_64, reflection_untangle_result):
-        want = untangle_nested(point_reflected(annulus_14_64))
-        self.assert_same_run(reflection_untangle_result, want)
+        got, _ = assert_same_run(point_reflected(annulus_14_64))
+        assert got[1:] == reflection_untangle_result[1:]
+        assert_same_bits(got[0].coords, reflection_untangle_result[0].coords)
 
-    def test_cavities_of_four_to_eight_triangles(self, monkeypatch):
+    def test_cavities_of_four_to_eight_triangles(self):
         mesh = flipped_rectangle(0)
         eids = mesh.topology.incidence[0]
         assert {len(eids[v]) for v in mesh.interior_ids} == {4, 5, 6, 7, 8}
         assert count_reversals(mesh)[0] > 0
-        got, cavities = self.visited(monkeypatch, mesh)
+        got, _ = assert_same_run(mesh)
         assert got[2] == "SUCCESS" and got[1] > 1
-        self.assert_same_run(got, untangle_nested(mesh))
-        self.assert_same_cavities(cavities)
+
+    def test_tangled_box(self):
+        mesh = tangled_box()
+        assert count_reversals(mesh)[0] > 0
+        assert assert_same_run(mesh)[0][2] == "SUCCESS"
 
     def test_on_move_calls(self):
-        # untangle_nested measures each cavity again from arrays for
-        # min_before: the independent reference for the minimum that the
-        # reposition returns with its move
-        warped = hybrid_seed_warp(1)
-        calls = {}
-        for run in (untangle, untangle_nested):
-            calls[run] = []
-            run(warped, max_sweeps=3, on_move=lambda *args: calls[run].append(args))
-        got, want = calls[untangle], calls[untangle_nested]
-        assert len(got) == 3 * 360
-        assert all(type(vid) is int for vid, _, _ in got)
-
-        def as_floats(calls):
-            # repr tells -0.0 from 0.0
-            return repr([(vid, float(before), float(after)) for vid, before, after in calls])
-
-        assert as_floats(got) == as_floats(want)
+        assert assert_same_run(hybrid_seed_warp(1), max_sweeps=3)[1] == 3 * 360
 
 
 def assert_python_floats(pos, d):
@@ -604,634 +1092,6 @@ class TestSweepContract:
             pos, _, _ = maximin_reposition(sub)
             assert_python_floats(pos, sub.dim)
 
-
-def box_cavity():
-    """The cavity of the one interior node of :func:`shifted_box`."""
-    box = shifted_box()
-    return local_submesh(box, 13, box.topology.incidence[0][13])
-
-
-def with_nan(sub):
-    """``sub`` with the first coordinate of a ring corner of its first
-    element replaced by nan."""
-    elements = np.array(sub.elements)
-    elements[0, (sub.free_slots[0] + 1) % (sub.dim + 1), 0] = np.nan
-    return LocalSubmesh.from_arrays(elements, sub.free_slots)
-
-
-# name -> the cavities of one route that is not a kernel's, all taking the
-# simplex but the nan ones, which stay
-START_CAVITIES = {
-    "above_the_cap": lambda: [star_cavity(seed, n, 0.5) for seed in range(3) for n in (12, 25)],
-    "3d": lambda: [box_cavity()],
-    "nan_2d": lambda: [with_nan(star_cavity(3, 6, 0.5))],
-    "nan_3d": lambda: [with_nan(box_cavity())],
-}
-
-
-class TestStartValue:
-    """The third value of :func:`maximin_reposition`, the cavity's minimum
-    measure at the current position, equals the minimum of
-    :func:`oracles.array_terms` on every route, and is nan where that is."""
-
-    @staticmethod
-    def start(sub):
-        got = maximin_reposition(sub)[2]
-        want = array_terms(sub)[1].min()
-        # equal floats are the same bits but for zero: the kernels take
-        # Python's min, which keeps the first of 0.0 and -0.0, and numpy's
-        # min may pick the other
-        assert got == want or math.isnan(got) and math.isnan(want)
-        return got
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_kernel_routes(self):
-        # a step, a stay, each way the dual declines to the simplex, and a
-        # cavity that is not finite
-        starts = {}
-        for n in range(3, KERNEL_MAX + 1):
-            for flat, slots in kernel_cavities(n):
-                start = self.start(LocalSubmesh(flat, slots, 2))
-                starts.setdefault(route_kind(flat, slots), []).append(start)
-        assert set(starts) == {
-            "step",
-            "stay",
-            "non-finite",
-            "no triple",
-            "zero det",
-            "box",
-            "certificate",
-        }
-        assert any(math.isnan(x) for x in starts["non-finite"])
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("name", START_CAVITIES)
-    def test_other_routes(self, name):
-        for sub in START_CAVITIES[name]():
-            start = self.start(sub)
-            assert math.isnan(start) == name.startswith("nan")
-
-
-# coordinates on a small grid make repeated points, collinear edges, zero and
-# -0.0 differences common; the rest are uniform
-GRID = [0.0, -0.0, 1.0, -1.0, 2.0, 0.5, 3.0]
-# the values that replace one coordinate of a cavity now and then
-NON_FINITE_OR_HUGE = [math.inf, -math.inf, math.nan, 1e308, -1e308]
-
-
-def kernel_cavity(rng, n):
-    """A 2D cavity of ``n`` triangles (free, a, b), each rotated so that the
-    free vertex sits in a random slot, as its raveled coordinates and its
-    slots, both lists.
-
-    ``b`` is ``a`` (a degenerate triangle), a random point (either
-    orientation), or the origin-based ``t * (dx, dy)`` with ``a`` at the
-    origin, so that gradients of several triangles lie on one line through
-    the origin and a triple's ``det`` can be zero.  Some cavities are
-    scaled and shifted, so that rounding at large measures can fail the
-    certificate or the no-worse rule, and some have one coordinate replaced
-    by a non-finite or huge value."""
-
-    def point():
-        if rng.random() < 0.5:
-            return [GRID[rng.integers(len(GRID))] for _ in range(2)]
-        return rng.uniform(-2.0, 2.0, size=2).tolist()
-
-    d = rng.integers(1, 9, size=2) * rng.choice([-1, 1], size=2)
-    pairs = []
-    for _ in range(n):
-        r = rng.random()
-        if r < 0.1:
-            a = point()
-            pairs.append((a, a))
-        elif r < 0.3:
-            t = float(rng.uniform(-3.0, 3.0))
-            pairs.append(([0.0, 0.0], [t * float(d[0]), t * float(d[1])]))
-        else:
-            pairs.append((point(), point()))
-    slots = rng.integers(0, 3, size=n).tolist()
-    sub = fan_cavity(point(), pairs, slots)
-    elements = sub.elements
-    if rng.random() < 0.3:
-        elements = elements * float(rng.choice([1e-3, 1e3, 1e5])) + float(rng.choice([0.0, 1e6]))
-    if rng.random() < 0.05:
-        elements = np.array(elements)
-        elements[rng.integers(n), rng.integers(3), rng.integers(2)] = NON_FINITE_OR_HUGE[
-            rng.integers(len(NON_FINITE_OR_HUGE))
-        ]
-    return elements.ravel().tolist(), slots
-
-
-def route_kind(flat, slots):
-    """Which way the 2D route takes a cavity, read from the oracle's terms:
-    a step, a stay (no-worse or non-finite), or the reason the dual
-    declines it."""
-    grads, meas, radius = array_terms(LocalSubmesh(flat, slots, 2))
-    grads, meas = grads.tolist(), meas.tolist()
-    if not (math.isfinite(radius) and math.isfinite(sum(meas))):
-        return "non-finite"
-    exact = nested_dual_maximin_2d(grads, meas, radius)
-    if exact is not None:
-        return "stay" if exact[1] < min(meas) - 1e-12 else "step"
-    best = nested_best_triple(grads, meas)
-    if best is None:
-        return "no triple"
-    if nested_dual_maximin_2d(grads, meas, math.inf) is not None:
-        return "box"
-    (gx, gy), (hx, hy), (kx, ky) = (grads[t] for t in best[1:])
-    return "zero det" if (gx - kx) * (hy - ky) - (gy - ky) * (hx - kx) == 0.0 else "certificate"
-
-
-def kernel_cavities(n):
-    """The flat coordinates and slots of 400 seeded :func:`kernel_cavity`
-    draws of ``n`` triangles."""
-    rng = np.random.default_rng(3000 + n)
-    for _ in range(400):
-        yield kernel_cavity(rng, n)
-
-
-def kernel(n):
-    return untangle_module._KERNELS.get(n) or untangle_module._build_kernel(n)
-
-
-class TestTripleKernels:
-    """The per-size kernels of :func:`untangle._build_kernel` return what
-    :func:`oracles.nested_reposition_2d` returns, they are built lazily, and
-    cavities above ``KERNEL_MAX`` take the simplex."""
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("n", range(3, KERNEL_MAX + 1))
-    def test_matches_loop_and_nested_dual(self, n):
-        for flat, slots in kernel_cavities(n):
-            sub = LocalSubmesh(flat, slots, 2)
-            # repr tells -0.0 from 0.0, nan from None and a numpy float
-            want = repr(nested_reposition_2d(sub))
-            assert repr(kernel(n)(flat, slots)) == want
-            assert repr(maximin_reposition(sub)) == repr(maximin_reposition_nested(sub))
-
-    def test_every_route_is_taken(self):
-        # the cavities of test_matches_loop_and_nested_dual take each way
-        # through the kernels: a step, both stays, each way the dual declines
-        kinds = {
-            route_kind(flat, slots)
-            for n in range(3, KERNEL_MAX + 1)
-            for flat, slots in kernel_cavities(n)
-        }
-        assert kinds == {
-            "step",
-            "stay",
-            "non-finite",
-            "no triple",
-            "zero det",
-            "box",
-            "certificate",
-        }
-
-    def test_every_slot_and_orientation(self):
-        # the cavity of TestFloatTerms2d: each slot with a positive, a
-        # reversed and a degenerate triangle
-        a, b = [1.1, 0.2], [0.4, 0.9]
-        kinds = {"positive": (a, b), "reversed": (b, a), "degenerate": (a, a)}
-        pairs = [pair for pair in kinds.values() for _ in range(3)]
-        for free in ([0.3, -0.7], [0.7, 0.6]):
-            sub = fan_cavity(free, pairs, [0, 1, 2] * 3)
-            want = repr(nested_reposition_2d(sub))
-            assert repr(kernel(9)(sub.flat, sub.slots)) == want
-            assert repr(maximin_reposition(sub)) == repr(maximin_reposition_nested(sub))
-
-    def test_first_minimum_among_ties(self):
-        # the four axis gradients with measures 1, 1, 5, 5: the triples
-        # (0, 1, 2) and (0, 1, 3) both reach the optimum 1.0, at the corners
-        # u = (0, -4) and (0, 4) of its optimal face; the first one wins
-        grads = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
-        flat = []
-        for (gx, gy), m in zip(grads, [1.0, 1.0, 5.0, 5.0]):
-            # (free, origin, (2*gy, -2*gx)) with slot 0 has gradient (gx, gy),
-            # and its measure is free @ (gx, gy)
-            flat += [m * gx, m * gy, 0.0, 0.0, 2.0 * gy, -2.0 * gx]
-        want = kernel(4)(flat, [0] * 4)
-        assert repr(nested_reposition_2d(LocalSubmesh(flat, [0] * 4, 2))) == repr(want)
-        # the first triple's corner; the second's is (1.0, 4.0)
-        assert want == ((1.0, -4.0), 1.0, 1.0)
-
-    @pytest.mark.parametrize("n", [12, 25])
-    def test_fans_above_the_cap_match_nested(self, n):
-        # the simplex reaches the optimum that the nested dual certifies
-        assert n > KERNEL_MAX
-        cavities = [star_cavity(seed, n, spread) for seed in range(6) for spread in (0.3, 2.0)]
-        TestSweepMatchesNested.assert_same_cavities(cavities)
-        assert any(route_kind(sub.flat, sub.slots) == "step" for sub in cavities)
-        for sub in cavities:
-            grads, meas, radius = array_terms(sub)
-            _, want = nested_dual_maximin_2d(grads.tolist(), meas.tolist(), radius)
-            _, got, _ = maximin_reposition(sub)
-            assert abs(got - want) <= 1e-9 * max(abs(want), np.abs(meas).max())
-        assert n not in untangle_module._KERNELS
-
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        n=st.integers(KERNEL_MAX + 1, 16),
-        spread=st.floats(0.0, 2.0),
-    )
-    @example(seed=7, n=200, spread=0.5)
-    def test_fans_above_the_cap_take_the_simplex(self, seed, n, spread):
-        sub = star_cavity(seed, n, spread)
-        grads, meas, radius = array_terms(sub)
-
-        def refuse(size):
-            raise AssertionError(f"a kernel built for {size} elements")
-
-        built = set(untangle_module._KERNELS)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(untangle_module, "_build_kernel", refuse)
-            _, got, _ = maximin_reposition(sub)
-        assert set(untangle_module._KERNELS) == built
-        assert got >= meas.min()
-        exact = nested_dual_maximin_2d(grads.tolist(), meas.tolist(), radius)
-        if exact is not None:
-            assert abs(got - exact[1]) <= 1e-9 * np.abs(meas).max()
-
-    def test_import_builds_no_kernel(self):
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        code = "import sys, femwarp; print(sys.modules['femwarp.untangle']._KERNELS)"
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            env=dict(os.environ, PYTHONPATH=path),
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "{}\n"
-
-    def test_built_once_per_size_up_to_the_cap(self, monkeypatch):
-        monkeypatch.setattr(untangle_module, "_KERNELS", {})
-        build = untangle_module._build_kernel
-        built = []
-
-        def counting(n):
-            built.append(n)
-            return build(n)
-
-        monkeypatch.setattr(untangle_module, "_build_kernel", counting)
-        for n in [*range(1, KERNEL_MAX + 3)] * 2:
-            maximin_reposition(star_cavity(n, n, 0.5))
-        # a 3D cavity builds none
-        box = shifted_box()
-        maximin_reposition(local_submesh(box, 13, box.topology.incidence[0][13]))
-        assert built == list(range(1, KERNEL_MAX + 1))
-        assert sorted(untangle_module._KERNELS) == built
-
-
-def gradient_fan(grads, meas, slots):
-    """The cavity around a free vertex at the origin whose triangle k, with
-    the free vertex in slot ``slots[k]``, has the measure gradient
-    ``grads[k]`` and the measure ``meas[k]``: the triangle (0, a, a + 2 (gy,
-    -gx)) with ``a`` on an axis, exact for these small or power-of-ten
-    values."""
-    pairs = []
-    for (gx, gy), m in zip(grads, meas):
-        ax, ay = (0.0, -m / gy) if gy else (-m / gx, 0.0)
-        pairs.append(([ax, ay], [ax + 2.0 * gy, ay - 2.0 * gx]))
-    return fan_cavity([0.0, 0.0], pairs, slots)
-
-
-def zero_weight_cavity(n, side):
-    """A cavity of ``n`` triangles whose first triple (0, 1, 2) holds the
-    origin on its edge from G_0 = (1, 0) to G_1 = (-1, 0): its weight
-    G_0 x G_1 is exactly 0.0 and the other two are -1 (``side`` -1, G_2 =
-    (0, 1)) or 1 (``side`` 1, G_2 = (0, -1)).  The triple's value 2 is the
-    optimum, reached at u = (1, 0); each further triangle's gradient (0,
-    2 side) makes another such triple, tied and later."""
-    grads = [(1.0, 0.0), (-1.0, 0.0), (0.0, -side)] + [(0.0, -2.0 * side)] * (n - 3)
-    meas = [1.0, 3.0, 2.0] + [5.0 + k for k in range(n - 3)]
-    return gradient_fan(grads, meas, [k % 3 for k in range(n)])
-
-
-def all_zero_weight_cavity(n):
-    """A cavity of ``n`` triangles whose first triple has the gradients (1,
-    0), (-1, 0) and (2, 0) on one line through the origin, so all three of
-    its weights are 0.0; the further triangles' gradients (0, 1), (0, -1),
-    ... make triples that hold the origin."""
-    grads = [(1.0, 0.0), (-1.0, 0.0), (2.0, 0.0)]
-    grads += [(0.0, (1.0 + k // 2) * (-1.0) ** k) for k in range(n - 3)]
-    meas = [1.0, 3.0, 2.0] + [4.0 + k for k in range(n - 3)]
-    return gradient_fan(grads, meas, [(2 * k) % 3 for k in range(n)])
-
-
-def nan_cross_cavity(n):
-    """A cavity of ``n`` triangles with finite coordinates and measures whose
-    first two gradients (5e199, -5e199) and (5e199, -1e200) have the cross
-    product -inf + inf = nan, so every triple holding both has a nan weight
-    and comes first; with G_2 = (1, -1.5) the first one's other two weights
-    are positive.  From six triangles on, the optimum 2 is at the free
-    vertex, where (1, 0), (-1, 3) and (-1, -1) hold the origin with measure
-    2 each; no two gradients are parallel, and every other triple's value
-    is above 2.  The long triangles keep the free vertex in slot 0, where
-    their measures are finite."""
-    grads = [(0.5e200, -0.5e200), (0.5e200, -1e200), (1.0, -1.5)]
-    grads += [(1.0, 0.0), (-1.0, 3.0), (-1.0, -1.0), (0.0, 1.0), (2.0, 1.0), (-2.0, 1.0)]
-    meas = [1e200, 1e200, 3.0, 2.0, 2.0, 2.0, 4.0, 5.0, 6.0]
-    return gradient_fan(grads[:n], meas[:n], [0, 0] + [k % 3 for k in range(n - 2)])
-
-
-class TestSignFirstTriples:
-    """The kernels test each triple's weights' signs before its area: a zero
-    weight is accepted beside two of one sign, three zero weights are not,
-    and a nan weight never is; pinned against
-    :func:`oracles.nested_reposition_2d` for every size up to the cap, and
-    ``maximin_reposition`` against :func:`oracles.maximin_reposition_nested`
-    on the nan-weight cavity."""
-
-    @staticmethod
-    def pinned(sub):
-        n = len(sub.slots)
-        got = kernel(n)(sub.flat, sub.slots)
-        assert repr(got) == repr(nested_reposition_2d(sub))
-        grads, meas, _ = array_terms(sub)
-        return got, nested_best_triple(grads.tolist(), meas.tolist())
-
-    @pytest.mark.parametrize("side", [-1, 1], ids=["negative", "positive"])
-    @pytest.mark.parametrize("n", range(3, KERNEL_MAX + 1))
-    def test_zero_weight_accepted(self, n, side):
-        sub = zero_weight_cavity(n, side)
-        grads = array_terms(sub)[0].tolist()
-        (gx, gy), (hx, hy), (kx, ky) = grads[:3]
-        weights = (hx * ky - hy * kx, kx * gy - ky * gx, gx * hy - gy * hx)
-        assert weights == (side, side, 0.0)
-        got, best = self.pinned(sub)
-        assert best == (2.0, 0, 1, 2)
-        assert got == ((1.0, 0.0), 2.0, 1.0) == maximin_reposition(sub)
-
-    @pytest.mark.parametrize("n", range(3, KERNEL_MAX + 1))
-    def test_all_zero_weights_rejected(self, n):
-        got, best = self.pinned(all_zero_weight_cavity(n))
-        if n == 3:
-            assert got is None and best is None
-        else:
-            assert best is not None and best[1:] != (0, 1, 2)
-
-    @pytest.mark.parametrize("n", range(3, KERNEL_MAX + 1))
-    def test_nan_weight_rejected(self, n):
-        sub = nan_cross_cavity(n)
-        grads, meas, _ = array_terms(sub)
-        assert np.isfinite(sub.elements).all() and np.isfinite(meas).all()
-        (gx, gy), (hx, hy), (kx, ky) = grads[:3].tolist()
-        assert math.isnan(gx * hy - gy * hx)
-        assert hx * ky - hy * kx > 0.0 and kx * gy - ky * gx > 0.0
-        got, best = self.pinned(sub)
-        if n < 6:
-            assert got is None and best is None
-        else:
-            assert best == (2.0, 3, 4, 5) and got[1:] == (2.0, 2.0)
-
-    @pytest.mark.parametrize("n", range(3, KERNEL_MAX + 1))
-    def test_nan_weight_cavity_matches_nested(self, n):
-        # below six triangles the kernel declines and the simplex on terms
-        # near 1e200 overflows, so the library and the oracle keep the
-        # vertex in place without a numpy warning; from six on it is the
-        # optimum
-        sub = nan_cross_cavity(n)
-        got = maximin_reposition(sub)
-        assert repr(got) == repr(maximin_reposition_nested(sub))
-        assert got[0] == sub.point
-
-
-def opposed_cavity(top, delta):
-    """Three triangles around a free vertex at the origin with the nearly
-    opposed gradients (1, 0), (-1, 1e-6) and (-1, -1e-6) and measures 0, 1
-    and 1 + ``delta``: the unboxed optimum is u = (0.5 + delta/4,
-    delta/2e-6).  The first triangle's opposite edge runs from (0, top) to
-    (0, top - 2), so the kernel's lower bound on the box radius is 20."""
-    tris = [
-        [[0.0, 0.0], [0.0, top], [0.0, top - 2.0]],
-        [[0.0, 0.0], [1.0, 0.0], [1.0 + 2e-6, 2.0]],
-        [[0.0, 0.0], [1.0 + delta, 0.0], [1.0 + delta - 2e-6, 2.0]],
-    ]
-    return LocalSubmesh.from_arrays(tris, [0, 0, 0])
-
-
-def far_reflected_cavity():
-    """The cavity of :func:`reflected_cavity` with x scaled by 2**968 and
-    translated by 2**1020 and y scaled by 2**-960, all exact: its
-    coordinates reach past 8e306, its box radius (20 * 2**968) and its
-    dual's terms stay finite."""
-    mesh = reflected_cavity()
-    elements = np.array(mesh.coords[mesh.elements])
-    elements[..., 0] = elements[..., 0] * 2.0**968 + 2.0**1020
-    elements[..., 1] *= 2.0**-960
-    return LocalSubmesh.from_arrays(elements, [2] * 4)
-
-
-def overflowing_extent_cavity():
-    """A star cavity and two triangles with finite coordinates and measures
-    at x = 1e308 and -1e308, which take the box diameter past the largest
-    float."""
-    sub = star_cavity(3, 6, 0.5)
-    x, y = sub.point
-    far = [[[1e308, y], [1e308, y + 1.0]], [[-1e308, y], [-1e308, y - 1.0]]]
-    outer = fan_cavity([x, y], far, [0, 0])
-    return LocalSubmesh.from_arrays(
-        np.concatenate([sub.elements, outer.elements]),
-        np.concatenate([sub.free_slots, outer.free_slots]),
-    )
-
-
-def box_lower_bound(sub):
-    """``BOX_FACTOR`` times the larger component of the first element's
-    edge opposite the free vertex, or 1e-12: the kernels' lower bound on the
-    box radius."""
-    a, b = np.delete(sub.elements[0], sub.free_slots[0], axis=0)
-    return BOX_FACTOR * max(np.abs(b - a).max(), 1e-12)
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-class TestBoxBound:
-    """The kernels test the step against a lower bound on the box radius and
-    bound the radius through ``hypot``, and scan the cavity for the radius
-    only when those cannot decide.  Each way returns what the array route
-    returns, by ``repr``."""
-
-    @staticmethod
-    def assert_same_as_arrays(sub):
-        got = kernel(len(sub.slots))(sub.flat, sub.slots)
-        assert repr(got) == repr(nested_reposition_2d(sub))
-        assert repr(maximin_reposition(sub)) == repr(maximin_reposition_nested(sub))
-        return got
-
-    @staticmethod
-    def unboxed_step(sub):
-        grads, meas, _ = array_terms(sub)
-        u, _ = nested_dual_maximin_2d(grads.tolist(), meas.tolist(), math.inf)
-        return max(map(abs, u))
-
-    def test_step_beyond_the_bound_inside_the_box(self):
-        sub = opposed_cavity(3.0, 4.2e-5)
-        radius = array_terms(sub)[2]
-        assert box_lower_bound(sub) == 20.0 < self.unboxed_step(sub) <= radius == 30.0
-        (x, y), _, _ = self.assert_same_as_arrays(sub)
-        assert x == pytest.approx(0.5000105) and y == pytest.approx(21.0)
-
-    def test_step_beyond_the_box(self):
-        # the bound equals the radius here, and the step passes both by 5 %
-        sub = opposed_cavity(2.0, 4.2e-5)
-        radius = array_terms(sub)[2]
-        assert box_lower_bound(sub) == radius == 20.0 < self.unboxed_step(sub)
-        assert self.assert_same_as_arrays(sub) is None
-        (_, y), _, _ = maximin_reposition(sub)
-        assert y == 20.0
-
-    def test_far_cavity_with_a_finite_box(self):
-        sub = far_reflected_cavity()
-        radius = array_terms(sub)[2]
-        assert math.hypot(*sub.flat) > 8e306 and radius == 20.0 * 2.0**968
-        got = self.assert_same_as_arrays(sub)
-        assert got[1] > 0.0 > got[2]
-
-    def test_overflowing_extent_stays(self):
-        sub = overflowing_extent_cavity()
-        _, meas, radius = array_terms(sub)
-        assert math.isfinite(meas.sum()) and radius == math.inf
-        assert math.hypot(*sub.flat) > 8e306
-        assert self.assert_same_as_arrays(sub) == (sub.point, min(meas), min(meas))
-
-
-class TestMaximinReposition:
-    def test_square_cavity_optimum(self):
-        mesh = square_cavity([0.3, -0.2])
-        sub = local_submesh(mesh, 4, [0, 1, 2, 3])
-        pos, val, _ = maximin_reposition(sub)
-        assert np.allclose(pos, [0.0, 0.0], atol=1e-9)
-        assert val == pytest.approx(1.0, abs=1e-9)
-
-    def test_matches_grid_oracle(self):
-        mesh = square_cavity([0.3, -0.2])
-        others = mesh.coords[mesh.elements]
-        slots = np.full(4, 2)
-        _, oracle_val = grid_maximin(others, slots, [0.0, 0.0], 2.5)
-        sub = local_submesh(mesh, 4, [0, 1, 2, 3])
-        _, val, _ = maximin_reposition(sub)
-        assert val == pytest.approx(oracle_val, abs=1e-4)
-
-    def test_idempotent_at_optimum(self):
-        mesh = square_cavity([0.0, 0.0])
-        sub = local_submesh(mesh, 4, [0, 1, 2, 3])
-        pos, val, _ = maximin_reposition(sub)
-        assert np.allclose(pos, [0.0, 0.0], atol=1e-12)
-        assert val == pytest.approx(1.0, abs=1e-12)
-
-    def test_recovers_reflected_vertex(self):
-        mesh = reflected_cavity()
-        assert count_reversals(mesh)[0] == 1
-        sub = local_submesh(mesh, 4, [0, 1, 2, 3])
-        pos, val, _ = maximin_reposition(sub)
-        assert val > 0.0
-        moved = np.array(mesh.coords)
-        moved[4] = pos
-        assert count_reversals(mesh.with_coords(moved))[0] == 0
-
-    def test_never_worsens(self, rng):
-        for _ in range(25):
-            mesh = square_cavity(rng.uniform(-1.5, 1.5, size=2))
-            sub = local_submesh(mesh, 4, [0, 1, 2, 3])
-            before = tri_measures(
-                sub.position, sub.elements, sub.free_slots
-            ).min()
-            _, after, _ = maximin_reposition(sub)
-            assert after >= before - 1e-12
-
-    def test_first_order_optimality(self):
-        mesh = square_cavity([0.4, 0.1])
-        sub = local_submesh(mesh, 4, [0, 1, 2, 3])
-        pos, val, _ = maximin_reposition(sub)
-        h = 2.0
-        for step in np.array(
-            [[1, 0], [-1, 0], [0, 1], [0, -1]], dtype=float
-        ) * (1e-6 * h):
-            perturbed = tri_measures(pos + step, sub.elements, sub.free_slots).min()
-            assert perturbed <= val + 1e-9
-
-    # the library stays silent on the array path too; only the oracle warns
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e308])
-    def test_non_finite_or_overflowing_3d_cavity_stays(self, bad):
-        # a ring corner of the first tet moved to +bad and one of the last
-        # to -bad: non-finite coordinates, or a box past the largest float
-        mesh = gen_box_tets(4, 4, 4)
-        vid = mesh.interior_ids[0]
-        sub = local_submesh(mesh, vid, mesh.topology.incidence[0][vid])
-        elements = np.array(sub.elements)
-        elements[0, (sub.free_slots[0] + 1) % 4] = bad
-        elements[-1, (sub.free_slots[-1] + 1) % 4] = -bad
-        sub = LocalSubmesh.from_arrays(elements, sub.free_slots)
-        pos, val, start = maximin_reposition(sub)
-        want_pos, want_val, want_start = quiet_oracle(sub)
-        assert np.array_equal(pos, sub.position) and np.array_equal(want_pos, pos)
-        assert_same_bits(val, want_val)
-        assert_same_bits(start, want_start)
-
-
-class TestDualMaximin:
-    @settings(max_examples=150, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        n=st.integers(3, 12),
-        spread=st.floats(0.0, 2.0),
-    )
-    def test_matches_simplex(self, seed, n, spread):
-        # the exact dual and the simplex agree; up to the cap the library
-        # takes the dual's kernel, above it the simplex
-        sub = star_cavity(seed, n, spread)
-        grads, meas, radius = array_terms(sub)
-        want_x, want = _simplex_reposition(grads, meas, sub.position, radius)
-        exact = nested_reposition_2d(sub)
-        assert exact is not None
-        ruled = no_worse(sub.position, *exact)
-        pos, got, _ = ruled
-        scale = max(abs(want), np.abs(meas).max())
-        assert abs(got - want) <= 1e-9 * scale
-        assert np.abs(np.subtract(pos, want_x)).max() <= 1e-9 * 2 * radius
-        if n <= KERNEL_MAX:
-            assert repr(kernel(n)(sub.flat, sub.slots)) == repr(exact)
-            assert maximin_reposition(sub) == ruled
-        else:
-            assert maximin_reposition(sub) == (tuple(want_x.tolist()), want, meas.min())
-
-    def test_rejects_a_step_outside_the_box(self):
-        # the unboxed optimum is u = (0.50025, 500); the first triangle's
-        # far corner sets the box radius, 10 times the cavity's diameter
-        near, far = opposed_cavity(1.0, 1e-3), opposed_cavity(60.0, 1e-3)
-        grads, meas, radius = array_terms(near)
-        assert radius == 30.0
-        (ux, uy), val = nested_dual_maximin_2d(grads.tolist(), meas.tolist(), math.inf)
-        assert ux == pytest.approx(0.50025) and uy == pytest.approx(500.0)
-        assert kernel(3)(near.flat, near.slots) is None
-        assert array_terms(far)[2] == 600.0
-        got = kernel(3)(far.flat, far.slots)
-        (x, y), val, _ = got
-        assert x == pytest.approx(0.50025) and y == pytest.approx(500.0)
-        assert val == pytest.approx(0.50025)
-        assert repr(nested_reposition_2d(far)) == repr(got)
-
-    @pytest.mark.parametrize("name", SIMPLEX_CAVITIES)
-    def test_simplex_cases_unchanged(self, name, monkeypatch):
-        make, vid, want_pos, want_val = SIMPLEX_CAVITIES[name]
-        mesh = make()
-        sub = local_submesh(mesh, vid, mesh.topology.incidence[0][vid])
-        if mesh.dim == 2:
-            assert kernel(len(sub.slots))(sub.flat, sub.slots) is None
-        calls = []
-
-        def counting(*args):
-            calls.append(1)
-            return _simplex_reposition(*args)
-
-        monkeypatch.setattr(untangle_module, "_simplex_reposition", counting)
-        pos, val, _ = maximin_reposition(sub)
-        assert len(calls) == 1
-        assert pos == tuple(want_pos) and val == want_val
 
 
 class TestUntangle:
