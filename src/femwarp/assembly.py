@@ -24,6 +24,7 @@ only.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy import sparse
@@ -36,7 +37,7 @@ from .errors import (
     NoNeighborsError,
     SingularSystemError,
 )
-from .mesh import _columns, _dot, _geometry, _gradients, _reversed
+from .mesh import _columns, _dot, _geometry, _gradients, _quality_exponent, _reversed
 from .solve import _simplex_maximize
 
 SCHEMES = ("FEM", "UNIFORM", "LOG_BARRIER")
@@ -90,8 +91,10 @@ def _stiffness(cols):
     """P1 Laplace element matrices ``K_ij = G_i.G_j / meas`` on the per-axis
     vertex columns of ``mesh._geometry``, (d, k, d+1) -> (k, d+1, d+1), with
     G the measure gradients (``G_i = meas * grad(phi_i)``).  Raises
-    DEGENERATE_ELEMENT unless every measure lies in (0, inf); an entry that
-    overflows is inf or nan, without a warning.
+    DEGENERATE_ELEMENT unless every measure lies in (0, inf).  Past the span
+    of ``mesh._quality_exponent`` each element is formed, as ``quality_report``
+    forms a mesh, on its copy scaled exactly by a power of two (a 3D K is
+    scaled back); an entry that overflows is inf or nan, without a warning.
     """
     meas = _geometry(cols)[0]
     bad = np.flatnonzero(_reversed(meas))
@@ -101,10 +104,18 @@ def _stiffness(cols):
             element=int(bad[0]),
             measure=float(meas[bad[0]]),
         )
+    scaled = _quality_exponent(cols.reshape(len(cols), -1).T) != 0
+    if scaled:
+        ext = np.frexp(np.ptp(cols, axis=2))[1]
+        top = np.frexp(np.abs(cols).max(axis=(0, 2)))[1] - 1024
+        e = np.maximum((ext.min(axis=0) + ext.max(axis=0)) // 2, top)
+        cols = np.ldexp(cols, -e[:, None])
+        meas = _geometry(cols)[0]
     g = _gradients(cols)
     with np.errstate(over="ignore", invalid="ignore"):
         # the Gram matrix of the gradients, accumulated axis by axis
-        return _dot(g[:, :, :, None], g[:, :, None, :]) / meas[:, None, None]
+        stiff = _dot(g[:, :, :, None], g[:, :, None, :]) / meas[:, None, None]
+        return np.ldexp(stiff, e[:, None, None]) if scaled and len(cols) == 3 else stiff
 
 
 def local_stiffness(points):
@@ -179,77 +190,77 @@ def _strictly_inside_hull(center, nbr_coords):
     return x is not None and s @ np.subtract(*x.reshape(2, -1)) <= 1e-12
 
 
-def _barrier_newton(c, tol, max_iter=100):
+def _barrier_newton(rel, tol, max_iter=100):
     """Damped dual Newton on a stack of per-node barrier programs.
 
-    Row r solves max sum(log w) s.t. ``c[r] @ w = e_0``, with ``c[r]`` the
-    (d+1, n) constraint matrix ``[1; (x_j - x_i)^T]``: w_j = 1 / (C^T lam)_j,
-    started at uniform weights.  A row keeps the weights of the first
-    iteration that meets ``tol`` and is frozen from then on; its step is
-    halved until it keeps ``C^T lam`` positive.  Returns (g, n) weights and
-    the mask of rows that failed (nonpositive ``C^T lam``, a step below
-    1e-14, a singular Jacobian or ``max_iter`` reached); failed rows hold
-    NaN.
+    Column r of the d per-axis (n, g) arrays ``rel`` holds node r's neighbor
+    offsets ``x_j - x_i``, scaled exactly by the power of two of its largest
+    entry, so the stop test ``|grad| <= tol`` has no units.  It solves max
+    sum(log w) s.t. ``sum(w) = 1``, ``sum(w * rel_a) = 0`` by ``w = 1 / s``,
+    ``s = lam_0 + sum_a lam_a rel_a`` from uniform weights, keeps the first
+    iterate that meets ``tol`` and halves a step until ``s > 0``.  Sums add
+    the neighbors one by one (numpy's ``sum`` goes pairwise on a lone
+    column): no BLAS, other column or stack width touches a column's bits.
+    Returns (n, g) weights and the mask of failed columns, which hold NaN: a
+    non-finite offset, a pivot not > 0, a step below 1e-14 or ``max_iter``.
     """
-    g, k, n = c.shape
-    w_out = np.full((g, n), np.nan)
-    failed = np.zeros(g, dtype=bool)
-    lam = np.zeros((g, k))
-    lam[:, 0] = n  # yields uniform w = 1/n
-    act = np.arange(g)  # rows still iterating
+    n, g = rel[0].shape
+    w_out = np.full((n, g), np.nan)
+    big = np.max([np.abs(r).max(axis=0) for r in rel], axis=0)
+    failed = ~np.isfinite(big)
+    drop = failed.copy()  # a non-finite column never iterates
+    rel = [np.ldexp(r, -np.frexp(big)[1]) for r in rel]
+    act = np.arange(g)  # columns still iterating
+    lam = np.zeros((len(rel) + 1, g))
+    lam[0] = n  # yields uniform w = 1/n
+    s = np.full((n, g), float(n))
     for _ in range(max_iter):
-        if not len(act):
-            break
-        ca, la = c[act], lam[act]
-        s = np.einsum("gkn,gk->gn", ca, la)
-        ok = s.min(axis=1) > 0.0
+        if drop.any():  # converged and failed columns leave the stack
+            act, lam, s, rel = act[~drop], lam[:, ~drop], s[:, ~drop], [r[:, ~drop] for r in rel]
         w = 1.0 / s
-        grad = np.einsum("gkn,gn->gk", ca, w)
-        grad[:, 0] -= 1.0
-        done = ok & (np.abs(grad).max(axis=1) <= tol)
-        w_out[act[done]] = w[done]
-        failed[act[~ok]] = True
-        go = ok & ~done
-        act, ca, la, w, grad = act[go], ca[go], la[go], w[go], grad[go]
-        jac = -(ca * (w * w)[:, None, :]) @ ca.transpose(0, 2, 1)
-        step, singular = _solve_stack(jac, -grad)
-        failed[act[singular]] = True
-        keep = ~singular
-        act, ca, la, step = act[keep], ca[keep], la[keep], step[keep]
-        # per-row backtracking until every trial C^T lam is positive
-        alpha = np.ones(len(act))
-        trial = np.arange(len(act))
-        while len(trial):
-            lam_t = la[trial] + alpha[trial, None] * step[trial]
-            s = np.einsum("gkn,gk->gn", ca[trial], lam_t)
-            trial = trial[s.min(axis=1) <= 0.0]
+        v = [w] + [w * r for r in rel]  # the rows of C W
+        grad = np.array([reduce(np.add, vk) for vk in v])
+        grad[0] -= 1.0
+        done = np.abs(grad).max(axis=0) <= tol
+        w_out[:, act[done]] = w[:, done]
+        if done.all():
+            return w_out, failed
+        h = [[reduce(np.add, vk * vl) for vl in v[: k + 1]] for k, vk in enumerate(v)]  # C W^2 C^T
+        step, singular = _cholesky_solve(h, grad)
+        alpha = np.where(singular | done, 0.0, 1.0)
+        trial = alpha > 0.0
+        while True:  # per column, halve the step until every s is positive
+            lam_t = lam + alpha * step
+            s = lam_t[0] + sum(la * r for la, r in zip(lam_t[1:], rel))
+            trial &= ~(s.min(axis=0) > 0.0)
+            if not trial.any():
+                break
             alpha[trial] *= 0.5
-            stuck = alpha[trial] < 1e-14
-            failed[act[trial[stuck]]] = True
-            trial = trial[~stuck]
-        moving = ~failed[act]
-        act = act[moving]
-        lam[act] = la[moving] + alpha[moving, None] * step[moving]
-    failed[act] = True
+            trial &= alpha >= 1e-14
+        lam, drop = lam_t, alpha < 1e-14
+        failed[act[drop & ~done]] = True
+    failed[act[~drop]] = True
     return w_out, failed
 
 
-def _solve_stack(a, b):
-    """Solve the stacked systems ``a[r] x = b[r]``; returns the solutions and
-    the mask of singular rows (their solution is garbage).  A singular
-    matrix fails only its own row."""
-    try:
-        return np.linalg.solve(a, b[..., None])[..., 0], np.zeros(len(a), dtype=bool)
-    except np.linalg.LinAlgError:
-        pass
-    x = np.zeros_like(b)
-    singular = np.zeros(len(a), dtype=bool)
-    for r in range(len(a)):
-        try:
-            x[r] = np.linalg.solve(a[r], b[r])
-        except np.linalg.LinAlgError:
-            singular[r] = True
-    return x, singular
+def _cholesky_solve(h, b):
+    """Solve the stacked SPD systems ``h x = b`` by an unrolled Cholesky, one
+    numpy operation per entry; ``h[i][j]`` (j <= i) and ``b[i]`` are arrays
+    over the stack.  Returns x and the mask of the systems with a pivot that
+    is not > 0 (nan included); their x is garbage."""
+    k = len(b)
+    low, y, x = [[None] * k for _ in range(k)], [None] * k, [None] * k
+    singular = np.zeros(len(b[0]), dtype=bool)
+    for i in range(k):
+        for j in range(i):
+            low[i][j] = (h[i][j] - sum(low[i][p] * low[j][p] for p in range(j))) / low[j][j]
+        pivot = h[i][i] - sum(low[i][p] * low[i][p] for p in range(i))
+        singular |= (bad := ~(pivot > 0.0))
+        low[i][i] = np.sqrt(np.where(bad, 1.0, pivot))
+        y[i] = (b[i] - sum(low[i][p] * y[p] for p in range(i))) / low[i][i]
+    for i in reversed(range(k)):
+        x[i] = (y[i] - sum(low[p][i] * x[p] for p in range(i + 1, k))) / low[i][i]
+    return np.array(x), singular
 
 
 def log_barrier_weights(mesh, tol=1e-10):
@@ -271,11 +282,11 @@ def log_barrier_weights(mesh, tol=1e-10):
     failed = []
     for n in np.unique(deg):
         rows = np.flatnonzero(deg == n)
-        nbrs = topology.adj_indices[start[rows, None] + np.arange(n)]
-        rel = mesh.coords[nbrs] - mesh.coords[ids[rows], None, :]
-        c = np.concatenate((np.ones((len(rows), 1, n)), rel.transpose(0, 2, 1)), axis=1)
-        w, bad = _barrier_newton(c, tol)
-        weights[offset[rows, None] + np.arange(n)] = w
+        nbrs = topology.adj_indices[start[rows] + np.arange(n)[:, None]]  # (n, g)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rel = [x[nbrs] - x[ids[rows]] for x in mesh.coords.T]
+        w, bad = _barrier_newton(rel, tol)
+        weights[offset[rows] + np.arange(n)[:, None]] = w
         failed.append(ids[rows[bad]])
     failed = np.concatenate(failed)
     if len(failed):

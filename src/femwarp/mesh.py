@@ -195,7 +195,7 @@ class Topology:
         # the full pattern: one sorted key row * n + col per node pair that
         # shares an element, the diagonal included
         self._keys = _sorted_unique(_pair_keys(self.elements, n))
-        urow, ucol = np.divmod(self._keys, n)
+        urow, ucol = (a.astype(np.int64) for a in np.divmod(self._keys, n))
         off = urow != ucol
         self.adj_indptr = _indptr(urow[off], n)
         self.adj_indices = ucol[off]
@@ -301,8 +301,10 @@ def _nested_dissection(indptr, indices, xyz):
 
 
 def _pair_keys(elements, n):
-    """Key row * n + col of every entry of the flattened element-matrix stack."""
-    return (elements[:, :, None] * n + elements[:, None, :]).ravel()
+    """Key row * n + col of every entry of the flattened element-matrix stack,
+    in the smallest integer type that holds ``n * n - 1``, which sorts fastest."""
+    e = elements.astype(np.min_scalar_type(n * n - 1))
+    return (e[:, :, None] * n + e[:, None, :]).ravel()
 
 
 def _sorted_unique(a):

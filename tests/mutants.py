@@ -1,4 +1,5 @@
-"""Mutation check of the untangler's tests: ``python tests/mutants.py``.
+"""Mutation check of the untangler's and the barrier Newton's tests:
+``python tests/mutants.py``.
 
 Each mutant replaces one exact text of one file under ``src/`` with another
 and names the test files that must then fail.  The runner copies ``src/``,
@@ -35,9 +36,11 @@ from pathlib import Path
 
 UNTANGLE = "src/femwarp/untangle.py"
 TESTS = ("tests/test_untangle.py",)
+ASSEMBLY = "src/femwarp/assembly.py"
+ASSEMBLY_TESTS = ("tests/test_assembly.py",)
 
 # name -> (file, exact old text, new text, test files), grouped by the rule of
-# untangle.py that the mutant breaks
+# untangle.py or assembly.py that the mutant breaks
 MUTANTS = {
     # the exact 2D dual: the first triple of least value wins
     "largest dual value": (UNTANGLE, "value < v:", "value > v:", TESTS),
@@ -123,6 +126,19 @@ MUTANTS = {
     "simplex radius from x alone": (
         UNTANGLE, "np.ptp(elements.reshape(-1, d), axis=0).max()",
         "np.ptp(elements.reshape(-1, d), axis=0)[0]", TESTS),
+    # the LOG_BARRIER Newton: unit-free, first converged iterate, halved steps
+    "barrier offsets not scaled": (
+        ASSEMBLY, "np.ldexp(r, -np.frexp(big)[1])", "r", ASSEMBLY_TESTS),
+    "zero Cholesky pivot accepted": (
+        ASSEMBLY, "bad := ~(pivot > 0.0)", "bad := ~(pivot >= 0.0)", ASSEMBLY_TESTS),
+    "no step halving": (
+        ASSEMBLY, "trial &= ~(s.min(axis=0) > 0.0)", "trial &= False", ASSEMBLY_TESTS),
+    "last iterate kept": (
+        ASSEMBLY, "np.where(singular | done, 0.0, 1.0)", "np.where(singular, 0.0, 1.0)",
+        ASSEMBLY_TESTS),
+    "stop test on rows 1..d": (
+        ASSEMBLY, "np.abs(grad).max(axis=0) <= tol", "np.abs(grad[1:]).max(axis=0) <= tol",
+        ASSEMBLY_TESTS),
 }
 
 

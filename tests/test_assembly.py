@@ -10,7 +10,7 @@ import pytest
 
 from femwarp import Mesh, gen_annulus, gen_box_tets, gen_rectangle
 from femwarp.assembly import (
-    _solve_stack,
+    _barrier_newton,
     _strictly_inside_hull,
     assemble_stiffness,
     build_weights,
@@ -94,6 +94,27 @@ class TestLocalStiffness:
         k = local_stiffness(tet)
         assert k.shape == (4, 4)
         assert np.abs(k.sum(axis=1)).max() < 1e-13
+
+    @pytest.mark.parametrize(
+        "pts, e",
+        [
+            ([[0.0, 0.0], [1e155, 0.0], [0.5e155, 1e-10]], -515),
+            ([[0.0, 0.0, 0.0], [1e300, 0.0, 0.0], [0.0, 1e-5, 0.0], [0.0, 0.0, 1e-5]], -200),
+            ([[0.0, 0.0, 0.0], [2.0, 0.1, 0.0], [0.2, 1.0, 0.0], [0.1, 0.2, 1.0]], 300),
+            ([[0.0, 0.0, 0.0], [2.0, 0.1, 0.0], [0.2, 1.0, 0.0], [0.1, 0.2, 1.0]], -300),
+        ],
+        ids=["thin_triangle", "needle_tet", "tet_up", "tet_down"],
+    )
+    def test_huge_or_tiny_elements_stay_finite(self, pts, e):
+        # G_i.G_j over- or underflows where K does not, so K is formed on a
+        # copy scaled by a power of two: it is finite, and equal to the K of
+        # the element scaled by 2^e, scaled back (a 2D K has no units, a 3D
+        # K scales with the length)
+        pts = np.array(pts)
+        k = local_stiffness(pts)
+        assert np.isfinite(k).all()
+        back = -e * (pts.shape[1] - 2)
+        assert np.array_equal(k, np.ldexp(local_stiffness(np.ldexp(pts, e)), back))
 
     def test_degenerate_rejected(self):
         flat = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
@@ -424,12 +445,21 @@ class TestBatchedBarrier:
             log_barrier_weights(annulus_coarse, tol=-1.0)
         assert err.value.context["node"] == annulus_coarse.interior_ids[0]
 
-    def test_singular_matrix_fails_only_its_row(self):
-        a = np.array([np.eye(3), np.ones((3, 3)), 2.0 * np.eye(3)])
-        b = np.arange(9.0).reshape(3, 3)
-        x, singular = _solve_stack(a, b)
-        assert singular.tolist() == [False, True, False]
-        assert np.array_equal(x[[0, 2]], [b[0], b[2] / 2.0])
+    @pytest.mark.filterwarnings("error")
+    def test_singular_system_fails_only_its_row(self):
+        # column 2's ten neighbors lie on the x axis through its node, so the
+        # y row of its Newton matrix is exactly zero; every other column is a
+        # random 2D star whose node is inside its neighbors' hull
+        rng = np.random.default_rng(3333)
+        stars = [random_star(rng, 2, 10, "inside") for _ in range(5)]
+        rel = np.stack([nbrs - center for center, nbrs in stars], axis=2)  # (n, d, g)
+        rel[:, 0, 2], rel[:, 1, 2] = np.linspace(-1.0, 2.0, 10) + 0.05, 0.0
+        w, failed = _barrier_newton(list(rel.transpose(1, 0, 2)), 1e-10)
+        assert failed.tolist() == [False, False, True, False, False]
+        assert np.isnan(w[:, 2]).all()
+        for r in (0, 1, 3, 4):
+            alone, bad = _barrier_newton(list(rel[:, :, r].T[:, :, None]), 1e-10)
+            assert not bad[0] and np.array_equal(alone[:, 0], w[:, r])
 
 
 class TestHullDiagnosis:
@@ -463,15 +493,19 @@ class TestHullDiagnosis:
             log_barrier_weights(mesh.with_coords(coords))
         assert err.value.context["node"] == first
 
-    def test_scaled_annulus_is_a_newton_failure(self):
-        # node 60 is strictly inside its neighbors' hull at every scale; at
-        # 2^60 the Newton's absolute stop test fails it
-        mesh = gen_annulus(0.5, 8, 60)
-        coords = np.ldexp(mesh.coords, 60)
-        assert _strictly_inside_hull(coords[60], coords[mesh.topology.neighbors(60)])
-        with pytest.raises(SingularSystemError) as err:
-            log_barrier_weights(mesh.with_coords(coords))
-        assert err.value.context["node"] == 60
+    @pytest.mark.parametrize(
+        "mesh",
+        [gen_annulus(0.5, 8, 60), jittered(gen_box_tets(5, 5, 5), 33)],
+        ids=["annulus", "box"],
+    )
+    def test_weights_do_not_depend_on_units(self, mesh):
+        # the Newton scales each node's offsets by a power of two, so an exact
+        # rescaling of the mesh leaves every weight's bits as they are
+        w = log_barrier_weights(mesh)
+        for k in (-30, 30, 60):
+            scaled = log_barrier_weights(mesh.with_coords(np.ldexp(mesh.coords, k)))
+            assert np.array_equal(scaled.a_ii.data, w.a_ii.data)
+            assert np.array_equal(scaled.a_ib.data, w.a_ib.data)
 
     def test_diagnosis_imports_no_optimizer(self):
         code = (

@@ -1315,9 +1315,9 @@ class TestBlasKernels:
         # coordinates on the point-reflection fixture (which needs no
         # SuperLU solve) with its outcome and sweeps, of two motions'
         # targets on a jittered 8x60 annulus and two on a jittered 6^3 box,
-        # of the FEM and UNIFORM weights on both meshes, and the counts of
-        # smoke-size copies of the three benchmark workloads: a 12x64
-        # small-step, a 6x36 hybrid and a 5^3 LOG_BARRIER box (their
+        # of the FEM, UNIFORM and LOG_BARRIER weights on both meshes, and the
+        # counts of smoke-size copies of the three benchmark workloads: a
+        # 12x64 small-step, a 6x36 hybrid and a 5^3 LOG_BARRIER box (their
         # coordinates go through SuperLU, whose bits may differ)
         code = (
             "import hashlib, numpy as np\n"
@@ -1348,7 +1348,7 @@ class TestBlasKernels:
             "print('nonlinear3d_motion', sha(nonlinear3d_motion(box, 1.3).evaluate(0.7)))\n"
             "print('nonlinear3d_map', sha(nonlinear3d_map(1.3, box.coords)))\n"
             "for name, m in (('annulus', ann), ('box', box)):\n"
-            "    for scheme in ('FEM', 'UNIFORM'):\n"
+            "    for scheme in ('FEM', 'UNIFORM', 'LOG_BARRIER'):\n"
             "        w = build_weights(m, scheme)\n"
             "        print(f'{scheme}_{name}', sha(w.a_ii.data), sha(w.a_ib.data))\n"
             "small = jittered(gen_annulus(0.5, 12, 64), 1, 1e-2)\n"
@@ -1386,7 +1386,7 @@ class TestBlasKernels:
             out, err = child.communicate(timeout=120)
             assert child.returncode == 0, err
             items.append(dict(line.split(" ", 1) for line in out.splitlines()))
-        assert len(items[0]) == 12
+        assert len(items[0]) == 14
         assert len(items[0]["untangle"].split()) == 3
         assert items[0]["hybrid_workload"].split()[0] == "SUCCESS"
         for workload in ("smallstep", "hybrid", "box"):
