@@ -135,5 +135,5 @@ def reversal_bound_check(triangle, grad_at_v1, hessian_bound):
         raise InvalidBoundError(f"hessian bound must be positive, got {hessian_bound}")
     triangle = np.asarray(triangle, dtype=float)
     sigma_min = np.linalg.svd(np.asarray(grad_at_v1, dtype=float), compute_uv=False)[-1]
-    _, h, aspect, _ = _element(triangle, quality=True)
+    h, aspect = _element(triangle, quality=True)[1:3]
     return sigma_min / hessian_bound > 2.0 * h * aspect

@@ -37,7 +37,7 @@ from .errors import (
     NoNeighborsError,
     SingularSystemError,
 )
-from .mesh import _columns, _dot, _geometry, _gradients, _quality_exponent, _reversed
+from .mesh import _columns, _dot, _geometry, _gradients, _reversed, _scale_exponents
 from .solve import _simplex_maximize
 
 SCHEMES = ("FEM", "UNIFORM", "LOG_BARRIER")
@@ -91,10 +91,10 @@ def _stiffness(cols):
     """P1 Laplace element matrices ``K_ij = G_i.G_j / meas`` on the per-axis
     vertex columns of ``mesh._geometry``, (d, k, d+1) -> (k, d+1, d+1), with
     G the measure gradients (``G_i = meas * grad(phi_i)``).  Raises
-    DEGENERATE_ELEMENT unless every measure lies in (0, inf).  Past the span
-    of ``mesh._quality_exponent`` each element is formed, as ``quality_report``
-    forms a mesh, on its copy scaled exactly by a power of two (a 3D K is
-    scaled back); an entry that overflows is inf or nan, without a warning.
+    DEGENERATE_ELEMENT unless every measure lies in (0, inf).  Each element
+    is formed, as ``quality_report`` forms it, on its copy scaled exactly
+    by the power of two of ``mesh._scale_exponents`` (a 3D K is scaled
+    back); an entry that overflows is inf or nan, without a warning.
     """
     meas = _geometry(cols)[0]
     bad = np.flatnonzero(_reversed(meas))
@@ -104,18 +104,13 @@ def _stiffness(cols):
             element=int(bad[0]),
             measure=float(meas[bad[0]]),
         )
-    scaled = _quality_exponent(cols.reshape(len(cols), -1).T) != 0
-    if scaled:
-        ext = np.frexp(np.ptp(cols, axis=2))[1]
-        top = np.frexp(np.abs(cols).max(axis=(0, 2)))[1] - 1024
-        e = np.maximum((ext.min(axis=0) + ext.max(axis=0)) // 2, top)
-        cols = np.ldexp(cols, -e[:, None])
-        meas = _geometry(cols)[0]
+    e = _scale_exponents(cols)
+    cols = np.ldexp(cols, -e[:, None])
     g = _gradients(cols)
     with np.errstate(over="ignore", invalid="ignore"):
         # the Gram matrix of the gradients, accumulated axis by axis
-        stiff = _dot(g[:, :, :, None], g[:, :, None, :]) / meas[:, None, None]
-        return np.ldexp(stiff, e[:, None, None]) if scaled and len(cols) == 3 else stiff
+        stiff = _dot(g[:, :, :, None], g[:, :, None, :]) / _geometry(cols)[0][:, None, None]
+        return stiff if len(cols) == 2 else np.ldexp(stiff, e[:, None, None])
 
 
 def local_stiffness(points):

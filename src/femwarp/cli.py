@@ -8,7 +8,6 @@ stderr: ``error code=<CODE> message=<text>``.
 
 import argparse
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -17,8 +16,8 @@ from .analytic import AnnulusSpec, annulus_coeffs, annulus_jac_det, type1_predic
 from .assembly import SCHEMES, build_weights
 from .errors import FemwarpError, InvalidSpecError, UsageError
 from .generators import gen_annulus, gen_rectangle
-from .mesh import count_reversals, quality_report
-from .untangle import hybrid_warp, untangle
+from .mesh import quality_report
+from .untangle import hybrid_warp, untangle_warp
 from .warp import (
     DEFAULT_MIN_STEP,
     AffineMotion,
@@ -28,7 +27,6 @@ from .warp import (
     nonlinear3d_motion,
     shear_motion,
     small_step_femwarp,
-    warp_report,
 )
 
 ALGORITHMS = ("femwarp", "small_step", "untangle", "hybrid")
@@ -133,9 +131,7 @@ def run_algorithm(mesh, spec, motion):
     coords[mesh.boundary_ids] = target
     # built on ``mesh`` before the copy, so one sweep's runs share it
     mesh.topology
-    fixed, sweeps, outcome = untangle(mesh.with_coords(coords), max_sweeps=max_sweeps)
-    report = warp_report(fixed, count_reversals(fixed)[0], 0, ())
-    return fixed, replace(report, untangle_outcome=outcome, untangle_sweeps=sweeps)
+    return untangle_warp(mesh.with_coords(coords), max_sweeps=max_sweeps)
 
 
 def _finite_target(motion):

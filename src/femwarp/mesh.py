@@ -8,7 +8,7 @@ connectivity and :class:`Topology`, because no warp changes them.
 
 import copy
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
 from math import factorial
 
@@ -23,12 +23,6 @@ from .solve import mmd_order
 ORIENTATION_TOL = 0.0
 
 NEAR_DEGENERATE_FACTOR = 1e-12
-
-# quality_report squares edge components, in 3D their cross products too,
-# and forms h**d; while every nonzero per-axis extent of the coordinates lies
-# in [2**-QUALITY_SPAN, 2**QUALITY_SPAN] none of these overflows, and the
-# report computes on the coordinates as they are
-QUALITY_SPAN = 100
 
 # Parts of at most this many interior nodes end the nested dissection.
 ND_LEAF_SIZE = 16
@@ -333,6 +327,24 @@ def _cross(u, v):
     return [u[i - 2] * v[i - 1] - u[i - 1] * v[i - 2] for i in range(3)]
 
 
+def _scale_exponents(cols):
+    """Per simplex of the per-axis columns ``cols`` (d, k, d+1), the e such
+    that the element kernels, which square edges, compute on its exact copy
+    ``2**-e`` times it: the mean of the exponents of its largest and smallest
+    nonzero per-axis extents, rounded down, which centres them on 1, but
+    never so low that a coordinate passes the largest float.  Its copy at
+    2**k gets e + k."""
+    corners = np.moveaxis(cols, 2, 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        hi, lo = reduce(np.maximum, corners), reduce(np.minimum, corners)
+        big = np.maximum(hi.max(axis=0), -lo.min(axis=0))
+        ext = hi - lo
+        top = ext.max(axis=0)
+        low = np.where(ext > 0.0, ext, top).min(axis=0)
+    e = (np.frexp(low)[1] + np.frexp(top)[1]) // 2
+    return np.maximum(e, np.frexp(big)[1] - 1024)
+
+
 def _geometry(cols, quality=False):
     """The element-geometry kernel, on per-axis vertex columns ``cols``
     (d, k, d+1): ``cols[a][:, i]`` is axis a of vertex i of k simplices.
@@ -340,13 +352,18 @@ def _geometry(cols, quality=False):
     Mesh-level callers gather them once as ``coords.T[:, elements]``; a
     (k, d+1, d) stack passes in as the view ``np.moveaxis(pts, 2, 0)``.
     Returns ``(meas,)``, the signed measures ``det(edge matrix) / d!``, or
-    with ``quality`` ``(meas, longest, aspect, imr)``: longest edges, aspect
-    ratios (inf for degenerates) and inverse mean ratios (nan for reversed
-    elements).  It builds 1-D edge-component arrays, the d edges of one
-    vertex at a time, never a (k, C(d+1, 2), d) stack.  Non-finite geometry,
-    or finite coordinates that overflow, give nan or inf without a warning.
+    with ``quality`` ``(meas, longest, aspect, imr, e)`` of the copy scaling
+    simplex i exactly by ``2**-e[i]`` (:func:`_scale_exponents`): measures,
+    longest edges scaled back, aspect ratios (inf for degenerates) and
+    inverse mean ratios (nan for reversed elements).  It builds 1-D
+    edge-component arrays, the d edges of one vertex at a time, never a
+    (k, C(d+1, 2), d) stack.  Non-finite geometry, or finite coordinates
+    that overflow, give nan or inf without a warning.
     """
     d = len(cols)
+    if quality:
+        e = _scale_exponents(cols)
+        cols = np.ldexp(cols, -e[:, None])
 
     def star(a):  # edges from vertex a to each later vertex
         return [_edge(cols, a, j) for j in range(a + 1, d + 1)]
@@ -363,8 +380,8 @@ def _geometry(cols, quality=False):
         # cross product over the faces {a, b, c}, a < b < c, vertex by vertex
         l2sum = l2max = c2max = 0.0
         for a in range(d):
-            for e in edges:
-                l2 = _dot(e, e)
+            for edge in edges:
+                l2 = _dot(edge, edge)
                 l2sum, l2max = l2sum + l2, np.maximum(l2max, l2)
             for u, v in combinations(edges, 2) if d == 3 else ():
                 w = _cross(u, v)
@@ -381,7 +398,8 @@ def _geometry(cols, quality=False):
         # det(T) = d! meas / det(E_ref) with det(E_ref)^2 = (d+1) / 2^d
         det = meas * (factorial(d) * np.sqrt(2.0**d / (d + 1)))
         det = np.where(_reversed(meas), np.nan, det)
-        return meas, longest, aspect, 2.0 / (d + 1) * l2sum / (d * det ** (2.0 / d))
+        imr = 2.0 / (d + 1) * l2sum / (d * det ** (2.0 / d))
+        return meas, np.ldexp(longest, e), aspect, imr, e
 
 
 def _element(points, quality=False):
@@ -537,23 +555,6 @@ class QualityReport:
         return asdict(self)
 
 
-def _quality_exponent(coords):
-    """The k for which :func:`quality_report` computes on ``coords * 2**-k``:
-    0 while every nonzero per-axis extent lies in ``2**±QUALITY_SPAN`` or
-    one is not finite; else the mean of the largest and the smallest
-    extent's exponents, rounded down, which centres the scaled extents on 1,
-    but never so low that a coordinate scales past the largest float."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        extents = np.array([axis.max() - axis.min() for axis in coords.T])
-    if not np.isfinite(extents).all():
-        return 0
-    exps = np.frexp(extents[extents > 0.0])[1]
-    if not exps.size or -QUALITY_SPAN <= exps.min() and exps.max() <= QUALITY_SPAN:
-        return 0
-    k = (int(exps.min()) + int(exps.max())) // 2
-    return max(k, int(np.frexp(np.abs(coords).max())[1]) - 1024)
-
-
 def quality_report(mesh):
     """Per-mesh quality summary.
 
@@ -563,31 +564,30 @@ def quality_report(mesh):
     element is positively oriented.
 
     Aspects, inverse mean ratios, ``h`` and the near-degenerate count come
-    from the coordinates scaled by the power of two of
-    :func:`_quality_exponent`, which is exact, and ``h`` is scaled back: so
-    a valid mesh whose squared edges overflow reports a finite ``h``,
-    aspects and ratios, and a mesh and its copies scaled by powers of two
-    past ``2**±QUALITY_SPAN`` report the same values.  The measure fields
-    and the reversal count are those of :func:`signed_measures`.
+    from each element's copy scaled exactly by a power of two (see
+    :func:`_geometry`), so they are finite where squared edges overflow and
+    equivariant under powers of two.  The measure fields and the reversal
+    count are those of :func:`signed_measures`.
     """
-    cols = _columns(mesh)
-    k = _quality_exponent(mesh.coords)
-    scaled, longest, aspects, imrs = _geometry(np.ldexp(cols, -k) if k else cols, quality=True)
-    meas = _geometry(cols)[0] if k else scaled
+    meas = signed_measures(mesh)
+    # a fresh gather, so the unscaled columns are freed once scaled
+    scaled, longest, aspects, imrs, e = _geometry(_columns(mesh), quality=True)
     imrs = imrs[~np.isnan(imrs)]
     h = longest.max()
-    # the means and h^d of overflowing geometry are inf or nan, silently
+    # meas < NEAR_DEGENERATE_FACTOR * h**d with both sides in units of h's power of two
+    mant, eh = np.frexp(h)
+    # the means of overflowing geometry are inf or nan, silently
     with np.errstate(over="ignore", invalid="ignore"):
         stats = [
             float(f(v))
             for v in (meas, aspects, imrs if imrs.size else np.array([np.nan]))
             for f in (np.min, np.max, np.mean)
         ]
-        tiny = NEAR_DEGENERATE_FACTOR * h**mesh.dim
-        h = np.ldexp(h, k)
+        shifted = np.ldexp(scaled, mesh.dim * (e - eh))
+    near = (scaled > ORIENTATION_TOL) & (shifted < NEAR_DEGENERATE_FACTOR * mant**mesh.dim)
     return QualityReport(
         *stats,
         reversal_count=int(_reversed(meas).sum()),
-        near_degenerate_count=int(((scaled > ORIENTATION_TOL) & (scaled < tiny)).sum()),
+        near_degenerate_count=int(near.sum()),
         h=float(h),
     )

@@ -376,16 +376,23 @@ def untangle(mesh, max_sweeps=50, on_move=None):
         sweeps += 1
 
 
+def untangle_warp(mesh, report=None, max_sweeps=50):
+    """Untangle ``mesh``; returns the result and its WarpReport.  Given the
+    ``report`` of the warp that returned ``mesh``, the result keeps its
+    factorizations and steps, or loses to it if it has more reversals."""
+    fixed, sweeps, outcome = untangle(mesh, max_sweeps=max_sweeps)
+    # untangle's exit check has just counted a SUCCESS mesh's reversals: 0
+    nrev = 0 if outcome == "SUCCESS" else count_reversals(fixed)[0]
+    if report is None or nrev <= report.reversals:
+        cost = (0, ()) if report is None else (report.n_factorizations, report.steps)
+        mesh, report = fixed, warp_report(fixed, nrev, *cost)
+    return mesh, replace(report, untangle_outcome=outcome, untangle_sweeps=sweeps)
+
+
 def hybrid_warp(mesh, weights, target_boundary, max_sweeps=50):
-    """One-shot warp followed, on reversal, by untangling of the warped
-    (not the original) mesh.  Returns the better of the two: the one-shot
-    mesh and report when the untangled mesh has more reversals."""
+    """One-shot warp followed, on reversal, by :func:`untangle_warp` of the
+    warped (not the original) mesh."""
     warped, report = femwarp_step(mesh, weights, target_boundary)
     if report.success:
         return warped, report
-    fixed, sweeps, outcome = untangle(warped, max_sweeps=max_sweeps)
-    # untangle's exit check has just counted a SUCCESS mesh's reversals: 0
-    nrev = 0 if outcome == "SUCCESS" else count_reversals(fixed)[0]
-    if nrev <= report.reversals:
-        warped, report = fixed, warp_report(fixed, nrev, report.n_factorizations, report.steps)
-    return warped, replace(report, untangle_outcome=outcome, untangle_sweeps=sweeps)
+    return untangle_warp(warped, report, max_sweeps=max_sweeps)

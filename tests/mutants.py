@@ -1,5 +1,5 @@
-"""Mutation check of the untangler's and the barrier Newton's tests:
-``python tests/mutants.py``.
+"""Mutation check of the tests of the untangler, the barrier Newton and the
+element kernels' per-element power-of-two scale: ``python tests/mutants.py``.
 
 Each mutant replaces one exact text of one file under ``src/`` with another
 and names the test files that must then fail.  The runner copies ``src/``,
@@ -38,9 +38,11 @@ UNTANGLE = "src/femwarp/untangle.py"
 TESTS = ("tests/test_untangle.py",)
 ASSEMBLY = "src/femwarp/assembly.py"
 ASSEMBLY_TESTS = ("tests/test_assembly.py",)
+MESH = "src/femwarp/mesh.py"
+SCALE_TESTS = ("tests/test_mesh_core.py", "tests/test_assembly.py")
 
 # name -> (file, exact old text, new text, test files), grouped by the rule of
-# untangle.py or assembly.py that the mutant breaks
+# untangle.py, assembly.py or mesh.py that the mutant breaks
 MUTANTS = {
     # the exact 2D dual: the first triple of least value wins
     "largest dual value": (UNTANGLE, "value < v:", "value > v:", TESTS),
@@ -139,6 +141,16 @@ MUTANTS = {
     "stop test on rows 1..d": (
         ASSEMBLY, "np.abs(grad).max(axis=0) <= tol", "np.abs(grad[1:]).max(axis=0) <= tol",
         ASSEMBLY_TESTS),
+    # the element kernels' per-element power of two
+    "top guard dropped": (
+        MESH, "return np.maximum(e, np.frexp(big)[1] - 1024)", "return e", SCALE_TESTS),
+    "zero extents counted in the centring": (
+        MESH, "np.where(ext > 0.0, ext, top).min(axis=0)", "ext.min(axis=0)", SCALE_TESTS),
+    "3D K not scaled back": (
+        ASSEMBLY, "np.ldexp(stiff, e[:, None, None])", "stiff", SCALE_TESTS),
+    "near-degenerate test on unshifted measures": (
+        MESH, "(shifted < NEAR_DEGENERATE_FACTOR", "(scaled < NEAR_DEGENERATE_FACTOR",
+        SCALE_TESTS),
 }
 
 

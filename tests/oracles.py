@@ -646,13 +646,11 @@ def stack_stiffness(pts):
     simplices, (k, d+1, d) -> (k, d+1, d+1), with G from
     :func:`stack_measure_gradients` and its Gram matrix accumulated axis by
     axis.  Raises DEGENERATE_ELEMENT at the first simplex whose measure is
-    not in (0, inf).  A stack whose extents pass ``2**±QUALITY_SPAN``
-    (``mesh._quality_exponent`` is not 0) is computed per simplex on its
-    copy scaled exactly by ``2**-e``, e the mean of its largest and smallest
-    extent's exponents, rounded down, but no lower than keeps every
-    coordinate finite, and a 3D result is scaled back by ``2**e``."""
+    not in (0, inf).  Each simplex is computed on its copy scaled exactly by
+    ``2**-e``, e the mean of its largest and smallest nonzero extent's
+    exponents, rounded down, but no lower than keeps every coordinate
+    finite, and a 3D result is scaled back by ``2**e``."""
     from femwarp.errors import DegenerateElementError
-    from femwarp.mesh import _quality_exponent
 
     meas = stack_measures(pts)
     bad = np.flatnonzero(~((meas > 0.0) & (meas < np.inf)))
@@ -663,13 +661,13 @@ def stack_stiffness(pts):
             measure=float(meas[bad[0]]),
         )
     e = np.zeros(len(pts), dtype=int)
-    if _quality_exponent(pts.reshape(-1, pts.shape[2])):
-        for i, simplex in enumerate(pts):
-            exps = np.frexp(np.ptp(simplex, axis=0))[1]
-            top = int(np.frexp(np.abs(simplex).max())[1]) - 1024
-            e[i] = max((int(exps.min()) + int(exps.max())) // 2, top)
-        pts = np.ldexp(pts, -e[:, None, None])
-        meas = stack_measures(pts)
+    for i, simplex in enumerate(pts):
+        ext = np.ptp(simplex, axis=0)
+        low, high = np.frexp([ext[ext > 0.0].min(), ext.max()])[1]
+        top = int(np.frexp(np.abs(simplex).max())[1]) - 1024
+        e[i] = max((int(low) + int(high)) // 2, top)
+    pts = np.ldexp(pts, -e[:, None, None])
+    meas = stack_measures(pts)
     g = stack_measure_gradients(pts)
     k = g[:, :, None, 0] * g[:, None, :, 0]
     for ax in range(1, pts.shape[2]):

@@ -11,6 +11,7 @@ import pytest
 from femwarp import Mesh, gen_annulus, gen_box_tets, gen_rectangle
 from femwarp.assembly import (
     _barrier_newton,
+    _stiffness,
     _strictly_inside_hull,
     assemble_stiffness,
     build_weights,
@@ -55,6 +56,11 @@ def square_with_center():
     return Mesh(coords, elements, [0, 1, 2, 3])
 
 
+# flat triangles of positive area at x = +-1.5e308: the stack's x extent
+# overflows, their own extents do not
+FAR_FLATS = [[[x, 0.0], [x + abs(x) * 1e-15, 0.0], [x, 1e-300]] for x in (1.5e308, -1.5e308)]
+
+
 class TestLocalStiffness:
     def test_unit_right_triangle(self):
         expected = np.array(
@@ -96,25 +102,29 @@ class TestLocalStiffness:
         assert np.abs(k.sum(axis=1)).max() < 1e-13
 
     @pytest.mark.parametrize(
-        "pts, e",
+        "pts, e, others",
         [
-            ([[0.0, 0.0], [1e155, 0.0], [0.5e155, 1e-10]], -515),
-            ([[0.0, 0.0, 0.0], [1e300, 0.0, 0.0], [0.0, 1e-5, 0.0], [0.0, 0.0, 1e-5]], -200),
-            ([[0.0, 0.0, 0.0], [2.0, 0.1, 0.0], [0.2, 1.0, 0.0], [0.1, 0.2, 1.0]], 300),
-            ([[0.0, 0.0, 0.0], [2.0, 0.1, 0.0], [0.2, 1.0, 0.0], [0.1, 0.2, 1.0]], -300),
+            ([[0.0, 0.0], [1e155, 0.0], [0.5e155, 1e-10]], -515, []),
+            ([[0.0, 0.0], [1e155, 0.0], [0.5e155, 1e-10]], -515, FAR_FLATS),
+            ([[0.0, 0.0, 0.0], [1e300, 0.0, 0.0], [0.0, 1e-5, 0.0], [0.0, 0.0, 1e-5]], -200, []),
+            ([[0.0, 0.0, 0.0], [2.0, 0.1, 0.0], [0.2, 1.0, 0.0], [0.1, 0.2, 1.0]], 300, []),
+            ([[0.0, 0.0, 0.0], [2.0, 0.1, 0.0], [0.2, 1.0, 0.0], [0.1, 0.2, 1.0]], -300, []),
         ],
-        ids=["thin_triangle", "needle_tet", "tet_up", "tet_down"],
+        ids=["thin_triangle", "thin_triangle_among_far_flats", "needle_tet", "tet_up", "tet_down"],
     )
-    def test_huge_or_tiny_elements_stay_finite(self, pts, e):
+    def test_huge_or_tiny_elements_stay_finite(self, pts, e, others):
         # G_i.G_j over- or underflows where K does not, so K is formed on a
         # copy scaled by a power of two: it is finite, and equal to the K of
         # the element scaled by 2^e, scaled back (a 2D K has no units, a 3D
-        # K scales with the length)
+        # K scales with the length); each element has its own power of two,
+        # so stacking ``others`` after it changes no bit of its K
         pts = np.array(pts)
         k = local_stiffness(pts)
         assert np.isfinite(k).all()
         back = -e * (pts.shape[1] - 2)
         assert np.array_equal(k, np.ldexp(local_stiffness(np.ldexp(pts, e)), back))
+        stack = np.array([pts, *others])
+        assert np.array_equal(_stiffness(np.moveaxis(stack, 2, 0))[0], k)
 
     def test_degenerate_rejected(self):
         flat = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])

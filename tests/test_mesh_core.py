@@ -443,15 +443,27 @@ class TestQualityReport:
         line = rect.with_coords(np.column_stack([np.full(rect.n_nodes, 1e300), y]))
         q = quality_report(line)
         assert q.reversal_count == line.n_elements and q.h == np.ldexp(0.5, -200)
+        # at x = 0 the zero x extent takes no part in the scale either:
+        # halfway between it and the y extent, y**2 rounds in the subnormals
+        flat = Mesh(np.array([[0.0, 0.0], [0.0, 1e-308], [0.0, 1.5e-308]]), [[0, 1, 2]])
+        assert quality_report(flat).h == 1.5e-308
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("k", [-520, 520])
-    def test_far_scaled_annulus_matches_unit_scale(self, annulus_coarse, k):
-        # in 2D every operation of the report is exact under a power of two
-        # as long as nothing over- or underflows, so the scaled report
-        # equals the unit-scale one
-        scaled = annulus_coarse.with_coords(np.ldexp(annulus_coarse.coords, k))
-        assert_same_scale_free_fields(quality_report(scaled), quality_report(annulus_coarse), k)
+    @pytest.mark.parametrize("k", [-520, -60, -30, 30, 60, 520])
+    def test_far_scaled_annulus_matches_unit_scale(self, annulus_coarse, box_mesh, k):
+        # each element is computed on its copy scaled by its own power of
+        # two, so a jittered annulus or box scaled by 2**k reports the same
+        # aspects and ratios, in 3D too, and h times 2**k; its measures, of
+        # the coordinates as they are, scale by 2**(d k) while in range
+        for mesh in (jittered(annulus_coarse, 5), jittered(box_mesh, 5)):
+            got = quality_report(mesh.with_coords(np.ldexp(mesh.coords, k)))
+            want = quality_report(mesh)
+            assert_same_scale_free_fields(got, want, k)
+            if abs(k) <= 60:
+                fields = ["min_measure", "max_measure", "mean_measure"]
+                scaled = [np.ldexp(getattr(want, f), mesh.dim * k) for f in fields]
+                assert [getattr(got, f) for f in fields] == scaled
+                assert got.reversal_count == want.reversal_count == 0
 
 
 class TestMeshContainer:
@@ -583,7 +595,7 @@ class TestGeometryKernel:
         pts = jittered_stack(seed, dim, jitter)
         meas = det_measures(pts)
         longest = stack_edge_lengths(pts).max(axis=1)
-        _, got_longest, aspect, imr = _geometry(np.moveaxis(pts, 2, 0), quality=True)
+        _, got_longest, aspect, imr, _ = _geometry(np.moveaxis(pts, 2, 0), quality=True)
         np.testing.assert_allclose(got_longest, longest, rtol=1e-13)
         np.testing.assert_allclose(
             aspect, stack_aspect_ratios(pts, meas, longest), rtol=1e-13
